@@ -10,14 +10,13 @@ and a trajectory-level audit of the dissipation inequality
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .ode import Trajectory, finite_diff_gradient, finite_diff_jacobian
+from .ode import Trajectory, finite_diff_gradient, finite_diff_jacobian, write_csv
 
 __all__ = [
     "PseudoGradientSystem",
@@ -227,12 +226,9 @@ class StorageTrace:
         return ("PASS" if ok else "FAIL"), float(m[k]), float(self.times[k])
 
     def to_csv(self, path) -> None:
-        m = self.margin
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "storage", "supply", "margin"])
-            for t, s, q, g in zip(self.times, self.storage, self.supply_integral, m):
-                w.writerow([f"{t:.17g}", f"{s:.17g}", f"{q:.17g}", f"{g:.17g}"])
+        write_csv(path, ["t", "storage", "supply", "margin"],
+                  zip(self.times.tolist(), self.storage.tolist(),
+                      self.supply_integral.tolist(), self.margin.tolist()))
 
     def summary_json(self, path, audit_tol: float | None = None) -> dict:
         verdict, min_margin, worst_time = self.verdict(audit_tol)

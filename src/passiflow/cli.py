@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import plants, svm as svm_mod, tline as tline_mod
 from .brayton_moser import StorageTrace
-from .ode import DivergenceError, IntegratorConfig, integrate
+from .ode import DivergenceError, IntegratorConfig, integrate, write_csv
 from .primal_dual import (
     AffineInequalities,
     ConvexProblem,
@@ -77,18 +77,6 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
-
-
 def _integrator_config(cfg: dict) -> IntegratorConfig:
     merged = dict(_DEFAULT_INTEGRATOR)
     merged.update(cfg.get("integrator", {}))
@@ -109,15 +97,26 @@ def _echoed(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def validate(cfg: dict) -> list[str]:
-    """Full precondition sweep; returns diagnostics, never runs anything."""
+    """Full precondition sweep; returns diagnostics, never runs or raises."""
+    if not isinstance(cfg, dict):
+        return ["config: must be a JSON object"]
     diags: list[str] = []
+    try:
+        _validate(cfg, diags)
+    except (TypeError, ValueError, KeyError, AttributeError, IndexError) as exc:
+        diags.append(f"config: malformed field ({type(exc).__name__}: {exc})")
+    return diags
 
+
+def _validate(cfg: dict, diags: list[str]) -> None:
     def need(cond, msg):
         if not cond:
             diags.append(msg)
 
-    if not isinstance(cfg, dict):
-        return ["config: must be a JSON object"]
+    def need_num(path, value, low, strict=True):
+        ok = isinstance(value, numbers.Real) and (value > low if strict else value >= low)
+        need(ok, f"{path}: must be a number {'>' if strict else '>='} {low:g}")
+
     need(cfg.get("schema", SCHEMA_VERSION) == SCHEMA_VERSION,
          f"schema: expected version {SCHEMA_VERSION}")
     kind = cfg.get("kind")
@@ -127,9 +126,10 @@ def validate(cfg: dict) -> list[str]:
     integ = cfg.get("integrator", {})
     for key in ("step", "max_time", "event_tol", "convergence_tol"):
         if key in integ:
-            need(integ[key] > 0, f"integrator.{key}: must be > 0")
-    if "convergence_window" in integ:
-        need(integ["convergence_window"] >= 1, "integrator.convergence_window: must be >= 1")
+            need_num(f"integrator.{key}", integ[key], 0)
+    for key in ("convergence_window", "record_every"):
+        if key in integ:
+            need_num(f"integrator.{key}", integ[key], 1, strict=False)
 
     if kind == "solve":
         prob = cfg.get("problem")
@@ -170,7 +170,7 @@ def validate(cfg: dict) -> list[str]:
 
     elif kind == "svm":
         blk = cfg.get("svm", {})
-        need(int(blk.get("n_per_class", 300)) >= 1, "svm.n_per_class: must be >= 1")
+        need_num("svm.n_per_class", blk.get("n_per_class", 300), 1, strict=False)
         cov = np.asarray(blk.get("cov", svm_mod.DEFAULT_COV), dtype=float)
         need(cov.shape == (2, 2) and np.allclose(cov, cov.T), "svm.cov: must be symmetric 2x2")
         if cov.shape == (2, 2) and np.allclose(cov, cov.T):
@@ -190,33 +190,33 @@ def validate(cfg: dict) -> list[str]:
                  f"plant.controller: {controller!r} not available for {name}")
         gains = blk.get("gains", {})
         for gname, gval in gains.items():
-            need(gval >= 0, f"plant.gains.{gname}: must be >= 0")
+            need_num(f"plant.gains.{gname}", gval, 0, strict=False)
         params = blk.get("params", {})
         if name == "parallel_rlc":
             for key in ("R", "G", "L", "C"):
                 if key in params:
-                    need(params[key] > 0, f"plant.params.{key}: must be > 0")
+                    need_num(f"plant.params.{key}", params[key], 0)
         if name == "hvac":
             for key, val in params.items():
                 if key not in ("T_s", "T_inf"):
-                    need(val > 0, f"plant.params.{key}: must be > 0")
-        need(blk.get("horizon", 10.0) > 0, "plant.horizon: must be > 0")
+                    need_num(f"plant.params.{key}", val, 0)
+        need_num("plant.horizon", blk.get("horizon", 10.0), 0)
 
     elif kind == "tline":
         blk = cfg.get("tline", {})
         params = blk.get("params", {})
         for key in ("L", "C", "C0", "C1"):
             if key in params:
-                need(params[key] > 0, f"tline.params.{key}: must be > 0")
+                need_num(f"tline.params.{key}", params[key], 0)
         for key in ("R", "G", "R0", "R1"):
             if key in params:
-                need(params[key] >= 0, f"tline.params.{key}: must be >= 0")
+                need_num(f"tline.params.{key}", params[key], 0, strict=False)
         gains = blk.get("gains", {})
         for gname in ("K_P", "K_I"):
             if gname in gains:
-                need(gains[gname] >= 0, f"tline.gains.{gname}: must be >= 0")
-        need(int(blk.get("grid", 100)) >= 8, "tline.grid: must be >= 8")
-        need(blk.get("horizon", 10.0) > 0, "tline.horizon: must be > 0")
+                need_num(f"tline.gains.{gname}", gains[gname], 0, strict=False)
+        need_num("tline.grid", blk.get("grid", 100), 8, strict=False)
+        need_num("tline.horizon", blk.get("horizon", 10.0), 0)
         mblk = dict(_DEFAULT_INTEGRATOR)
         mblk.update(integ)
         try:
@@ -231,9 +231,7 @@ def validate(cfg: dict) -> list[str]:
         blk = cfg.get("audit", {})
         need("trace_csv" in blk, "audit.trace_csv: missing path")
         if "audit_tol" in blk:
-            need(blk["audit_tol"] > 0, "audit.audit_tol: must be > 0")
-
-    return diags
+            need_num("audit.audit_tol", blk["audit_tol"], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +309,18 @@ def _run_svm(cfg: dict, out: Path, strict: bool, seed_override) -> tuple[int, di
         mean_b=blk.get("mean_b", svm_mod.DEFAULT_MEAN_B),
         cov=blk.get("cov", svm_mod.DEFAULT_COV),
     )
-    _write_csv(out / "dataset.csv", ["x1", "x2", "label"],
-               [(pt[0], pt[1], int(lbl)) for pt, lbl in zip(data.points, data.labels)])
+    write_csv(out / "dataset.csv", ["x1", "x2", "label"],
+              np.column_stack([data.points, data.labels]))
     icfg = None
     if "integrator" in cfg:
         icfg = _integrator_config(cfg)
     result = svm_mod.train_svm(data, cfg=icfg)
     traj = result.trajectory
-    _write_csv(out / "beta_trajectory.csv", ["t", "beta1", "beta2", "beta0"],
-               [(t, z[0], z[1], z[2]) for t, z in zip(traj.times, traj.states)])
-    _write_csv(out / "mu_trajectory.csv",
-               ["t"] + [f"mu{i}" for i in range(data.size)],
-               [(t, *z[3:]) for t, z in zip(traj.times, traj.states)])
+    times = traj.times.tolist()
+    write_csv(out / "beta_trajectory.csv", ["t", "beta1", "beta2", "beta0"],
+              ([t] + z[:3].tolist() for t, z in zip(times, traj.states)))
+    write_csv(out / "mu_trajectory.csv", ["t"] + [f"mu{i}" for i in range(data.size)],
+              ([t] + z[3:].tolist() for t, z in zip(times, traj.states)))
     idx, plane, report = svm_mod.support_vectors(data, result.final,
                                                  tol=blk.get("sv_tol", 1e-6))
     summary = {
@@ -396,7 +394,7 @@ def _run_plant(cfg: dict, out: Path, strict: bool) -> tuple[int, dict]:
         return EXIT_DIVERGENCE, {"error": str(exc)}
     traj.to_csv(out / "trajectory.csv")
     V = np.array([lyap(t, z) for t, z in zip(traj.times, traj.states)])
-    _write_csv(out / "lyapunov.csv", ["t", "V"], list(zip(traj.times, V)))
+    write_csv(out / "lyapunov.csv", ["t", "V"], zip(traj.times.tolist(), V.tolist()))
     trace = StorageTrace(traj.times, V, np.zeros_like(V))
     verdict, min_margin, worst_time = trace.verdict()
     err = float(np.max(np.abs(traj.final_state[: target_state.size] - target_state)))
@@ -455,14 +453,12 @@ def _run_tline(cfg: dict, out: Path, strict: bool) -> tuple[int, dict]:
         summary["lyapunov_monotone"] = verdict
         summary["min_margin"] = min_margin
 
-    rows = []
-    for t, y in zip(traj.times, traj.states):
-        s = tline_mod.unpack_state(p, y, M)
-        rows.append((t, *s.i, *s.v, s.vC0, s.vC1))
     header = (["t"] + [f"i{k}" for k in range(M + 1)]
               + [f"v{k}" for k in range(M + 1)] + ["vC0", "vC1"])
-    _write_csv(out / "spacetime.csv", header, rows)
-    _write_csv(out / "lyapunov.csv", ["t", "V"], list(zip(traj.times, lyap_vals)))
+    line_states = (tline_mod.unpack_state(p, y, M) for y in traj.states)
+    write_csv(out / "spacetime.csv", header, ([t] + s.i.tolist() + s.v.tolist() + [s.vC0, s.vC1]
+                                              for t, s in zip(traj.times.tolist(), line_states)))
+    write_csv(out / "lyapunov.csv", ["t", "V"], zip(traj.times.tolist(), lyap_vals.tolist()))
     code = EXIT_OK
     if strict and verdict == "FAIL":
         code = EXIT_AUDIT
@@ -520,13 +516,6 @@ def _add_common(sp):
     sp.add_argument("--strict", action="store_true",
                     help="nonzero exit on non-convergence or audit failure")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for multiple configs")
-
-
-def _run_one(args_tuple):
-    path, out_dir, seed, strict = args_tuple
-    cfg = load_config(path)
-    code, summary = run(cfg, out_dir, seed=seed, strict=strict)
-    return path, code, summary
 
 
 def main(argv=None) -> int:

@@ -3,14 +3,15 @@
 Every flow in this library (gradient flows, switched multiplier dynamics,
 circuit and line simulations) runs through :func:`integrate`.  The scheme is
 deliberately plain: classical fourth-order Runge-Kutta with a constant step,
-plus bisection refinement of guard-function sign changes.  A fixed step keeps
-switch bookkeeping and storage audits deterministic and reproducible; there
-is no adaptive error control and no stiff path.
+plus bisection of guard sign changes along the RK4 map from the step start
+(not along the exact solution, so on a switched field an event time can be
+off by O(step) whatever ``event_tol`` is).  A fixed step keeps switch
+bookkeeping and storage audits deterministic and reproducible; there is no
+adaptive error control and no stiff path.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -19,12 +20,14 @@ import numpy as np
 __all__ = [
     "DivergenceError",
     "IntegratorConfig",
+    "IntegrationStats",
     "Trajectory",
     "NOT_CONVERGED",
     "integrate",
     "finite_diff_gradient",
     "finite_diff_jacobian",
     "steady_state",
+    "write_csv",
 ]
 
 
@@ -45,10 +48,12 @@ class DivergenceError(RuntimeError):
 class IntegratorConfig:
     """Knobs for :func:`integrate` and convergence detection.
 
-    ``step`` is the RK4 step, ``event_tol`` the bisection width used to
-    localize guard crossings (in time units), and ``clamp_tol`` the largest
-    negative excursion a clamped-nonnegative component may show after a step
-    before it is treated as an integration error rather than crossing residue.
+    ``step`` is the RK4 step.  ``event_tol`` is the bracket width bisection
+    reaches on a guard's sign change along the RK4 map from the step start;
+    it does not bound the crossing-time error, which is O(step) on a
+    switched rhs.  ``clamp_tol`` is the largest negative excursion a
+    clamped-nonnegative component may show after a step before it is
+    treated as an integration error rather than crossing residue.
     """
 
     step: float = 1e-3
@@ -70,17 +75,32 @@ class IntegratorConfig:
 
 
 @dataclass
+class IntegrationStats:
+    """Counts of one :func:`integrate` call: rhs evaluations (four per RK4
+    step, one per convergence check), RK4 steps (bisection and crossing
+    steps included), event batches, and components truncated by the clamp.
+    """
+
+    rhs_evals: int = 0
+    rk4_steps: int = 0
+    bisection_steps: int = 0
+    event_batches: int = 0
+    clamp_truncations: int = 0
+
+
+@dataclass
 class Trajectory:
     """Sampled solution: strictly increasing times, one state row per time.
 
     ``events`` holds ``(time, tag)`` pairs for localized guard crossings;
     every event time is also a sample, so switched-storage audits can
-    evaluate both sides of a switch.
+    evaluate both sides of a switch.  ``stats`` is set by :func:`integrate`.
     """
 
     times: np.ndarray
     states: np.ndarray
     events: list[tuple[float, str]] = field(default_factory=list)
+    stats: IntegrationStats | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -104,18 +124,25 @@ class Trajectory:
 
     def to_csv(self, path, events_path=None) -> None:
         """Write ``t,x0,...,xn`` rows; events go to a sidecar ``t,tag`` CSV."""
-        n = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"x{k}" for k in range(n)])
-            for t, row in zip(self.times, self.states):
-                w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+        write_csv(path, ["t"] + [f"x{k}" for k in range(self.states.shape[1])],
+                  ([t] + z.tolist() for t, z in zip(self.times.tolist(), self.states)))
         if events_path is not None:
-            with open(events_path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["t", "tag"])
-                for t, tag in self.events:
-                    w.writerow([f"{t:.17g}", tag])
+            write_csv(events_path, ["t", "tag"], self.events)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CRLF CSV lines, numbers as ``%.17g``.
+
+    Strings are written as they are (no quoting); the first row's cell types
+    fix the line format.  Rows are consumed lazily, so pass a generator.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        line = None
+        for row in rows:
+            if line is None:
+                line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) + "\r\n"
+            fh.write(line % tuple(row))
 
 
 #: Sentinel returned by :func:`steady_state` when the tail is still moving.
@@ -130,7 +157,7 @@ def _rk4_step(rhs, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
 
 
-def _eval_guards(guards, t, x, n_guards):
+def _eval_guards(guards, t, x):
     if callable(guards):
         return np.atleast_1d(np.asarray(guards(t, x), dtype=float))
     return np.array([g(t, x) for g in guards], dtype=float)
@@ -158,9 +185,9 @@ def integrate(
     guards : optional
         Either a list of scalar functions ``s(t, x)`` or one vectorized
         callable returning all guard values at once.  Whenever a guard
-        changes sign inside a step the crossing is localized by bisection
-        to a time width ``<= event_tol``, an event is recorded, and
-        integration restarts from the crossing.
+        changes sign inside a step, bisection brackets the sign change to a
+        width ``<= event_tol`` (see :class:`IntegratorConfig`), an event is
+        recorded, and integration restarts from the bracket's far end.
     guard_labels : optional
         Event tags, aligned with the guards; defaults to ``guard<k>``.
     clamp_nonneg : optional
@@ -176,7 +203,7 @@ def integrate(
     -------
     Trajectory
         Samples every ``record_every``-th step plus all event samples and
-        the final state.
+        the final state, with the call's :class:`IntegrationStats`.
 
     Raises
     ------
@@ -184,18 +211,20 @@ def integrate(
         If the state leaves the finite range.
     """
     x = np.array(x0, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("initial state must be finite")
     h = config.step
     t = float(t0)
     t_end = t0 + config.max_time
+    stats = IntegrationStats()
 
     n_guards = 0
     if guards is not None:
-        s_cur = _eval_guards(guards, t, x, 0)
+        s_cur = _eval_guards(guards, t, x)
         n_guards = s_cur.size
         if guard_labels is None:
             guard_labels = [f"guard{k}" for k in range(n_guards)]
+    clamp_idx = None if clamp_nonneg is None else np.asarray(clamp_nonneg, dtype=int)
 
     times = [t]
     states = [x.copy()]
@@ -214,29 +243,32 @@ def integrate(
         # one step's travel, so that is the slack granted there; plain
         # steps keep the strict bound so a genuinely missing guard is
         # still caught.
-        if clamp_nonneg is None:
+        if clamp_idx is None:
             return xv
-        for i in clamp_nonneg:
-            if xv[i] < 0.0:
-                slack = config.clamp_tol * max(1.0, abs(rate[i])) + extra_slack
-                if xv[i] < -slack:
-                    raise ValueError(
-                        f"component {i} undershot zero by {-xv[i]:.3e} "
-                        f"(> clamp slack {slack:.3e}); missing guard?"
-                    )
-                xv[i] = 0.0
+        neg = clamp_idx[xv[clamp_idx] < 0.0]
+        if neg.size == 0:
+            return xv
+        slack = config.clamp_tol * np.maximum(1.0, np.abs(rate[neg])) + extra_slack
+        bad = np.flatnonzero(xv[neg] < -slack)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"component {neg[k]} undershot zero by {-xv[neg[k]]:.3e} "
+                             f"(> clamp slack {slack[k]:.3e}); missing guard?")
+        xv[neg] = 0.0
+        stats.clamp_truncations += neg.size
         return xv
 
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h_step = min(h, t_end - t)
         x_new, k1 = _rk4_step(rhs, t, x, h_step)
-        if not np.all(np.isfinite(x_new)):
+        stats.rk4_steps += 1
+        if not np.isfinite(x_new).all():
             raise DivergenceError(t, x)
 
         any_crossed = False
         if n_guards:
-            s_new = _eval_guards(guards, t + h_step, x_new, n_guards)
-            any_crossed = bool(np.any(s_cur * s_new < 0.0))
+            s_new = _eval_guards(guards, t + h_step, x_new)
+            any_crossed = (s_cur * s_new < 0.0).any()
 
         if any_crossed:
             # One vector bisection localizes the earliest crossing among all
@@ -248,8 +280,10 @@ def integrate(
             while hi - lo > config.event_tol:
                 mid = 0.5 * (lo + hi)
                 x_mid, _ = _rk4_step(rhs, t, x, mid)
-                s_mid = _eval_guards(guards, t + mid, x_mid, n_guards)
-                if np.any(s_lo * s_mid < 0.0):
+                stats.rk4_steps += 1
+                stats.bisection_steps += 1
+                s_mid = _eval_guards(guards, t + mid, x_mid)
+                if (s_lo * s_mid < 0.0).any():
                     hi, s_hi = mid, s_mid
                 else:
                     lo, s_lo = mid, s_mid
@@ -258,7 +292,8 @@ def integrate(
             # so switched bookkeeping sees the new signs at the sample.
             flipped = np.nonzero(s_lo * s_hi < 0.0)[0]
             x_cross, _ = _rk4_step(rhs, t, x, hi)
-            if not np.all(np.isfinite(x_cross)):
+            stats.rk4_steps += 1
+            if not np.isfinite(x_cross).all():
                 raise DivergenceError(t, x)
             x_cross = _clamp(x_cross, k1,
                              extra_slack=h_step * max(1.0, np.max(np.abs(k1))))
@@ -266,8 +301,9 @@ def integrate(
             x = x_cross
             for j in flipped:
                 events.append((t, guard_labels[j]))
+            stats.event_batches += 1
             _record(t, x)
-            s_cur = _eval_guards(guards, t, x, n_guards)
+            s_cur = _eval_guards(guards, t, x)
             step_index += 1
             quiet = 0
             continue
@@ -283,7 +319,8 @@ def integrate(
 
         if stop_when_converged:
             rate = rhs(t, x)
-            if np.max(np.abs(rate)) < config.convergence_tol:
+            stats.rhs_evals += 1
+            if np.abs(rate).max() < config.convergence_tol:
                 quiet += 1
                 if quiet >= config.convergence_window:
                     break
@@ -292,7 +329,8 @@ def integrate(
 
     if times[-1] != t:
         _record(t, x)
-    return Trajectory(np.array(times), np.array(states), events)
+    stats.rhs_evals += 4 * stats.rk4_steps
+    return Trajectory(np.array(times), np.array(states), events, stats)
 
 
 def finite_diff_gradient(f, x, h: float = 1e-6) -> np.ndarray:

@@ -293,15 +293,6 @@ def positive_projection(gval: float, mu: float) -> float:
     return float(max(0.0, gval))
 
 
-def _projection_vec(g, mu, tol):
-    # mu within tol of zero (or transiently below, mid-step) takes the
-    # clamped branch; everything else flows freely along g.
-    out = np.array(g, dtype=float)
-    zero = mu <= tol
-    out[zero] = np.maximum(0.0, out[zero])
-    return out
-
-
 def active_set(s: FlowState, gvals, tol: float = 1e-10) -> frozenset:
     """Indices where the projection clamps: ``mu_i = 0`` and ``g_i <= 0``.
 
@@ -330,25 +321,33 @@ def interconnected_rhs(
     dynamics of the full problem; ``v`` enters the primal channel and
     ``v_tilde`` shifts the point where the constraints are evaluated for
     the multiplier flow.
-    Returns ``(xdot, lamdot, mudot)``.
+    Returns ``(xdot, lamdot, mudot)``.  ``tc=None`` means unit time
+    constants; dividing by them would be exact, so it is skipped.
     """
-    if tc is None:
-        tc = TimeConstants.ones(prob.n, prob.m, prob.p)
-    v = np.zeros(prob.n) if v is None else np.asarray(v, dtype=float)
-    mu_eff = np.maximum(s.mu, 0.0)
-    grad_L = prob.f.grad(s.x) + v
-    if prob.m:
-        grad_L = grad_L + prob.A.T @ s.lam
-    if prob.p:
-        grad_L = grad_L + prob.g_jacobian(s.x).T @ mu_eff
-    xdot = -grad_L / tc.tau_x
-    lamdot = (prob.A @ s.x - prob.b) / tc.tau_lam
-    if prob.p:
-        x_shift = s.x if v_tilde is None else s.x + np.asarray(v_tilde, dtype=float)
-        g = prob.g_values(x_shift)
-        mudot = _projection_vec(g, s.mu, proj_tol) / tc.tau_mu
+    x = s.x
+    grad_L = prob.f.grad(x)
+    if v is not None:
+        grad_L = grad_L + v
+    A = prob.A
+    if A.shape[0]:
+        grad_L = grad_L + A.T @ s.lam
+        lamdot = A @ x - prob.b
+    else:
+        lamdot = np.zeros(0)
+    ineq = prob.ineq
+    if ineq is not None and ineq.p:
+        grad_L = grad_L + ineq.jacobian(x).T @ np.maximum(s.mu, 0.0)
+        g = ineq.values(x if v_tilde is None else x + np.asarray(v_tilde, dtype=float))
+        # mu within proj_tol of zero (or transiently below, mid-step) takes
+        # the clamped branch; everything else flows freely along g.
+        mudot = np.where(s.mu <= proj_tol, np.maximum(0.0, g), g)
     else:
         mudot = np.zeros(0)
+    xdot = -grad_L
+    if tc is not None:
+        xdot = xdot / tc.tau_x
+        lamdot = lamdot / tc.tau_lam
+        mudot = mudot / tc.tau_mu
     return xdot, lamdot, mudot
 
 
@@ -489,11 +488,12 @@ def solve(
     if init.mu.size != p or init.lam.size != m or init.x.size != n:
         raise ValueError("initial state dimensions do not match problem")
     proj_tol = cfg.event_tol
+    unit_tc = all(np.all(a == 1.0) for a in (tc.tau_x, tc.tau_lam, tc.tau_mu))
+    flow_tc = None if unit_tc else tc
 
     def rhs(t, z):
         s = FlowState.unpack(z, n, m, p)
-        xd, ld, md = interconnected_rhs(prob, s, tc=tc, proj_tol=proj_tol)
-        return np.concatenate([xd, ld, md])
+        return np.concatenate(interconnected_rhs(prob, s, tc=flow_tc, proj_tol=proj_tol))
 
     guards = None
     labels = None
@@ -519,11 +519,9 @@ def solve(
     # unforced interconnection, so PASS means the switched storage never rises.
     storage_vals = np.empty(traj.times.size)
     for k, z in enumerate(traj.states):
-        s = FlowState.unpack(z, n, m, p)
-        g = prob.g_values(s.x)
-        rates = interconnected_rhs(prob, s, tc=tc, proj_tol=proj_tol)
-        sigma = active_set(FlowState(s.x, s.lam, np.maximum(s.mu, 0.0)), g, proj_tol)
-        storage_vals[k] = switched_storage(rates, sigma, tc)
+        rates = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=flow_tc,
+                                   proj_tol=proj_tol)
+        storage_vals[k] = switched_storage(rates, _sigma_at(prob, z, n, m, p, proj_tol), tc)
 
     switch_events: list[SwitchEvent] = []
     batches: dict[float, set] = {}
@@ -543,8 +541,8 @@ def solve(
                          switch_events=switch_events)
     final = FlowState.unpack(traj.final_state, n, m, p)
     final.mu = np.maximum(final.mu, 0.0)
-    rates = interconnected_rhs(prob, final, tc=tc, proj_tol=proj_tol)
-    converged = max(np.max(np.abs(r), initial=0.0) for r in rates) < cfg.convergence_tol
+    rates = interconnected_rhs(prob, final, tc=flow_tc, proj_tol=proj_tol)
+    converged = bool(max(np.max(np.abs(r), initial=0.0) for r in rates) < cfg.convergence_tol)
     return SolveResult(
         trajectory=traj,
         kkt=kkt_residual(prob, final),

@@ -22,7 +22,6 @@ from .primal_dual import (
     FlowState,
     SolveResult,
     TimeConstants,
-    interconnected_rhs,
     quadratic_oracle,
     solve,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "DEFAULT_COV",
     "generate_gaussian_classes",
     "build_svm_problem",
-    "svm_flow_rhs",
     "train_svm",
     "support_vectors",
 ]
@@ -154,29 +152,6 @@ def build_svm_problem(data: Dataset) -> ConvexProblem:
         f=quadratic_oracle(np.diag([1.0, 1.0, 0.0]), np.zeros(3)),
         ineq=AffineInequalities(G, h),
     )
-
-
-def svm_flow_rhs(data: Dataset, s: FlowState, tc: TimeConstants,
-                 proj_tol: float = 1e-10):
-    """Specialized training flow, written directly from the problem data.
-
-    -tau_beta betadot = beta - sum_i mu_i y_i x_i
-    -tau_beta0 beta0dot = -sum_i mu_i y_i
-    tau_mu_i mudot_i = (g_i)^+_{mu_i}
-
-    Agrees componentwise with the generic interconnected flow on the
-    problem built by :func:`build_svm_problem`.
-    """
-    beta = s.x[:2]
-    beta0 = s.x[2]
-    mu = np.maximum(s.mu, 0.0)
-    ymu = data.labels * mu
-    betadot = -(beta - data.points.T @ ymu) / tc.tau_x[:2]
-    beta0dot = np.sum(ymu) / tc.tau_x[2]
-    g = 1.0 - data.labels * (data.points @ beta + beta0)
-    gate = s.mu <= proj_tol
-    mudot = np.where(gate, np.maximum(0.0, g), g) / tc.tau_mu
-    return np.concatenate([betadot, [beta0dot]]), mudot
 
 
 def train_svm(

@@ -1,8 +1,9 @@
 """Independent reference solvers used to freeze expected values in tests.
 
 Nothing here touches the gradient-flow code paths: QPs are solved by brute
-enumeration of active sets over the KKT linear systems, and the toy SVM by
-its closed form.
+enumeration of active sets over the KKT linear systems, the toy SVM by its
+closed form, and the SVM training flow is written out a second time from the
+problem data to cross-check the generic primal-dual flow.
 """
 
 import itertools
@@ -105,3 +106,26 @@ def two_point_svm():
     points = np.array([[1.0, 0.0], [-1.0, 0.0]])
     labels = np.array([1.0, -1.0])
     return points, labels, np.array([1.0, 0.0]), 0.0, np.array([0.5, 0.5])
+
+
+def svm_flow_rhs(data, s, tc, proj_tol=1e-10):
+    """SVM training flow written directly from the data, as ``(betadot, mudot)``.
+
+    -tau_beta betadot = beta - sum_i mu_i y_i x_i
+    -tau_beta0 beta0dot = -sum_i mu_i y_i
+    tau_mu_i mudot_i = (g_i)^+_{mu_i},  g_i = 1 - y_i (beta^T x_i + beta0)
+
+    ``data`` has ``points`` and ``labels``, ``s`` has ``x`` and ``mu``, and
+    ``tc`` has ``tau_x`` and ``tau_mu``.  It should agree componentwise with
+    the generic interconnected flow on the problem built by
+    ``passiflow.svm.build_svm_problem``.
+    """
+    beta = s.x[:2]
+    beta0 = s.x[2]
+    mu = np.maximum(s.mu, 0.0)
+    ymu = data.labels * mu
+    betadot = -(beta - data.points.T @ ymu) / tc.tau_x[:2]
+    beta0dot = np.sum(ymu) / tc.tau_x[2]
+    g = 1.0 - data.labels * (data.points @ beta + beta0)
+    mudot = np.where(s.mu <= proj_tol, np.maximum(0.0, g), g) / tc.tau_mu
+    return np.concatenate([betadot, [beta0dot]]), mudot

@@ -1,0 +1,101 @@
+"""Byte-level regression check of every CLI artifact.
+
+One small config per CLI kind runs through ``cli.run`` into ``tmp_path``,
+and the SHA-256 of every file it writes is compared with a recorded digest.
+The digests pin the exact floating-point results of this numpy/BLAS build;
+a deliberate numerical change must re-record them and say why.
+"""
+
+import hashlib
+import json
+
+from passiflow import cli
+
+CONFIGS = {
+    "solve": {
+        "schema": 1, "kind": "solve",
+        "problem": {
+            "objective": {"Q0": [[2.0, 0.5], [0.5, 1.0]], "c": [-2.0, -1.0]},
+            "inequalities": {
+                "affine": {"G": [[1.0, 1.0]], "h": [0.5]},
+                "named": [{"name": "ball", "params": {"center": [0.0, 0.0], "radius": 0.6}}],
+            },
+        },
+        "integrator": {"step": 0.01, "max_time": 30.0},
+    },
+    "svm": {
+        "schema": 1, "kind": "svm", "svm": {"seed": 1, "n_per_class": 5},
+        "integrator": {"step": 0.01, "max_time": 100.0, "record_every": 5},
+    },
+    "plant": {
+        "schema": 1, "kind": "plant",
+        "plant": {"name": "hvac", "controller": "dyn_feedback",
+                  "gains": {"k1": 1.0, "kd": 2.0, "ki": 5.0}, "horizon": 2.0},
+        "integrator": {"step": 0.01, "record_every": 10},
+    },
+    "tline": {
+        "schema": 1, "kind": "tline",
+        "tline": {"grid": 16, "horizon": 1.0, "target_vc1": 1.0,
+                  "gains": {"K_P": 1.0, "K_I": 1.0}},
+    },
+}
+
+# Recorded before the CSV writer, the flow rhs and the clamp were rewritten
+# for speed.  Only the solve and svm summaries changed since, because
+# "converged" is now written as true rather than 1.0; with 1.0 they were
+# 5a08fa67f3e52d51... (solve) and 5ad21a01a53c0452... (svm).
+GOLDEN = {
+    "audit/summary.json":
+        "e92f51374867b877da4734742d2dd85adb06b150895d6f8313178bd941b9c9ff",
+    "plant/lyapunov.csv":
+        "fc82ba5de02d93911d48173dcc1ab24cbc0ad55dcf590cfd90f087cb86608806",
+    "plant/summary.json":
+        "0e5a35fb7b8f4a02e77a8f32103c498b41fe063672cb056b469159af74dfd27d",
+    "plant/trajectory.csv":
+        "717d89439278dbbe303d651d3a2b9222387bbc05c4d785e04635c8181d752722",
+    "solve/events.csv":
+        "9d96e37ac9988b14dd491346944b1bc0841c8cf7f142e42d1727ac792407c4da",
+    "solve/storage.csv":
+        "b65cf51178ad2f1a1f03b487ee0fa25022efd67fe7e2d22023403ccef088a927",
+    "solve/summary.json":
+        "9b685ab806864729d2f22b05df4bb043ac3494f56e2b52d6d265442e4911fa9e",
+    "solve/trajectory.csv":
+        "0bba359c18d853ad042bda256973eb7f5b5ad79714b7577528d892e78014799d",
+    "svm/beta_trajectory.csv":
+        "13b2e9b8cb3479ea8c1756725668c5af40b07fc4fd35ae2be46c64a1a95669ee",
+    "svm/dataset.csv":
+        "ecada696e573358b07bcef158910cd0c2be52afd9bd436705c2b42663a09144f",
+    "svm/mu_trajectory.csv":
+        "e885c5da278aca29b04da9eaf1475cdcc9d5bdb1fdb96b6bb03dc13b492aa27e",
+    "svm/summary.json":
+        "79bf28d1ae4f557ec4abbb67f81ca25ca38d380c43506876c89f7d9d46f1808f",
+    "tline/lyapunov.csv":
+        "9f89255d02eddbfbadf5b305eb9082cd308c8f97b5b1dbe5cbd4d30faf3309af",
+    "tline/spacetime.csv":
+        "9d5ddfeb0f62ae30574464264e68f6bafe42dd51210740806eb45ddaa39e2ada",
+    "tline/summary.json":
+        "6a93ec41ef4e9e713ab13fb1b87fe66f38344820d656c367354a6331b4b2a1d1",
+}
+
+
+def run_all(out):
+    """Run every config (and an audit of the solve's storage) into ``out``;
+    return ``{relative path: sha256}`` of everything written."""
+    for kind, cfg in CONFIGS.items():
+        code, _ = cli.run(cfg, out / kind)
+        assert code == 0, kind
+    trace = out / "solve" / "storage.csv"
+    code, _ = cli.run({"schema": 1, "kind": "audit", "audit": {"trace_csv": str(trace)}},
+                      out / "audit")
+    assert code == 0
+    digests = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.parent.name == "audit":
+            data = data.replace(json.dumps(str(trace)).encode(), b'"<trace_csv>"')
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_every_artifact_matches_its_recorded_digest(tmp_path):
+    assert run_all(tmp_path) == GOLDEN

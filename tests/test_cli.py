@@ -1,0 +1,42 @@
+import json
+
+import pytest
+
+from passiflow import cli
+from test_artifacts_golden import CONFIGS
+
+
+@pytest.mark.parametrize("kind", ["solve", "svm"])
+def test_converged_is_written_as_a_json_bool(tmp_path, kind):
+    code, payload = cli.run(CONFIGS[kind], tmp_path)
+    assert code == 0
+    with open(tmp_path / "summary.json") as fh:
+        assert json.load(fh)["converged"] is True
+    assert payload["converged"] is True
+
+
+def _plant_cfg(**gains):
+    return {"schema": 1, "kind": "plant",
+            "plant": {"name": "hvac", "controller": "dyn_feedback", "gains": gains}}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"schema": 1, "kind": "svm", "svm": {}, "integrator": {"step": "x"}}, "integrator.step"),
+    ({"schema": 1, "kind": "svm", "svm": {"n_per_class": "abc"}}, "svm.n_per_class"),
+    (_plant_cfg(k1="big"), "plant.gains.k1"),
+])
+def test_wrong_typed_field_is_a_diagnostic(cfg, field):
+    diags = cli.validate(cfg)
+    assert [d for d in diags if d.startswith(field + ":")], diags
+
+
+def test_malformed_block_is_a_diagnostic():
+    diags = cli.validate({"schema": 1, "kind": "solve",
+                          "problem": {"objective": {"Q0": "abc"}}})
+    assert diags and diags[0].startswith("config: malformed field")
+
+
+def test_run_reports_a_wrong_typed_field_with_exit_code_2(tmp_path):
+    code, payload = cli.run(_plant_cfg(k1="big"), tmp_path)
+    assert code == cli.EXIT_VALIDATION
+    assert payload["validation_errors"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import two_point_svm
+from oracles import svm_flow_rhs, two_point_svm
 
 from passiflow.ode import IntegratorConfig
 from passiflow.primal_dual import FlowState, TimeConstants, interconnected_rhs, kkt_residual
@@ -12,7 +12,6 @@ from passiflow.svm import (
     build_svm_problem,
     generate_gaussian_classes,
     support_vectors,
-    svm_flow_rhs,
     train_svm,
 )
 
