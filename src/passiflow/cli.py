@@ -29,7 +29,6 @@ from .primal_dual import (
     AffineInequalities,
     ConvexProblem,
     FlowState,
-    OracleInequalities,
     ScalarOracle,
     TimeConstants,
     quadratic_oracle,
@@ -249,24 +248,10 @@ def _build_problem(prob_cfg: dict) -> ConvexProblem:
     ineq_cfg = prob_cfg.get("inequalities")
     ineq = None
     if ineq_cfg:
-        oracles = []
-        if "affine" in ineq_cfg:
-            G = np.atleast_2d(np.asarray(ineq_cfg["affine"]["G"], dtype=float))
-            h = np.asarray(ineq_cfg["affine"]["h"], dtype=float)
-            for row, hv in zip(G, h):
-                r = row.copy()
-                hv = float(hv)
-                oracles.append(ScalarOracle(
-                    value=lambda x, r=r, hv=hv: float(r @ x - hv),
-                    grad=lambda x, r=r: r,
-                    hess=lambda x, nn=n: np.zeros((nn, nn)),
-                ))
-        for entry in ineq_cfg.get("named", []):
-            oracles.append(NAMED_INEQUALITIES[entry["name"]](entry.get("params", {}), n))
-        if len(oracles) == (G.shape[0] if "affine" in ineq_cfg else 0) and "affine" in ineq_cfg:
-            ineq = AffineInequalities(G, h)  # pure affine block stays vectorized
-        else:
-            ineq = OracleInequalities(oracles)
+        affine = ineq_cfg.get("affine", {"G": np.zeros((0, n)), "h": np.zeros(0)})
+        named = [NAMED_INEQUALITIES[entry["name"]](entry.get("params", {}), n)
+                 for entry in ineq_cfg.get("named", [])]
+        ineq = AffineInequalities(affine["G"], affine["h"], named)
     return ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b, ineq=ineq)
 
 
@@ -592,20 +577,19 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) / stem if len(configs) > 1 else Path(args.out)
         jobs.append((cfg, out_dir))
 
-    worst = EXIT_OK
     if args.jobs > 1 and len(jobs) > 1:
+        cfgs, out_dirs = zip(*jobs)
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run, cfg, out_dir, args.seed, args.strict)
-                       for cfg, out_dir in jobs]
-            for fut in futures:
-                code, summary = fut.result()
-                worst = max(worst, code)
+            results = list(pool.map(run, cfgs, out_dirs, [args.seed] * len(jobs),
+                                    [args.strict] * len(jobs)))
     else:
-        for cfg, out_dir in jobs:
-            code, summary = run(cfg, out_dir, seed=args.seed, strict=args.strict)
-            print(json.dumps({k: v for k, v in summary.items() if k != "config"},
-                             sort_keys=True, default=float))
-            worst = max(worst, code)
+        results = (run(cfg, out_dir, seed=args.seed, strict=args.strict)
+                   for cfg, out_dir in jobs)
+    worst = EXIT_OK
+    for code, summary in results:
+        print(json.dumps({k: v for k, v in summary.items() if k != "config"},
+                         sort_keys=True, default=float))
+        worst = max(worst, code)
     return worst
 
 

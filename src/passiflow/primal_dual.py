@@ -12,6 +12,9 @@ where the positive projection ``(g)^+_mu`` equals ``g`` for ``mu > 0`` and
 The multiplier flow is a state-dependent switched system; the set of indices
 where the projection clamps is tracked for storage accounting, and the
 switched Krasovskii storage is audited along every solve.
+
+All inequalities form one block, :class:`AffineInequalities`: affine rows
+``G x - h`` evaluated as one product, then any nonlinear oracle rows.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "ScalarOracle",
     "quadratic_oracle",
     "AffineInequalities",
-    "OracleInequalities",
     "ConvexProblem",
     "FlowState",
     "TimeConstants",
@@ -70,40 +72,40 @@ def quadratic_oracle(Q0, c) -> ScalarOracle:
 
 
 class AffineInequalities:
-    """Constraint block ``g(x) = G x - h <= 0`` evaluated in one shot."""
+    """Constraint block ``g(x) <= 0``: the rows ``G x - h`` evaluated in one
+    shot (``G`` may be ``(0, n)``), then one row per oracle in ``oracles``."""
 
-    def __init__(self, G, h):
+    def __init__(self, G, h, oracles: Sequence[ScalarOracle] = ()):
         self.G = np.atleast_2d(np.asarray(G, dtype=float))
         self.h = np.atleast_1d(np.asarray(h, dtype=float))
         if self.G.shape[0] != self.h.shape[0]:
             raise ValueError("G rows must match h length")
-        self.p = self.G.shape[0]
+        self.oracles = tuple(oracles)
+        self.p = self.G.shape[0] + len(self.oracles)
 
     def values(self, x):
-        return self.G @ x - self.h
+        if not self.oracles:
+            return self.G @ x - self.h
+        r = self.G.shape[0]
+        g = np.empty(self.p)
+        g[:r] = self.G @ x - self.h
+        for k, o in enumerate(self.oracles):
+            g[r + k] = o.value(x)
+        return g
 
     def jacobian(self, x):
-        return self.G
+        if not self.oracles:
+            return self.G
+        r = self.G.shape[0]
+        J = np.empty((self.p, self.G.shape[1]))
+        J[:r] = self.G
+        for k, o in enumerate(self.oracles):
+            J[r + k] = o.grad(x)
+        return J
 
     def hessian(self, i, x):
-        return np.zeros((self.G.shape[1], self.G.shape[1]))
-
-
-class OracleInequalities:
-    """Constraint block backed by a list of :class:`ScalarOracle`."""
-
-    def __init__(self, oracles: Sequence[ScalarOracle]):
-        self.oracles = list(oracles)
-        self.p = len(self.oracles)
-
-    def values(self, x):
-        return np.array([o.value(x) for o in self.oracles], dtype=float)
-
-    def jacobian(self, x):
-        return np.array([o.grad(x) for o in self.oracles], dtype=float)
-
-    def hessian(self, i, x):
-        return self.oracles[i].hess(x)
+        r, n = self.G.shape
+        return self.oracles[i - r].hess(x) if i >= r else np.zeros((n, n))
 
 
 @dataclass(frozen=True)
@@ -392,13 +394,14 @@ def switched_storage(sdot, sigma, tc: TimeConstants) -> float:
     """Krasovskii storage with the clamped multiplier rates dropped.
 
     ``0.5 xdot^T tau_x xdot + 0.5 lamdot^T tau_lam lamdot
-    + 0.5 sum_{i not in sigma} tau_mu_i mudot_i^2``
+    + 0.5 sum_{i not in sigma} tau_mu_i mudot_i^2``; ``sigma`` holds indices
+    or is a boolean mask over the multipliers.
     """
     xdot, lamdot, mudot = sdot
     val = 0.5 * float(xdot @ (tc.tau_x * xdot)) + 0.5 * float(lamdot @ (tc.tau_lam * lamdot))
     if mudot.shape[0]:
         keep = np.ones(mudot.shape[0], dtype=bool)
-        keep[list(sigma)] = False
+        keep[sigma if isinstance(sigma, np.ndarray) else list(sigma)] = False
         val += 0.5 * float(np.sum(tc.tau_mu[keep] * mudot[keep] ** 2))
     return val
 
@@ -517,11 +520,13 @@ def solve(
 
     # Storage trace along the samples; supply is identically zero for the
     # unforced interconnection, so PASS means the switched storage never rises.
+    # The clamp mask is active_set at max(mu, 0), which is <= proj_tol iff mu is.
     storage_vals = np.empty(traj.times.size)
     for k, z in enumerate(traj.states):
-        rates = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=flow_tc,
-                                   proj_tol=proj_tol)
-        storage_vals[k] = switched_storage(rates, _sigma_at(prob, z, n, m, p, proj_tol), tc)
+        s = FlowState.unpack(z, n, m, p)
+        rates = interconnected_rhs(prob, s, tc=flow_tc, proj_tol=proj_tol)
+        clamped = (s.mu <= proj_tol) & (prob.g_values(s.x) < -proj_tol)
+        storage_vals[k] = switched_storage(rates, clamped, tc)
 
     switch_events: list[SwitchEvent] = []
     batches: dict[float, set] = {}

@@ -161,9 +161,9 @@ def train_svm(
 ) -> SolveResult:
     """Run the primal-dual flow from the origin with zero multipliers.
 
-    A non-separable draw has no feasible point, which shows up as
-    non-convergence; in that case a warning advises regenerating the data
-    with a different seed.
+    A run that stops unconverged warns with its final stationarity.  A
+    non-separable draw has no feasible point and never converges, but a
+    separable draw can also converge slowly and need a longer ``max_time``.
     """
     prob = build_svm_problem(data)
     if cfg is None:
@@ -175,10 +175,10 @@ def train_svm(
     result = solve(prob, init, tc=tc, cfg=cfg)
     if not result.converged:
         warnings.warn(
-            "SVM flow did not converge; the draw may not be linearly "
-            "separable -- regenerate the dataset with a different seed",
-            stacklevel=2,
-        )
+            f"SVM flow stopped unconverged at t = {result.trajectory.times[-1]:g}: final "
+            f"stationarity {result.kkt.stationarity:.3g} against convergence_tol "
+            f"{cfg.convergence_tol:.3g}. A non-separable draw never converges; a "
+            "separable one may need a longer max_time", stacklevel=2)
     return result
 
 

@@ -1,14 +1,19 @@
 """Independent reference solvers used to freeze expected values in tests.
 
-Nothing here touches the gradient-flow code paths: QPs are solved by brute
-enumeration of active sets over the KKT linear systems, the toy SVM by its
-closed form, and the SVM training flow is written out a second time from the
-problem data to cross-check the generic primal-dual flow.
+Except for the storage reference at the end, nothing here touches the
+gradient-flow code paths: QPs are solved by brute enumeration of active sets
+over the KKT linear systems, the toy SVM by its closed form, and the SVM
+training flow is written out a second time from the problem data to
+cross-check the generic primal-dual flow.  The storage post-pass of ``solve``
+is written out per sample with the clamp set as an index set from
+``active_set``, as the reference for the boolean-mask form ``solve`` uses.
 """
 
 import itertools
 
 import numpy as np
+
+from passiflow.primal_dual import FlowState, _sigma_at, interconnected_rhs, switched_storage
 
 
 def enumerate_qp_kkt(Q0, c, A=None, b=None, G=None, h=None, tol=1e-9):
@@ -129,3 +134,19 @@ def svm_flow_rhs(data, s, tc, proj_tol=1e-10):
     g = 1.0 - data.labels * (data.points @ beta + beta0)
     mudot = np.where(s.mu <= proj_tol, np.maximum(0.0, g), g) / tc.tau_mu
     return np.concatenate([betadot, [beta0dot]]), mudot
+
+
+def reference_storage(prob, traj, tc, proj_tol):
+    """Switched storage at every sample of a ``solve`` trajectory.
+
+    Per sample: the flow rates, the clamp set as a ``frozenset`` of indices
+    (``_sigma_at``, i.e. ``active_set`` at the sample with ``mu`` clipped to
+    zero), and :func:`passiflow.primal_dual.switched_storage` of the two.
+    ``proj_tol`` is the ``event_tol`` the solve ran with.
+    """
+    n, m, p = prob.n, prob.m, prob.p
+    out = np.empty(traj.times.size)
+    for k, z in enumerate(traj.states):
+        rates = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=tc, proj_tol=proj_tol)
+        out[k] = switched_storage(rates, _sigma_at(prob, z, n, m, p, proj_tol), tc)
+    return out

@@ -40,3 +40,32 @@ def test_run_reports_a_wrong_typed_field_with_exit_code_2(tmp_path):
     code, payload = cli.run(_plant_cfg(k1="big"), tmp_path)
     assert code == cli.EXIT_VALIDATION
     assert payload["validation_errors"]
+
+
+def _tiny_solve_cfg(c):
+    return {"schema": 1, "kind": "solve",
+            "problem": {"objective": {"Q0": [[1.0]], "c": [c]},
+                        "inequalities": {"affine": {"G": [[1.0]], "h": [0.5]}}},
+            "integrator": {"step": 0.01, "max_time": 5.0}}
+
+
+def test_parallel_jobs_print_one_summary_per_config_in_order(tmp_path, capsys):
+    paths = []
+    for name, c in (("first", -1.0), ("second", 0.25)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_tiny_solve_cfg(c)))
+        paths.append(str(path))
+    argv = ["run", "--config", paths[0], "--config", paths[1]]
+
+    assert cli.main(argv + ["--out", str(tmp_path / "seq")]) == 0
+    sequential = capsys.readouterr().out.splitlines()
+    assert cli.main(argv + ["--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
+    parallel = capsys.readouterr().out.splitlines()
+
+    assert len(sequential) == 2
+    assert parallel == sequential
+    # the two configs have different optima, so the order is visible
+    first, second = (json.loads(line) for line in parallel)
+    assert first["kkt"] != second["kkt"]
+    for stem in ("first", "second"):
+        assert (tmp_path / "par" / stem / "summary.json").is_file()

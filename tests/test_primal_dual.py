@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from oracles import enumerate_qp_kkt
+from oracles import enumerate_qp_kkt, reference_storage
 
+from passiflow import cli
 from passiflow.ode import IntegratorConfig
 from passiflow.primal_dual import (
     AffineInequalities,
     ConvexProblem,
     FlowState,
     TimeConstants,
+    _sigma_at,
     active_set,
     augmented_problem,
     damping_injection_rhs,
@@ -259,6 +261,14 @@ class TestSwitchedStorage:
                  + 0.5 * sum(tc.tau_mu[i] * md[i] ** 2 for i in range(4) if i not in sigma))
         assert switched_storage((xd, ld, md), sigma, tc) == pytest.approx(brute)
 
+    def test_mask_and_index_set_give_the_same_storage(self):
+        rng = np.random.default_rng(13)
+        tc = TimeConstants(rng.uniform(0.5, 2, 3), rng.uniform(0.5, 2, 2),
+                           rng.uniform(0.5, 2, 4))
+        sdot = (rng.normal(size=3), rng.normal(size=2), rng.normal(size=4))
+        mask = np.array([False, True, False, True])
+        assert switched_storage(sdot, mask, tc) == switched_storage(sdot, frozenset({1, 3}), tc)
+
 
 class TestSolve:
     def test_equality_qp_reaches_analytic_optimum(self):
@@ -364,3 +374,91 @@ class TestSwitchAudit:
         # deactivation through a zero crossing is continuous
         assert max(abs(ev.jump) for ev in deactivations) <= 1e-6
         assert storage_switch_audit(res.storage)["verdict"] == "PASS"
+
+
+MIXED_CONFIG = {
+    "objective": {"Q0": [[1.0, 0.0], [0.0, 1.0]], "c": [-2.0, 0.0]},
+    "inequalities": {
+        "affine": {"G": [[-1.0, 0.0], [1.0, 0.0]], "h": [0.0, 1.0]},
+        "named": [{"name": "ball", "params": {"center": [0.5, -0.25], "radius": 1.1}}],
+    },
+}
+
+
+class TestOneInequalityBlock:
+    """Affine rows and named constraints share one ``AffineInequalities``."""
+
+    def setup_method(self):
+        self.prob = cli._build_problem(MIXED_CONFIG)
+        self.G = np.array(MIXED_CONFIG["inequalities"]["affine"]["G"])
+        self.h = np.array(MIXED_CONFIG["inequalities"]["affine"]["h"])
+        self.center = np.array([0.5, -0.25])
+
+    def test_mixed_config_builds_one_block_affine_rows_first(self):
+        ineq = self.prob.ineq
+        assert type(ineq) is AffineInequalities
+        assert np.array_equal(ineq.G, self.G)
+        assert np.array_equal(ineq.h, self.h)
+        assert len(ineq.oracles) == 1
+        assert ineq.p == self.prob.p == 3
+
+    def test_jacobian_stacks_affine_rows_over_the_ball_gradient(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            x = rng.normal(size=2)
+            expect = np.vstack([self.G, 2.0 * (x - self.center)])
+            assert np.array_equal(self.prob.g_jacobian(x), expect)
+
+    def test_jacobian_is_a_fresh_array_per_call(self):
+        x0, x1 = np.array([0.1, 0.2]), np.array([-0.7, 0.4])
+        J0 = self.prob.g_jacobian(x0)
+        J0_copy = J0.copy()
+        self.prob.g_jacobian(x1)
+        assert np.array_equal(J0, J0_copy)
+
+    def test_values_match_the_per_row_construction(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            x = rng.normal(size=2)
+            d = x - self.center
+            expect = [float(r @ x - hv) for r, hv in zip(self.G, self.h)]
+            expect.append(float(d @ d - 1.1 ** 2))
+            np.testing.assert_allclose(self.prob.g_values(x), expect, rtol=1e-15, atol=1e-15)
+
+    def test_hessian_is_zero_on_affine_rows_and_2I_on_the_ball(self):
+        x = np.array([0.3, -0.9])
+        for i in range(2):
+            assert np.array_equal(self.prob.ineq.hessian(i, x), np.zeros((2, 2)))
+        assert np.array_equal(self.prob.ineq.hessian(2, x), 2.0 * np.eye(2))
+
+    def test_named_only_problem_runs_through_the_cli(self, tmp_path):
+        cfg = {"schema": 1, "kind": "solve",
+               "problem": {"objective": MIXED_CONFIG["objective"],
+                           "inequalities": {"named": MIXED_CONFIG["inequalities"]["named"]}},
+               "integrator": {"step": 0.01, "max_time": 20.0}}
+        assert cli._build_problem(cfg["problem"]).ineq.G.shape == (0, 2)
+        code, payload = cli.run(cfg, tmp_path)
+        assert code == 0
+        assert payload["verdict"] == "PASS"
+
+
+class TestStoragePostPass:
+    def test_mask_form_equals_the_index_set_reference(self):
+        prob = cli._build_problem(MIXED_CONFIG)
+        tc = TimeConstants(np.array([0.5, 2.0]), np.zeros(0), np.array([1.5, 0.7, 3.0]))
+        init = FlowState(np.array([-1.0, 0.5]), mu=np.array([0.5, 0.5, 0.0]))
+        cfg = IntegratorConfig(step=5e-3, max_time=12.0)
+        res = solve(prob, init, tc=tc, cfg=cfg)
+        assert res.switch_count >= 1
+        ref = reference_storage(prob, res.trajectory, tc, cfg.event_tol)
+        assert np.array_equal(res.storage.storage, ref)
+
+        n, m, p = prob.n, prob.m, prob.p
+        clamped_samples = 0
+        for z in res.trajectory.states:
+            sigma = _sigma_at(prob, z, n, m, p, cfg.event_tol)
+            _, _, mudot = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=tc,
+                                             proj_tol=cfg.event_tol)
+            assert all(mudot[i] == 0.0 for i in sigma)
+            clamped_samples += bool(sigma)
+        assert clamped_samples > 0

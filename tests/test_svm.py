@@ -161,3 +161,26 @@ class TestTrainedModel:
     def test_mu_nonnegative_throughout(self, trained):
         _, res = trained
         assert res.trajectory.states[:, 3:].min() >= 0.0
+
+
+def test_slow_separable_draw_warns_with_its_stationarity_not_inseparability():
+    """Dataset seed 0 with 5 points per class is linearly separable (an LP
+    finds a strictly separating line) but is not converged at t = 100."""
+    from scipy.optimize import linprog
+
+    data = generate_gaussian_classes(seed=0, n_per_class=5)
+    A_ub = -data.labels[:, None] * np.column_stack([data.points, np.ones(data.size)])
+    lp = linprog(np.zeros(3), A_ub=A_ub, b_ub=-np.ones(data.size),
+                 bounds=[(None, None)] * 3)
+    assert lp.status == 0
+
+    cfg = IntegratorConfig(step=0.01, max_time=100.0)
+    with pytest.warns(UserWarning) as record:
+        result = train_svm(data, cfg=cfg)
+    assert not result.converged
+    message = str(record[0].message)
+    assert "stopped unconverged at t = 100:" in message
+    assert f"final stationarity {result.kkt.stationarity:.3g}" in message
+    assert "convergence_tol 1e-06" in message
+    assert "separable one may need a longer max_time" in message
+    assert "regenerate" not in message
