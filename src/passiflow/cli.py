@@ -9,6 +9,9 @@ is self-describing.
 
 Exit codes: 0 ok, 2 validation failure, 3 divergence (always) or
 non-convergence (under ``--strict``), 4 audit failure (under ``--strict``).
+For ``plant`` and ``tline`` runs ``--strict`` gates only the Lyapunov audit
+verdict; the distance to the target (``target_error``, ``profile_error``)
+is reported in ``summary.json`` but never sets the exit code.
 """
 
 from __future__ import annotations
@@ -499,7 +502,9 @@ def _add_common(sp):
     sp.add_argument("--out", default="out", help="output directory")
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     sp.add_argument("--strict", action="store_true",
-                    help="nonzero exit on non-convergence or audit failure")
+                    help="nonzero exit on non-convergence or audit failure; plant and "
+                         "tline runs gate only the Lyapunov audit, not the distance "
+                         "to the target")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for multiple configs")
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .brayton_moser import PseudoGradientSystem
 from .primal_dual import ScalarOracle
@@ -529,7 +528,17 @@ class DynFeedbackSystem:
         return out
 
     def check_assumptions(self, samples) -> dict:
-        """Numerically probe contraction, annihilator, and integrability."""
+        """Numerically probe contraction, annihilator, and integrability.
+
+        Over all samples: A1 is the largest eigenvalue of
+        ``M J_f + J_f^T M`` (must be < 0); A2 the largest entry of
+        ``g_perp dg_k/dx`` and A3 that of ``M dg_k/dx - (M dg_k/dx)^T``
+        (each must be <= 1e-8).  The rows of ``g_perp`` are an orthonormal
+        basis of the left null space of ``g(x)``: the rows of ``vh`` in
+        ``svd(g(x)^T)`` past its rank, where singular values at or below
+        ``max(n, m) * eps * s_max`` count as zero (the rank cut of
+        ``scipy.linalg.null_space``).
+        """
         a1 = -np.inf
         a2 = 0.0
         a3 = 0.0
@@ -538,7 +547,9 @@ class DynFeedbackSystem:
             J = self.jac_f(x)
             a1 = max(a1, float(np.linalg.eigvalsh(self.M @ J + J.T @ self.M)[-1]))
             g = self.g(x)
-            g_perp = null_space(g.T).T
+            _, s, vh = np.linalg.svd(g.T, full_matrices=True)
+            rank = int(np.sum(s > max(g.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+            g_perp = vh[rank:]
             for k in range(self.m):
                 Jg = self.jac_g(x, k)
                 a2 = max(a2, float(np.max(np.abs(g_perp @ Jg), initial=0.0)))

@@ -275,7 +275,12 @@ def boundary_pi_control(p: LineParams, vC0: float, targets, K_P: float,
 
 def closed_loop_lyapunov(p: LineParams, state: LineState, targets,
                          adm: AdmissibleLineParams, K_I: float) -> float:
-    """Shaped closed-loop functional, zero at the target profile.
+    """Shaped closed-loop functional of the PI-controlled line.
+
+    It vanishes at the continuous target profile.  At the sampled
+    equilibrium of ``tline_equilibrium`` it is the square of the stencil's
+    O(dz^2) residual in ``R i* + v_z``, so O(dz^4): 6.0e-8 ... 1.3e-11 at
+    M = 25 ... 200 (``LineParams()``, vC1* = 1, K_I = 1).
 
     Trapezoidal quadrature of
     ``(alpha (1 - zeta^2) - 1)/(2R) (R i + v_z)^2 + Delta^2
@@ -340,10 +345,10 @@ def simulate_open_loop(p: LineParams, state0: LineState, I0: float,
                        cfg: IntegratorConfig) -> Trajectory:
     """Integrate the line under a constant source current."""
     M = state0.M
-    if cfg.step > cfl_limit(p, M):
+    limit = float(cfl_limit(p, M))
+    if cfg.step > limit:
         raise ValueError(
-            f"step {cfg.step:g} violates the stability guard "
-            f"{cfl_limit(p, M):g} at M={M}"
+            f"step {float(cfg.step)!r} violates the stability guard {limit!r} at M={M}"
         )
     return integrate(lambda t, y: tline_rhs(p, y, I0, M), state0.pack(), cfg)
 

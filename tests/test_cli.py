@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +73,15 @@ def test_parallel_jobs_print_one_summary_per_config_in_order(tmp_path, capsys):
     assert first["kkt"] != second["kkt"]
     for stem in ("first", "second"):
         assert (tmp_path / "par" / stem / "summary.json").is_file()
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # passiflow/__init__ imports every submodule, so this covers the library.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, passiflow.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

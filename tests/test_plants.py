@@ -331,6 +331,23 @@ class TestDynFeedback:
         rep = self.sys.check_assumptions(samples)
         assert rep["A1"] and rep["A2"] and rep["A3"]
 
+    def test_assumption_failures_are_reported(self):
+        # g(x) = [1, x0]^T has the one-dimensional left null space
+        # [-x0, 1] / sqrt(1 + x0^2), so the residual does not depend on the basis.
+        sys_bad = DynFeedbackSystem(
+            n=2, m=1,
+            f=lambda x: -x, jac_f=lambda x: -np.eye(2),
+            g=lambda x: np.array([[1.0], [x[0]]]),
+            jac_g=lambda x, k: np.array([[0.0, 0.0], [1.0, 0.0]]),
+            M=np.eye(2),
+        )
+        rep = sys_bad.check_assumptions([np.array([0.5, 1.0]), np.array([2.0, -1.0])])
+        assert rep["A1"]
+        assert abs(rep["annihilator_residual"] - 1.0 / np.sqrt(1.25)) <= 1e-12
+        assert not rep["A2"]
+        assert rep["integrability_residual"] == 1.0
+        assert not rep["A3"]
+
     def test_constant_input_matrix_gives_zero_alpha(self):
         sys_const = DynFeedbackSystem(
             n=2, m=1,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from passiflow.tline import (
     admissible_params_search,
     cfl_limit,
     closed_loop_lyapunov,
+    simulate_open_loop,
     tline_equilibrium,
     tline_pi_loop,
     tline_rhs,
@@ -55,3 +58,25 @@ def test_closed_loop_functional_nonincreasing_from_the_zero_state(M, K_P, K_I):
     assert V[0] > 1.0
     assert np.all(np.diff(V) <= 0.0)
     assert V[-1] < 0.1 * V[0]
+
+
+def test_cfl_guard_message_tells_the_step_from_the_limit():
+    # At M = 16 both numbers print as 0.05625 with a short float format.
+    p, M = LineParams(), 16
+    zero = LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
+    limit = cfl_limit(p, M)
+    with pytest.raises(ValueError, match="stability guard") as exc:
+        simulate_open_loop(p, zero, 0.0, IntegratorConfig(step=limit * (1 + 1e-9), max_time=0.1))
+    step_text, limit_text = re.findall(r"step (\S+) violates the stability guard (\S+) ",
+                                       str(exc.value))[0]
+    assert step_text != limit_text
+    assert float(limit_text) == limit
+    assert float(step_text) > limit
+
+
+def test_cfl_limit_itself_is_an_admissible_step():
+    p, M = LineParams(), 16
+    zero = LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
+    traj = simulate_open_loop(p, zero, 1.0, IntegratorConfig(step=cfl_limit(p, M), max_time=0.5))
+    assert traj.times[-1] == pytest.approx(0.5)
+    assert np.all(np.isfinite(traj.final_state))
