@@ -5,7 +5,8 @@ indefinite metric ``Q`` and a mixed potential ``P`` carrying units of power.
 This module provides the admissible-pair transform that re-expresses the same
 vector field through a sign-definite pair, Krasovskii storage in velocities,
 and a trajectory-level audit of the dissipation inequality
-``S(t_j) - S(t_i) <= integral of u^T y``.
+``S(t_j) - S(t_i) <= integral of u^T y``, with zero supply for Lyapunov
+functions.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "neg_semidefinite_symmetric_part",
     "krasovskii_storage",
     "passivity_audit",
+    "lyapunov_audit",
     "default_audit_tol",
 ]
 
@@ -225,14 +227,17 @@ class StorageTrace:
         ok = m[k] >= -audit_tol
         return ("PASS" if ok else "FAIL"), float(m[k]), float(self.times[k])
 
+    def report(self, audit_tol: float | None = None) -> dict:
+        """:meth:`verdict` as a dict with keys verdict, min_margin, worst_time."""
+        return dict(zip(("verdict", "min_margin", "worst_time"), self.verdict(audit_tol)))
+
     def to_csv(self, path) -> None:
         write_csv(path, ["t", "storage", "supply", "margin"],
                   zip(self.times.tolist(), self.storage.tolist(),
                       self.supply_integral.tolist(), self.margin.tolist()))
 
     def summary_json(self, path, audit_tol: float | None = None) -> dict:
-        verdict, min_margin, worst_time = self.verdict(audit_tol)
-        payload = {"verdict": verdict, "min_margin": min_margin, "worst_time": worst_time}
+        payload = self.report(audit_tol)
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
         return payload
@@ -260,5 +265,15 @@ def passivity_audit(
     )
     supply = np.concatenate([[0.0], np.cumsum(0.5 * (uy[1:] + uy[:-1]) * np.diff(ts))])
     trace = StorageTrace(ts, S, supply)
-    verdict, min_margin, worst_time = trace.verdict(audit_tol)
-    return trace, {"verdict": verdict, "min_margin": min_margin, "worst_time": worst_time}
+    return trace, trace.report(audit_tol)
+
+
+def lyapunov_audit(times, V, audit_tol: float | None = None) -> dict:
+    """Check ``V(t_j) <= V(t_i) + audit_tol`` over all sample pairs i <= j.
+
+    The zero-supply case of :class:`StorageTrace`: a Lyapunov function
+    sampled along a trajectory must never rise above its running minimum.
+    Returns the verdict dict of :meth:`StorageTrace.report`.
+    """
+    V = np.asarray(V, dtype=float)
+    return StorageTrace(times, V, np.zeros_like(V)).report(audit_tol)

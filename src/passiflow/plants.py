@@ -42,6 +42,7 @@ __all__ = [
     "hvac_equilibrium",
     "hvac_gamma",
     "hvac_power_shaping",
+    "hvac_shaping_offsets",
     "hvac_shaped_potential",
     "hvac_power_shaping_loop",
     "hvac_dyn_feedback",
@@ -415,7 +416,8 @@ def hvac_gamma(h: HvacParams, T) -> np.ndarray:
     return -0.5 * h.c_p * np.array([(T[0] - h.T_s) ** 2, (T[1] - h.T_s) ** 2])
 
 
-def _hvac_shaping_offsets(h: HvacParams, targets, k, k1, k2):
+def hvac_shaping_offsets(h: HvacParams, targets, k, k1, k2):
+    """(T*, u*, a): the equilibrium and the offsets ``a`` of the shaped potential."""
     T_star, u_star = hvac_equilibrium(h, *targets)
     bm = hvac_bm(h)
     kI_inv = np.array([1.0 / k1, 1.0 / k2])
@@ -436,7 +438,7 @@ def hvac_power_shaping(h: HvacParams, T, Tdot, targets, k: float,
     for Tz in T[:2]:
         if abs(h.T_s - Tz) < 1e-12:
             raise ValueError("zone temperature equals supply temperature")
-    T_star, u_star, a = _hvac_shaping_offsets(h, targets, k, k1, k2)
+    T_star, u_star, a = hvac_shaping_offsets(h, targets, k, k1, k2)
     gam = hvac_gamma(h, T)
     gam_star = hvac_gamma(h, T_star)
     kvec = np.array([k1, k2])
@@ -444,9 +446,11 @@ def hvac_power_shaping(h: HvacParams, T, Tdot, targets, k: float,
     return damping - (kvec / k) * (gam - gam_star - (k / kvec) * u_star)
 
 
-def hvac_shaped_potential(h: HvacParams, T, targets, k, k1, k2) -> float:
-    """Closed-loop potential ``k P(T) + sum_i k_i (Gamma_i + a_i)^2 / 2``."""
-    _, _, a = _hvac_shaping_offsets(h, targets, k, k1, k2)
+def hvac_shaped_potential(h: HvacParams, T, a, k, k1, k2) -> float:
+    """Closed-loop potential ``k P(T) + sum_i k_i (Gamma_i + a_i)^2 / 2``.
+
+    ``a`` are the offsets of :func:`hvac_shaping_offsets` for the targets.
+    """
     gam = hvac_gamma(h, T)
     kvec = np.array([k1, k2])
     return float(k * hvac_bm(h).P(np.asarray(T, dtype=float))
@@ -461,7 +465,7 @@ def hvac_power_shaping_loop(h: HvacParams, targets, k, k1, k2, alpha):
     with ``w`` the integral part of the law, so the closed loop stays an
     explicit ODE.
     """
-    T_star, u_star, a = _hvac_shaping_offsets(h, targets, k, k1, k2)
+    _, _, a = hvac_shaping_offsets(h, targets, k, k1, k2)
     kvec = np.array([k1, k2])
 
     def rhs(t, T):
@@ -477,9 +481,7 @@ def hvac_power_shaping_loop(h: HvacParams, targets, k, k1, k2, alpha):
         return dT
 
     def lyap(t, T):
-        gam = hvac_gamma(h, T)
-        return float(k * hvac_bm(h).P(np.asarray(T, dtype=float))
-                     + 0.5 * np.sum(kvec * (gam + a) ** 2))
+        return hvac_shaped_potential(h, T, a, k, k1, k2)
 
     return rhs, lyap
 

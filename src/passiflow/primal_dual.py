@@ -423,15 +423,12 @@ class SolveResult:
     final: FlowState
 
     def summary(self) -> dict:
-        verdict, min_margin, worst_time = self.storage.verdict()
         return {
             "kkt": self.kkt.as_dict(),
             "iterations": int(self.trajectory.times.size),
             "switch_count": self.switch_count,
             "converged": self.converged,
-            "verdict": verdict,
-            "min_margin": min_margin,
-            "worst_time": worst_time,
+            **self.storage.report(),
         }
 
 

@@ -4,6 +4,7 @@ import pytest
 from passiflow.brayton_moser import (
     admissible_pair,
     krasovskii_storage,
+    lyapunov_audit,
     mixed_potential_rate,
     neg_semidefinite_symmetric_part,
     passivity_audit,
@@ -218,3 +219,19 @@ class TestPassivityAudit:
         assert head == "t,storage,supply,margin"
         payload = trace.summary_json(tmp_path / "verdict.json")
         assert set(payload) == {"verdict", "min_margin", "worst_time"}
+
+
+class TestLyapunovAudit:
+    def test_nonincreasing_values_pass_with_zero_margin(self):
+        audit = lyapunov_audit([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 2.0, 0.5])
+        assert audit == {"verdict": "PASS", "min_margin": 0.0, "worst_time": 0.0}
+
+    def test_rise_above_the_running_minimum_fails_at_its_worst_sample(self):
+        # V rises 0.25 above its running minimum at t = 2 and 1.5 above it at t = 4
+        audit = lyapunov_audit([0.0, 1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.25, 0.5, 2.0])
+        assert audit == {"verdict": "FAIL", "min_margin": -1.5, "worst_time": 4.0}
+
+    def test_slack_scales_with_the_values(self):
+        # default slack 1e-6 (1 + max |V|) forgives a rise of 1e-6 at |V| ~ 1
+        assert lyapunov_audit([0.0, 1.0], [1.0, 1.0 + 1e-6])["verdict"] == "PASS"
+        assert lyapunov_audit([0.0, 1.0], [1.0, 1.0 + 1e-6], audit_tol=0.0)["verdict"] == "FAIL"

@@ -85,3 +85,208 @@ def test_importing_the_cli_does_not_load_scipy():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+# -- exit codes through cli.run ------------------------------------------------
+
+def _with(cfg, **blocks):
+    """A deep copy of ``cfg`` with top-level ``blocks`` merged into it."""
+    out = json.loads(json.dumps(cfg))
+    for key, value in blocks.items():
+        out[key] = {**out.get(key, {}), **value} if isinstance(value, dict) else value
+    return out
+
+
+def _prlc_cfg(step, horizon):
+    return {"schema": 1, "kind": "plant",
+            "plant": {"name": "parallel_rlc", "controller": "power_shaping",
+                      "initial_state": [1.0, -1.0], "horizon": horizon},
+            "integrator": {"step": step}}
+
+
+def _audit_cfg(tmp_path, storage):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,storage\n" + "".join(f"{k},{s}\n" for k, s in enumerate(storage)))
+    return {"schema": 1, "kind": "audit", "audit": {"trace_csv": str(trace)}}
+
+
+@pytest.mark.parametrize("kind", ["solve", "svm", "plant", "tline", "audit", "open_tline"])
+def test_every_kind_exits_0(tmp_path, kind):
+    if kind == "audit":
+        cfg = _audit_cfg(tmp_path, [2.0, 1.0, 1.0, 0.5])
+    elif kind == "open_tline":                  # no target and no gains: open loop
+        cfg = {"schema": 1, "kind": "tline", "tline": {"grid": 16, "horizon": 0.2}}
+    else:
+        cfg = CONFIGS[kind]
+    code, payload = cli.run(cfg, tmp_path / "out", strict=True)
+    assert code == payload["exit_code"] == 0, payload
+    saved = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert saved["exit_code"] == 0
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"schema": 1, "kind": "solve", "problem": {"objective": {"Q0": [[-1.0]]}}},
+     "problem.objective.Q0"),
+    ({"schema": 1, "kind": "svm", "svm": {"cov": [[1.0, 2.0], [0.0, 1.0]]}}, "svm.cov"),
+    ({"schema": 1, "kind": "plant", "plant": {"name": "hvac", "controller": "krasovskii_pi"}},
+     "plant.controller"),
+    ({"schema": 1, "kind": "tline", "tline": {"grid": 16}, "integrator": {"step": 0.1}},
+     "integrator.step"),
+    ({"schema": 1, "kind": "audit", "audit": {}}, "audit.trace_csv"),
+    ({"schema": 1, "kind": "bogus"}, "kind"),
+])
+def test_every_kind_exits_2_on_a_bad_field(tmp_path, cfg, field):
+    code, payload = cli.run(cfg, tmp_path)
+    assert code == cli.EXIT_VALIDATION == 2
+    assert [d for d in payload["validation_errors"] if d.startswith(field + ":")], payload
+
+
+@pytest.mark.filterwarnings("ignore:SVM flow stopped unconverged")
+@pytest.mark.parametrize("kind", ["solve", "svm"])
+def test_non_convergence_exits_3_only_under_strict(tmp_path, kind):
+    cfg = _with(CONFIGS[kind], integrator={"max_time": 0.05})
+    code, payload = cli.run(cfg, tmp_path / "strict", strict=True)
+    assert code == 3 and payload["converged"] is False
+    code, payload = cli.run(cfg, tmp_path / "lax")
+    assert code == 0 and payload["converged"] is False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strict", [False, True])
+def test_divergence_exits_3_with_or_without_strict(tmp_path, strict):
+    # RK4 at step 10 is unstable for this loop; the state overflows.
+    code, payload = cli.run(_prlc_cfg(10.0, 1e4), tmp_path, strict=strict)
+    assert code == 3
+    assert payload["error"].startswith("non-finite state")
+    assert json.loads((tmp_path / "summary.json").read_text())["exit_code"] == 3
+
+
+def test_rising_lyapunov_function_exits_4_only_under_strict(tmp_path):
+    # Step 2 keeps RK4 finite over the horizon but not monotone.
+    cfg = _prlc_cfg(2.0, 20.0)
+    code, payload = cli.run(cfg, tmp_path / "strict", strict=True)
+    assert code == 4 and payload["lyapunov_monotone"] == "FAIL"
+    code, payload = cli.run(cfg, tmp_path / "lax")
+    assert code == 0 and payload["lyapunov_monotone"] == "FAIL"
+
+
+def test_rising_storage_trace_exits_4_only_under_strict(tmp_path):
+    cfg = _audit_cfg(tmp_path, [1.0, 0.5, 2.0])
+    code, payload = cli.run(cfg, tmp_path / "strict", strict=True)
+    assert code == 4 and payload["verdict"] == "FAIL"
+    assert payload["min_margin"] == -1.5 and payload["worst_time"] == 2.0
+    code, _ = cli.run(cfg, tmp_path / "lax")
+    assert code == 0
+
+
+# -- subcommand flags fold into the config --------------------------------------
+
+def _csv_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).glob("*.csv"))}
+
+
+@pytest.mark.parametrize("command, flags, base, full", [
+    ("svm", ["--n", "5"],
+     {"svm": {"seed": 1}, "integrator": CONFIGS["svm"]["integrator"]},
+     CONFIGS["svm"]),
+    ("plant", ["--plant", "hvac", "--controller", "dyn_feedback", "--horizon", "2"],
+     {"plant": {"gains": CONFIGS["plant"]["plant"]["gains"]},
+      "integrator": CONFIGS["plant"]["integrator"]},
+     CONFIGS["plant"]),
+    ("tline", ["--grid", "16", "--target", "1", "--horizon", "1"],
+     None, {"schema": 1, "kind": "tline",
+            "tline": {"grid": 16, "horizon": 1.0, "target_vc1": 1.0}}),
+])
+def test_subcommand_flags_write_what_the_full_config_writes(tmp_path, command, flags,
+                                                            base, full):
+    full_path = tmp_path / "full.json"
+    full_path.write_text(json.dumps(full))
+    assert cli.main(["run", "--config", str(full_path), "--out", str(tmp_path / "run")]) == 0
+    argv = [command, *flags, "--out", str(tmp_path / command)]
+    if base is not None:
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps({"schema": 1, **base}))
+        argv += ["--config", str(base_path)]
+    assert cli.main(argv) == 0
+    written = _csv_bytes(tmp_path / command)
+    assert written and written == _csv_bytes(tmp_path / "run")
+
+
+# -- malformed configs get diagnostics ------------------------------------------
+
+def _hvac_cfg(**blk):
+    return {"schema": 1, "kind": "plant",
+            "plant": {"name": "hvac", "controller": "power_shaping", "horizon": 0.1, **blk}}
+
+
+def _prlc_blk_cfg(**blk):
+    return {"schema": 1, "kind": "plant",
+            "plant": {"name": "parallel_rlc", "controller": "power_shaping",
+                      "horizon": 0.1, **blk}}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (_with(_tiny_solve_cfg(-1.0), time_constants={"tau_x": [0]}), "time_constants.tau_x"),
+    (_with(_tiny_solve_cfg(-1.0), time_constants={"tau_mu": [1.0, 1.0]}),
+     "time_constants.tau_mu"),
+    (_with(_tiny_solve_cfg(-1.0), init={"mu": [-1]}), "init.mu"),
+    (_with(_tiny_solve_cfg(-1.0), init={"x": [0.0, 0.0]}), "init.x"),
+    (_prlc_blk_cfg(initial_state=[0.0, 0.0, 0.0]), "plant.initial_state"),
+    (_hvac_cfg(targets={"T1": 10.0}), "plant.targets.T1"),
+    (_hvac_cfg(controller="dyn_feedback", initial_state=[10.0, 5.0, 16.0, 16.0]),
+     "plant.initial_state"),
+    ({"schema": 1, "kind": "audit", "audit": {"trace_csv": "no/such/trace.csv"}},
+     "audit.trace_csv"),
+    ({"schema": 1, "kind": "svm", "svm": {"seed": -1}}, "svm.seed"),
+    ({"schema": 1, "kind": "svm", "svm": {"seed": "abc"}}, "svm.seed"),
+    (_prlc_blk_cfg(params={"X": 1.0}), "plant.params.X"),
+    (_prlc_blk_cfg(gains={"K_P": 1.0}), "plant.gains.K_P"),
+    (_hvac_cfg(params={"R": 1.0}), "plant.params.R"),
+])
+def test_malformed_config_is_a_diagnostic_not_a_traceback(tmp_path, cfg, field):
+    code, payload = cli.run(cfg, tmp_path)
+    assert code == cli.EXIT_VALIDATION
+    assert [d for d in payload["validation_errors"] if d.startswith(field + ":")], payload
+
+
+# -- main ----------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:SVM flow stopped unconverged")
+def test_seed_flag_is_echoed_in_the_config(tmp_path):
+    path = tmp_path / "svm.json"
+    path.write_text(json.dumps(CONFIGS["svm"]))        # svm.seed is 1
+    assert cli.main(["run", "--config", str(path), "--seed", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+    saved = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert saved["seed"] == 3
+    assert saved["config"]["svm"]["seed"] == 3
+
+
+def test_configs_with_the_same_stem_are_rejected(tmp_path, capsys):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        path = tmp_path / sub / "x.json"
+        path.write_text(json.dumps(_tiny_solve_cfg(-1.0)))
+        paths.append(str(path))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", paths[0], "--config", paths[1],
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "stem 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_kinds_match_the_subcommands():
+    parser = cli._parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert set(sub.choices) == set(cli.KINDS) | {"run", "validate"}
+    for kind in cli.KINDS:
+        assert not [d for d in cli.validate({"kind": kind}) if d.startswith("kind:")]
+
+
+@pytest.mark.parametrize("gain", ["k", "k1", "k2"])
+def test_hvac_power_shaping_divisor_gains_must_be_positive(tmp_path, gain):
+    code, payload = cli.run(_hvac_cfg(gains={gain: 0.0}), tmp_path)
+    assert code == cli.EXIT_VALIDATION
+    assert f"plant.gains.{gain}: must be a number > 0" in payload["validation_errors"]

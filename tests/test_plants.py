@@ -23,6 +23,8 @@ from passiflow.plants import (
     hvac_power_shaping,
     hvac_power_shaping_loop,
     hvac_rhs,
+    hvac_shaped_potential,
+    hvac_shaping_offsets,
     prlc_bm,
     prlc_equilibrium,
     prlc_krasovskii_pi,
@@ -305,6 +307,17 @@ class TestHvacPowerShaping:
         assert np.max(np.abs(traj.final_state[:2] - [2.5, 6.0])) < 1e-4
         V = [lyap(t, z) for t, z in zip(traj.times, traj.states)]
         assert monotone_nonincreasing(V)
+
+    def test_shaped_potential_is_stationary_at_the_target(self):
+        h = HvacParams()
+        gains = (2.0, 10.0, 5.0)
+        T_star, _, a = hvac_shaping_offsets(h, (2.5, 6.0), *gains)
+        grad = finite_diff_gradient(lambda T: hvac_shaped_potential(h, T, a, *gains),
+                                    T_star, 1e-6)
+        assert np.max(np.abs(grad)) < 1e-6
+        _, lyap = hvac_power_shaping_loop(h, (2.5, 6.0), *gains, 1.0)
+        T = T_star + np.array([0.3, -0.2, 1.0, 0.5])
+        assert lyap(0.0, T) == hvac_shaped_potential(h, T, a, *gains)
 
     def test_converges_from_twenty_random_starts(self):
         h = HvacParams()

@@ -10,6 +10,8 @@ from passiflow.tline import (
     admissible_params_search,
     cfl_limit,
     closed_loop_lyapunov,
+    conservation_check,
+    dissipation_obstacle_report,
     simulate_open_loop,
     tline_equilibrium,
     tline_pi_loop,
@@ -80,3 +82,39 @@ def test_cfl_limit_itself_is_an_admissible_step():
     traj = simulate_open_loop(p, zero, 1.0, IntegratorConfig(step=cfl_limit(p, M), max_time=0.5))
     assert traj.times[-1] == pytest.approx(0.5)
     assert np.all(np.isfinite(traj.final_state))
+
+
+def test_conservation_residuals_of_a_lossy_line_decay_at_second_order():
+    # From the equilibrium under its own source current the flux balance of
+    # the weighted functional is exact up to the stencil: 7.3e-4, 1.9e-4,
+    # 4.7e-5, 1.2e-5, 3.0e-6 at M = 16 ... 256.
+    p = LineParams()
+    res = []
+    for M in (16, 32, 64, 128, 256):
+        eq, I0_star = tline_equilibrium(p, 1.0, M)
+        traj = simulate_open_loop(p, eq, I0_star,
+                                  IntegratorConfig(step=cfl_limit(p, M), max_time=0.5))
+        report = conservation_check(p, traj, M)
+        # the plain current and voltage balances omit the loss terms
+        assert set(report) == {"residual_functional"}
+        res.append(report["residual_functional"])
+    assert res[0] < 1e-3
+    ratios = [a / b for a, b in zip(res, res[1:])]
+    assert all(3.8 < r < 4.2 for r in ratios), ratios
+
+
+def test_conservation_residuals_of_a_lossless_line_are_reported():
+    p, M = LineParams(R=0.0, G=0.0), 32
+    zero = LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
+    traj = simulate_open_loop(p, zero, 1.0, IntegratorConfig(step=cfl_limit(p, M), max_time=0.5))
+    report = conservation_check(p, traj, M)
+    assert set(report) == {"residual_current", "residual_voltage"}
+
+
+def test_dissipation_obstacle_gap_falls_fourfold_per_doubling():
+    # rel_gap 3.0e-4, 7.6e-5, 1.9e-5, 4.7e-6 at M = 25 ... 200: the
+    # trapezoidal quadrature of the line loss is second order.
+    gaps = [dissipation_obstacle_report(LineParams(), 1.0, M)["rel_gap"] for M in GRIDS]
+    assert gaps[0] < 4e-4
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert all(3.8 < r < 4.2 for r in ratios), ratios
