@@ -173,9 +173,12 @@ def _check_solve(cfg: dict, d: _Diagnostics) -> None:
             d.need(G.ndim == 2 and G.shape[1] == n, "problem.inequalities.affine.G: must be p x n")
             d.need(G.shape[0] == h.shape[0], "problem.inequalities.affine.h: rows must match G")
             sizes["mu"] = h.shape[0]
-        for entry in ineq.get("named", []):
+        for k, entry in enumerate(ineq.get("named", [])):
             d.need(entry.get("name") in NAMED_INEQUALITIES,
                    f"problem.inequalities.named: unknown name {entry.get('name')!r}")
+            if entry.get("name") == "ball":
+                _check_ball(entry.get("params", {}), n,
+                            f"problem.inequalities.named[{k}].params", d)
         sizes["mu"] += len(ineq.get("named", []))
     init, taus = cfg.get("init", {}), cfg.get("time_constants", {})
     for key, size in sizes.items():
@@ -186,6 +189,13 @@ def _check_solve(cfg: dict, d: _Diagnostics) -> None:
         d.need(tau.shape == (size,) and (tau > 0).all(),
                f"time_constants.tau_{key}: must have {size} entries, all > 0")
     d.need((np.asarray(init.get("mu", []), dtype=float) >= 0).all(), "init.mu: must be >= 0")
+
+
+def _check_ball(params: dict, n: int, path: str, d: _Diagnostics) -> None:
+    d.need_num(f"{path}.radius", params.get("radius"), 0)
+    center = np.asarray(params.get("center", np.zeros(n)), dtype=float)
+    d.need(center.shape == (n,) and np.isfinite(center).all(),
+           f"{path}.center: must have {n} finite entries")
 
 
 def _check_svm(cfg: dict, d: _Diagnostics) -> None:
@@ -278,7 +288,14 @@ def _check_audit(cfg: dict, d: _Diagnostics) -> None:
     blk = cfg.get("audit", {})
     d.need("trace_csv" in blk, "audit.trace_csv: missing path")
     if "trace_csv" in blk:
-        d.need(Path(blk["trace_csv"]).is_file(), f"audit.trace_csv: no file {blk['trace_csv']}")
+        path = Path(blk["trace_csv"])
+        d.need(path.is_file(), f"audit.trace_csv: no file {blk['trace_csv']}")
+        if path.is_file():   # the column names as _run_audit reads them
+            rows = np.genfromtxt(path, delimiter=",", names=True, max_rows=1)
+            names = rows.dtype.names or ()
+            d.need("t" in names, f"audit.trace_csv: no column t in {', '.join(names)}")
+            d.need("storage" in names or "V" in names,
+                   f"audit.trace_csv: no column storage or V in {', '.join(names)}")
     if "audit_tol" in blk:
         d.need_num("audit.audit_tol", blk["audit_tol"], 0)
 

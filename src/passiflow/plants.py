@@ -7,6 +7,11 @@ dynamic-state-feedback machinery for contracting nonlinear systems
 Lyapunov/storage evaluator so simulations can be audited for monotone
 decrease, and each plant exposes its pseudo-gradient description for
 cross-checking against the plain state-space right-hand side.
+
+A dynamic-feedback system may give ``Gamma`` and ``alpha`` in closed form;
+the HVAC system gives both, and its diagonal ``alpha`` replaces the Gram
+solve of the generic path.  Each loop rhs call evaluates ``f``, ``g``,
+``Gamma`` and the port output ``y = g^T M xdot`` once.
 """
 
 from __future__ import annotations
@@ -142,6 +147,7 @@ def prlc_power_shaping_loop(p: ParallelRLC, i_star: float, K: float):
     """(rhs, lyapunov) for the power-shaped closed loop over state (i, v)."""
 
     def rhs(t, x):
+        x = x.tolist()          # Python floats: float64 rounding, cheaper scalars
         return prlc_rhs(p, x, prlc_power_shaping(p, x, i_star, K))
 
     def lyap(t, x):
@@ -174,8 +180,9 @@ def prlc_krasovskii_pi_loop(p: ParallelRLC, i_star: float, v_star: float,
     """
 
     def rhs(t, x):
-        Vs, zdot = prlc_krasovskii_pi(p, x[:2], x[2], i_star, v_star, K_P, K_I)
-        di, dv = prlc_rhs(p, x[:2], Vs)
+        i, v, z = x.tolist()
+        Vs, zdot = prlc_krasovskii_pi(p, (i, v), z, i_star, v_star, K_P, K_I)
+        di, dv = prlc_rhs(p, (i, v), Vs)
         return np.array([di, dv, zdot])
 
     def lyap(t, x):
@@ -331,12 +338,13 @@ class HvacParams:
 
 def hvac_rhs(h: HvacParams, T, u) -> np.ndarray:
     """Capacitance-scaled heat balances of the four temperature nodes."""
-    T = np.asarray(T, dtype=float)
-    u = np.asarray(u, dtype=float)
-    q1 = (T[2] - T[0]) / h.R31 + (h.T_inf - T[0]) / h.R10 + u[0] * h.c_p * (h.T_s - T[0])
-    q2 = (T[3] - T[1]) / h.R42 + (h.T_inf - T[1]) / h.R20 + u[1] * h.c_p * (h.T_s - T[1])
-    q3 = (T[0] - T[2]) / h.R31 + (T[3] - T[2]) / h.R34
-    q4 = (T[1] - T[3]) / h.R42 + (T[2] - T[3]) / h.R34
+    # Python floats round as float64 does, at a fraction of the call cost.
+    T0, T1, T2, T3 = np.asarray(T, dtype=float).tolist()
+    u0, u1 = np.asarray(u, dtype=float).tolist()
+    q1 = (T2 - T0) / h.R31 + (h.T_inf - T0) / h.R10 + u0 * h.c_p * (h.T_s - T0)
+    q2 = (T3 - T1) / h.R42 + (h.T_inf - T1) / h.R20 + u1 * h.c_p * (h.T_s - T1)
+    q3 = (T0 - T2) / h.R31 + (T3 - T2) / h.R34
+    q4 = (T1 - T3) / h.R42 + (T2 - T3) / h.R34
     return np.array([q1 / h.C1, q2 / h.C2, q3 / h.C3, q4 / h.C4])
 
 
@@ -466,18 +474,17 @@ def hvac_power_shaping_loop(h: HvacParams, targets, k, k1, k2, alpha):
     explicit ODE.
     """
     _, _, a = hvac_shaping_offsets(h, targets, k, k1, k2)
-    kvec = np.array([k1, k2])
+    kw = (np.array([k1, k2]) / k).tolist()
+    damping = alpha / k
 
     def rhs(t, T):
         T = np.asarray(T, dtype=float)
-        passive = hvac_rhs(h, T, np.zeros(2))         # u = 0 part
-        gam = hvac_gamma(h, T)
-        w = (kvec / k) * (gam + a)                    # integral part of the law
-        dT = passive.copy()
+        dT = hvac_rhs(h, T, (0.0, 0.0))               # u = 0 part
+        gam_a = (hvac_gamma(h, T) + a).tolist()
         for i, Ci in enumerate((h.C1, h.C2)):
-            b = h.c_p * (h.T_s - T[i])
-            denom = Ci + (alpha / k) * b * b
-            dT[i] = (passive[i] * Ci - b * w[i]) / denom
+            b = h.c_p * (h.T_s - T.item(i))
+            w = kw[i] * gam_a[i]                      # integral part of the law
+            dT[i] = (dT.item(i) * Ci - b * w) / (Ci + damping * b * b)
         return dT
 
     def lyap(t, T):
@@ -498,6 +505,10 @@ class DynFeedbackSystem:
     (the potential whose gradient is ``M g``) may be closed form; otherwise
     it is evaluated as a straight-line path integral from ``x_ref``, which
     is well defined exactly when the integrability assumption holds.
+    ``alpha(x, xdot, g)``, given ``g = g(x)``, may also be closed form: the
+    m x m matrix with ``gdot + g alpha = 0`` that raises ValueError("input
+    matrix is rank deficient") where ``g`` loses rank.  Without it
+    :func:`dyn_feedback_alpha` solves the Gram system of ``g``.
     """
 
     n: int
@@ -509,6 +520,7 @@ class DynFeedbackSystem:
     M: np.ndarray
     gamma: Callable[[np.ndarray], np.ndarray] | None = None
     x_ref: np.ndarray | None = None
+    alpha: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
@@ -564,9 +576,18 @@ class DynFeedbackSystem:
         }
 
 
-def dyn_feedback_alpha(sys: DynFeedbackSystem, x, xdot) -> np.ndarray:
-    """``alpha = -(g^T g)^{-1} g^T gdot``, the unique matrix with gdot + g alpha = 0."""
-    g = sys.g(np.asarray(x, dtype=float))
+def dyn_feedback_alpha(sys: DynFeedbackSystem, x, xdot, g=None) -> np.ndarray:
+    """``alpha = -(g^T g)^{-1} g^T gdot``, the unique matrix with gdot + g alpha = 0.
+
+    ``g`` is ``sys.g(x)`` when the caller already has it.  The system's
+    closed-form ``alpha`` is used when it has one; otherwise the Gram
+    system is solved.  Both raise ValueError when ``g`` is rank deficient.
+    """
+    x = np.asarray(x, dtype=float)
+    if g is None:
+        g = sys.g(x)
+    if sys.alpha is not None:
+        return sys.alpha(x, xdot, g)
     gdot = np.column_stack([sys.jac_g(x, k) @ xdot for k in range(sys.m)])
     gram = g.T @ g
     try:
@@ -574,6 +595,13 @@ def dyn_feedback_alpha(sys: DynFeedbackSystem, x, xdot) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("input matrix is rank deficient") from exc
     return -np.linalg.solve(gram, g.T @ gdot)
+
+
+def _plant_port(sys: DynFeedbackSystem, x, u):
+    """``(g, xdot, y)`` at (x, u): input matrix, plant rate, output ``g^T M xdot``."""
+    g = sys.g(x)
+    xdot = sys.f(x) + g @ u
+    return g, xdot, g.T @ sys.M @ xdot
 
 
 def dyn_feedback_rhs(sys: DynFeedbackSystem, x, u, vdot):
@@ -584,11 +612,8 @@ def dyn_feedback_rhs(sys: DynFeedbackSystem, x, u, vdot):
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    g = sys.g(x)
-    xdot = sys.f(x) + g @ u
-    alpha = dyn_feedback_alpha(sys, x, xdot)
-    y = g.T @ sys.M @ xdot
-    udot = alpha @ u - y + np.asarray(vdot, dtype=float)
+    g, xdot, y = _plant_port(sys, x, u)
+    udot = dyn_feedback_alpha(sys, x, xdot, g) @ u - y + np.asarray(vdot, dtype=float)
     return xdot, udot, y
 
 
@@ -610,16 +635,14 @@ def dyn_feedback_loop(sys: DynFeedbackSystem, x_star, k1: float, kd: float, ki: 
 
     def rhs(t, z):
         x, u = z[: sys.n], z[sys.n:]
-        g = sys.g(x)
-        xdot = sys.f(x) + g @ u
-        vdot = (-kd * (g.T @ sys.M @ xdot)
-                - ki * (sys.gamma_value(x) - gamma_star)) / k1
-        _, udot, _ = dyn_feedback_rhs(sys, x, u, vdot)
+        g, xdot, y = _plant_port(sys, x, u)
+        vdot = (-kd * y - ki * (sys.gamma_value(x) - gamma_star)) / k1
+        udot = dyn_feedback_alpha(sys, x, xdot, g) @ u - y + vdot
         return np.concatenate([xdot, udot])
 
     def lyap(t, z):
         x, u = z[: sys.n], z[sys.n:]
-        xdot = sys.f(x) + sys.g(x) @ u
+        _, xdot, _ = _plant_port(sys, x, u)
         err = sys.gamma_value(x) - gamma_star
         return float(0.5 * k1 * xdot @ sys.M @ xdot + 0.5 * ki * err @ err)
 
@@ -650,13 +673,24 @@ def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
         Gm[1, 1] = h.c_p * (h.T_s - T[1]) / h.C2
         return Gm
 
+    dg = (-h.c_p / h.C1, -h.c_p / h.C2)   # d g[k, k] / d T_k
+
     def jac_g(T, k):
         J = np.zeros((4, 4))
-        if k == 0:
-            J[0, 0] = -h.c_p / h.C1
-        else:
-            J[1, 1] = -h.c_p / h.C2
+        J[k, k] = dg[k]
         return J
+
+    def alpha(T, Tdot, g):
+        # g is zero off its zone entries d_k, so alpha = diag(-d_k ddot_k / d_k^2).
+        # Scaling by 1 / d_k^2 is the Gram solve's own arithmetic, so the two
+        # paths agree to the last bit.
+        a = []
+        for k in range(2):
+            d = g.item(k, k)
+            if not d * d > 0:
+                raise ValueError("input matrix is rank deficient")
+            a.append(-(d * (dg[k] * float(Tdot[k]))) * (1.0 / (d * d)))
+        return np.array([[a[0], 0.0], [0.0, a[1]]])
 
     return DynFeedbackSystem(
         n=4, m=2,
@@ -664,4 +698,5 @@ def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
         g=g, jac_g=jac_g,
         M=np.diag(h.cap),
         gamma=lambda T: hvac_gamma(h, T),
+        alpha=alpha,
     )

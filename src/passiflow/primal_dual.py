@@ -113,8 +113,7 @@ class ConvexProblem:
     """minimize f(x)  s.t.  A x = b,  g_i(x) <= 0.
 
     ``A`` may be empty (shape (0, n)); ``ineq`` may be ``None``.  Convexity
-    and affinity are not enforced at construction -- use
-    :meth:`check_invariants` to probe them at sample points.
+    is not checked.
     """
 
     n: int
@@ -148,29 +147,6 @@ class ConvexProblem:
         if self.ineq is None:
             return np.zeros((0, self.n))
         return np.atleast_2d(np.asarray(self.ineq.jacobian(x), dtype=float))
-
-    def check_invariants(self, samples, hess_pd_tol: float = 1e-10) -> dict:
-        """Probe strict convexity of f, convexity of each g_i, affinity of h."""
-        rng = np.random.default_rng(0)
-        min_f_eig = np.inf
-        min_g_eig = np.inf
-        affine_err = 0.0
-        for x in samples:
-            x = np.asarray(x, dtype=float)
-            min_f_eig = min(min_f_eig, float(np.linalg.eigvalsh(self.f.hess(x))[0]))
-            for i in range(self.p):
-                min_g_eig = min(min_g_eig, float(np.linalg.eigvalsh(self.ineq.hessian(i, x))[0]))
-            if self.m:
-                d = rng.standard_normal(self.n)
-                err = np.max(np.abs((self.A @ (x + d) - self.b) - (self.A @ x - self.b) - self.A @ d))
-                affine_err = max(affine_err, err)
-        return {
-            "f_hessian_pd": min_f_eig > hess_pd_tol,
-            "min_f_hess_eig": min_f_eig,
-            "g_hessians_psd": (self.p == 0) or (min_g_eig >= -hess_pd_tol),
-            "min_g_hess_eig": None if self.p == 0 else min_g_eig,
-            "affine_err": affine_err,
-        }
 
 
 @dataclass

@@ -225,6 +225,12 @@ def _prlc_blk_cfg(**blk):
                       "horizon": 0.1, **blk}}
 
 
+def _ball_cfg(**entry):
+    cfg = _tiny_solve_cfg(-1.0)
+    cfg["problem"]["inequalities"]["named"] = [{"name": "ball", **entry}]
+    return cfg
+
+
 @pytest.mark.parametrize("cfg, field", [
     (_with(_tiny_solve_cfg(-1.0), time_constants={"tau_x": [0]}), "time_constants.tau_x"),
     (_with(_tiny_solve_cfg(-1.0), time_constants={"tau_mu": [1.0, 1.0]}),
@@ -242,11 +248,29 @@ def _prlc_blk_cfg(**blk):
     (_prlc_blk_cfg(params={"X": 1.0}), "plant.params.X"),
     (_prlc_blk_cfg(gains={"K_P": 1.0}), "plant.gains.K_P"),
     (_hvac_cfg(params={"R": 1.0}), "plant.params.R"),
+    (_ball_cfg(), "problem.inequalities.named[0].params.radius"),
+    (_ball_cfg(params={"radius": 1.0, "center": [0.0, 0.0]}),
+     "problem.inequalities.named[0].params.center"),
 ])
 def test_malformed_config_is_a_diagnostic_not_a_traceback(tmp_path, cfg, field):
     code, payload = cli.run(cfg, tmp_path)
     assert code == cli.EXIT_VALIDATION
     assert [d for d in payload["validation_errors"] if d.startswith(field + ":")], payload
+
+
+@pytest.mark.parametrize("header, missing", [
+    ("time,value", ["t", "storage or V"]),
+    ("t,supply", ["storage or V"]),
+])
+def test_audit_trace_without_its_columns_is_a_diagnostic(tmp_path, header, missing):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(header + "\n0,1\n1,0.5\n")
+    cfg = {"schema": 1, "kind": "audit", "audit": {"trace_csv": str(trace)}}
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION
+    for column in missing:
+        assert [d for d in payload["validation_errors"]
+                if d.startswith(f"audit.trace_csv: no column {column} in ")], payload
 
 
 # -- main ----------------------------------------------------------------------

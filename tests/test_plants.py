@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -401,6 +403,48 @@ class TestDynFeedback:
         )
         with pytest.raises(ValueError, match="rank deficient"):
             dyn_feedback_alpha(sys_bad, np.ones(2), np.ones(2))
+
+    def test_closed_form_alpha_matches_the_gram_solve(self):
+        generic = dataclasses.replace(self.sys, alpha=None)
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            T = rng.uniform(0.0, 9.0, size=4)
+            Td = rng.normal(size=4)
+            closed = dyn_feedback_alpha(self.sys, T, Td)
+            solved = dyn_feedback_alpha(generic, T, Td)
+            assert np.max(np.abs(closed - solved)) <= 1e-14 * np.max(np.abs(solved))
+
+    def test_closed_form_alpha_rejects_a_zone_at_the_supply_temperature(self):
+        T = np.array([self.h.T_s, 5.0, 16.0, 16.0])
+        with pytest.raises(ValueError, match="rank deficient"):
+            dyn_feedback_alpha(self.sys, T, np.ones(4))
+        with pytest.raises(ValueError, match="rank deficient"):
+            dyn_feedback_alpha(dataclasses.replace(self.sys, alpha=None), T, np.ones(4))
+
+    def test_loop_rhs_evaluates_the_input_matrix_once(self):
+        calls = []
+
+        def counted_g(T):
+            calls.append(1)
+            return self.sys.g(T)
+
+        sys_counted = dataclasses.replace(self.sys, g=counted_g)
+        rhs, _ = dyn_feedback_loop(sys_counted, self.T_star, 1.0, 2.0, 5.0)
+        rhs(0.0, np.array([4.0, 5.0, 16.0, 16.0, 0.3, -0.2]))
+        assert len(calls) == 1
+
+    def test_loop_rhs_is_the_feedback_rhs_under_the_control_law(self):
+        k1, kd, ki = 1.5, 2.0, 5.0
+        rhs, _ = dyn_feedback_loop(self.sys, self.T_star, k1, kd, ki)
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            z = np.concatenate([rng.uniform(0.0, 9.0, 2), rng.uniform(2.0, 20.0, 2),
+                                rng.normal(size=2)])
+            x, u = z[:4], z[4:]
+            xdot = self.sys.f(x) + self.sys.g(x) @ u
+            vd = dyn_feedback_control(self.sys, x, xdot, self.T_star, k1, kd, ki)
+            xd, ud, _ = dyn_feedback_rhs(self.sys, x, u, vd)
+            assert np.array_equal(rhs(0.0, z), np.concatenate([xd, ud]))
 
     def test_rest_at_equilibrium_stays(self):
         xd, ud, y = dyn_feedback_rhs(self.sys, self.T_star, self.u_star, np.zeros(2))

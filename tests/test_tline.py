@@ -111,6 +111,23 @@ def test_conservation_residuals_of_a_lossless_line_are_reported():
     assert set(report) == {"residual_current", "residual_voltage"}
 
 
+def test_conservation_residuals_of_a_switched_on_lossless_line_are_first_order():
+    # A unit source step on a line at rest puts a front into the data, so the
+    # residual halves per doubling: 5.19e-3, 2.68e-3, 1.36e-3 at M = 16, 32,
+    # 64 (and falls slower beyond).  Second order holds only for smooth data,
+    # as in the lossy test above.
+    p = LineParams(R=0.0, G=0.0)
+    res = []
+    for M in (16, 32, 64):
+        zero = LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
+        traj = simulate_open_loop(p, zero, 1.0,
+                                  IntegratorConfig(step=cfl_limit(p, M), max_time=0.5))
+        res.append(conservation_check(p, traj, M)["residual_current"])
+    assert 5.0e-3 < res[0] < 5.4e-3
+    ratios = [a / b for a, b in zip(res, res[1:])]
+    assert all(1.8 < r < 2.1 for r in ratios), (res, ratios)
+
+
 def test_dissipation_obstacle_gap_falls_fourfold_per_doubling():
     # rel_gap 3.0e-4, 7.6e-5, 1.9e-5, 4.7e-6 at M = 25 ... 200: the
     # trapezoidal quadrature of the line loss is second order.
