@@ -11,13 +11,12 @@ functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .ode import Trajectory, finite_diff_gradient, finite_diff_jacobian, write_csv
+from .ode import Trajectory, finite_diff_gradient, write_csv
 
 __all__ = [
     "PseudoGradientSystem",
@@ -35,11 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PseudoGradientSystem:
-    """Oracles for ``Q(x) xdot = grad P(x) + G(x) u``.
-
-    ``hess_P`` may be omitted; it then falls back to central differences of
-    ``grad_P`` and the fallback is flagged on the instance.
-    """
+    """Oracles for ``Q(x) xdot = grad P(x) + G(x) u`` and the Hessian of ``P``."""
 
     n: int
     m: int
@@ -47,16 +42,7 @@ class PseudoGradientSystem:
     P: Callable[[np.ndarray], float]
     grad_P: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
-    hess_P: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_is_numeric: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if self.hess_P is None:
-            grad = self.grad_P
-            object.__setattr__(
-                self, "hess_P", lambda x: finite_diff_jacobian(grad, x, 1e-5)
-            )
-            object.__setattr__(self, "hess_is_numeric", True)
+    hess_P: Callable[[np.ndarray], np.ndarray]
 
     def xdot(self, x, u) -> np.ndarray:
         """Velocity obtained by solving the pseudo-gradient relation for xdot."""
@@ -80,7 +66,7 @@ class PseudoGradientSystem:
         sym_err = np.max(np.abs(H - H.T))
         return {"grad_rel_err": grad_err, "hess_sym_err": sym_err,
                 "grad_ok": grad_err <= rel_tol,
-                "hess_ok": sym_err <= (1e-10 if not self.hess_is_numeric else 1e-4)}
+                "hess_ok": sym_err <= 1e-10}
 
 
 @dataclass(frozen=True)
@@ -235,12 +221,6 @@ class StorageTrace:
         write_csv(path, ["t", "storage", "supply", "margin"],
                   zip(self.times.tolist(), self.storage.tolist(),
                       self.supply_integral.tolist(), self.margin.tolist()))
-
-    def summary_json(self, path, audit_tol: float | None = None) -> dict:
-        payload = self.report(audit_tol)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-        return payload
 
 
 def passivity_audit(

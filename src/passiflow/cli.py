@@ -8,7 +8,10 @@ fixed config and seed: trajectory/storage CSVs with 17-significant-digit
 floats and a ``summary.json`` that echoes the fully defaulted config, so
 every run is self-describing.
 
-Exit codes: 0 ok, 2 validation failure, 3 divergence.  Under ``--strict``,
+Exit codes: 0 ok, 2 validation failure, 3 divergence or a plant whose input
+matrix loses rank mid-run (:class:`passiflow.plants.RankDeficientInput`, as
+when an HVAC zone under dynamic feedback reaches the supply temperature);
+both end with an ``error`` entry in ``summary.json``.  Under ``--strict``,
 4 if any ``verdict``, ``lyapunov_monotone`` or ``switch_audit.verdict`` of
 the summary is FAIL, else 3 if ``converged`` is false.  So for ``plant``
 and ``tline`` runs ``--strict`` gates only the Lyapunov audit verdict; the
@@ -24,7 +27,7 @@ import json
 import numbers
 import sys
 from collections import namedtuple
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +71,13 @@ def _ball_constraint(params: dict, n: int) -> ScalarOracle:
 
 NAMED_INEQUALITIES = {"ball": _ball_constraint}
 
-_DEFAULT_INTEGRATOR = {
-    "step": 1e-3,
-    "max_time": 10.0,
-    "event_tol": 1e-10,
-    "convergence_tol": 1e-6,
-    "convergence_window": 5,
-    "record_every": 1,
+_DEFAULT_INTEGRATOR = asdict(IntegratorConfig())
+
+# Defaults of the kind blocks' fields, read by the checks and the runners.
+_BLOCK_DEFAULTS = {
+    "svm": {"n_per_class": 300, "seed": 0},
+    "plant": {"horizon": 10.0},
+    "tline": {"grid": 100, "horizon": 10.0},
 }
 
 
@@ -84,8 +87,20 @@ def load_config(path) -> dict:
 
 
 def _integrator(cfg: dict, **override) -> dict:
-    """The defaults, updated by the config's integrator block, then by ``override``."""
+    """The defaults, updated by the config's integrator block, then by
+    ``override``; an svm config without that block runs on ``svm.DEFAULT_INTEGRATOR``."""
+    if cfg.get("kind") == "svm" and "integrator" not in cfg:
+        return asdict(svm_mod.DEFAULT_INTEGRATOR)
     return {**_DEFAULT_INTEGRATOR, **cfg.get("integrator", {}), **override}
+
+
+def _field(cfg: dict, kind: str, key: str):
+    """``cfg[kind][key]``, else its :data:`_BLOCK_DEFAULTS` entry; a missing
+    svm seed falls back to the top-level ``seed`` first."""
+    default = _BLOCK_DEFAULTS[kind][key]
+    if key == "seed":
+        default = cfg.get("seed", default)
+    return cfg.get(kind, {}).get(key, default)
 
 
 def _echoed(cfg: dict) -> dict:
@@ -106,9 +121,11 @@ class _Diagnostics(list):
         if not cond:
             self.append(msg)
 
-    def need_num(self, path, value, low, strict=True):
-        ok = isinstance(value, numbers.Real) and (value > low if strict else value >= low)
-        self.need(ok, f"{path}: must be a number {'>' if strict else '>='} {low:g}")
+    def need_num(self, path, value, low, strict=True, integer=False):
+        ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
+              and (value > low if strict else value >= low))
+        self.need(ok, f"{path}: must be {'an integer' if integer else 'a number'} "
+                      f"{'>' if strict else '>='} {low:g}")
 
 
 def validate(cfg: dict) -> list[str]:
@@ -130,12 +147,15 @@ def _validate(cfg: dict, d: _Diagnostics) -> None:
     d.need(kind in KINDS, f"kind: must be one of {'/'.join(KINDS)}, got {kind!r}")
 
     integ = cfg.get("integrator", {})
+    for key in integ:
+        d.need(key in _DEFAULT_INTEGRATOR, f"integrator.{key}: unknown; expected one of "
+                                           f"{', '.join(_DEFAULT_INTEGRATOR)}")
     for key in ("step", "max_time", "event_tol", "convergence_tol"):
         if key in integ:
             d.need_num(f"integrator.{key}", integ[key], 0)
     for key in ("convergence_window", "record_every"):
         if key in integ:
-            d.need_num(f"integrator.{key}", integ[key], 1, strict=False)
+            d.need_num(f"integrator.{key}", integ[key], 1, strict=False, integer=True)
 
     if kind in KINDS:
         KINDS[kind].validate(cfg, d)
@@ -200,8 +220,9 @@ def _check_ball(params: dict, n: int, path: str, d: _Diagnostics) -> None:
 
 def _check_svm(cfg: dict, d: _Diagnostics) -> None:
     blk = cfg.get("svm", {})
-    d.need_num("svm.n_per_class", blk.get("n_per_class", 300), 1, strict=False)
-    seed = blk.get("seed", cfg.get("seed", 0))
+    d.need_num("svm.n_per_class", _field(cfg, "svm", "n_per_class"), 1, strict=False,
+               integer=True)
+    seed = _field(cfg, "svm", "seed")
     d.need(isinstance(seed, numbers.Integral) and seed >= 0, "svm.seed: must be an integer >= 0")
     cov = np.asarray(blk.get("cov", svm_mod.DEFAULT_COV), dtype=float)
     symmetric = cov.shape == (2, 2) and np.allclose(cov, cov.T)
@@ -228,7 +249,7 @@ def _check_plant(cfg: dict, d: _Diagnostics) -> None:
     name = blk.get("name")
     controller = blk.get("controller")
     d.need(name in _PLANTS, f"plant.name: unknown plant {name!r}")
-    d.need_num("plant.horizon", blk.get("horizon", 10.0), 0)
+    d.need_num("plant.horizon", _field(cfg, "plant", "horizon"), 0)
     if name not in _PLANTS:
         return
     param_names, target_defaults, initial_state, controllers = _PLANTS[name]
@@ -274,10 +295,11 @@ def _check_tline(cfg: dict, d: _Diagnostics) -> None:
     for gname, gval in blk.get("gains", {}).items():
         d.need(gname in ("K_P", "K_I"), f"tline.gains.{gname}: unknown; expected K_P or K_I")
         d.need_num(f"tline.gains.{gname}", gval, 0, strict=False)
-    d.need_num("tline.grid", blk.get("grid", 100), 8, strict=False)
-    d.need_num("tline.horizon", blk.get("horizon", 10.0), 0)
+    grid = _field(cfg, "tline", "grid")
+    d.need_num("tline.grid", grid, 8, strict=False, integer=True)
+    d.need_num("tline.horizon", _field(cfg, "tline", "horizon"), 0)
     try:
-        limit = tline_mod.cfl_limit(tline_mod.LineParams(**params), int(blk.get("grid", 100)))
+        limit = tline_mod.cfl_limit(tline_mod.LineParams(**params), int(grid))
         d.need(_integrator(cfg)["step"] <= limit,
                f"integrator.step: violates stability guard {limit:.3g} at this grid")
     except (TypeError, ValueError) as exc:
@@ -312,13 +334,11 @@ def _build_problem(prob_cfg: dict) -> ConvexProblem:
     eq = prob_cfg.get("equalities")
     A = np.asarray(eq["A"], dtype=float) if eq else None
     b = np.asarray(eq["b"], dtype=float) if eq else None
-    ineq_cfg = prob_cfg.get("inequalities")
-    ineq = None
-    if ineq_cfg:
-        affine = ineq_cfg.get("affine", {"G": np.zeros((0, n)), "h": np.zeros(0)})
-        named = [NAMED_INEQUALITIES[entry["name"]](entry.get("params", {}), n)
-                 for entry in ineq_cfg.get("named", [])]
-        ineq = AffineInequalities(affine["G"], affine["h"], named)
+    ineq_cfg = prob_cfg.get("inequalities") or {}
+    affine = ineq_cfg.get("affine", {"G": np.zeros((0, n)), "h": np.zeros(0)})
+    named = [NAMED_INEQUALITIES[entry["name"]](entry.get("params", {}), n)
+             for entry in ineq_cfg.get("named", [])]
+    ineq = AffineInequalities(affine["G"], affine["h"], named)
     return ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b, ineq=ineq)
 
 
@@ -339,18 +359,17 @@ def _run_solve(cfg: dict, out: Path) -> dict:
 
 def _run_svm(cfg: dict, out: Path) -> dict:
     blk = cfg.get("svm", {})
-    seed = int(blk.get("seed", cfg.get("seed", 0)))
+    seed = int(_field(cfg, "svm", "seed"))
     data = svm_mod.generate_gaussian_classes(
         seed=seed,
-        n_per_class=int(blk.get("n_per_class", 300)),
+        n_per_class=int(_field(cfg, "svm", "n_per_class")),
         mean_a=blk.get("mean_a", svm_mod.DEFAULT_MEAN_A),
         mean_b=blk.get("mean_b", svm_mod.DEFAULT_MEAN_B),
         cov=blk.get("cov", svm_mod.DEFAULT_COV),
     )
     write_csv(out / "dataset.csv", ["x1", "x2", "label"],
               np.column_stack([data.points, data.labels]))
-    icfg = IntegratorConfig(**_integrator(cfg)) if "integrator" in cfg else None
-    result = svm_mod.train_svm(data, cfg=icfg)
+    result = svm_mod.train_svm(data, cfg=IntegratorConfig(**_integrator(cfg)))
     traj = result.trajectory
     times = traj.times.tolist()
     write_csv(out / "beta_trajectory.csv", ["t", "beta1", "beta2", "beta0"],
@@ -382,7 +401,7 @@ def _run_plant(cfg: dict, out: Path) -> dict:
     _, target_defaults, initial_state, _ = _PLANTS[name]
     targets = {**target_defaults, **blk.get("targets", {})}
     x0 = np.asarray(blk.get("initial_state", initial_state), dtype=float)
-    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(blk.get("horizon", 10.0))))
+    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(_field(cfg, "plant", "horizon"))))
 
     if name == "parallel_rlc":
         p = plants.ParallelRLC(**{"R": 1.0, "G": 1.0, "L": 1.0, "C": 1.0, **params})
@@ -436,10 +455,10 @@ def _run_plant(cfg: dict, out: Path) -> dict:
 def _run_tline(cfg: dict, out: Path) -> dict:
     blk = cfg.get("tline", {})
     p = tline_mod.LineParams(**blk.get("params", {}))
-    M = int(blk.get("grid", 100))
+    M = int(_field(cfg, "tline", "grid"))
     vC1_star = float(blk.get("target_vc1", 0.0))
     gains = blk.get("gains", {})
-    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(blk.get("horizon", 10.0))))
+    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(_field(cfg, "tline", "horizon"))))
     zero = tline_mod.LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
     if vC1_star == 0.0 and not gains:
         traj = integrate(lambda t, y: tline_mod.tline_rhs(p, y, 0.0, M), zero.pack(), icfg)
@@ -527,7 +546,7 @@ def run(cfg: dict, out_dir, strict: bool = False) -> tuple[int, dict]:
     kind = cfg["kind"]
     try:
         summary = KINDS[kind].run(cfg, out)
-    except DivergenceError as exc:
+    except (DivergenceError, plants.RankDeficientInput) as exc:
         summary = {"error": str(exc)}
     code = _exit_code(summary, strict)
     payload = {"config": _echoed(cfg), "kind": kind, "exit_code": code, **summary}

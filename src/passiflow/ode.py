@@ -22,11 +22,8 @@ __all__ = [
     "IntegratorConfig",
     "IntegrationStats",
     "Trajectory",
-    "NOT_CONVERGED",
     "integrate",
     "finite_diff_gradient",
-    "finite_diff_jacobian",
-    "steady_state",
     "write_csv",
 ]
 
@@ -48,12 +45,13 @@ class DivergenceError(RuntimeError):
 class IntegratorConfig:
     """Knobs for :func:`integrate` and convergence detection.
 
-    ``step`` is the RK4 step.  ``event_tol`` is the bracket width bisection
-    reaches on a guard's sign change along the RK4 map from the step start;
-    it does not bound the crossing-time error, which is O(step) on a
-    switched rhs.  ``clamp_tol`` is the largest negative excursion a
-    clamped-nonnegative component may show after a step before it is
-    treated as an integration error rather than crossing residue.
+    ``step`` is the RK4 step and ``max_time`` the integrated span.
+    ``event_tol`` is the bracket width bisection reaches on a guard's sign
+    change along the RK4 map from the step start; it does not bound the
+    crossing-time error, which is O(step) on a switched rhs.
+    ``convergence_tol`` and ``convergence_window`` define convergence (see
+    :func:`integrate`), and every ``record_every``-th step is sampled.  The
+    clamp slack is the module constant :data:`CLAMP_TOL`.
     """
 
     step: float = 1e-3
@@ -61,11 +59,10 @@ class IntegratorConfig:
     event_tol: float = 1e-10
     convergence_tol: float = 1e-6
     convergence_window: int = 5
-    clamp_tol: float = 1e-8
     record_every: int = 1
 
     def __post_init__(self):
-        for name in ("step", "max_time", "event_tol", "convergence_tol", "clamp_tol"):
+        for name in ("step", "max_time", "event_tol", "convergence_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"IntegratorConfig.{name} must be > 0")
         if self.convergence_window < 1:
@@ -117,11 +114,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def sample_derivatives(self) -> np.ndarray:
-        """Forward-difference velocity estimates, one row per interval."""
-        dt = np.diff(self.times)[:, None]
-        return np.diff(self.states, axis=0) / dt
-
     def to_csv(self, path, events_path=None) -> None:
         """Write ``t,x0,...,xn`` rows; events go to a sidecar ``t,tag`` CSV."""
         write_csv(path, ["t"] + [f"x{k}" for k in range(self.states.shape[1])],
@@ -145,8 +137,10 @@ def write_csv(path, header, rows) -> None:
             fh.write(line % tuple(row))
 
 
-#: Sentinel returned by :func:`steady_state` when the tail is still moving.
-NOT_CONVERGED = None
+#: Largest negative excursion, relative to ``max(1, |rate|)``, that a
+#: clamped-nonnegative component may show after a plain step before it is
+#: treated as an integration error rather than crossing residue.
+CLAMP_TOL = 1e-8
 
 
 def _rk4_step(rhs, t, x, h):
@@ -157,23 +151,16 @@ def _rk4_step(rhs, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
 
 
-def _eval_guards(guards, t, x):
-    if callable(guards):
-        return np.atleast_1d(np.asarray(guards(t, x), dtype=float))
-    return np.array([g(t, x) for g in guards], dtype=float)
-
-
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],
     config: IntegratorConfig,
-    guards=None,
+    guards: Callable[[float, np.ndarray], np.ndarray] | None = None,
     guard_labels: Sequence[str] | None = None,
     clamp_nonneg: Sequence[int] | None = None,
     stop_when_converged: bool = False,
-    t0: float = 0.0,
 ) -> Trajectory:
-    """Integrate ``xdot = rhs(t, x)`` from ``t0`` to ``t0 + max_time``.
+    """Integrate ``xdot = rhs(t, x)`` from 0 to ``max_time``.
 
     Parameters
     ----------
@@ -183,16 +170,16 @@ def integrate(
         Finite initial state.
     config : IntegratorConfig
     guards : optional
-        Either a list of scalar functions ``s(t, x)`` or one vectorized
-        callable returning all guard values at once.  Whenever a guard
-        changes sign inside a step, bisection brackets the sign change to a
-        width ``<= event_tol`` (see :class:`IntegratorConfig`), an event is
-        recorded, and integration restarts from the bracket's far end.
+        Callable ``guards(t, x)`` returning all guard values as one 1-D
+        array.  Whenever a guard changes sign inside a step, bisection
+        brackets the sign change to a width ``<= event_tol`` (see
+        :class:`IntegratorConfig`), an event is recorded, and integration
+        restarts from the bracket's far end.
     guard_labels : optional
         Event tags, aligned with the guards; defaults to ``guard<k>``.
     clamp_nonneg : optional
         Indices whose components are truncated at zero when they undershoot
-        by less than ``clamp_tol`` after an accepted step.  A larger
+        by less than :data:`CLAMP_TOL` after an accepted step.  A larger
         undershoot raises ``ValueError`` -- guards are supposed to catch the
         crossing first.
     stop_when_converged : bool
@@ -214,13 +201,13 @@ def integrate(
     if not np.isfinite(x).all():
         raise ValueError("initial state must be finite")
     h = config.step
-    t = float(t0)
-    t_end = t0 + config.max_time
+    t = 0.0
+    t_end = float(config.max_time)
     stats = IntegrationStats()
 
     n_guards = 0
     if guards is not None:
-        s_cur = _eval_guards(guards, t, x)
+        s_cur = guards(t, x)
         n_guards = s_cur.size
         if guard_labels is None:
             guard_labels = [f"guard{k}" for k in range(n_guards)]
@@ -248,7 +235,7 @@ def integrate(
         neg = clamp_idx[xv[clamp_idx] < 0.0]
         if neg.size == 0:
             return xv
-        slack = config.clamp_tol * np.maximum(1.0, np.abs(rate[neg])) + extra_slack
+        slack = CLAMP_TOL * np.maximum(1.0, np.abs(rate[neg])) + extra_slack
         bad = np.flatnonzero(xv[neg] < -slack)
         if bad.size:
             k = bad[0]
@@ -267,7 +254,7 @@ def integrate(
 
         any_crossed = False
         if n_guards:
-            s_new = _eval_guards(guards, t + h_step, x_new)
+            s_new = guards(t + h_step, x_new)
             any_crossed = (s_cur * s_new < 0.0).any()
 
         if any_crossed:
@@ -282,7 +269,7 @@ def integrate(
                 x_mid, _ = _rk4_step(rhs, t, x, mid)
                 stats.rk4_steps += 1
                 stats.bisection_steps += 1
-                s_mid = _eval_guards(guards, t + mid, x_mid)
+                s_mid = guards(t + mid, x_mid)
                 if (s_lo * s_mid < 0.0).any():
                     hi, s_hi = mid, s_mid
                 else:
@@ -303,7 +290,7 @@ def integrate(
                 events.append((t, guard_labels[j]))
             stats.event_batches += 1
             _record(t, x)
-            s_cur = _eval_guards(guards, t, x)
+            s_cur = guards(t, x)
             step_index += 1
             quiet = 0
             continue
@@ -350,33 +337,3 @@ def finite_diff_gradient(f, x, h: float = 1e-6) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite finite-difference evaluation")
     return g
-
-
-def finite_diff_jacobian(fvec, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued function."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = h
-        cols.append((np.asarray(fvec(x + e)) - np.asarray(fvec(x - e))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
-
-def steady_state(traj: Trajectory, config: IntegratorConfig):
-    """Final state if the trajectory tail has stopped moving, else ``NOT_CONVERGED``.
-
-    Velocity is estimated from sample differences, so the check works on any
-    recorded trajectory without re-evaluating the vector field.  Not
-    converging is a value, not a failure.
-    """
-    if traj.times.size == 0:
-        raise ValueError("empty trajectory")
-    if traj.times.size == 1:
-        return traj.final_state
-    rates = traj.sample_derivatives()
-    window = min(config.convergence_window, rates.shape[0])
-    tail = rates[-window:]
-    if np.max(np.abs(tail)) < config.convergence_tol:
-        return traj.final_state
-    return NOT_CONVERGED

@@ -31,6 +31,7 @@ __all__ = [
     "HvacParams",
     "DynFeedbackSystem",
     "CertificateUnavailable",
+    "RankDeficientInput",
     "prlc_rhs",
     "prlc_equilibrium",
     "prlc_bm",
@@ -60,6 +61,10 @@ __all__ = [
 
 class CertificateUnavailable(UserWarning):
     """Raised as a warning when a passivity certificate's parameter condition fails."""
+
+
+class RankDeficientInput(ValueError):
+    """The input matrix ``g(x)`` lost column rank, so ``alpha`` is undefined."""
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +508,11 @@ class DynFeedbackSystem:
 
     ``jac_g(x, k)`` is the Jacobian of the k-th input column.  ``gamma``
     (the potential whose gradient is ``M g``) may be closed form; otherwise
-    it is evaluated as a straight-line path integral from ``x_ref``, which
+    it is evaluated as a straight-line path integral from the origin, which
     is well defined exactly when the integrability assumption holds.
     ``alpha(x, xdot, g)``, given ``g = g(x)``, may also be closed form: the
-    m x m matrix with ``gdot + g alpha = 0`` that raises ValueError("input
-    matrix is rank deficient") where ``g`` loses rank.  Without it
+    m x m matrix with ``gdot + g alpha = 0`` that raises
+    :class:`RankDeficientInput` where ``g`` loses rank.  Without it
     :func:`dyn_feedback_alpha` solves the Gram system of ``g``.
     """
 
@@ -519,26 +524,23 @@ class DynFeedbackSystem:
     jac_g: Callable[[np.ndarray, int], np.ndarray]
     M: np.ndarray
     gamma: Callable[[np.ndarray], np.ndarray] | None = None
-    x_ref: np.ndarray | None = None
     alpha: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
         np.linalg.cholesky(M)  # symmetric PD required
         object.__setattr__(self, "M", M)
-        if self.x_ref is None:
-            object.__setattr__(self, "x_ref", np.zeros(self.n))
 
     def gamma_value(self, x) -> np.ndarray:
         if self.gamma is not None:
             return np.asarray(self.gamma(x), dtype=float)
         # Straight-path quadrature of (M g)^T dx; closure is guaranteed by A3.
-        d = np.asarray(x, dtype=float) - self.x_ref
+        d = np.asarray(x, dtype=float)
         nodes, weights = np.polynomial.legendre.leggauss(32)
         s = 0.5 * (nodes + 1.0)
         out = np.zeros(self.m)
         for sk, wk in zip(s, weights):
-            out += 0.5 * wk * (self.g(self.x_ref + sk * d).T @ self.M @ d)
+            out += 0.5 * wk * (self.g(sk * d).T @ self.M @ d)
         return out
 
     def check_assumptions(self, samples) -> dict:
@@ -581,7 +583,8 @@ def dyn_feedback_alpha(sys: DynFeedbackSystem, x, xdot, g=None) -> np.ndarray:
 
     ``g`` is ``sys.g(x)`` when the caller already has it.  The system's
     closed-form ``alpha`` is used when it has one; otherwise the Gram
-    system is solved.  Both raise ValueError when ``g`` is rank deficient.
+    system is solved.  Both raise :class:`RankDeficientInput` when ``g`` is
+    rank deficient.
     """
     x = np.asarray(x, dtype=float)
     if g is None:
@@ -593,7 +596,7 @@ def dyn_feedback_alpha(sys: DynFeedbackSystem, x, xdot, g=None) -> np.ndarray:
     try:
         np.linalg.cholesky(gram)  # PD gram == full column rank
     except np.linalg.LinAlgError as exc:
-        raise ValueError("input matrix is rank deficient") from exc
+        raise RankDeficientInput("input matrix is rank deficient") from exc
     return -np.linalg.solve(gram, g.T @ gdot)
 
 
@@ -655,17 +658,7 @@ def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
     def f(T):
         return hvac_rhs(h, T, np.zeros(2))
 
-    jac = np.zeros((4, 4))
-    jac[0, 0] = -(1 / h.R31 + 1 / h.R10) / h.C1
-    jac[0, 2] = (1 / h.R31) / h.C1
-    jac[1, 1] = -(1 / h.R42 + 1 / h.R20) / h.C2
-    jac[1, 3] = (1 / h.R42) / h.C2
-    jac[2, 0] = (1 / h.R31) / h.C3
-    jac[2, 2] = -(1 / h.R31 + 1 / h.R34) / h.C3
-    jac[2, 3] = (1 / h.R34) / h.C3
-    jac[3, 1] = (1 / h.R42) / h.C4
-    jac[3, 2] = (1 / h.R34) / h.C4
-    jac[3, 3] = -(1 / h.R42 + 1 / h.R34) / h.C4
+    jac = -hvac_bm(h).hess_P(h.cap) / h.cap[:, None]   # hess_P is constant
 
     def g(T):
         Gm = np.zeros((4, 2))
@@ -688,7 +681,7 @@ def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
         for k in range(2):
             d = g.item(k, k)
             if not d * d > 0:
-                raise ValueError("input matrix is rank deficient")
+                raise RankDeficientInput("input matrix is rank deficient")
             a.append(-(d * (dg[k] * float(Tdot[k]))) * (1.0 / (d * d)))
         return np.array([[a[0], 0.0], [0.0, a[1]]])
 

@@ -19,7 +19,7 @@ All inequalities form one block, :class:`AffineInequalities`: affine rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -112,15 +112,16 @@ class AffineInequalities:
 class ConvexProblem:
     """minimize f(x)  s.t.  A x = b,  g_i(x) <= 0.
 
-    ``A`` may be empty (shape (0, n)); ``ineq`` may be ``None``.  Convexity
-    is not checked.
+    ``A`` may be empty (shape (0, n)).  ``ineq`` is one
+    :class:`AffineInequalities` block; omitted, it is the empty ``(0, n)``
+    block.  Convexity is not checked.
     """
 
     n: int
     f: ScalarOracle
     A: np.ndarray = None
     b: np.ndarray = None
-    ineq: object = None
+    ineq: AffineInequalities = None
 
     def __post_init__(self):
         A = np.zeros((0, self.n)) if self.A is None else np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -129,6 +130,8 @@ class ConvexProblem:
             raise ValueError("A must be m x n with b of length m")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        if self.ineq is None:
+            object.__setattr__(self, "ineq", AffineInequalities(np.zeros((0, self.n)), np.zeros(0)))
 
     @property
     def m(self) -> int:
@@ -136,17 +139,13 @@ class ConvexProblem:
 
     @property
     def p(self) -> int:
-        return 0 if self.ineq is None else self.ineq.p
+        return self.ineq.p
 
     def g_values(self, x) -> np.ndarray:
-        if self.ineq is None:
-            return np.zeros(0)
-        return np.asarray(self.ineq.values(x), dtype=float)
+        return self.ineq.values(x)
 
     def g_jacobian(self, x) -> np.ndarray:
-        if self.ineq is None:
-            return np.zeros((0, self.n))
-        return np.atleast_2d(np.asarray(self.ineq.jacobian(x), dtype=float))
+        return self.ineq.jacobian(x)
 
 
 @dataclass
@@ -288,17 +287,14 @@ def interconnected_rhs(
     prob: ConvexProblem,
     s: FlowState,
     v=None,
-    v_tilde=None,
     tc: TimeConstants | None = None,
     proj_tol: float = 1e-10,
 ):
     """Power-conserving interconnection of the equality flow and the
     projected multiplier flow.
 
-    With both injection ports at zero this is exactly the primal-dual
-    dynamics of the full problem; ``v`` enters the primal channel and
-    ``v_tilde`` shifts the point where the constraints are evaluated for
-    the multiplier flow.
+    With the injection port ``v`` at zero this is exactly the primal-dual
+    dynamics of the full problem; ``v`` enters the primal channel.
     Returns ``(xdot, lamdot, mudot)``.  ``tc=None`` means unit time
     constants; dividing by them would be exact, so it is skipped.
     """
@@ -313,9 +309,9 @@ def interconnected_rhs(
     else:
         lamdot = np.zeros(0)
     ineq = prob.ineq
-    if ineq is not None and ineq.p:
+    if ineq.p:
         grad_L = grad_L + ineq.jacobian(x).T @ np.maximum(s.mu, 0.0)
-        g = ineq.values(x if v_tilde is None else x + np.asarray(v_tilde, dtype=float))
+        g = ineq.values(x)
         # mu within proj_tol of zero (or transiently below, mid-step) takes
         # the clamped branch; everything else flows freely along g.
         mudot = np.where(s.mu <= proj_tol, np.maximum(0.0, g), g)
@@ -408,42 +404,6 @@ class SolveResult:
         }
 
 
-def _sigma_at(prob, z, n, m, p, proj_tol):
-    s = FlowState.unpack(z, n, m, p)
-    g = prob.g_values(s.x)
-    return active_set(FlowState(s.x, s.lam, np.maximum(s.mu, 0.0)), g, proj_tol)
-
-
-def _batch_switch_event(prob, tc, traj, k, flips, n, m, p, proj_tol):
-    """Classify one batch of simultaneous guard crossings.
-
-    The crossing sample itself sits razor-edge on the switching surface, so
-    clamp-set membership before and after is read off the neighboring
-    samples; the storage jump is the clamped-term difference of the flagged
-    indices, evaluated with the constraint values at the crossing state.
-    """
-    sigma_pre = _sigma_at(prob, traj.states[k - 1], n, m, p, proj_tol)
-    k_next = min(k + 1, traj.states.shape[0] - 1)
-    sigma_post = _sigma_at(prob, traj.states[k_next], n, m, p, proj_tol)
-    g = prob.g_values(traj.states[k][:n])
-    jump = 0.0
-    entered = []
-    left = []
-    for i in flips:
-        was = i in sigma_pre
-        now = i in sigma_post
-        if was == now:
-            continue
-        term = g[i] ** 2 / (2.0 * tc.tau_mu[i])
-        if now:
-            entered.append(i)
-            jump -= term
-        else:
-            left.append(i)
-            jump += term
-    return jump, tuple(sorted(entered)), tuple(sorted(left))
-
-
 def solve(
     prob: ConvexProblem,
     init: FlowState,
@@ -495,12 +455,18 @@ def solve(
     # unforced interconnection, so PASS means the switched storage never rises.
     # The clamp mask is active_set at max(mu, 0), which is <= proj_tol iff mu is.
     storage_vals = np.empty(traj.times.size)
+    clamped = np.zeros((traj.times.size, p), dtype=bool)
     for k, z in enumerate(traj.states):
         s = FlowState.unpack(z, n, m, p)
         rates = interconnected_rhs(prob, s, tc=flow_tc, proj_tol=proj_tol)
-        clamped = (s.mu <= proj_tol) & (prob.g_values(s.x) < -proj_tol)
-        storage_vals[k] = switched_storage(rates, clamped, tc)
+        clamped[k] = (s.mu <= proj_tol) & (prob.g_values(s.x) < -proj_tol)
+        storage_vals[k] = switched_storage(rates, clamped[k], tc)
 
+    # One switch event per batch of simultaneous guard crossings.  The
+    # crossing sample sits razor-edge on the switching surface, so clamp-set
+    # membership before and after is read off the neighboring samples; the
+    # storage jump is the clamped-term difference of the flipped indices,
+    # with the constraint values at the crossing state.
     switch_events: list[SwitchEvent] = []
     batches: dict[float, set] = {}
     for t_e, tag in traj.events:
@@ -509,11 +475,17 @@ def solve(
         k = int(np.searchsorted(traj.times, t_e))
         if k == 0:
             continue
-        jump, entered, left = _batch_switch_event(
-            prob, tc, traj, k, sorted(batches[t_e]), n, m, p, proj_tol
-        )
-        if entered or left:
-            switch_events.append(SwitchEvent(t_e, jump, entered, left))
+        was, now = clamped[k - 1], clamped[min(k + 1, traj.times.size - 1)]
+        flips = [i for i in sorted(batches[t_e]) if was[i] != now[i]]
+        if not flips:
+            continue
+        g = prob.g_values(traj.states[k][:n])
+        jump = 0.0
+        for i in flips:
+            term = g[i] ** 2 / (2.0 * tc.tau_mu[i])
+            jump += -term if now[i] else term
+        switch_events.append(SwitchEvent(t_e, jump, tuple(i for i in flips if now[i]),
+                                         tuple(i for i in flips if was[i])))
 
     trace = StorageTrace(traj.times, storage_vals, np.zeros_like(storage_vals),
                          switch_events=switch_events)

@@ -32,6 +32,7 @@ __all__ = [
     "DEFAULT_MEAN_A",
     "DEFAULT_MEAN_B",
     "DEFAULT_COV",
+    "DEFAULT_INTEGRATOR",
     "generate_gaussian_classes",
     "build_svm_problem",
     "train_svm",
@@ -41,6 +42,10 @@ __all__ = [
 DEFAULT_MEAN_A = (0.0, 0.0)
 DEFAULT_MEAN_B = (0.0, 6.0)
 DEFAULT_COV = ((1.0, 1.5), (1.5, 3.0))
+# The constraint coupling has spectral norm ~115 on the default data scale;
+# step 0.01 keeps RK4 well inside its stability region.
+DEFAULT_INTEGRATOR = IntegratorConfig(step=1e-2, max_time=400.0, convergence_tol=1e-7,
+                                      convergence_window=10, record_every=20)
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ def build_svm_problem(data: Dataset) -> ConvexProblem:
 def train_svm(
     data: Dataset,
     tc: TimeConstants | None = None,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
 ) -> SolveResult:
     """Run the primal-dual flow from the origin with zero multipliers.
 
@@ -166,11 +171,6 @@ def train_svm(
     separable draw can also converge slowly and need a longer ``max_time``.
     """
     prob = build_svm_problem(data)
-    if cfg is None:
-        # the constraint coupling has spectral norm ~115 on the default
-        # data scale; 0.01 keeps RK4 well inside its stability region
-        cfg = IntegratorConfig(step=1e-2, max_time=400.0, convergence_tol=1e-7,
-                               convergence_window=10, record_every=20)
     init = FlowState(np.zeros(3), mu=np.zeros(data.size))
     result = solve(prob, init, tc=tc, cfg=cfg)
     if not result.converged:

@@ -1,19 +1,26 @@
 """Independent reference solvers used to freeze expected values in tests.
 
-Except for the storage reference at the end, nothing here touches the
-gradient-flow code paths: QPs are solved by brute enumeration of active sets
-over the KKT linear systems, the toy SVM by its closed form, and the SVM
-training flow is written out a second time from the problem data to
+Except for the storage and switch references at the end, nothing here
+touches the gradient-flow code paths: QPs are solved by brute enumeration of
+active sets over the KKT linear systems, the toy SVM by its closed form, and
+the SVM training flow is written out a second time from the problem data to
 cross-check the generic primal-dual flow.  The storage post-pass of ``solve``
-is written out per sample with the clamp set as an index set from
-``active_set``, as the reference for the boolean-mask form ``solve`` uses.
+and its switch classification are written out per sample and per event
+batch with the clamp set as an index set from ``active_set``, as the
+reference for the boolean-mask form ``solve`` uses.
 """
 
 import itertools
 
 import numpy as np
 
-from passiflow.primal_dual import FlowState, _sigma_at, interconnected_rhs, switched_storage
+from passiflow.primal_dual import (
+    FlowState,
+    SwitchEvent,
+    active_set,
+    interconnected_rhs,
+    switched_storage,
+)
 
 
 def enumerate_qp_kkt(Q0, c, A=None, b=None, G=None, h=None, tol=1e-9):
@@ -136,17 +143,64 @@ def svm_flow_rhs(data, s, tc, proj_tol=1e-10):
     return np.concatenate([betadot, [beta0dot]]), mudot
 
 
+def sigma_at(prob, z, proj_tol):
+    """The clamp set at packed state ``z`` as a ``frozenset`` of indices:
+    ``active_set`` at the sample with ``mu`` clipped to zero."""
+    n, m, p = prob.n, prob.m, prob.p
+    s = FlowState.unpack(z, n, m, p)
+    g = prob.g_values(s.x)
+    return active_set(FlowState(s.x, s.lam, np.maximum(s.mu, 0.0)), g, proj_tol)
+
+
 def reference_storage(prob, traj, tc, proj_tol):
     """Switched storage at every sample of a ``solve`` trajectory.
 
-    Per sample: the flow rates, the clamp set as a ``frozenset`` of indices
-    (``_sigma_at``, i.e. ``active_set`` at the sample with ``mu`` clipped to
-    zero), and :func:`passiflow.primal_dual.switched_storage` of the two.
-    ``proj_tol`` is the ``event_tol`` the solve ran with.
+    Per sample: the flow rates, the clamp set from :func:`sigma_at`, and
+    :func:`passiflow.primal_dual.switched_storage` of the two.  ``proj_tol``
+    is the ``event_tol`` the solve ran with.
     """
     n, m, p = prob.n, prob.m, prob.p
     out = np.empty(traj.times.size)
     for k, z in enumerate(traj.states):
         rates = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=tc, proj_tol=proj_tol)
-        out[k] = switched_storage(rates, _sigma_at(prob, z, n, m, p, proj_tol), tc)
+        out[k] = switched_storage(rates, sigma_at(prob, z, proj_tol), tc)
     return out
+
+
+def reference_switch_events(prob, traj, tc, proj_tol):
+    """The switch events of a ``solve`` trajectory, one batch at a time.
+
+    Events at one time form a batch.  The clamp sets before and after are
+    :func:`sigma_at` at the samples next to the crossing sample; each
+    flipped index whose membership differs enters or leaves, and the jump
+    is the clamped-term difference ``-/+ g_i^2 / (2 tau_mu_i)`` with ``g``
+    at the crossing state.  Batches at the first sample, or with no index
+    entering or leaving, give no event.
+    """
+    batches = {}
+    for t_e, tag in traj.events:
+        batches.setdefault(t_e, set()).add(int(tag[1:]))
+    events = []
+    for t_e in sorted(batches):
+        k = int(np.searchsorted(traj.times, t_e))
+        if k == 0:
+            continue
+        sigma_pre = sigma_at(prob, traj.states[k - 1], proj_tol)
+        sigma_post = sigma_at(prob, traj.states[min(k + 1, traj.times.size - 1)], proj_tol)
+        g = prob.g_values(traj.states[k][:prob.n])
+        jump = 0.0
+        entered, left = [], []
+        for i in sorted(batches[t_e]):
+            was, now = i in sigma_pre, i in sigma_post
+            if was == now:
+                continue
+            term = g[i] ** 2 / (2.0 * tc.tau_mu[i])
+            if now:
+                entered.append(i)
+                jump -= term
+            else:
+                left.append(i)
+                jump += term
+        if entered or left:
+            events.append(SwitchEvent(t_e, jump, tuple(sorted(entered)), tuple(sorted(left))))
+    return events

@@ -217,8 +217,7 @@ class TestPassivityAudit:
         trace.to_csv(tmp_path / "trace.csv")
         head = (tmp_path / "trace.csv").read_text().splitlines()[0]
         assert head == "t,storage,supply,margin"
-        payload = trace.summary_json(tmp_path / "verdict.json")
-        assert set(payload) == {"verdict", "min_margin", "worst_time"}
+        assert set(trace.report()) == {"verdict", "min_margin", "worst_time"}
 
 
 class TestLyapunovAudit:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from passiflow import cli
+from passiflow import cli, svm
 from test_artifacts_golden import CONFIGS
 
 
@@ -24,14 +25,30 @@ def _plant_cfg(**gains):
             "plant": {"name": "hvac", "controller": "dyn_feedback", "gains": gains}}
 
 
+def _svm_cfg(svm=None, **integrator):
+    return {"schema": 1, "kind": "svm", "svm": svm or {}, "integrator": integrator}
+
+
 @pytest.mark.parametrize("cfg, field", [
-    ({"schema": 1, "kind": "svm", "svm": {}, "integrator": {"step": "x"}}, "integrator.step"),
+    (_svm_cfg(step="x"), "integrator.step"),
     ({"schema": 1, "kind": "svm", "svm": {"n_per_class": "abc"}}, "svm.n_per_class"),
     (_plant_cfg(k1="big"), "plant.gains.k1"),
+    (_svm_cfg(stpe=0.01), "integrator.stpe"),
+    (_svm_cfg(clamp_tol=-1), "integrator.clamp_tol"),
+    (_svm_cfg({"n_per_class": 2.5}), "svm.n_per_class"),
+    ({"schema": 1, "kind": "tline", "tline": {"grid": 10.5}}, "tline.grid"),
+    (_svm_cfg(record_every=2.5), "integrator.record_every"),
+    (_svm_cfg(convergence_window=1.5), "integrator.convergence_window"),
 ])
 def test_wrong_typed_field_is_a_diagnostic(cfg, field):
     diags = cli.validate(cfg)
     assert [d for d in diags if d.startswith(field + ":")], diags
+
+
+def test_unknown_integrator_key_names_the_known_ones():
+    diags = cli.validate(_svm_cfg(stpe=0.01))
+    assert diags == ["integrator.stpe: unknown; expected one of step, max_time, event_tol, "
+                     "convergence_tol, convergence_window, record_every"]
 
 
 def test_malformed_block_is_a_diagnostic():
@@ -161,6 +178,21 @@ def test_divergence_exits_3_with_or_without_strict(tmp_path, strict):
     assert json.loads((tmp_path / "summary.json").read_text())["exit_code"] == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hvac_zone_reaching_the_supply_temperature_exits_3(tmp_path):
+    # The zones warm from 9.8 onto T_s = 10, where g(x) loses rank and the
+    # feedback input blows up within a few steps.
+    cfg = {"schema": 1, "kind": "plant",
+           "plant": {"name": "hvac", "controller": "dyn_feedback",
+                     "initial_state": [9.8, 9.8, 16.0, 16.0],
+                     "gains": {"k1": 1.0, "kd": 0.0, "ki": 1.0}, "horizon": 20.0},
+           "integrator": {"step": 0.01}}
+    code, payload = cli.run(cfg, tmp_path)
+    assert code == payload["exit_code"] == cli.EXIT_DIVERGENCE == 3
+    assert payload["error"] == "input matrix is rank deficient"
+    assert json.loads((tmp_path / "summary.json").read_text())["exit_code"] == 3
+
+
 def test_rising_lyapunov_function_exits_4_only_under_strict(tmp_path):
     # Step 2 keeps RK4 finite over the horizon but not monotone.
     cfg = _prlc_cfg(2.0, 20.0)
@@ -284,6 +316,13 @@ def test_seed_flag_is_echoed_in_the_config(tmp_path):
     saved = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert saved["seed"] == 3
     assert saved["config"]["svm"]["seed"] == 3
+
+
+def test_svm_without_an_integrator_block_echoes_the_settings_it_ran_with(tmp_path):
+    cfg = {"schema": 1, "kind": "svm", "svm": {"seed": 1, "n_per_class": 5}}
+    code, payload = cli.run(cfg, tmp_path)
+    assert code == 0
+    assert payload["config"]["integrator"] == dataclasses.asdict(svm.DEFAULT_INTEGRATOR)
 
 
 def test_configs_with_the_same_stem_are_rejected(tmp_path, capsys):

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from oracles import enumerate_qp_kkt, reference_storage
+from oracles import enumerate_qp_kkt, reference_storage, reference_switch_events, sigma_at
 
-from passiflow import cli
+from passiflow import cli, svm
 from passiflow.ode import IntegratorConfig
 from passiflow.primal_dual import (
     AffineInequalities,
     ConvexProblem,
     FlowState,
     TimeConstants,
-    _sigma_at,
     active_set,
     augmented_problem,
     damping_injection_rhs,
@@ -318,7 +317,8 @@ class TestSolve:
         res = solve(simple_qp(), FlowState(np.array([1.0, 1.0]), lam=np.array([-1.0])),
                     cfg=IntegratorConfig(step=5e-3, max_time=2.0,
                                          convergence_tol=1e-8))
-        rates = res.trajectory.sample_derivatives()
+        traj = res.trajectory
+        rates = np.diff(traj.states, axis=0) / np.diff(traj.times)[:, None]
         assert np.max(np.abs(rates)) < 1e-8
 
     def test_storage_nonincreasing_between_switches(self):
@@ -456,9 +456,32 @@ class TestStoragePostPass:
         n, m, p = prob.n, prob.m, prob.p
         clamped_samples = 0
         for z in res.trajectory.states:
-            sigma = _sigma_at(prob, z, n, m, p, cfg.event_tol)
+            sigma = sigma_at(prob, z, cfg.event_tol)
             _, _, mudot = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=tc,
                                              proj_tol=cfg.event_tol)
             assert all(mudot[i] == 0.0 for i in sigma)
             clamped_samples += bool(sigma)
         assert clamped_samples > 0
+
+
+class TestSwitchClassification:
+    """``solve`` classifies each event batch from its clamp mask; the per-batch
+    index-set classification in ``oracles`` is the reference."""
+
+    def test_mixed_ball_problem_matches_the_reference(self):
+        prob = cli._build_problem(MIXED_CONFIG)
+        tc = TimeConstants(np.array([0.5, 2.0]), np.zeros(0), np.array([1.5, 0.7, 3.0]))
+        init = FlowState(np.array([-1.0, 0.5]), mu=np.array([0.5, 0.5, 0.0]))
+        cfg = IntegratorConfig(step=5e-3, max_time=12.0)
+        res = solve(prob, init, tc=tc, cfg=cfg)
+        ref = reference_switch_events(prob, res.trajectory, tc, cfg.event_tol)
+        assert ref and res.storage.switch_events == ref
+
+    def test_small_svm_matches_the_reference(self):
+        data = svm.generate_gaussian_classes(seed=1, n_per_class=5)   # the golden svm data
+        res = svm.train_svm(data)
+        prob = svm.build_svm_problem(data)
+        tc = TimeConstants.ones(prob.n, prob.m, prob.p)
+        ref = reference_switch_events(prob, res.trajectory, tc,
+                                      svm.DEFAULT_INTEGRATOR.event_tol)
+        assert ref and res.storage.switch_events == ref
