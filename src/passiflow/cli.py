@@ -3,20 +3,31 @@
 One JSON config describes one experiment: a convex-problem solve, an SVM
 training run, a plant/controller closed loop, a transmission-line run, or a
 re-audit of a stored storage trace; :data:`KINDS` holds how each kind is
-validated, run and exposed as a subcommand.  Outputs are deterministic for a
-fixed config and seed: trajectory/storage CSVs with 17-significant-digit
-floats and a ``summary.json`` that echoes the fully defaulted config, so
-every run is self-describing.
+read, run and exposed as a subcommand.  Each kind has one reader, the only
+code that looks at its config.  It states each field's default and bound
+where it reads the field and returns either the run's inputs or
+diagnostics, so ``validate`` reports exactly what ``run`` refuses.  A key
+no reader knows is a diagnostic (``<path>: unknown; expected one of ...``),
+at the top level (``schema``, ``kind``, ``integrator`` and the kind's own
+blocks) as in every block; so is ``integrator.max_time`` in a plant or
+tline config, whose ``horizon`` sets the simulated time.  The svm dataset
+seed is ``svm.seed``, which ``--seed`` writes; a top-level ``seed`` is an
+unknown key.  Outputs are deterministic for a fixed config and seed:
+trajectory/storage CSVs with 17-significant-digit floats and a
+``summary.json`` that echoes the fully defaulted config, so every run is
+self-describing.
 
-Exit codes: 0 ok, 2 validation failure, 3 divergence or a plant whose input
-matrix loses rank mid-run (:class:`passiflow.plants.RankDeficientInput`, as
-when an HVAC zone under dynamic feedback reaches the supply temperature);
-both end with an ``error`` entry in ``summary.json``.  Under ``--strict``,
-4 if any ``verdict``, ``lyapunov_monotone`` or ``switch_audit.verdict`` of
-the summary is FAIL, else 3 if ``converged`` is false.  So for ``plant``
-and ``tline`` runs ``--strict`` gates only the Lyapunov audit verdict; the
-distance to the target (``target_error``, ``profile_error``) is reported in
-``summary.json`` but never sets the exit code.
+Exit codes: 0 ok, 2 validation failure, 3 divergence (a non-finite state,
+as when an HVAC zone under dynamic feedback nears the supply temperature
+and the feedback input blows up) or an input matrix that is exactly rank
+deficient (:class:`passiflow.plants.RankDeficientInput`, a zone at the
+supply temperature); both end with an ``error`` entry in ``summary.json``.
+Under ``--strict``, 4 if any ``verdict``, ``lyapunov_monotone`` or
+``switch_audit.verdict`` of the summary is FAIL, else 3 if ``converged`` is
+false.  So for ``plant`` and ``tline`` runs ``--strict`` gates only the
+Lyapunov audit verdict; the distance to the target (``target_error``,
+``profile_error``) is reported in ``summary.json`` but never sets the exit
+code.
 """
 
 from __future__ import annotations
@@ -56,29 +67,8 @@ EXIT_DIVERGENCE = 3
 EXIT_AUDIT = 4
 
 
-# -- named nonlinear inequalities registered for problem files --------------
-
-def _ball_constraint(params: dict, n: int) -> ScalarOracle:
-    center = np.asarray(params.get("center", np.zeros(n)), dtype=float)
-    radius = float(params["radius"])
-
-    return ScalarOracle(
-        value=lambda x: float((x - center) @ (x - center) - radius ** 2),
-        grad=lambda x: 2.0 * (x - center),
-        hess=lambda x: 2.0 * np.eye(n),
-    )
-
-
-NAMED_INEQUALITIES = {"ball": _ball_constraint}
-
 _DEFAULT_INTEGRATOR = asdict(IntegratorConfig())
-
-# Defaults of the kind blocks' fields, read by the checks and the runners.
-_BLOCK_DEFAULTS = {
-    "svm": {"n_per_class": 300, "seed": 0},
-    "plant": {"horizon": 10.0},
-    "tline": {"grid": 100, "horizon": 10.0},
-}
+_TOP_LEVEL = ("schema", "kind", "integrator")
 
 
 def load_config(path) -> dict:
@@ -94,15 +84,6 @@ def _integrator(cfg: dict, **override) -> dict:
     return {**_DEFAULT_INTEGRATOR, **cfg.get("integrator", {}), **override}
 
 
-def _field(cfg: dict, kind: str, key: str):
-    """``cfg[kind][key]``, else its :data:`_BLOCK_DEFAULTS` entry; a missing
-    svm seed falls back to the top-level ``seed`` first."""
-    default = _BLOCK_DEFAULTS[kind][key]
-    if key == "seed":
-        default = cfg.get("seed", default)
-    return cfg.get(kind, {}).get(key, default)
-
-
 def _echoed(cfg: dict) -> dict:
     echo = json.loads(json.dumps(cfg))
     echo["integrator"] = _integrator(echo)
@@ -111,7 +92,7 @@ def _echoed(cfg: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# reading: one reader per kind checks its config and builds the run's inputs
 # ---------------------------------------------------------------------------
 
 class _Diagnostics(list):
@@ -121,265 +102,321 @@ class _Diagnostics(list):
         if not cond:
             self.append(msg)
 
-    def need_num(self, path, value, low, strict=True, integer=False):
-        ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
-              and (value > low if strict else value >= low))
-        self.need(ok, f"{path}: must be {'an integer' if integer else 'a number'} "
-                      f"{'>' if strict else '>='} {low:g}")
+    def need_num(self, path, value, low=None, strict=True, integer=False):
+        ok = (isinstance(value, numbers.Integral) if integer
+              else isinstance(value, numbers.Real) and np.isfinite(float(value)))
+        bound = ""
+        if low is not None:
+            ok = ok and (value > low if strict else value >= low)
+            bound = f" {'>' if strict else '>='} {low:g}"
+        self.need(ok, f"{path}: must be {'an integer' if integer else 'a number'}{bound}")
+
+    def known(self, prefix, block, keys):
+        for key in block:
+            if key not in keys:
+                self.append(f"{prefix + '.' if prefix else ''}{key}: unknown; "
+                            f"expected one of {', '.join(keys)}")
+
+    def vector(self, path, value, size):
+        """``value`` as ``size`` finite floats; else a diagnostic, and zeros."""
+        try:
+            vec = np.atleast_1d(np.asarray(value, dtype=float))
+        except (TypeError, ValueError):
+            vec = None
+        if vec is None or vec.shape != (size,) or not np.isfinite(vec).all():
+            self.append(f"{path}: must have {size} finite entries")
+            return np.zeros(size)
+        return vec
 
 
 def validate(cfg: dict) -> list[str]:
     """Full precondition sweep; returns diagnostics, never runs or raises."""
+    return _read(cfg)[1]
+
+
+def _read(cfg: dict):
+    """(inputs, diagnostics) of ``cfg``: the schema, kind and integrator
+    checks, then the kind's reader.  The inputs hold only without diagnostics."""
     if not isinstance(cfg, dict):
-        return ["config: must be a JSON object"]
-    diags = _Diagnostics()
+        return None, ["config: must be a JSON object"]
+    d = _Diagnostics()
+    inputs = None
     try:
-        _validate(cfg, diags)
-    except (TypeError, ValueError, KeyError, AttributeError, IndexError) as exc:
-        diags.append(f"config: malformed field ({type(exc).__name__}: {exc})")
-    return list(diags)
+        d.need(cfg.get("schema", SCHEMA_VERSION) == SCHEMA_VERSION,
+               f"schema: expected version {SCHEMA_VERSION}")
+        kind = cfg.get("kind")
+        d.need(kind in KINDS, f"kind: must be one of {'/'.join(KINDS)}, got {kind!r}")
+        integ = cfg.get("integrator", {})
+        d.known("integrator", integ, _DEFAULT_INTEGRATOR)
+        for key in ("step", "max_time", "event_tol", "convergence_tol"):
+            if key in integ:
+                d.need_num(f"integrator.{key}", integ[key], 0)
+        for key in ("convergence_window", "record_every"):
+            if key in integ:
+                d.need_num(f"integrator.{key}", integ[key], 1, strict=False, integer=True)
+        if kind in KINDS:
+            inputs = KINDS[kind].read(cfg, d)
+    except (TypeError, ValueError, KeyError, AttributeError, IndexError, OverflowError) as exc:
+        d.append(f"config: malformed field ({type(exc).__name__}: {exc})")
+    return inputs, list(d)
 
 
-def _validate(cfg: dict, d: _Diagnostics) -> None:
-    d.need(cfg.get("schema", SCHEMA_VERSION) == SCHEMA_VERSION,
-           f"schema: expected version {SCHEMA_VERSION}")
-    kind = cfg.get("kind")
-    d.need(kind in KINDS, f"kind: must be one of {'/'.join(KINDS)}, got {kind!r}")
+# -- named nonlinear inequalities registered for problem files --------------
 
-    integ = cfg.get("integrator", {})
-    for key in integ:
-        d.need(key in _DEFAULT_INTEGRATOR, f"integrator.{key}: unknown; expected one of "
-                                           f"{', '.join(_DEFAULT_INTEGRATOR)}")
-    for key in ("step", "max_time", "event_tol", "convergence_tol"):
-        if key in integ:
-            d.need_num(f"integrator.{key}", integ[key], 0)
-    for key in ("convergence_window", "record_every"):
-        if key in integ:
-            d.need_num(f"integrator.{key}", integ[key], 1, strict=False, integer=True)
+def _ball(params: dict, n: int, path: str, d: _Diagnostics) -> ScalarOracle:
+    d.known(path, params, ("center", "radius"))
+    radius = params.get("radius")
+    d.need_num(f"{path}.radius", radius, 0)
+    center = d.vector(f"{path}.center", params.get("center", np.zeros(n)), n)
 
-    if kind in KINDS:
-        KINDS[kind].validate(cfg, d)
+    return ScalarOracle(
+        value=lambda x: float((x - center) @ (x - center) - radius ** 2),
+        grad=lambda x: 2.0 * (x - center),
+        hess=lambda x: 2.0 * np.eye(n),
+    )
 
 
-def _check_solve(cfg: dict, d: _Diagnostics) -> None:
+NAMED_INEQUALITIES = {"ball": _ball}
+
+
+def _read_solve(cfg: dict, d: _Diagnostics):
+    d.known("", cfg, (*_TOP_LEVEL, "problem", "init", "time_constants"))
     prob = cfg.get("problem")
     if not isinstance(prob, dict):
         d.append("problem: missing block")
-        return
+        return None
+    d.known("problem", prob, ("objective", "equalities", "inequalities"))
     obj = prob.get("objective", {})
+    d.known("problem.objective", obj, ("Q0", "c"))
     Q0 = np.asarray(obj.get("Q0", []), dtype=float)
     square = Q0.ndim == 2 and Q0.shape[0] == Q0.shape[1] and Q0.size > 0
     d.need(square, "problem.objective.Q0: must be a square matrix")
     if not square:
-        return
+        return None
     d.need(np.linalg.eigvalsh(0.5 * (Q0 + Q0.T))[0] > 0,
            "problem.objective.Q0: must be positive definite")
     n = Q0.shape[0]
     c = np.asarray(obj.get("c", np.zeros(n)), dtype=float)
     d.need(c.shape == (n,), "problem.objective.c: length must match Q0")
-    sizes = {"x": n, "lam": 0, "mu": 0}
+    A, b, G, h, named = np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0), []
     eq = prob.get("equalities")
     if eq is not None:
+        d.known("problem.equalities", eq, ("A", "b"))
         A = np.asarray(eq.get("A", []), dtype=float)
         b = np.asarray(eq.get("b", []), dtype=float)
         d.need(A.ndim == 2 and A.shape[1] == n, "problem.equalities.A: must be m x n")
-        d.need(A.shape[0] == b.shape[0], "problem.equalities.b: rows must match A")
-        sizes["lam"] = b.shape[0]
+        d.need(b.shape == A.shape[:1], "problem.equalities.b: rows must match A")
     ineq = prob.get("inequalities")
     if ineq is not None:
+        d.known("problem.inequalities", ineq, ("affine", "named"))
         if "affine" in ineq:
+            d.known("problem.inequalities.affine", ineq["affine"], ("G", "h"))
             G = np.asarray(ineq["affine"].get("G", []), dtype=float)
             h = np.asarray(ineq["affine"].get("h", []), dtype=float)
             d.need(G.ndim == 2 and G.shape[1] == n, "problem.inequalities.affine.G: must be p x n")
-            d.need(G.shape[0] == h.shape[0], "problem.inequalities.affine.h: rows must match G")
-            sizes["mu"] = h.shape[0]
+            d.need(h.shape == G.shape[:1], "problem.inequalities.affine.h: rows must match G")
         for k, entry in enumerate(ineq.get("named", [])):
-            d.need(entry.get("name") in NAMED_INEQUALITIES,
-                   f"problem.inequalities.named: unknown name {entry.get('name')!r}")
-            if entry.get("name") == "ball":
-                _check_ball(entry.get("params", {}), n,
-                            f"problem.inequalities.named[{k}].params", d)
-        sizes["mu"] += len(ineq.get("named", []))
+            path = f"problem.inequalities.named[{k}]"
+            d.known(path, entry, ("name", "params"))
+            reader = NAMED_INEQUALITIES.get(entry.get("name"))
+            d.need(reader, f"problem.inequalities.named: unknown name {entry.get('name')!r}")
+            if reader:
+                named.append(reader(entry.get("params", {}), n, f"{path}.params", d))
+    sizes = {"x": n, "lam": b.shape[0], "mu": h.shape[0] + len(named)}
     init, taus = cfg.get("init", {}), cfg.get("time_constants", {})
+    d.known("init", init, sizes)
+    d.known("time_constants", taus, [f"tau_{key}" for key in sizes])
+    start, tc = {}, {}
     for key, size in sizes.items():
-        x0 = np.atleast_1d(np.asarray(init.get(key, np.zeros(size)), dtype=float))
-        d.need(x0.shape == (size,) and np.isfinite(x0).all(),
-               f"init.{key}: must have {size} finite entries")
+        start[key] = d.vector(f"init.{key}", init.get(key, np.zeros(size)), size)
         tau = np.atleast_1d(np.asarray(taus.get(f"tau_{key}", np.ones(size)), dtype=float))
         d.need(tau.shape == (size,) and (tau > 0).all(),
                f"time_constants.tau_{key}: must have {size} entries, all > 0")
-    d.need((np.asarray(init.get("mu", []), dtype=float) >= 0).all(), "init.mu: must be >= 0")
+        tc[f"tau_{key}"] = tau
+    d.need((start["mu"] >= 0).all(), "init.mu: must be >= 0")
+    if d:
+        return None
+    problem = ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b,
+                            ineq=AffineInequalities(G, h, named))
+    return problem, FlowState(**start), TimeConstants(**tc), IntegratorConfig(**_integrator(cfg))
 
 
-def _check_ball(params: dict, n: int, path: str, d: _Diagnostics) -> None:
-    d.need_num(f"{path}.radius", params.get("radius"), 0)
-    center = np.asarray(params.get("center", np.zeros(n)), dtype=float)
-    d.need(center.shape == (n,) and np.isfinite(center).all(),
-           f"{path}.center: must have {n} finite entries")
-
-
-def _check_svm(cfg: dict, d: _Diagnostics) -> None:
+def _read_svm(cfg: dict, d: _Diagnostics):
+    d.known("", cfg, (*_TOP_LEVEL, "svm"))
     blk = cfg.get("svm", {})
-    d.need_num("svm.n_per_class", _field(cfg, "svm", "n_per_class"), 1, strict=False,
-               integer=True)
-    seed = _field(cfg, "svm", "seed")
-    d.need(isinstance(seed, numbers.Integral) and seed >= 0, "svm.seed: must be an integer >= 0")
+    d.known("svm", blk, ("n_per_class", "seed", "mean_a", "mean_b", "cov", "sv_tol"))
+    n_per_class, seed = blk.get("n_per_class", 300), blk.get("seed", 0)
+    d.need_num("svm.n_per_class", n_per_class, 1, strict=False, integer=True)
+    # the Philox key of svm.generate_gaussian_classes
+    d.need(isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 128,
+           "svm.seed: must be an integer in [0, 2**128)")
+    mean_a = d.vector("svm.mean_a", blk.get("mean_a", svm_mod.DEFAULT_MEAN_A), 2)
+    mean_b = d.vector("svm.mean_b", blk.get("mean_b", svm_mod.DEFAULT_MEAN_B), 2)
     cov = np.asarray(blk.get("cov", svm_mod.DEFAULT_COV), dtype=float)
-    symmetric = cov.shape == (2, 2) and np.allclose(cov, cov.T)
+    # the symmetry bound of svm.generate_gaussian_classes
+    symmetric = cov.shape == (2, 2) and np.max(np.abs(cov - cov.T)) <= 1e-12
     d.need(symmetric, "svm.cov: must be symmetric 2x2")
     if symmetric:
         d.need(np.linalg.eigvalsh(cov)[0] > 0, "svm.cov: must be positive definite")
+    sv_tol = blk.get("sv_tol", 1e-6)
+    d.need_num("svm.sv_tol", sv_tol, 0, strict=False)
+    if d:
+        return None
+    data = {"seed": int(seed), "n_per_class": int(n_per_class), "mean_a": mean_a,
+            "mean_b": mean_b, "cov": cov}
+    return data, sv_tol, IntegratorConfig(**_integrator(cfg))
 
 
-# plant: (parameter names, default targets, default initial state,
+def _horizon(cfg: dict, kind: str, d: _Diagnostics):
+    """``<kind>.horizon``, which sets the integrator's ``max_time``."""
+    horizon = cfg.get(kind, {}).get("horizon", 10.0)
+    d.need_num(f"{kind}.horizon", horizon, 0)
+    d.need("max_time" not in cfg.get("integrator", {}),
+           f"integrator.max_time: unused; {kind}.horizon sets the simulated time")
+    return horizon
+
+
+# plant: (parameter class, default targets, default initial state,
 #         {controller: {gain: whether it must be > 0 rather than >= 0}})
 _PLANTS = {
-    "parallel_rlc": (("R", "G", "L", "C"), {"v_star": 1.0}, [0.0, 0.0],
+    "parallel_rlc": (plants.ParallelRLC, {"v_star": 1.0}, [0.0, 0.0],
                      {"power_shaping": {"K": False},
                       "krasovskii_pi": {"K_P": False, "K_I": False}}),
-    "hvac": (tuple(f.name for f in fields(plants.HvacParams)), {"T1": 2.5, "T2": 6.0},
-             [4.0, 5.0, 16.0, 16.0],
+    "hvac": (plants.HvacParams, {"T1": 2.5, "T2": 6.0}, [4.0, 5.0, 16.0, 16.0],
              {"power_shaping": {"k": True, "k1": True, "k2": True, "alpha": False},
               "dyn_feedback": {"k1": True, "kd": False, "ki": False}}),
 }
 
 
-def _check_plant(cfg: dict, d: _Diagnostics) -> None:
+def _read_plant(cfg: dict, d: _Diagnostics):
+    d.known("", cfg, (*_TOP_LEVEL, "plant"))
     blk = cfg.get("plant", {})
-    name = blk.get("name")
-    controller = blk.get("controller")
+    d.known("plant", blk, ("name", "controller", "params", "gains", "targets",
+                           "initial_state", "initial_input", "horizon"))
+    name, controller = blk.get("name"), blk.get("controller")
     d.need(name in _PLANTS, f"plant.name: unknown plant {name!r}")
-    d.need_num("plant.horizon", _field(cfg, "plant", "horizon"), 0)
+    horizon = _horizon(cfg, "plant", d)
     if name not in _PLANTS:
-        return
-    param_names, target_defaults, initial_state, controllers = _PLANTS[name]
+        return None
+    param_cls, target_defaults, initial_state, controllers = _PLANTS[name]
     d.need(controller in controllers, f"plant.controller: {controller!r} not available for {name}")
     params, gains = blk.get("params", {}), blk.get("gains", {})
-    allowed_gains = controllers.get(controller)
-    if allowed_gains is None:           # unknown controller, reported above
-        allowed_gains = dict.fromkeys(gains, False)
-    for section, values, allowed in (("params", params, param_names),
-                                     ("gains", gains, allowed_gains),
-                                     ("targets", blk.get("targets", {}), target_defaults)):
-        for key in values:
-            d.need(key in allowed, f"plant.{section}.{key}: unknown; expected one of "
-                                   f"{', '.join(allowed)}")
-    for gname, gval in gains.items():
-        d.need_num(f"plant.gains.{gname}", gval, 0, strict=allowed_gains.get(gname, False))
+    # an unknown controller is reported above; its gains need only be >= 0
+    strict = controllers.get(controller, dict.fromkeys(gains, False))
+    d.known("plant.params", params, [f.name for f in fields(param_cls)])
+    d.known("plant.gains", gains, strict)
+    d.known("plant.targets", blk.get("targets", {}), target_defaults)
     for key, val in params.items():
-        if key not in ("T_s", "T_inf"):
-            d.need_num(f"plant.params.{key}", val, 0)
-    x0 = np.asarray(blk.get("initial_state", initial_state), dtype=float)
-    d.need(x0.shape == (len(initial_state),) and np.isfinite(x0).all(),
-           f"plant.initial_state: must have {len(initial_state)} finite entries")
+        d.need_num(f"plant.params.{key}", val, None if key in ("T_s", "T_inf") else 0)
+    for key, val in gains.items():
+        d.need_num(f"plant.gains.{key}", val, 0, strict=strict.get(key, False))
     targets = {**target_defaults, **blk.get("targets", {})}
     for key, val in targets.items():
-        d.need(isinstance(val, numbers.Real), f"plant.targets.{key}: must be a number")
+        d.need_num(f"plant.targets.{key}", val)
+    x0 = d.vector("plant.initial_state", blk.get("initial_state", initial_state),
+                  len(initial_state))
+    if controller == "dyn_feedback":
+        x0 = np.concatenate([x0, d.vector("plant.initial_input",
+                                          blk.get("initial_input", [0.0, 0.0]), 2)])
+    if d:
+        return None
+    p = param_cls(**params)
     if name == "hvac":
         # hvac_equilibrium and the dynamic feedback divide by T_s - T_i
-        T_s = params.get("T_s", plants.HvacParams.T_s)
         for key, val in targets.items():
-            d.need(abs(val - T_s) >= 1e-12, f"plant.targets.{key}: must differ from T_s {T_s:g}")
-        if controller == "dyn_feedback":
-            d.need(np.all(np.abs(x0[:2] - T_s) >= 1e-12),
-                   f"plant.initial_state: zone temperatures must differ from T_s {T_s:g}")
-            d.need(np.shape(blk.get("initial_input", [0.0, 0.0])) == (2,),
-                   "plant.initial_input: must have 2 entries")
+            d.need(abs(val - p.T_s) >= 1e-12,
+                   f"plant.targets.{key}: must differ from T_s {p.T_s:g}")
+        d.need(controller != "dyn_feedback" or np.all(np.abs(x0[:2] - p.T_s) >= 1e-12),
+               f"plant.initial_state: zone temperatures must differ from T_s {p.T_s:g}")
+    gains = {key: float(gains.get(key, 1.0)) for key in strict}
+    targets = {key: float(val) for key, val in targets.items()}
+    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(horizon)))
+    return name, controller, p, targets, gains, x0, icfg
 
 
-def _check_tline(cfg: dict, d: _Diagnostics) -> None:
+def _read_tline(cfg: dict, d: _Diagnostics):
+    d.known("", cfg, (*_TOP_LEVEL, "tline"))
     blk = cfg.get("tline", {})
-    params = blk.get("params", {})
-    for key, val in params.items():     # LineParams rejects unknown keys below
-        d.need_num(f"tline.params.{key}", val, 0, strict=key in ("L", "C", "C0", "C1"))
-    for gname, gval in blk.get("gains", {}).items():
-        d.need(gname in ("K_P", "K_I"), f"tline.gains.{gname}: unknown; expected K_P or K_I")
-        d.need_num(f"tline.gains.{gname}", gval, 0, strict=False)
-    grid = _field(cfg, "tline", "grid")
+    d.known("tline", blk, ("params", "gains", "grid", "horizon", "target_vc1"))
+    params, gains = blk.get("params", {}), blk.get("gains", {})
+    vC1_star = blk.get("target_vc1", 0.0)
+    d.need_num("tline.target_vc1", vC1_star)
+    closed = vC1_star != 0.0 or bool(gains)
+    d.known("tline.params", params, [f.name for f in fields(tline_mod.LineParams)])
+    for key, val in params.items():
+        # the closed loop's equilibrium profile needs R > 0 and G > 0
+        d.need_num(f"tline.params.{key}", val, 0,
+                   strict=key in ("L", "C", "C0", "C1") or closed and key in ("R", "G"))
+    d.known("tline.gains", gains, ("K_P", "K_I"))
+    for key, val in gains.items():
+        d.need_num(f"tline.gains.{key}", val, 0, strict=False)
+    grid = blk.get("grid", 100)
     d.need_num("tline.grid", grid, 8, strict=False, integer=True)
-    d.need_num("tline.horizon", _field(cfg, "tline", "horizon"), 0)
-    try:
-        limit = tline_mod.cfl_limit(tline_mod.LineParams(**params), int(grid))
-        d.need(_integrator(cfg)["step"] <= limit,
-               f"integrator.step: violates stability guard {limit:.3g} at this grid")
-    except (TypeError, ValueError) as exc:
-        d.append(f"tline.params: {exc}")
+    horizon = _horizon(cfg, "tline", d)
+    if d:
+        return None
+    p = tline_mod.LineParams(**params)
+    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(horizon)))
+    limit = tline_mod.cfl_limit(p, grid)
+    d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at this grid")
+    pi_gains = (float(gains.get("K_P", 1.0)), float(gains.get("K_I", 1.0))) if closed else None
+    return p, grid, float(vC1_star), pi_gains, icfg
 
 
-def _check_audit(cfg: dict, d: _Diagnostics) -> None:
+def _read_audit(cfg: dict, d: _Diagnostics):
+    d.known("", cfg, (*_TOP_LEVEL, "audit"))
     blk = cfg.get("audit", {})
-    d.need("trace_csv" in blk, "audit.trace_csv: missing path")
-    if "trace_csv" in blk:
-        path = Path(blk["trace_csv"])
-        d.need(path.is_file(), f"audit.trace_csv: no file {blk['trace_csv']}")
-        if path.is_file():   # the column names as _run_audit reads them
-            rows = np.genfromtxt(path, delimiter=",", names=True, max_rows=1)
-            names = rows.dtype.names or ()
-            d.need("t" in names, f"audit.trace_csv: no column t in {', '.join(names)}")
-            d.need("storage" in names or "V" in names,
-                   f"audit.trace_csv: no column storage or V in {', '.join(names)}")
+    d.known("audit", blk, ("trace_csv", "audit_tol"))
+    path = blk.get("trace_csv")
+    d.need(path is not None, "audit.trace_csv: missing path")
+    d.need(path is None or Path(path).is_file(), f"audit.trace_csv: no file {path}")
     if "audit_tol" in blk:
         d.need_num("audit.audit_tol", blk["audit_tol"], 0)
+    if d:
+        return None
+    with open(path) as fh:      # loadtxt parses in far less memory than genfromtxt
+        names = [name.strip() for name in fh.readline().split(",")]
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    d.need(data.size > 0 and data.shape[1] == len(names),
+           f"audit.trace_csv: needs rows of {len(names)} numbers under its header")
+    d.need("t" in names, f"audit.trace_csv: no column t in {', '.join(names)}")
+    d.need("storage" in names or "V" in names,
+           f"audit.trace_csv: no column storage or V in {', '.join(names)}")
+    if d:
+        return None
+    cols = dict(zip(names, data.T))
+    trace = StorageTrace(cols["t"], cols["storage"] if "storage" in cols else cols["V"],
+                         cols.get("supply", np.zeros(len(data))))
+    return trace, blk.get("audit_tol")
 
 
 # ---------------------------------------------------------------------------
 # experiment bodies: each writes its artifacts and returns its summary
 # ---------------------------------------------------------------------------
 
-def _build_problem(prob_cfg: dict) -> ConvexProblem:
-    obj = prob_cfg["objective"]
-    Q0 = np.asarray(obj["Q0"], dtype=float)
-    n = Q0.shape[0]
-    c = np.asarray(obj.get("c", np.zeros(n)), dtype=float)
-    eq = prob_cfg.get("equalities")
-    A = np.asarray(eq["A"], dtype=float) if eq else None
-    b = np.asarray(eq["b"], dtype=float) if eq else None
-    ineq_cfg = prob_cfg.get("inequalities") or {}
-    affine = ineq_cfg.get("affine", {"G": np.zeros((0, n)), "h": np.zeros(0)})
-    named = [NAMED_INEQUALITIES[entry["name"]](entry.get("params", {}), n)
-             for entry in ineq_cfg.get("named", [])]
-    ineq = AffineInequalities(affine["G"], affine["h"], named)
-    return ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b, ineq=ineq)
-
-
-def _run_solve(cfg: dict, out: Path) -> dict:
-    prob = _build_problem(cfg["problem"])
-    sizes = {"x": prob.n, "lam": prob.m, "mu": prob.p}
-    init_cfg = cfg.get("init", {})
-    tc_cfg = cfg.get("time_constants", {})
-    init = FlowState(*(np.asarray(init_cfg.get(k, np.zeros(size)), dtype=float)
-                       for k, size in sizes.items()))
-    tc = TimeConstants(*(np.asarray(tc_cfg.get(f"tau_{k}", np.ones(size)), dtype=float)
-                         for k, size in sizes.items()))
-    result = solve(prob, init, tc=tc, cfg=IntegratorConfig(**_integrator(cfg)))
+def _run_solve(inputs, out: Path) -> dict:
+    problem, init, tc, icfg = inputs
+    result = solve(problem, init, tc=tc, cfg=icfg)
     result.trajectory.to_csv(out / "trajectory.csv", out / "events.csv")
     result.storage.to_csv(out / "storage.csv")
     return {**result.summary(), "switch_audit": storage_switch_audit(result.storage)}
 
 
-def _run_svm(cfg: dict, out: Path) -> dict:
-    blk = cfg.get("svm", {})
-    seed = int(_field(cfg, "svm", "seed"))
-    data = svm_mod.generate_gaussian_classes(
-        seed=seed,
-        n_per_class=int(_field(cfg, "svm", "n_per_class")),
-        mean_a=blk.get("mean_a", svm_mod.DEFAULT_MEAN_A),
-        mean_b=blk.get("mean_b", svm_mod.DEFAULT_MEAN_B),
-        cov=blk.get("cov", svm_mod.DEFAULT_COV),
-    )
+def _run_svm(inputs, out: Path) -> dict:
+    data_args, sv_tol, icfg = inputs
+    data = svm_mod.generate_gaussian_classes(**data_args)
     write_csv(out / "dataset.csv", ["x1", "x2", "label"],
               np.column_stack([data.points, data.labels]))
-    result = svm_mod.train_svm(data, cfg=IntegratorConfig(**_integrator(cfg)))
+    result = svm_mod.train_svm(data, cfg=icfg)
     traj = result.trajectory
     times = traj.times.tolist()
     write_csv(out / "beta_trajectory.csv", ["t", "beta1", "beta2", "beta0"],
               ([t] + z[:3].tolist() for t, z in zip(times, traj.states)))
     write_csv(out / "mu_trajectory.csv", ["t"] + [f"mu{i}" for i in range(data.size)],
               ([t] + z[3:].tolist() for t, z in zip(times, traj.states)))
-    idx, plane, report = svm_mod.support_vectors(data, result.final,
-                                                 tol=blk.get("sv_tol", 1e-6))
+    idx, plane, report = svm_mod.support_vectors(data, result.final, tol=sv_tol)
     return {
-        "seed": seed,
+        "seed": data_args["seed"],
         "support_vector_indices": [int(k) for k in idx],
         "beta": [float(b) for b in plane.beta],
         "beta0": float(plane.beta0),
@@ -392,45 +429,26 @@ def _run_svm(cfg: dict, out: Path) -> dict:
     }
 
 
-def _run_plant(cfg: dict, out: Path) -> dict:
-    blk = cfg["plant"]
-    name = blk["name"]
-    controller = blk["controller"]
-    gains = blk.get("gains", {})
-    params = blk.get("params", {})
-    _, target_defaults, initial_state, _ = _PLANTS[name]
-    targets = {**target_defaults, **blk.get("targets", {})}
-    x0 = np.asarray(blk.get("initial_state", initial_state), dtype=float)
-    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(_field(cfg, "plant", "horizon"))))
-
+def _run_plant(inputs, out: Path) -> dict:
+    name, controller, p, targets, gains, x0, icfg = inputs
     if name == "parallel_rlc":
-        p = plants.ParallelRLC(**{"R": 1.0, "G": 1.0, "L": 1.0, "C": 1.0, **params})
-        v_star = float(targets["v_star"])
+        v_star = targets["v_star"]
         i_star, Vs_star = plants.prlc_equilibrium(p, v_star)
         if controller == "power_shaping":
-            rhs, lyap = plants.prlc_power_shaping_loop(p, i_star, float(gains.get("K", 1.0)))
+            rhs, lyap = plants.prlc_power_shaping_loop(p, i_star, **gains)
         else:
-            rhs, lyap = plants.prlc_krasovskii_pi_loop(
-                p, i_star, v_star, float(gains.get("K_P", 1.0)), float(gains.get("K_I", 1.0)))
+            rhs, lyap = plants.prlc_krasovskii_pi_loop(p, i_star, v_star, **gains)
             x0 = np.concatenate([x0, [0.0]])
         target_state = np.array([i_star, v_star])
         extra = {"i_star": i_star, "v_star": v_star, "Vs_star": Vs_star}
     else:
-        h = plants.HvacParams(**params)
-        T1s = float(targets["T1"])
-        T2s = float(targets["T2"])
-        T_star, u_star = plants.hvac_equilibrium(h, T1s, T2s)
+        T_zones = (targets["T1"], targets["T2"])
+        T_star, u_star = plants.hvac_equilibrium(p, *T_zones)
         if controller == "power_shaping":
-            rhs, lyap = plants.hvac_power_shaping_loop(
-                h, (T1s, T2s), float(gains.get("k", 1.0)), float(gains.get("k1", 1.0)),
-                float(gains.get("k2", 1.0)), float(gains.get("alpha", 1.0)))
+            rhs, lyap = plants.hvac_power_shaping_loop(p, T_zones, **gains)
             target_state = T_star
         else:
-            sysd = plants.hvac_dyn_feedback(h)
-            rhs, lyap = plants.dyn_feedback_loop(
-                sysd, T_star, float(gains.get("k1", 1.0)),
-                float(gains.get("kd", 1.0)), float(gains.get("ki", 1.0)))
-            x0 = np.concatenate([x0, blk.get("initial_input", [0.0, 0.0])])
+            rhs, lyap = plants.dyn_feedback_loop(plants.hvac_dyn_feedback(p), T_star, **gains)
             target_state = np.concatenate([T_star, u_star])
         extra = {"T_star": [float(x) for x in T_star], "u_star": [float(x) for x in u_star]}
 
@@ -452,22 +470,16 @@ def _run_plant(cfg: dict, out: Path) -> dict:
     }
 
 
-def _run_tline(cfg: dict, out: Path) -> dict:
-    blk = cfg.get("tline", {})
-    p = tline_mod.LineParams(**blk.get("params", {}))
-    M = int(_field(cfg, "tline", "grid"))
-    vC1_star = float(blk.get("target_vc1", 0.0))
-    gains = blk.get("gains", {})
-    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(_field(cfg, "tline", "horizon"))))
+def _run_tline(inputs, out: Path) -> dict:
+    p, M, vC1_star, pi_gains, icfg = inputs
     zero = tline_mod.LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
-    if vC1_star == 0.0 and not gains:
-        traj = integrate(lambda t, y: tline_mod.tline_rhs(p, y, 0.0, M), zero.pack(), icfg)
+    if pi_gains is None:
+        traj = tline_mod.simulate_open_loop(p, zero, 0.0, icfg)
         lyap_vals = np.array([tline_mod.line_energy(p, tline_mod.unpack_state(p, y, M))
                               for y in traj.states])
         summary = {"mode": "open_loop_zero", "final_energy": float(lyap_vals[-1])}
     else:
-        rhs, lyap, eq, I0_star = tline_mod.tline_pi_loop(
-            p, M, vC1_star, float(gains.get("K_P", 1.0)), float(gains.get("K_I", 1.0)))
+        rhs, lyap, eq, I0_star = tline_mod.tline_pi_loop(p, M, vC1_star, *pi_gains)
         traj = integrate(rhs, zero.pack(), icfg)
         lyap_vals = np.array([lyap(t, y) for t, y in zip(traj.times, traj.states)])
         final = tline_mod.unpack_state(p, traj.final_state, M)
@@ -491,33 +503,28 @@ def _run_tline(cfg: dict, out: Path) -> dict:
     return summary
 
 
-def _run_audit(cfg: dict, out: Path) -> dict:
-    blk = cfg["audit"]
-    rows = np.genfromtxt(blk["trace_csv"], delimiter=",", names=True)
-    trace = StorageTrace(rows["t"],
-                         rows["storage"] if "storage" in rows.dtype.names else rows["V"],
-                         rows["supply"] if "supply" in rows.dtype.names
-                         else np.zeros(rows["t"].size))
-    return trace.report(blk.get("audit_tol"))
+def _run_audit(inputs, out: Path) -> dict:
+    trace, audit_tol = inputs
+    return trace.report(audit_tol)
 
 
-# validate(cfg, diagnostics), run(cfg, out) -> summary, subcommand flags as
-# (flag, type, key in the kind's config block, help), runs without a config
-Kind = namedtuple("Kind", "validate run flags runs_without_config", defaults=((), False))
+# read(cfg, diagnostics) -> inputs, run(inputs, out) -> summary, subcommand
+# flags as (flag, type, key in the kind's config block, help), runs without a config
+Kind = namedtuple("Kind", "read run flags runs_without_config", defaults=((), False))
 
 KINDS = {
-    "solve": Kind(_check_solve, _run_solve),
-    "svm": Kind(_check_svm, _run_svm,
+    "solve": Kind(_read_solve, _run_solve),
+    "svm": Kind(_read_svm, _run_svm,
                 (("--n", int, "n_per_class", "points per class"),), True),
-    "plant": Kind(_check_plant, _run_plant,
+    "plant": Kind(_read_plant, _run_plant,
                   (("--plant", str, "name", "plant name"),
                    ("--controller", str, "controller", "controller name"),
                    ("--horizon", float, "horizon", "simulated time"))),
-    "tline": Kind(_check_tline, _run_tline,
+    "tline": Kind(_read_tline, _run_tline,
                   (("--target", float, "target_vc1", "target vC1"),
                    ("--grid", int, "grid", "grid intervals M"),
                    ("--horizon", float, "horizon", "simulated time")), True),
-    "audit": Kind(_check_audit, _run_audit),
+    "audit": Kind(_read_audit, _run_audit),
 }
 
 
@@ -538,14 +545,14 @@ def _exit_code(summary: dict, strict: bool) -> int:
 
 def run(cfg: dict, out_dir, strict: bool = False) -> tuple[int, dict]:
     """Validate, run, and write artifacts; returns (exit_code, summary)."""
-    diags = validate(cfg)
+    inputs, diags = _read(cfg)
     if diags:
         return EXIT_VALIDATION, {"validation_errors": diags}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kind = cfg["kind"]
     try:
-        summary = KINDS[kind].run(cfg, out)
+        summary = KINDS[kind].run(inputs, out)
     except (DivergenceError, plants.RankDeficientInput) as exc:
         summary = {"error": str(exc)}
     code = _exit_code(summary, strict)

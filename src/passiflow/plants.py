@@ -75,10 +75,10 @@ class RankDeficientInput(ValueError):
 class ParallelRLC:
     """Series R-L branch driven by a source, parallel G-C load."""
 
-    R: float
-    G: float
-    L: float
-    C: float
+    R: float = 1.0
+    G: float = 1.0
+    L: float = 1.0
+    C: float = 1.0
 
     def __post_init__(self):
         if min(self.R, self.G, self.L, self.C) <= 0:
@@ -676,11 +676,12 @@ def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
     def alpha(T, Tdot, g):
         # g is zero off its zone entries d_k, so alpha = diag(-d_k ddot_k / d_k^2).
         # Scaling by 1 / d_k^2 is the Gram solve's own arithmetic, so the two
-        # paths agree to the last bit.
+        # paths agree to the last bit: both raise where d_k^2 is 0, and both
+        # pass a NaN d_k on, so that a diverging run reports its divergence.
         a = []
         for k in range(2):
             d = g.item(k, k)
-            if not d * d > 0:
+            if d * d == 0.0:
                 raise RankDeficientInput("input matrix is rank deficient")
             a.append(-(d * (dg[k] * float(Tdot[k]))) * (1.0 / (d * d)))
         return np.array([[a[0], 0.0], [0.0, a[1]]])

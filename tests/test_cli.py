@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from passiflow import cli, svm
+from passiflow import cli, plants, svm, tline
 from test_artifacts_golden import CONFIGS
 
 
@@ -189,7 +189,7 @@ def test_hvac_zone_reaching_the_supply_temperature_exits_3(tmp_path):
            "integrator": {"step": 0.01}}
     code, payload = cli.run(cfg, tmp_path)
     assert code == payload["exit_code"] == cli.EXIT_DIVERGENCE == 3
-    assert payload["error"] == "input matrix is rank deficient"
+    assert payload["error"].startswith("non-finite state")
     assert json.loads((tmp_path / "summary.json").read_text())["exit_code"] == 3
 
 
@@ -283,11 +283,134 @@ def _ball_cfg(**entry):
     (_ball_cfg(), "problem.inequalities.named[0].params.radius"),
     (_ball_cfg(params={"radius": 1.0, "center": [0.0, 0.0]}),
      "problem.inequalities.named[0].params.center"),
+    ({"schema": 1, "kind": "svm", "svm": {"mean_a": "abc"}}, "svm.mean_a"),
+    ({"schema": 1, "kind": "svm", "svm": {"mean_b": [0, 0, 0]}}, "svm.mean_b"),
+    ({"schema": 1, "kind": "svm", "svm": {"sv_tol": "abc"}}, "svm.sv_tol"),
+    ({"schema": 1, "kind": "svm", "svm": {"cov": [[1.0, 1.5], [1.5 + 1e-10, 3.0]]}},
+     "svm.cov"),
+    ({"schema": 1, "kind": "tline", "tline": {"target_vc1": "x"}}, "tline.target_vc1"),
+    ({"schema": 1, "kind": "tline", "tline": {"target_vc1": 1.0, "params": {"R": 0}}},
+     "tline.params.R"),
+    ({"schema": 1, "kind": "tline", "tline": {"gains": {"K_P": 1.0}, "params": {"G": 0}}},
+     "tline.params.G"),
+    (_hvac_cfg(controller="dyn_feedback", initial_input=["a", "b"]), "plant.initial_input"),
+    (_hvac_cfg(controller="dyn_feedback", initial_input=[float("nan"), 0.0]),
+     "plant.initial_input"),
+    (_hvac_cfg(params={"T_inf": "x"}), "plant.params.T_inf"),
+    (_hvac_cfg(params={"T_s": "x"}), "plant.params.T_s"),
+    (_prlc_blk_cfg(horizn=1.0), "plant.horizn"),
+    ({"schema": 1, "kind": "svm", "svm": {"n_per_clas": 5}}, "svm.n_per_clas"),
+    ({"schema": 1, "kind": "tline", "tline": {"target_vc": 1.0}}, "tline.target_vc"),
+    ({"schema": 1, "kind": "solve", "problem": {**_tiny_solve_cfg(-1.0)["problem"],
+                                                "inequalites": {}}},
+     "problem.inequalites"),
+    ({**_tiny_solve_cfg(-1.0), "integrater": {"step": 0.01}}, "integrater"),
+    ({"schema": 1, "kind": "svm", "seed": 3}, "seed"),
+    ({"schema": 1, "kind": "solve", "problem": {"objective": {"Q0": [[1.0]]},
+                                                "equalities": {"A": [[1.0]], "b": [[1.0]]}}},
+     "problem.equalities.b"),
+    (_with(_tiny_solve_cfg(-1.0), problem={"inequalities": {"affine": {"G": [[1.0]],
+                                                                       "h": [[0.5]]}}}),
+     "problem.inequalities.affine.h"),
+    ({**_prlc_blk_cfg(), "integrator": {"max_time": 0.5}}, "integrator.max_time"),
+    ({"schema": 1, "kind": "tline", "integrator": {"max_time": 0.5}}, "integrator.max_time"),    ({"schema": 1, "kind": "svm", "svm": {"seed": 2 ** 128}}, "svm.seed"),
+    (_prlc_blk_cfg(horizon=float("inf")), "plant.horizon"),
+    (_hvac_cfg(params={"T_inf": float("nan")}), "plant.params.T_inf"),
+    ({"schema": 1, "kind": "tline", "tline": {"params": {"L": float("inf")}}}, "tline.params.L"),
 ])
 def test_malformed_config_is_a_diagnostic_not_a_traceback(tmp_path, cfg, field):
     code, payload = cli.run(cfg, tmp_path)
     assert code == cli.EXIT_VALIDATION
     assert [d for d in payload["validation_errors"] if d.startswith(field + ":")], payload
+
+
+def _full_configs(trace_csv):
+    """One config per kind (two plants) with every optional field set."""
+    integrator = {"step": 0.01, "event_tol": 1e-10, "convergence_tol": 1e-6,
+                  "convergence_window": 5, "record_every": 2}
+    return {
+        "solve": {
+            "schema": 1, "kind": "solve",
+            "problem": {
+                "objective": {"Q0": [[2.0, 0.5], [0.5, 1.0]], "c": [-2.0, -1.0]},
+                "equalities": {"A": [[1.0, -1.0]], "b": [0.0]},
+                "inequalities": {
+                    "affine": {"G": [[1.0, 1.0]], "h": [0.5]},
+                    "named": [{"name": "ball", "params": {"center": [0.0, 0.0], "radius": 0.6}}],
+                },
+            },
+            "init": {"x": [0.1, 0.2], "lam": [0.0], "mu": [0.0, 0.5]},
+            "time_constants": {"tau_x": [1.0, 2.0], "tau_lam": [1.0], "tau_mu": [1.0, 0.5]},
+            "integrator": {**integrator, "max_time": 1.0},
+        },
+        "svm": {
+            "schema": 1, "kind": "svm",
+            "svm": {"n_per_class": 5, "seed": 1, "mean_a": [0.0, 0.0], "mean_b": [0.0, 6.0],
+                    "cov": [[1.0, 1.5], [1.5, 3.0]], "sv_tol": 1e-6},
+            "integrator": {**integrator, "max_time": 1.0},
+        },
+        "parallel_rlc": {
+            "schema": 1, "kind": "plant",
+            "plant": {"name": "parallel_rlc", "controller": "krasovskii_pi",
+                      "params": {"R": 1.0, "G": 0.5, "L": 1.0, "C": 1.0},
+                      "gains": {"K_P": 1.0, "K_I": 1.0}, "targets": {"v_star": 1.0},
+                      "initial_state": [0.5, -0.5], "horizon": 0.1},
+            "integrator": integrator,
+        },
+        "hvac": {
+            "schema": 1, "kind": "plant",
+            "plant": {"name": "hvac", "controller": "dyn_feedback",
+                      "params": dataclasses.asdict(plants.HvacParams()),
+                      "gains": {"k1": 1.0, "kd": 2.0, "ki": 5.0},
+                      "targets": {"T1": 2.5, "T2": 6.0},
+                      "initial_state": [4.0, 5.0, 16.0, 16.0], "initial_input": [0.1, 0.2],
+                      "horizon": 0.1},
+            "integrator": integrator,
+        },
+        "tline": {
+            "schema": 1, "kind": "tline",
+            "tline": {"params": dataclasses.asdict(tline.LineParams()), "grid": 16,
+                      "horizon": 0.1, "target_vc1": 1.0, "gains": {"K_P": 1.0, "K_I": 1.0}},
+            "integrator": integrator,
+        },
+        "audit": {"schema": 1, "kind": "audit", "integrator": integrator,
+                  "audit": {"trace_csv": trace_csv, "audit_tol": 1e-9}},
+    }
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from _leaf_paths(child, path + (k,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name", ["solve", "svm", "parallel_rlc", "hvac", "tline", "audit"])
+def test_every_leaf_replaced_by_a_string_is_a_diagnostic(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)                 # so that the trace path "x" names no file
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,storage\n0,2\n1,1\n")
+    cfg = _full_configs(str(trace))[name]
+    assert cli.validate(cfg) == []
+    escaped = []
+    for path in _leaf_paths(cfg):
+        mutant = json.loads(json.dumps(cfg))
+        node = mutant
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "x"
+        try:
+            code, _ = cli.run(mutant, tmp_path / "out")
+        except Exception as exc:                # noqa: BLE001 -- what escapes is the finding
+            code = f"{type(exc).__name__}: {exc}"
+        if code != cli.EXIT_VALIDATION:
+            escaped.append((path, code))
+    assert escaped == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("header, missing", [
@@ -303,6 +426,21 @@ def test_audit_trace_without_its_columns_is_a_diagnostic(tmp_path, header, missi
     for column in missing:
         assert [d for d in payload["validation_errors"]
                 if d.startswith(f"audit.trace_csv: no column {column} in ")], payload
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+@pytest.mark.parametrize("body, code", [("0,1\n", 0), ("", 2), ("0,1,2\n1,0,0\n", 2)])
+def test_audit_trace_needs_one_full_row_per_sample(tmp_path, body, code):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,storage\n" + body)
+    cfg = {"schema": 1, "kind": "audit", "audit": {"trace_csv": str(trace)}}
+    got, payload = cli.run(cfg, tmp_path / "out")
+    assert got == code
+    if code == 0:
+        assert payload["verdict"] == "PASS"
+    else:
+        assert payload["validation_errors"] == [
+            "audit.trace_csv: needs rows of 2 numbers under its header"]
 
 
 # -- main ----------------------------------------------------------------------

@@ -376,6 +376,13 @@ class TestSwitchAudit:
         assert storage_switch_audit(res.storage)["verdict"] == "PASS"
 
 
+def build_problem(problem_cfg: dict):
+    """The ``ConvexProblem`` the CLI's solve reader builds from a ``problem`` block."""
+    inputs, diags = cli._read({"kind": "solve", "problem": problem_cfg})
+    assert not diags, diags
+    return inputs[0]
+
+
 MIXED_CONFIG = {
     "objective": {"Q0": [[1.0, 0.0], [0.0, 1.0]], "c": [-2.0, 0.0]},
     "inequalities": {
@@ -389,7 +396,7 @@ class TestOneInequalityBlock:
     """Affine rows and named constraints share one ``AffineInequalities``."""
 
     def setup_method(self):
-        self.prob = cli._build_problem(MIXED_CONFIG)
+        self.prob = build_problem(MIXED_CONFIG)
         self.G = np.array(MIXED_CONFIG["inequalities"]["affine"]["G"])
         self.h = np.array(MIXED_CONFIG["inequalities"]["affine"]["h"])
         self.center = np.array([0.5, -0.25])
@@ -436,7 +443,7 @@ class TestOneInequalityBlock:
                "problem": {"objective": MIXED_CONFIG["objective"],
                            "inequalities": {"named": MIXED_CONFIG["inequalities"]["named"]}},
                "integrator": {"step": 0.01, "max_time": 20.0}}
-        assert cli._build_problem(cfg["problem"]).ineq.G.shape == (0, 2)
+        assert build_problem(cfg["problem"]).ineq.G.shape == (0, 2)
         code, payload = cli.run(cfg, tmp_path)
         assert code == 0
         assert payload["verdict"] == "PASS"
@@ -444,7 +451,7 @@ class TestOneInequalityBlock:
 
 class TestStoragePostPass:
     def test_mask_form_equals_the_index_set_reference(self):
-        prob = cli._build_problem(MIXED_CONFIG)
+        prob = build_problem(MIXED_CONFIG)
         tc = TimeConstants(np.array([0.5, 2.0]), np.zeros(0), np.array([1.5, 0.7, 3.0]))
         init = FlowState(np.array([-1.0, 0.5]), mu=np.array([0.5, 0.5, 0.0]))
         cfg = IntegratorConfig(step=5e-3, max_time=12.0)
@@ -469,7 +476,7 @@ class TestSwitchClassification:
     index-set classification in ``oracles`` is the reference."""
 
     def test_mixed_ball_problem_matches_the_reference(self):
-        prob = cli._build_problem(MIXED_CONFIG)
+        prob = build_problem(MIXED_CONFIG)
         tc = TimeConstants(np.array([0.5, 2.0]), np.zeros(0), np.array([1.5, 0.7, 3.0]))
         init = FlowState(np.array([-1.0, 0.5]), mu=np.array([0.5, 0.5, 0.0]))
         cfg = IntegratorConfig(step=5e-3, max_time=12.0)

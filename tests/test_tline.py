@@ -3,11 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from passiflow import tline
 from passiflow.ode import IntegratorConfig, integrate
 from passiflow.tline import (
     LineParams,
     LineState,
     admissible_params_search,
+    boundary_pi_control,
     cfl_limit,
     closed_loop_lyapunov,
     conservation_check,
@@ -60,6 +62,28 @@ def test_closed_loop_functional_nonincreasing_from_the_zero_state(M, K_P, K_I):
     assert V[0] > 1.0
     assert np.all(np.diff(V) <= 0.0)
     assert V[-1] < 0.1 * V[0]
+
+
+@pytest.mark.parametrize("K_P, K_I", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
+def test_pi_loop_applies_the_current_of_the_pi_law_at_its_own_vc0_rate(monkeypatch, K_P, K_I):
+    # The PI law reads vC0dot, which depends on the applied current itself;
+    # tline_pi_loop resolves the pair in closed form, so the current it
+    # applies satisfies boundary_pi_control at the rate that current produces.
+    p, M = LineParams(R=0.5, G=2.0, C0=2.0, R0=0.3), 16
+    rhs, _, eq, I0_star = tline_pi_loop(p, M, 1.5, K_P, K_I)
+    applied = []
+
+    def recording_rhs(p_, y, I0, M_):
+        applied.append(I0)
+        return tline_rhs(p_, y, I0, M_)
+
+    monkeypatch.setattr(tline, "tline_rhs", recording_rhs)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        y = rng.normal(size=2 * M + 2)
+        vC0_dot = rhs(0.0, y)[2 * M]
+        law = boundary_pi_control(p, y[2 * M], (I0_star, eq.vC0), K_P, K_I, vC0_dot)
+        assert abs(applied[-1] - law) <= 1e-13 * abs(applied[-1])
 
 
 def test_cfl_guard_message_tells_the_step_from_the_limit():
