@@ -376,7 +376,10 @@ def _read_audit(cfg: dict, d: _Diagnostics):
         return None
     with open(path) as fh:      # loadtxt parses in far less memory than genfromtxt
         names = [name.strip() for name in fh.readline().split(",")]
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError:              # a non-numeric cell or a ragged row
+            data = np.empty((0, 0))
     d.need(data.size > 0 and data.shape[1] == len(names),
            f"audit.trace_csv: needs rows of {len(names)} numbers under its header")
     d.need("t" in names, f"audit.trace_csv: no column t in {', '.join(names)}")
@@ -385,6 +388,11 @@ def _read_audit(cfg: dict, d: _Diagnostics):
     if d:
         return None
     cols = dict(zip(names, data.T))
+    d.need(np.isfinite(data).all(), "audit.trace_csv: every cell must be finite")
+    d.need((np.diff(cols["t"]) > 0).all(), "audit.trace_csv: t must be strictly increasing")
+    d.need(cols.get("supply", [0.0])[0] == 0, "audit.trace_csv: supply must start at 0")
+    if d:
+        return None
     trace = StorageTrace(cols["t"], cols["storage"] if "storage" in cols else cols["V"],
                          cols.get("supply", np.zeros(len(data))))
     return trace, blk.get("audit_tol")

@@ -63,8 +63,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("step", "max_time", "event_tol", "convergence_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"IntegratorConfig.{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"IntegratorConfig.{name} must be finite and > 0")
         if self.convergence_window < 1:
             raise ValueError("IntegratorConfig.convergence_window must be >= 1")
         if self.record_every < 1:
@@ -73,9 +73,10 @@ class IntegratorConfig:
 
 @dataclass
 class IntegrationStats:
-    """Counts of one :func:`integrate` call: rhs evaluations (four per RK4
-    step, one per convergence check), RK4 steps (bisection and crossing
-    steps included), event batches, and components truncated by the clamp.
+    """Counts of one :func:`integrate` call: calls into ``rhs`` (four per
+    RK4 step, one per convergence check; ``primal_dual.solve`` answers some
+    from a cache), RK4 steps (bisection and crossing steps included), event
+    batches, and components truncated by the clamp.
     """
 
     rhs_evals: int = 0
@@ -192,6 +193,12 @@ def integrate(
         Samples every ``record_every``-th step plus all event samples and
         the final state, with the call's :class:`IntegrationStats`.
 
+    Each accepted state (the initial state, each step's state and each event
+    landing, after the clamp) is read-only and stays one array object while
+    it is current, so ``rhs`` may cache on its identity; RK4 stage states and
+    bisection probes stay writable.  Samples keep the accepted states
+    themselves; ``Trajectory.states`` is a fresh writable array.
+
     Raises
     ------
     DivergenceError
@@ -200,6 +207,7 @@ def integrate(
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("initial state must be finite")
+    x.flags.writeable = False
     h = config.step
     t = 0.0
     t_end = float(config.max_time)
@@ -214,14 +222,14 @@ def integrate(
     clamp_idx = None if clamp_nonneg is None else np.asarray(clamp_nonneg, dtype=int)
 
     times = [t]
-    states = [x.copy()]
+    states = [x]
     events: list[tuple[float, str]] = []
     quiet = 0
     step_index = 0
 
     def _record(tv, xv):
         times.append(tv)
-        states.append(xv.copy())
+        states.append(xv)
 
     def _clamp(xv, rate, extra_slack=0.0):
         # extra_slack > 0 only at event restarts: a guard can miss a dip
@@ -284,6 +292,7 @@ def integrate(
                 raise DivergenceError(t, x)
             x_cross = _clamp(x_cross, k1,
                              extra_slack=h_step * max(1.0, np.max(np.abs(k1))))
+            x_cross.flags.writeable = False
             t = t + hi
             x = x_cross
             for j in flipped:
@@ -296,6 +305,7 @@ def integrate(
             continue
 
         x_new = _clamp(x_new, k1)
+        x_new.flags.writeable = False
         t = t + h_step
         x = x_new
         step_index += 1

@@ -427,9 +427,22 @@ def solve(
     unit_tc = all(np.all(a == 1.0) for a in (tc.tau_x, tc.tau_lam, tc.tau_mu))
     flow_tc = None if unit_tc else tc
 
+    # One slot: the last read-only (accepted, see integrate) state evaluated
+    # and its read-only rate, returned when that array comes again (each
+    # probe's and landing step's k1, the k1 after a convergence check); the
+    # flow is autonomous.  Writable stage states are never stored.
+    slot_z = slot_rate = None
+
     def rhs(t, z):
-        s = FlowState.unpack(z, n, m, p)
-        return np.concatenate(interconnected_rhs(prob, s, tc=flow_tc, proj_tol=proj_tol))
+        nonlocal slot_z, slot_rate
+        if z is slot_z:
+            return slot_rate
+        rate = np.concatenate(interconnected_rhs(prob, FlowState.unpack(z, n, m, p),
+                                                 tc=flow_tc, proj_tol=proj_tol))
+        if not z.flags.writeable:
+            rate.flags.writeable = False
+            slot_z, slot_rate = z, rate
+        return rate
 
     guards = None
     labels = None

@@ -429,7 +429,8 @@ def test_audit_trace_without_its_columns_is_a_diagnostic(tmp_path, header, missi
 
 
 @pytest.mark.filterwarnings("ignore:loadtxt")
-@pytest.mark.parametrize("body, code", [("0,1\n", 0), ("", 2), ("0,1,2\n1,0,0\n", 2)])
+@pytest.mark.parametrize("body, code", [("0,1\n", 0), ("", 2), ("0,1,2\n1,0,0\n", 2),
+                                        ("0,1\n1,abc\n", 2), ("0,1\n1,0.5,0\n", 2)])
 def test_audit_trace_needs_one_full_row_per_sample(tmp_path, body, code):
     trace = tmp_path / "trace.csv"
     trace.write_text("t,storage\n" + body)
@@ -441,6 +442,23 @@ def test_audit_trace_needs_one_full_row_per_sample(tmp_path, body, code):
     else:
         assert payload["validation_errors"] == [
             "audit.trace_csv: needs rows of 2 numbers under its header"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,storage,supply\n0,1,0.5\n1,0.5,0.7\n", "supply must start at 0"),
+    ("t,V\n0,1\n1,nan\n", "every cell must be finite"),
+    ("t,storage\n1,1\nnan,0.5\n", "every cell must be finite"),
+    ("t,storage\n0,1\n0,0.5\n", "t must be strictly increasing"),
+    ("t,storage\n0,1\n2,0.5\n1,0.2\n", "t must be strictly increasing"),
+])
+def test_malformed_audit_trace_is_a_diagnostic(tmp_path, text, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    cfg = {"schema": 1, "kind": "audit", "audit": {"trace_csv": str(trace)}}
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION
+    assert f"audit.trace_csv: {message}" in payload["validation_errors"], payload
+    assert not (tmp_path / "out").exists()
 
 
 # -- main ----------------------------------------------------------------------

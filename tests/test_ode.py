@@ -131,6 +131,47 @@ class TestIntegrate:
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_infinite_or_nan_config_values_are_rejected(self):
+        for name in ("step", "max_time", "event_tol", "convergence_tol"):
+            for bad in (float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=f"IntegratorConfig.{name} must be finite"):
+                    IntegratorConfig(**{name: bad})
+
+    def test_accepted_states_are_read_only_and_stage_states_are_not(self):
+        # x' = -x crossing 0.5 and 0.25: plain steps, convergence checks,
+        # bisection probes and two event landings.
+        seen = []
+
+        def rhs(t, x):
+            seen.append(("rhs", t, x.copy(), x.flags.writeable))
+            return -x
+
+        def guards(t, x):
+            seen.append(("guards", t, x.copy(), x.flags.writeable))
+            return np.array([x[0] - 0.5, x[0] - 0.25])
+
+        cfg = IntegratorConfig(step=0.05, max_time=2.0, convergence_tol=1e-9)
+        traj = integrate(rhs, [1.0], cfg, guards=guards, stop_when_converged=True)
+        stats = traj.stats
+        assert stats.event_batches == 2
+        # rhs sees an accepted state as each RK4 step's k1 and at each
+        # convergence check, and a stage state three times per RK4 step;
+        # guards see the initial state and each landing as accepted states,
+        # and each step's candidate end and each probe as writable ones.
+        rhs_flags = [w for kind, _, _, w in seen if kind == "rhs"]
+        checks = stats.rhs_evals - 4 * stats.rk4_steps
+        assert rhs_flags.count(False) == stats.rk4_steps + checks
+        assert rhs_flags.count(True) == 3 * stats.rk4_steps
+        guard_flags = [w for kind, _, _, w in seen if kind == "guards"]
+        assert guard_flags.count(False) == 1 + stats.event_batches
+        # Every read-only state is the trajectory's sample at its time.
+        samples = dict(zip(traj.times.tolist(), traj.states))
+        for _, t, x, writable in seen:
+            assert writable or np.array_equal(x, samples[t])
+        assert traj.states.flags.writeable
+        traj.states[0, 0] = 7.0
+
+
 class TestIntegrationStats:
     def test_counts_on_the_one_constraint_hand_count_problem(self, monkeypatch):
         # min (x - 3)^2 / 2  s.t.  x - 1 <= 0, from x = 0 and mu = 0: the
@@ -159,9 +200,13 @@ class TestIntegrationStats:
         advancing = traj.times.size - 1 - stats.event_batches
         assert stats.rk4_steps == advancing + 1 + 10 + 1
         assert stats.rhs_evals == 4 * stats.rk4_steps + advancing
-        # solve evaluates the flow once more per sample (storage) and once
-        # at the end (final rate check).
-        assert len(calls) == stats.rhs_evals + traj.times.size + 1
+        # solve answers the repeats of an accepted state from its slot: every
+        # convergence check but the last is the next step's k1, and the ten
+        # probes and the landing step reuse the crossing step's k1.  It
+        # evaluates the flow once more per sample (storage) and once at the
+        # end (final rate check).
+        assert len(calls) == (stats.rhs_evals - (advancing - 1) - (stats.bisection_steps + 1)
+                              + traj.times.size + 1)
         assert stats.clamp_truncations == 0
 
     def test_clamp_truncations_are_counted(self):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
-from oracles import enumerate_qp_kkt, reference_storage, reference_switch_events, sigma_at
+import dataclasses
 
-from passiflow import cli, svm
+from oracles import (
+    enumerate_qp_kkt,
+    make_random_qp,
+    reference_storage,
+    reference_switch_events,
+    sigma_at,
+)
+
+from passiflow import cli, primal_dual, svm
 from passiflow.ode import IntegratorConfig
 from passiflow.primal_dual import (
     AffineInequalities,
@@ -492,3 +500,54 @@ class TestSwitchClassification:
         ref = reference_switch_events(prob, res.trajectory, tc,
                                       svm.DEFAULT_INTEGRATOR.event_tol)
         assert ref and res.storage.switch_events == ref
+
+
+class TestStepStartRateReuse:
+    """``solve``'s rhs answers a repeated accepted state from its one slot;
+    every rate it returns, reused or not, must be a fresh evaluation's bits."""
+
+    @staticmethod
+    def checked_solve(monkeypatch, prob, init, tc, cfg):
+        real_integrate = primal_dual.integrate
+        reused = []
+
+        def integrate(rhs, x0, cfg, **kwargs):
+            last_read_only = None
+
+            def checked(t, z):
+                nonlocal last_read_only
+                rate = rhs(t, z)
+                s = FlowState.unpack(z.copy(), prob.n, prob.m, prob.p)
+                fresh = np.concatenate(interconnected_rhs(prob, s, tc=tc, proj_tol=cfg.event_tol))
+                assert rate.tobytes() == fresh.tobytes(), t
+                reused.append(rate is last_read_only)
+                if not rate.flags.writeable:
+                    last_read_only = rate
+                return rate
+
+            return real_integrate(checked, x0, cfg, **kwargs)
+
+        monkeypatch.setattr(primal_dual, "integrate", integrate)
+        res = solve(prob, init, tc=tc, cfg=cfg)
+        assert res.trajectory.stats.event_batches > 0
+        assert any(reused)
+        return res
+
+    def test_random_qp_with_events_and_nonunit_time_constants(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        qp = make_random_qp(rng)
+        n, m, p = qp["c"].size, qp["b"].size, qp["h"].size
+        prob = ConvexProblem(n=n, f=quadratic_oracle(qp["Q0"], qp["c"]), A=qp["A"],
+                             b=qp["b"], ineq=AffineInequalities(qp["G"], qp["h"]))
+        tc = TimeConstants(rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m),
+                           rng.uniform(0.5, 2.0, p))
+        self.checked_solve(monkeypatch, prob, FlowState(np.zeros(n), np.zeros(m), np.zeros(p)),
+                           tc, IntegratorConfig(step=1e-2, max_time=10.0))
+
+    @pytest.mark.filterwarnings("ignore:SVM flow stopped unconverged")
+    def test_small_svm(self, monkeypatch):
+        data = svm.generate_gaussian_classes(seed=0, n_per_class=10)
+        prob = svm.build_svm_problem(data)
+        init = FlowState(np.zeros(3), mu=np.zeros(data.size))
+        cfg = dataclasses.replace(svm.DEFAULT_INTEGRATOR, max_time=20.0)
+        self.checked_solve(monkeypatch, prob, init, None, cfg)

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from passiflow import tline
 from passiflow.ode import IntegratorConfig, integrate
@@ -49,6 +51,20 @@ def test_closed_loop_functional_vanishes_at_the_target():
     assert values[0] < 1e-7
     ratios = [a / b for a, b in zip(values, values[1:])]
     assert all(r > 14.0 for r in ratios), ratios
+
+
+# 10^[-1.5, 1.5] for each of R, G, L, C: tau = RC / (LG) spans [1e-6, 1e6].
+_decades = st.floats(-1.5, 1.5).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(R=_decades, G=_decades, L=_decades, C=_decades)
+@example(R=10 ** -1.5, G=10 ** 1.5, L=10 ** 1.5, C=10 ** -1.5)      # tau = 1e-6
+@example(R=10 ** 1.5, G=10 ** -1.5, L=10 ** -1.5, C=10 ** 1.5)      # tau = 1e6
+def test_certificate_search_is_feasible_for_every_tau(R, G, L, C):
+    rec = admissible_params_search(LineParams(R=R, G=G, L=L, C=C))
+    assert rec.tau == pytest.approx(R * C / (L * G))
+    assert rec.is_feasible(1e-12), rec.feasibility_residuals()
 
 
 @pytest.mark.parametrize("M", [16, 50])
