@@ -12,6 +12,7 @@ adaptive error control and no stiff path.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -65,10 +66,10 @@ class IntegratorConfig:
         for name in ("step", "max_time", "event_tol", "convergence_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"IntegratorConfig.{name} must be finite and > 0")
-        if self.convergence_window < 1:
-            raise ValueError("IntegratorConfig.convergence_window must be >= 1")
-        if self.record_every < 1:
-            raise ValueError("IntegratorConfig.record_every must be >= 1")
+        for name in ("convergence_window", "record_every"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"IntegratorConfig.{name} must be an integer >= 1")
 
 
 @dataclass
@@ -76,7 +77,9 @@ class IntegrationStats:
     """Counts of one :func:`integrate` call: calls into ``rhs`` (four per
     RK4 step, one per convergence check; ``primal_dual.solve`` answers some
     from a cache), RK4 steps (bisection and crossing steps included), event
-    batches, and components truncated by the clamp.
+    batches, and components truncated by the clamp.  Only calls that
+    :func:`integrate` itself makes count; evaluations inside ``on_sample``
+    (``primal_dual.solve``'s storage) do not.
     """
 
     rhs_evals: int = 0
@@ -160,6 +163,7 @@ def integrate(
     guard_labels: Sequence[str] | None = None,
     clamp_nonneg: Sequence[int] | None = None,
     stop_when_converged: bool = False,
+    on_sample: Callable[[float, np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate ``xdot = rhs(t, x)`` from 0 to ``max_time``.
 
@@ -186,6 +190,12 @@ def integrate(
     stop_when_converged : bool
         Stop early once ``|rhs|_inf < convergence_tol`` holds over
         ``convergence_window`` consecutive accepted steps.
+    on_sample : optional
+        Callable ``on_sample(t, x)``, called once per sample in time order
+        with the sampled accepted state itself (read-only): the initial
+        state after the first guard evaluation, each sampled step before its
+        convergence check, each event landing before the guards are
+        evaluated there, and the final state.  Its return value is ignored.
 
     Returns
     -------
@@ -196,8 +206,11 @@ def integrate(
     Each accepted state (the initial state, each step's state and each event
     landing, after the clamp) is read-only and stays one array object while
     it is current, so ``rhs`` may cache on its identity; RK4 stage states and
-    bisection probes stay writable.  Samples keep the accepted states
-    themselves; ``Trajectory.states`` is a fresh writable array.
+    bisection probes stay writable.  A step's state is the object the guards
+    saw, and the clamp writes only ``clamp_nonneg`` entries of it.  Each
+    sample is copied once into one growing array (1024 rows to start,
+    doubling); ``Trajectory.states`` is its filled rows, writable and
+    sharing no memory with any accepted state.
 
     Raises
     ------
@@ -221,15 +234,23 @@ def integrate(
             guard_labels = [f"guard{k}" for k in range(n_guards)]
     clamp_idx = None if clamp_nonneg is None else np.asarray(clamp_nonneg, dtype=int)
 
-    times = [t]
-    states = [x]
+    times: list[float] = []
+    states = np.empty((1024,) + x.shape)
     events: list[tuple[float, str]] = []
     quiet = 0
     step_index = 0
 
     def _record(tv, xv):
+        nonlocal states
+        k = len(times)
+        if k == states.shape[0]:
+            grown = np.empty((2 * k,) + states.shape[1:])
+            grown[:k] = states
+            states = grown
+        states[k] = xv
         times.append(tv)
-        states.append(xv)
+        if on_sample is not None:
+            on_sample(tv, xv)
 
     def _clamp(xv, rate, extra_slack=0.0):
         # extra_slack > 0 only at event restarts: a guard can miss a dip
@@ -253,6 +274,7 @@ def integrate(
         stats.clamp_truncations += neg.size
         return xv
 
+    _record(t, x)
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h_step = min(h, t_end - t)
         x_new, k1 = _rk4_step(rhs, t, x, h_step)
@@ -327,7 +349,7 @@ def integrate(
     if times[-1] != t:
         _record(t, x)
     stats.rhs_evals += 4 * stats.rk4_steps
-    return Trajectory(np.array(times), np.array(states), events, stats)
+    return Trajectory(np.array(times), states[:len(times)], events, stats)
 
 
 def finite_diff_gradient(f, x, h: float = 1e-6) -> np.ndarray:

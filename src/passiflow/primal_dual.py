@@ -289,6 +289,7 @@ def interconnected_rhs(
     v=None,
     tc: TimeConstants | None = None,
     proj_tol: float = 1e-10,
+    g=None,
 ):
     """Power-conserving interconnection of the equality flow and the
     projected multiplier flow.
@@ -296,7 +297,8 @@ def interconnected_rhs(
     With the injection port ``v`` at zero this is exactly the primal-dual
     dynamics of the full problem; ``v`` enters the primal channel.
     Returns ``(xdot, lamdot, mudot)``.  ``tc=None`` means unit time
-    constants; dividing by them would be exact, so it is skipped.
+    constants; dividing by them would be exact, so it is skipped.  ``g``,
+    when given, is the constraint values at ``s.x`` already computed.
     """
     x = s.x
     grad_L = prob.f.grad(x)
@@ -311,7 +313,8 @@ def interconnected_rhs(
     ineq = prob.ineq
     if ineq.p:
         grad_L = grad_L + ineq.jacobian(x).T @ np.maximum(s.mu, 0.0)
-        g = ineq.values(x)
+        if g is None:
+            g = ineq.values(x)
         # mu within proj_tol of zero (or transiently below, mid-step) takes
         # the clamped branch; everything else flows freely along g.
         mudot = np.where(s.mu <= proj_tol, np.maximum(0.0, g), g)
@@ -372,8 +375,11 @@ def switched_storage(sdot, sigma, tc: TimeConstants) -> float:
     xdot, lamdot, mudot = sdot
     val = 0.5 * float(xdot @ (tc.tau_x * xdot)) + 0.5 * float(lamdot @ (tc.tau_lam * lamdot))
     if mudot.shape[0]:
-        keep = np.ones(mudot.shape[0], dtype=bool)
-        keep[sigma if isinstance(sigma, np.ndarray) else list(sigma)] = False
+        if isinstance(sigma, np.ndarray) and sigma.dtype == bool:
+            keep = ~sigma
+        else:
+            keep = np.ones(mudot.shape[0], dtype=bool)
+            keep[list(sigma)] = False
         val += 0.5 * float(np.sum(tc.tau_mu[keep] * mudot[keep] ** 2))
     return val
 
@@ -413,8 +419,9 @@ def solve(
     """Integrate the primal-dual flow until the rates settle.
 
     Guards are attached to every multiplier and every constraint value so
-    projection switches are localized; the switched storage is evaluated on
-    both sides of each switch and recorded in the returned trace.
+    projection switches are localized; the switched storage is evaluated at
+    every sample, both sides of each switch included, as ``integrate``
+    records it (its ``on_sample`` hook), and returned as the trace.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -427,19 +434,35 @@ def solve(
     unit_tc = all(np.all(a == 1.0) for a in (tc.tau_x, tc.tau_lam, tc.tau_mu))
     flow_tc = None if unit_tc else tc
 
-    # One slot: the last read-only (accepted, see integrate) state evaluated
-    # and its read-only rate, returned when that array comes again (each
-    # probe's and landing step's k1, the k1 after a convergence check); the
-    # flow is autonomous.  Writable stage states are never stored.
+    # One constraint-value slot: g at the last state the guards saw, or the
+    # last read-only state the flow saw, reused when that object comes again
+    # read-only.  A guarded step state comes back as the accepted state once
+    # integrate's clamp has written its multiplier entries, which leaves
+    # g(x) as it was.
+    g_z = g_last = None
+
+    def g_at(z):
+        nonlocal g_z, g_last
+        if z is not g_z or z.flags.writeable:
+            g_z, g_last = z, prob.g_values(z[:n])
+        return g_last
+
+    # One rate slot: the last read-only (accepted, see integrate) state
+    # evaluated and its read-only rate, returned when that array comes again
+    # (each probe's and landing step's k1, the convergence check and k1
+    # after a sample); the flow is autonomous.  Writable stage states are
+    # never stored.
     slot_z = slot_rate = None
 
     def rhs(t, z):
         nonlocal slot_z, slot_rate
         if z is slot_z:
             return slot_rate
+        read_only = not z.flags.writeable
+        g = g_at(z) if read_only else None
         rate = np.concatenate(interconnected_rhs(prob, FlowState.unpack(z, n, m, p),
-                                                 tc=flow_tc, proj_tol=proj_tol))
-        if not z.flags.writeable:
+                                                 tc=flow_tc, proj_tol=proj_tol, g=g))
+        if read_only:
             rate.flags.writeable = False
             slot_z, slot_rate = z, rate
         return rate
@@ -456,24 +479,27 @@ def solve(
         # gate an instant before the mu crossing and mask the real event.
         def guards(t, z):
             mu = z[n + m:]
-            g = prob.g_values(z[:n])
-            return np.concatenate([mu, np.where(mu <= 0.0, g, 1.0)])
+            return np.concatenate([mu, np.where(mu <= 0.0, g_at(z), 1.0)])
         labels = [f"m{i}" for i in range(p)] + [f"g{i}" for i in range(p)]
         clamp = list(range(n + m, n + m + p))
 
-    traj = integrate(rhs, init.pack(), cfg, guards=guards, guard_labels=labels,
-                     clamp_nonneg=clamp, stop_when_converged=True)
-
-    # Storage trace along the samples; supply is identically zero for the
-    # unforced interconnection, so PASS means the switched storage never rises.
     # The clamp mask is active_set at max(mu, 0), which is <= proj_tol iff mu is.
-    storage_vals = np.empty(traj.times.size)
-    clamped = np.zeros((traj.times.size, p), dtype=bool)
-    for k, z in enumerate(traj.states):
-        s = FlowState.unpack(z, n, m, p)
-        rates = interconnected_rhs(prob, s, tc=flow_tc, proj_tol=proj_tol)
-        clamped[k] = (s.mu <= proj_tol) & (prob.g_values(s.x) < -proj_tol)
-        storage_vals[k] = switched_storage(rates, clamped[k], tc)
+    def clamped(z, g):
+        return (z[n + m:] <= proj_tol) & (g < -proj_tol)
+
+    # Storage trace along the samples, computed as integrate records them;
+    # supply is identically zero for the unforced interconnection, so PASS
+    # means the switched storage never rises.
+    storage = []
+
+    def on_sample(t, z):
+        rate = rhs(t, z)
+        sdot = (rate[:n], rate[n:n + m], rate[n + m:])
+        storage.append(switched_storage(sdot, clamped(z, g_at(z)), tc))
+
+    traj = integrate(rhs, init.pack(), cfg, guards=guards, guard_labels=labels,
+                     clamp_nonneg=clamp, stop_when_converged=True, on_sample=on_sample)
+    storage_vals = np.array(storage)
 
     # One switch event per batch of simultaneous guard crossings.  The
     # crossing sample sits razor-edge on the switching surface, so clamp-set
@@ -488,7 +514,9 @@ def solve(
         k = int(np.searchsorted(traj.times, t_e))
         if k == 0:
             continue
-        was, now = clamped[k - 1], clamped[min(k + 1, traj.times.size - 1)]
+        before, after = traj.states[k - 1], traj.states[min(k + 1, traj.times.size - 1)]
+        was = clamped(before, prob.g_values(before[:n]))
+        now = clamped(after, prob.g_values(after[:n]))
         flips = [i for i in sorted(batches[t_e]) if was[i] != now[i]]
         if not flips:
             continue

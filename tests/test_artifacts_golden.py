@@ -23,6 +23,24 @@ CONFIGS = {
         },
         "integrator": {"step": 0.01, "max_time": 30.0},
     },
+    # Non-unit time constants, an equality row and the ball: the switched
+    # storage with tau weights, one entering (m1/g1) and two leaving (g0, g2)
+    # switches in events.csv.
+    "solve_eq": {
+        "schema": 1, "kind": "solve",
+        "problem": {
+            "objective": {"Q0": [[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]],
+                          "c": [-3.0, -2.0, 1.0]},
+            "equalities": {"A": [[1.0, 1.0, 1.0]], "b": [1.0]},
+            "inequalities": {
+                "affine": {"G": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], "h": [0.8, 0.5]},
+                "named": [{"name": "ball", "params": {"center": [0.0, 0.0, 0.0], "radius": 1.5}}],
+            },
+        },
+        "init": {"mu": [0.0, 2.0, 0.0]},
+        "time_constants": {"tau_x": [1.0, 2.0, 0.5], "tau_lam": [1.5], "tau_mu": [0.5, 2.0, 1.0]},
+        "integrator": {"step": 0.01, "max_time": 40.0},
+    },
     "svm": {
         "schema": 1, "kind": "svm", "svm": {"seed": 1, "n_per_class": 5},
         "integrator": {"step": 0.01, "max_time": 100.0, "record_every": 5},
@@ -43,7 +61,9 @@ CONFIGS = {
 # Recorded before the CSV writer, the flow rhs and the clamp were rewritten
 # for speed.  Only the solve and svm summaries changed since, because
 # "converged" is now written as true rather than 1.0; with 1.0 they were
-# 5a08fa67f3e52d51... (solve) and 5ad21a01a53c0452... (svm).
+# 5a08fa67f3e52d51... (solve) and 5ad21a01a53c0452... (svm).  The solve_eq
+# digests were recorded before the storage trace moved into integrate's
+# sample hook.
 GOLDEN = {
     "audit/summary.json":
         "e92f51374867b877da4734742d2dd85adb06b150895d6f8313178bd941b9c9ff",
@@ -61,6 +81,14 @@ GOLDEN = {
         "9b685ab806864729d2f22b05df4bb043ac3494f56e2b52d6d265442e4911fa9e",
     "solve/trajectory.csv":
         "0bba359c18d853ad042bda256973eb7f5b5ad79714b7577528d892e78014799d",
+    "solve_eq/events.csv":
+        "4a86569bb5184ed3b30e910bd4f5e891393643135fa6fba29cbc62bb25215d24",
+    "solve_eq/storage.csv":
+        "f7fc9b5e4c9e0b5443cc117a4f107b465ddc3d0f6bb444e0c3a18fdc176b8f98",
+    "solve_eq/summary.json":
+        "e8e35d6220b01cdb1f820b355dcb20cb07cf0d55d27770bd457e4997e1f190c2",
+    "solve_eq/trajectory.csv":
+        "96c3dd5263a53928786a5bee9743e70dddddad1a700c79ce18e81f02031d2c2c",
     "svm/beta_trajectory.csv":
         "13b2e9b8cb3479ea8c1756725668c5af40b07fc4fd35ae2be46c64a1a95669ee",
     "svm/dataset.csv":

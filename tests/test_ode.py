@@ -137,6 +137,17 @@ class TestIntegrate:
                 with pytest.raises(ValueError, match=f"IntegratorConfig.{name} must be finite"):
                     IntegratorConfig(**{name: bad})
 
+    @pytest.mark.parametrize("name", ["convergence_window", "record_every"])
+    @pytest.mark.parametrize("bad", [2.5, 1.5, 2.0, 0, -3])
+    def test_counts_must_be_integers_of_at_least_one(self, name, bad):
+        with pytest.raises(ValueError, match=f"IntegratorConfig.{name} must be an integer >= 1"):
+            IntegratorConfig(**{name: bad})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = IntegratorConfig(step=0.1, max_time=1.0, record_every=np.int64(2))
+        traj = integrate(lambda t, x: -x, [1.0], cfg)
+        assert np.allclose(traj.times, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+
     def test_accepted_states_are_read_only_and_stage_states_are_not(self):
         # x' = -x crossing 0.5 and 0.25: plain steps, convergence checks,
         # bisection probes and two event landings.
@@ -172,6 +183,52 @@ class TestIntegrate:
         traj.states[0, 0] = 7.0
 
 
+class TestSampleBuffer:
+    """Samples are copied into one array that starts at 1024 rows and doubles."""
+
+    H = 0.01
+
+    @pytest.mark.parametrize("crossings, max_time", [
+        ((), 21.0),                         # > 2048 samples, growth only
+        ((1023.5,), 15.0),                  # the landing is sample 1024, the first growth
+        ((1023.5, 2047.0), 25.0),           # landings at samples 1024 and 2048
+    ])
+    def test_states_are_the_accepted_states_across_growth(self, crossings, max_time):
+        # x0' = 1 reaches c = k H after k plain steps; a crossing half a step
+        # after sample 1023 lands as sample 1024, and one 1023.5 steps after
+        # that landing as sample 2048.
+        cs = [c * self.H for c in crossings]
+        seen = {}
+
+        def rhs(t, x):
+            if not x.flags.writeable:
+                seen.setdefault(t, (x, x.copy()))
+            return np.array([1.0, -x[1]])
+
+        hooked = []
+        cfg = IntegratorConfig(step=self.H, max_time=max_time, convergence_tol=1e-12)
+        traj = integrate(rhs, [0.0, 1.0], cfg,
+                         guards=(lambda t, x: x[0] - np.array(cs)) if cs else None,
+                         stop_when_converged=True,
+                         on_sample=lambda t, x: hooked.append((t, x)))
+        assert traj.times.size > (2048 if max_time > 20 else 1024)
+        landings = sorted({t for t, _ in traj.events})
+        assert len(landings) == len(cs)
+        for k, t_e in zip((1024, 2048), landings):
+            assert traj.times[k] == t_e
+        # The hook sees every sample in time order, as the read-only object
+        # that rhs saw at that time.
+        assert [t for t, _ in hooked] == traj.times.tolist()
+        for (t, x), row in zip(hooked, traj.states):
+            obj, value = seen[t]
+            assert x is obj and not x.flags.writeable
+            assert np.array_equal(row, value)
+            assert not np.shares_memory(traj.states, obj)
+        assert traj.states.flags.writeable
+        traj.states[-1, 0] = 7.0
+        assert hooked[-1][1][0] != 7.0
+
+
 class TestIntegrationStats:
     def test_counts_on_the_one_constraint_hand_count_problem(self, monkeypatch):
         # min (x - 3)^2 / 2  s.t.  x - 1 <= 0, from x = 0 and mu = 0: the
@@ -187,7 +244,15 @@ class TestIntegrationStats:
             calls.append(1)
             return real_rhs(*args, **kwargs)
 
+        g_calls = []
+        real_values = AffineInequalities.values
+
+        def counted_values(self, x):
+            g_calls.append(1)
+            return real_values(self, x)
+
         monkeypatch.setattr(primal_dual, "interconnected_rhs", counted)
+        monkeypatch.setattr(AffineInequalities, "values", counted_values)
         result = primal_dual.solve(prob, FlowState([0.0], mu=[0.0]), cfg=cfg)
         traj = result.trajectory
         stats = traj.stats
@@ -200,13 +265,27 @@ class TestIntegrationStats:
         advancing = traj.times.size - 1 - stats.event_batches
         assert stats.rk4_steps == advancing + 1 + 10 + 1
         assert stats.rhs_evals == 4 * stats.rk4_steps + advancing
-        # solve answers the repeats of an accepted state from its slot: every
-        # convergence check but the last is the next step's k1, and the ten
-        # probes and the landing step reuse the crossing step's k1.  It
-        # evaluates the flow once more per sample (storage) and once at the
-        # end (final rate check).
+        # solve's sample hook evaluates the flow at every sample, and solve's
+        # slot answers every later call at that state: the convergence check
+        # and the next step's k1, the ten probes' and the landing step's k1
+        # included.  So the flow runs at three stage states per RK4 step,
+        # once per sample and once in the final rate check.  With
+        # rhs_evals = 4 rk4 + advancing, rk4 = advancing + 12 and
+        # samples = advancing + 2 that equals the second form.
+        assert len(calls) == 3 * stats.rk4_steps + traj.times.size + 1
         assert len(calls) == (stats.rhs_evals - (advancing - 1) - (stats.bisection_steps + 1)
-                              + traj.times.size + 1)
+                              + 1)
+        assert len(calls) == 1939
+        # Constraint values: inside the flow at the three stage states of
+        # each RK4 step, and once at every other state integrate visits, the
+        # initial state and each RK4 step's end: by the guards, or at the
+        # landing by the sample hook's flow, and the other of the two and the
+        # storage mask reuse it.  The switch classification evaluates the
+        # crossing sample and its two neighbours; the final rate check and
+        # the KKT report evaluate one each.
+        assert len(g_calls) == (3 * stats.rk4_steps + (1 + stats.rk4_steps)
+                                + 3 * result.switch_count + 2)
+        assert len(g_calls) == 1954
         assert stats.clamp_truncations == 0
 
     def test_clamp_truncations_are_counted(self):

@@ -16,6 +16,7 @@ from passiflow.primal_dual import (
     AffineInequalities,
     ConvexProblem,
     FlowState,
+    SwitchEvent,
     TimeConstants,
     active_set,
     augmented_problem,
@@ -500,6 +501,84 @@ class TestSwitchClassification:
         ref = reference_switch_events(prob, res.trajectory, tc,
                                       svm.DEFAULT_INTEGRATOR.event_tol)
         assert ref and res.storage.switch_events == ref
+
+
+def reference_post_pass(prob, traj, tc, proj_tol):
+    """Storage and switch events of a ``solve`` trajectory, the way ``solve``
+    computed them after integration before its sample hook did: per sample,
+    the flow at the stored state and its clamp mask; per event batch, the
+    masks of the neighbouring samples."""
+    n, m, p = prob.n, prob.m, prob.p
+    flow_tc = None if all(np.all(a == 1.0) for a in (tc.tau_x, tc.tau_lam, tc.tau_mu)) else tc
+    storage_vals = np.empty(traj.times.size)
+    clamped = np.zeros((traj.times.size, p), dtype=bool)
+    for k, z in enumerate(traj.states):
+        s = FlowState.unpack(z, n, m, p)
+        rates = interconnected_rhs(prob, s, tc=flow_tc, proj_tol=proj_tol)
+        clamped[k] = (s.mu <= proj_tol) & (prob.g_values(s.x) < -proj_tol)
+        storage_vals[k] = switched_storage(rates, clamped[k], tc)
+    switch_events = []
+    batches = {}
+    for t_e, tag in traj.events:
+        batches.setdefault(t_e, set()).add(int(tag[1:]))
+    for t_e in sorted(batches):
+        k = int(np.searchsorted(traj.times, t_e))
+        if k == 0:
+            continue
+        was, now = clamped[k - 1], clamped[min(k + 1, traj.times.size - 1)]
+        flips = [i for i in sorted(batches[t_e]) if was[i] != now[i]]
+        if not flips:
+            continue
+        g = prob.g_values(traj.states[k][:n])
+        jump = 0.0
+        for i in flips:
+            term = g[i] ** 2 / (2.0 * tc.tau_mu[i])
+            jump += -term if now[i] else term
+        switch_events.append(SwitchEvent(t_e, jump, tuple(i for i in flips if now[i]),
+                                         tuple(i for i in flips if was[i])))
+    return storage_vals, switch_events
+
+
+class TestStorageDuringIntegration:
+    """``solve`` computes the storage in ``integrate``'s sample hook, reusing
+    the rates and constraint values integration already has; the post-pass
+    it replaced is the reference, bit for bit."""
+
+    @staticmethod
+    def check(prob, init, tc, cfg):
+        res = solve(prob, init, tc=tc, cfg=cfg)
+        storage, events = reference_post_pass(prob, res.trajectory, tc, cfg.event_tol)
+        assert res.storage.storage.tobytes() == storage.tobytes()
+        assert res.storage.switch_events == events
+        return res
+
+    def test_random_qp_with_an_equality_row_and_the_ball(self):
+        rng = np.random.default_rng(6)
+        qp = make_random_qp(rng)
+        n, m, p = qp["c"].size, qp["b"].size, qp["h"].size
+        assert m >= 1
+        prob = build_problem({
+            "objective": {"Q0": qp["Q0"].tolist(), "c": qp["c"].tolist()},
+            "equalities": {"A": qp["A"].tolist(), "b": qp["b"].tolist()},
+            "inequalities": {
+                "affine": {"G": qp["G"].tolist(), "h": qp["h"].tolist()},
+                "named": [{"name": "ball", "params": {"center": [0.0] * n, "radius": 2.0}}],
+            },
+        })
+        tc = TimeConstants(rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m),
+                           rng.uniform(0.5, 2.0, p + 1))
+        init = FlowState(rng.normal(size=n), np.zeros(m), np.full(p + 1, 0.5))
+        res = self.check(prob, init, tc, IntegratorConfig(step=1e-2, max_time=10.0))
+        assert any(e.entered for e in res.storage.switch_events)
+        assert any(e.left for e in res.storage.switch_events)
+
+    def test_small_svm(self):
+        data = svm.generate_gaussian_classes(seed=0, n_per_class=10)
+        prob = svm.build_svm_problem(data)
+        init = FlowState(np.zeros(3), mu=np.zeros(data.size))
+        res = self.check(prob, init, TimeConstants.ones(prob.n, prob.m, prob.p),
+                         svm.DEFAULT_INTEGRATOR)
+        assert res.storage.switch_events
 
 
 class TestStepStartRateReuse:
