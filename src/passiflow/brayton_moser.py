@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ode import Trajectory, finite_diff_gradient, write_csv
+from .ode import Trajectory, write_csv
 
 __all__ = [
     "PseudoGradientSystem",
@@ -51,23 +51,6 @@ class PseudoGradientSystem:
         rhs = self.grad_P(x) + self.G(x) @ u
         return np.linalg.solve(self.Q(x), rhs)
 
-    def check_consistency(self, x, rel_tol: float = 1e-5) -> dict:
-        """Spot-check oracle shapes, gradient accuracy and Hessian symmetry at x."""
-        x = np.asarray(x, dtype=float)
-        Q = self.Q(x)
-        G = self.G(x)
-        g = self.grad_P(x)
-        H = self.hess_P(x)
-        if Q.shape != (self.n, self.n) or G.shape != (self.n, self.m):
-            raise ValueError("oracle dimensions inconsistent")
-        fd = finite_diff_gradient(self.P, x, 1e-6)
-        scale = 1.0 + np.max(np.abs(fd))
-        grad_err = np.max(np.abs(g - fd)) / scale
-        sym_err = np.max(np.abs(H - H.T))
-        return {"grad_rel_err": grad_err, "hess_sym_err": sym_err,
-                "grad_ok": grad_err <= rel_tol,
-                "hess_ok": sym_err <= 1e-10}
-
 
 @dataclass(frozen=True)
 class AdmissiblePair:
@@ -82,7 +65,6 @@ class AdmissiblePair:
     system: PseudoGradientSystem
     lam: float
     M: np.ndarray
-    max_residual: float = float("nan")
 
     def _factor(self, x):
         return self.lam * np.eye(self.system.n) + self.system.hess_P(x) @ self.M
@@ -123,32 +105,18 @@ def mixed_potential_rate(sys: PseudoGradientSystem, x, xdot, u):
     return float(pdot), y
 
 
-def admissible_pair(
-    sys: PseudoGradientSystem,
-    lam: float,
-    M: np.ndarray,
-    sample_points=None,
-    sample_inputs=None,
-) -> AdmissiblePair:
-    """Build the (P~, Q~) transform and verify it reproduces the dynamics.
+def admissible_pair(sys: PseudoGradientSystem, lam: float, M: np.ndarray) -> AdmissiblePair:
+    """Build the (P~, Q~) transform; asymmetric ``M`` is rejected.
 
-    When ``sample_points`` are supplied, the gradient-structure identity
-    ``Q~(x) xdot = grad P~(x) + G~(x) u`` is evaluated along the original
-    dynamics at each point and the maximum residual is stored on the result.
-    Asymmetric ``M`` is rejected.
+    :meth:`AdmissiblePair.residual` evaluates the gradient-structure identity
+    ``Q~(x) xdot = grad P~(x) + G~(x) u`` along the original dynamics.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (sys.n, sys.n):
         raise ValueError("M must be n x n")
     if np.max(np.abs(M - M.T)) > 1e-12 * (1.0 + np.max(np.abs(M))):
         raise ValueError("M must be symmetric")
-    pair = AdmissiblePair(sys, float(lam), M)
-    if sample_points is not None:
-        if sample_inputs is None:
-            sample_inputs = [np.zeros(sys.m)] * len(sample_points)
-        res = max(pair.residual(x, u) for x, u in zip(sample_points, sample_inputs))
-        pair = AdmissiblePair(sys, float(lam), M, max_residual=res)
-    return pair
+    return AdmissiblePair(sys, float(lam), M)
 
 
 def neg_semidefinite_symmetric_part(A, tol: float = 1e-10):

@@ -117,6 +117,12 @@ class _Diagnostics(list):
                 self.append(f"{prefix + '.' if prefix else ''}{key}: unknown; "
                             f"expected one of {', '.join(keys)}")
 
+    def array(self, path, value):
+        """``value`` as a float array; a non-finite entry is a diagnostic."""
+        arr = np.asarray(value, dtype=float)
+        self.need(np.isfinite(arr).all(), f"{path}: must be finite")
+        return arr
+
     def vector(self, path, value, size):
         """``value`` as ``size`` finite floats; else a diagnostic, and zeros."""
         try:
@@ -188,7 +194,7 @@ def _read_solve(cfg: dict, d: _Diagnostics):
     d.known("problem", prob, ("objective", "equalities", "inequalities"))
     obj = prob.get("objective", {})
     d.known("problem.objective", obj, ("Q0", "c"))
-    Q0 = np.asarray(obj.get("Q0", []), dtype=float)
+    Q0 = d.array("problem.objective.Q0", obj.get("Q0", []))
     square = Q0.ndim == 2 and Q0.shape[0] == Q0.shape[1] and Q0.size > 0
     d.need(square, "problem.objective.Q0: must be a square matrix")
     if not square:
@@ -196,14 +202,14 @@ def _read_solve(cfg: dict, d: _Diagnostics):
     d.need(np.linalg.eigvalsh(0.5 * (Q0 + Q0.T))[0] > 0,
            "problem.objective.Q0: must be positive definite")
     n = Q0.shape[0]
-    c = np.asarray(obj.get("c", np.zeros(n)), dtype=float)
+    c = d.array("problem.objective.c", obj.get("c", np.zeros(n)))
     d.need(c.shape == (n,), "problem.objective.c: length must match Q0")
     A, b, G, h, named = np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0), []
     eq = prob.get("equalities")
     if eq is not None:
         d.known("problem.equalities", eq, ("A", "b"))
-        A = np.asarray(eq.get("A", []), dtype=float)
-        b = np.asarray(eq.get("b", []), dtype=float)
+        A = d.array("problem.equalities.A", eq.get("A", []))
+        b = d.array("problem.equalities.b", eq.get("b", []))
         d.need(A.ndim == 2 and A.shape[1] == n, "problem.equalities.A: must be m x n")
         d.need(b.shape == A.shape[:1], "problem.equalities.b: rows must match A")
     ineq = prob.get("inequalities")
@@ -211,8 +217,8 @@ def _read_solve(cfg: dict, d: _Diagnostics):
         d.known("problem.inequalities", ineq, ("affine", "named"))
         if "affine" in ineq:
             d.known("problem.inequalities.affine", ineq["affine"], ("G", "h"))
-            G = np.asarray(ineq["affine"].get("G", []), dtype=float)
-            h = np.asarray(ineq["affine"].get("h", []), dtype=float)
+            G = d.array("problem.inequalities.affine.G", ineq["affine"].get("G", []))
+            h = d.array("problem.inequalities.affine.h", ineq["affine"].get("h", []))
             d.need(G.ndim == 2 and G.shape[1] == n, "problem.inequalities.affine.G: must be p x n")
             d.need(h.shape == G.shape[:1], "problem.inequalities.affine.h: rows must match G")
         for k, entry in enumerate(ineq.get("named", [])):
@@ -229,7 +235,8 @@ def _read_solve(cfg: dict, d: _Diagnostics):
     start, tc = {}, {}
     for key, size in sizes.items():
         start[key] = d.vector(f"init.{key}", init.get(key, np.zeros(size)), size)
-        tau = np.atleast_1d(np.asarray(taus.get(f"tau_{key}", np.ones(size)), dtype=float))
+        tau = np.atleast_1d(d.array(f"time_constants.tau_{key}",
+                                    taus.get(f"tau_{key}", np.ones(size))))
         d.need(tau.shape == (size,) and (tau > 0).all(),
                f"time_constants.tau_{key}: must have {size} entries, all > 0")
         tc[f"tau_{key}"] = tau
@@ -641,7 +648,8 @@ def main(argv=None) -> int:
                 else [Path(args.out)])
     strict = [args.strict] * len(configs)
     if args.jobs > 1 and len(configs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # fork starts all max_workers at the first submit: start no idle ones
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
             results = list(pool.map(run, configs, out_dirs, strict))
     else:
         results = map(run, configs, out_dirs, strict)

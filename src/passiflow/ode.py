@@ -24,7 +24,6 @@ __all__ = [
     "IntegrationStats",
     "Trajectory",
     "integrate",
-    "finite_diff_gradient",
     "write_csv",
 ]
 
@@ -178,15 +177,16 @@ def integrate(
         Callable ``guards(t, x)`` returning all guard values as one 1-D
         array.  Whenever a guard changes sign inside a step, bisection
         brackets the sign change to a width ``<= event_tol`` (see
-        :class:`IntegratorConfig`), an event is recorded, and integration
-        restarts from the bracket's far end.
+        :class:`IntegratorConfig`), the step is shortened to land on the
+        bracket's far end, and an event is recorded.
     guard_labels : optional
         Event tags, aligned with the guards; defaults to ``guard<k>``.
     clamp_nonneg : optional
         Indices whose components are truncated at zero when they undershoot
-        by less than :data:`CLAMP_TOL` after an accepted step.  A larger
-        undershoot raises ``ValueError`` -- guards are supposed to catch the
-        crossing first.
+        by less than :data:`CLAMP_TOL` ``* max(1, |k1_i|)``, with ``k1`` the
+        step-start rate, plus one step's travel ``step * max(1, |k1|_inf)``
+        at an event landing.  A larger undershoot raises ``ValueError`` --
+        guards are supposed to catch the crossing first.
     stop_when_converged : bool
         Stop early once ``|rhs|_inf < convergence_tol`` holds over
         ``convergence_window`` consecutive accepted steps.
@@ -202,6 +202,9 @@ def integrate(
     Trajectory
         Samples every ``record_every``-th step plus all event samples and
         the final state, with the call's :class:`IntegrationStats`.
+
+    A plain step and an event landing are accepted by one path: the finite
+    check, the clamp, the read-only flag and the time and state update.
 
     Each accepted state (the initial state, each step's state and each event
     landing, after the clamp) is read-only and stays one array object while
@@ -252,42 +255,18 @@ def integrate(
         if on_sample is not None:
             on_sample(tv, xv)
 
-    def _clamp(xv, rate, extra_slack=0.0):
-        # extra_slack > 0 only at event restarts: a guard can miss a dip
-        # that starts and ends inside one step, and the restart of an
-        # unrelated event may land mid-dip.  The dip depth is bounded by
-        # one step's travel, so that is the slack granted there; plain
-        # steps keep the strict bound so a genuinely missing guard is
-        # still caught.
-        if clamp_idx is None:
-            return xv
-        neg = clamp_idx[xv[clamp_idx] < 0.0]
-        if neg.size == 0:
-            return xv
-        slack = CLAMP_TOL * np.maximum(1.0, np.abs(rate[neg])) + extra_slack
-        bad = np.flatnonzero(xv[neg] < -slack)
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"component {neg[k]} undershot zero by {-xv[neg[k]]:.3e} "
-                             f"(> clamp slack {slack[k]:.3e}); missing guard?")
-        xv[neg] = 0.0
-        stats.clamp_truncations += neg.size
-        return xv
-
     _record(t, x)
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h_step = min(h, t_end - t)
         x_new, k1 = _rk4_step(rhs, t, x, h_step)
         stats.rk4_steps += 1
-        if not np.isfinite(x_new).all():
-            raise DivergenceError(t, x)
-
-        any_crossed = False
+        landing = False
+        travel = 0.0
         if n_guards:
             s_new = guards(t + h_step, x_new)
-            any_crossed = (s_cur * s_new < 0.0).any()
+            landing = (s_cur * s_new < 0.0).any()
 
-        if any_crossed:
+        if landing:
             # One vector bisection localizes the earliest crossing among all
             # triggered guards; per-guard bisections would cost quadratically
             # when a cluster of guards crosses in the same step.
@@ -305,32 +284,44 @@ def integrate(
                 else:
                     lo, s_lo = mid, s_mid
             # All guards flipped inside the localization window count as one
-            # simultaneous batch of events; restart on the post-crossing side
-            # so switched bookkeeping sees the new signs at the sample.
+            # simultaneous batch of events; landing on the post-crossing side
+            # lets switched bookkeeping see the new signs at the sample.
             flipped = np.nonzero(s_lo * s_hi < 0.0)[0]
-            x_cross, _ = _rk4_step(rhs, t, x, hi)
+            # A guard can miss a dip that starts and ends inside one step,
+            # and the landing of an unrelated event may fall mid-dip.  The
+            # dip depth is bounded by one step's travel, so that is the clamp
+            # slack granted at a landing; plain steps keep the strict bound so
+            # a genuinely missing guard is still caught.
+            travel = h_step * max(1.0, np.max(np.abs(k1)))
+            h_step = hi
+            x_new, _ = _rk4_step(rhs, t, x, h_step)
             stats.rk4_steps += 1
-            if not np.isfinite(x_cross).all():
-                raise DivergenceError(t, x)
-            x_cross = _clamp(x_cross, k1,
-                             extra_slack=h_step * max(1.0, np.max(np.abs(k1))))
-            x_cross.flags.writeable = False
-            t = t + hi
-            x = x_cross
-            for j in flipped:
-                events.append((t, guard_labels[j]))
+
+        if not np.isfinite(x_new).all():
+            raise DivergenceError(t, x)
+        neg = () if clamp_idx is None else clamp_idx[x_new[clamp_idx] < 0.0]
+        if len(neg):
+            slack = CLAMP_TOL * np.maximum(1.0, np.abs(k1[neg])) + travel
+            bad = np.flatnonzero(x_new[neg] < -slack)
+            if bad.size:
+                k = bad[0]
+                raise ValueError(f"component {neg[k]} undershot zero by {-x_new[neg[k]]:.3e} "
+                                 f"(> clamp slack {slack[k]:.3e}); missing guard?")
+            x_new[neg] = 0.0
+            stats.clamp_truncations += neg.size
+        x = x_new
+        x.flags.writeable = False
+        t = t + h_step
+        step_index += 1
+
+        if landing:
+            events.extend((t, guard_labels[j]) for j in flipped)
             stats.event_batches += 1
             _record(t, x)
             s_cur = guards(t, x)
-            step_index += 1
             quiet = 0
             continue
 
-        x_new = _clamp(x_new, k1)
-        x_new.flags.writeable = False
-        t = t + h_step
-        x = x_new
-        step_index += 1
         if step_index % config.record_every == 0:
             _record(t, x)
         if n_guards:
@@ -351,21 +342,3 @@ def integrate(
     stats.rhs_evals += 4 * stats.rk4_steps
     return Trajectory(np.array(times), states[:len(times)], events, stats)
 
-
-def finite_diff_gradient(f, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient ``(f(x+h e_k) - f(x-h e_k)) / 2h``.
-
-    The independent check used throughout the tests against every analytic
-    gradient in the library; accuracy is O(h^2) for smooth ``f``.
-    """
-    x = np.asarray(x, dtype=float)
-    if not h > 0:
-        raise ValueError("h must be > 0")
-    g = np.zeros_like(x)
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = h
-        g[k] = (f(x + e) - f(x - e)) / (2.0 * h)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite finite-difference evaluation")
-    return g

@@ -37,11 +37,8 @@ __all__ = [
     "KKTReport",
     "SwitchEvent",
     "SolveResult",
-    "lagrangian",
     "kkt_residual",
     "equality_flow_rhs",
-    "positive_projection",
-    "active_set",
     "interconnected_rhs",
     "damping_injection_rhs",
     "augmented_problem",
@@ -223,16 +220,6 @@ class KKTReport:
         }
 
 
-def lagrangian(prob: ConvexProblem, s: FlowState) -> float:
-    """f(x) + lam^T (Ax - b) + mu^T g(x)."""
-    val = prob.f.value(s.x)
-    if prob.m:
-        val += s.lam @ (prob.A @ s.x - prob.b)
-    if prob.p:
-        val += s.mu @ prob.g_values(s.x)
-    return float(val)
-
-
 def kkt_residual(prob: ConvexProblem, s: FlowState) -> KKTReport:
     grad_L = prob.f.grad(s.x).copy()
     if prob.m:
@@ -259,28 +246,6 @@ def equality_flow_rhs(prob: ConvexProblem, s: FlowState, u, tc: TimeConstants):
     xdot = -(prob.f.grad(s.x) + prob.A.T @ s.lam + u) / tc.tau_x
     lamdot = (prob.A @ s.x - prob.b) / tc.tau_lam
     return xdot, lamdot, -s.x
-
-
-def positive_projection(gval: float, mu: float) -> float:
-    """``g`` when ``mu > 0``; ``max(0, g)`` when ``mu = 0``.  Rejects ``mu < 0``."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if mu > 0:
-        return float(gval)
-    return float(max(0.0, gval))
-
-
-def active_set(s: FlowState, gvals, tol: float = 1e-10) -> frozenset:
-    """Indices where the projection clamps: ``mu_i = 0`` and ``g_i <= 0``.
-
-    Ties ``mu_i = 0 = g_i`` are excluded; the multiplier rate vanishes on
-    both branches there, and leaving the index out keeps the switched
-    storage continuous.
-    """
-    g = np.asarray(gvals, dtype=float)
-    if s.mu.size and s.mu.min() < -tol:
-        raise ValueError("mu must be nonnegative")
-    return frozenset(np.nonzero((s.mu <= tol) & (g < -tol))[0].tolist())
 
 
 def interconnected_rhs(
@@ -369,19 +334,13 @@ def switched_storage(sdot, sigma, tc: TimeConstants) -> float:
     """Krasovskii storage with the clamped multiplier rates dropped.
 
     ``0.5 xdot^T tau_x xdot + 0.5 lamdot^T tau_lam lamdot
-    + 0.5 sum_{i not in sigma} tau_mu_i mudot_i^2``; ``sigma`` holds indices
-    or is a boolean mask over the multipliers.
+    + 0.5 sum_{i not in sigma} tau_mu_i mudot_i^2``; ``sigma`` is the clamp
+    set as a boolean mask over the multipliers.
     """
     xdot, lamdot, mudot = sdot
+    keep = ~sigma
     val = 0.5 * float(xdot @ (tc.tau_x * xdot)) + 0.5 * float(lamdot @ (tc.tau_lam * lamdot))
-    if mudot.shape[0]:
-        if isinstance(sigma, np.ndarray) and sigma.dtype == bool:
-            keep = ~sigma
-        else:
-            keep = np.ones(mudot.shape[0], dtype=bool)
-            keep[list(sigma)] = False
-        val += 0.5 * float(np.sum(tc.tau_mu[keep] * mudot[keep] ** 2))
-    return val
+    return val + 0.5 * float(np.sum(tc.tau_mu[keep] * mudot[keep] ** 2))
 
 
 class SwitchEvent(NamedTuple):
@@ -483,7 +442,8 @@ def solve(
         labels = [f"m{i}" for i in range(p)] + [f"g{i}" for i in range(p)]
         clamp = list(range(n + m, n + m + p))
 
-    # The clamp mask is active_set at max(mu, 0), which is <= proj_tol iff mu is.
+    # The clamp mask is active_set (tests/oracles.py) at max(mu, 0), which is
+    # <= proj_tol iff mu is.
     def clamped(z, g):
         return (z[n + m:] <= proj_tol) & (g < -proj_tol)
 

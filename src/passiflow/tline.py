@@ -179,7 +179,7 @@ class AdmissibleLineParams:
     """Feasible certificate parameters for the shaped line pair.
 
     ``tau = RC/(LG)`` is fixed by the line; ``zeta`` and ``lambda_prime``
-    are the chosen feasible point of the two defining inequalities; the
+    are the chosen feasible point of the four defining inequalities; the
     remaining fields are scaled so the plain (unnormalized) multiplier is
     exactly 1, which is the normalization the boundary / Lyapunov
     construction uses: ``beta = 1/lambda_prime``, ``alpha = tau beta``,
@@ -195,7 +195,7 @@ class AdmissibleLineParams:
     theta: float
 
     def feasibility_residuals(self) -> dict:
-        """The three defining inequalities; all must be <= 0."""
+        """The four defining inequalities by name; all must be <= 0."""
         t, z2, lp = self.tau, self.zeta ** 2, self.lambda_prime
         return {
             "lower": -lp,

@@ -1,13 +1,14 @@
-"""Independent reference solvers used to freeze expected values in tests.
+"""Independent references used to freeze expected values in tests.
 
 Except for the storage and switch references at the end, nothing here
-touches the gradient-flow code paths: QPs are solved by brute enumeration of
-active sets over the KKT linear systems, the toy SVM by its closed form, and
-the SVM training flow is written out a second time from the problem data to
-cross-check the generic primal-dual flow.  The storage post-pass of ``solve``
-and its switch classification are written out per sample and per event
-batch with the clamp set as an index set from ``active_set``, as the
-reference for the boolean-mask form ``solve`` uses.
+touches the gradient-flow code paths: gradients are checked by central
+differences, QPs are solved by brute enumeration of active sets over the
+KKT linear systems, the toy SVM by its closed form, and the SVM training
+flow is written out a second time from the problem data to cross-check the
+generic primal-dual flow.  The clamp set, a boolean mask in
+``passiflow.primal_dual.solve``, is :func:`active_set` here, an index set;
+the storage and the switch classification of ``solve`` are written out per
+sample and per event batch from it.
 """
 
 import itertools
@@ -17,10 +18,72 @@ import numpy as np
 from passiflow.primal_dual import (
     FlowState,
     SwitchEvent,
-    active_set,
     interconnected_rhs,
     switched_storage,
 )
+
+
+def finite_diff_gradient(f, x, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient ``(f(x+h e_k) - f(x-h e_k)) / 2h``.
+
+    The independent check against every analytic gradient in the library;
+    accuracy is O(h^2) for smooth ``f``.
+    """
+    x = np.asarray(x, dtype=float)
+    if not h > 0:
+        raise ValueError("h must be > 0")
+    g = np.zeros_like(x)
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        g[k] = (f(x + e) - f(x - e)) / (2.0 * h)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite finite-difference evaluation")
+    return g
+
+
+def check_consistency(sys, x) -> dict:
+    """Oracle shapes, gradient accuracy against :func:`finite_diff_gradient`
+    and Hessian symmetry of a ``PseudoGradientSystem`` ``sys`` at ``x``."""
+    x = np.asarray(x, dtype=float)
+    if sys.Q(x).shape != (sys.n, sys.n) or sys.G(x).shape != (sys.n, sys.m):
+        raise ValueError("oracle dimensions inconsistent")
+    fd = finite_diff_gradient(sys.P, x, 1e-6)
+    H = sys.hess_P(x)
+    return {"grad_ok": np.max(np.abs(sys.grad_P(x) - fd)) <= 1e-5 * (1.0 + np.max(np.abs(fd))),
+            "hess_ok": np.max(np.abs(H - H.T)) <= 1e-10}
+
+
+def lagrangian(prob, s) -> float:
+    """f(x) + lam^T (Ax - b) + mu^T g(x)."""
+    val = prob.f.value(s.x)
+    if prob.m:
+        val += s.lam @ (prob.A @ s.x - prob.b)
+    if prob.p:
+        val += s.mu @ prob.g_values(s.x)
+    return float(val)
+
+
+def positive_projection(gval: float, mu: float) -> float:
+    """``g`` when ``mu > 0``; ``max(0, g)`` when ``mu = 0``.  Rejects ``mu < 0``."""
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if mu > 0:
+        return float(gval)
+    return float(max(0.0, gval))
+
+
+def active_set(s, gvals, tol: float = 1e-10) -> frozenset:
+    """Indices where the projection clamps: ``mu_i = 0`` and ``g_i <= 0``.
+
+    Ties ``mu_i = 0 = g_i`` are excluded; the multiplier rate vanishes on
+    both branches there, and leaving the index out keeps the switched
+    storage continuous.
+    """
+    g = np.asarray(gvals, dtype=float)
+    if s.mu.size and s.mu.min() < -tol:
+        raise ValueError("mu must be nonnegative")
+    return frozenset(np.nonzero((s.mu <= tol) & (g < -tol))[0].tolist())
 
 
 def enumerate_qp_kkt(Q0, c, A=None, b=None, G=None, h=None, tol=1e-9):
@@ -155,15 +218,17 @@ def sigma_at(prob, z, proj_tol):
 def reference_storage(prob, traj, tc, proj_tol):
     """Switched storage at every sample of a ``solve`` trajectory.
 
-    Per sample: the flow rates, the clamp set from :func:`sigma_at`, and
-    :func:`passiflow.primal_dual.switched_storage` of the two.  ``proj_tol``
-    is the ``event_tol`` the solve ran with.
+    Per sample: the flow rates, the clamp set from :func:`sigma_at` as a
+    mask, and :func:`passiflow.primal_dual.switched_storage` of the two.
+    ``proj_tol`` is the ``event_tol`` the solve ran with.
     """
     n, m, p = prob.n, prob.m, prob.p
     out = np.empty(traj.times.size)
     for k, z in enumerate(traj.states):
         rates = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=tc, proj_tol=proj_tol)
-        out[k] = switched_storage(rates, sigma_at(prob, z, proj_tol), tc)
+        mask = np.zeros(p, dtype=bool)
+        mask[list(sigma_at(prob, z, proj_tol))] = True
+        out[k] = switched_storage(rates, mask, tc)
     return out
 
 

@@ -87,9 +87,8 @@ class TestAdmissiblePair:
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(100, 2))
         us = rng.normal(size=(100, 1))
-        pair = admissible_pair(rlc_bm, 1.0, np.diag([0.0, 1.0]),
-                               sample_points=pts, sample_inputs=us)
-        assert pair.max_residual < 1e-8
+        pair = admissible_pair(rlc_bm, 1.0, np.diag([0.0, 1.0]))
+        assert max(pair.residual(x, u) for x, u in zip(pts, us)) < 1e-8
 
     def test_asymmetric_M_rejected(self, rlc_bm):
         with pytest.raises(ValueError, match="symmetric"):

@@ -1,10 +1,14 @@
+import concurrent.futures
 import dataclasses
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from passiflow import cli, plants, svm, tline
@@ -70,13 +74,17 @@ def _tiny_solve_cfg(c):
             "integrator": {"step": 0.01, "max_time": 5.0}}
 
 
-def test_parallel_jobs_print_one_summary_per_config_in_order(tmp_path, capsys):
-    paths = []
+def _two_configs_argv(tmp_path):
+    argv = ["run"]
     for name, c in (("first", -1.0), ("second", 0.25)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(_tiny_solve_cfg(c)))
-        paths.append(str(path))
-    argv = ["run", "--config", paths[0], "--config", paths[1]]
+        argv += ["--config", str(path)]
+    return argv
+
+
+def test_parallel_jobs_print_one_summary_per_config_in_order(tmp_path, capsys):
+    argv = _two_configs_argv(tmp_path)
 
     assert cli.main(argv + ["--out", str(tmp_path / "seq")]) == 0
     sequential = capsys.readouterr().out.splitlines()
@@ -90,6 +98,22 @@ def test_parallel_jobs_print_one_summary_per_config_in_order(tmp_path, capsys):
     assert first["kkt"] != second["kkt"]
     for stem in ("first", "second"):
         assert (tmp_path / "par" / stem / "summary.json").is_file()
+
+
+def test_jobs_start_no_more_workers_than_configs(tmp_path, monkeypatch):
+    # Under fork, ProcessPoolExecutor starts all max_workers processes at the
+    # first submit; the stand-in records the request and starts no process.
+    requested = []
+
+    def pool(max_workers):
+        requested.append(max_workers)
+        return concurrent.futures.ThreadPoolExecutor(1)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
+    argv = _two_configs_argv(tmp_path) + ["--out", str(tmp_path / "out"), "--jobs", "500"]
+    assert cli.main(argv) == 0
+    assert requested == [2]
+    assert (tmp_path / "out" / "second" / "summary.json").is_file()
 
 
 def test_importing_the_cli_does_not_load_scipy():
@@ -389,8 +413,17 @@ def _leaf_paths(node, path=()):
         yield path
 
 
+def _diagnostic_path(path):
+    """How diagnostics name a leaf: ``problem.inequalities.named[0].params.center``
+    for ``("problem", "inequalities", "named", 0, "params", "center", 1)``."""
+    while isinstance(path[-1], int):
+        path = path[:-1]
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
 @pytest.mark.parametrize("name", ["solve", "svm", "parallel_rlc", "hvac", "tline", "audit"])
 def test_every_leaf_replaced_by_a_string_is_a_diagnostic(tmp_path, monkeypatch, name):
+    # ... and every numeric leaf replaced by NaN, inf or -inf.
     monkeypatch.chdir(tmp_path)                 # so that the trace path "x" names no file
     trace = tmp_path / "trace.csv"
     trace.write_text("t,storage\n0,2\n1,1\n")
@@ -398,17 +431,20 @@ def test_every_leaf_replaced_by_a_string_is_a_diagnostic(tmp_path, monkeypatch, 
     assert cli.validate(cfg) == []
     escaped = []
     for path in _leaf_paths(cfg):
-        mutant = json.loads(json.dumps(cfg))
-        node = mutant
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = "x"
-        try:
-            code, _ = cli.run(mutant, tmp_path / "out")
-        except Exception as exc:                # noqa: BLE001 -- what escapes is the finding
-            code = f"{type(exc).__name__}: {exc}"
-        if code != cli.EXIT_VALIDATION:
-            escaped.append((path, code))
+        leaf = functools.reduce(operator.getitem, path, cfg)
+        numeric = isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
+        for bad in ("x", *((np.nan, np.inf, -np.inf) if numeric else ())):
+            mutant = json.loads(json.dumps(cfg))
+            functools.reduce(operator.getitem, path[:-1], mutant)[path[-1]] = bad
+            try:
+                code, payload = cli.run(mutant, tmp_path / "out")
+            except Exception as exc:            # noqa: BLE001 -- what escapes is the finding
+                code, payload = f"{type(exc).__name__}: {exc}", {}
+            # a non-finite number's diagnostic names its leaf, up to a list index
+            named = bad == "x" or any(d.startswith(_diagnostic_path(path) + ":")
+                                      for d in payload.get("validation_errors", []))
+            if code != cli.EXIT_VALIDATION or not named:
+                escaped.append((path, bad, code))
     assert escaped == []
     assert not (tmp_path / "out").exists()
 

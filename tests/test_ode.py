@@ -3,12 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import finite_diff_gradient
+
 from passiflow import primal_dual
 from passiflow.ode import (
     DivergenceError,
     IntegratorConfig,
     Trajectory,
-    finite_diff_gradient,
     integrate,
     write_csv,
 )
@@ -110,6 +111,24 @@ class TestIntegrate:
                                              r"\(> clamp slack 1\.000e-08\); missing guard\?$"):
             integrate(lambda t, x: np.array([-1e-9, 0.0, -1.0, -2.0]),
                       [0.0, 0.0, 0.1, 0.1], cfg, clamp_nonneg=[0, 1, 2, 3])
+
+    def test_landing_grants_one_step_of_clamp_slack(self):
+        # x0' = -1 while x0 > 0 has no guard; the guard x1 - 0.04 with x1 = t
+        # lands the first step at t = 0.04, where the RK4 map (its k4 stage
+        # sees the zero branch) has taken x0 from 0.025 to -0.0083: beyond
+        # CLAMP_TOL, within one step's travel 0.1 * max(1, |k1|) = 0.1.
+        def rhs(t, x):
+            return np.array([-1.0 if x[0] > 0 else 0.0, 1.0])
+
+        traj = integrate(rhs, [0.025, 0.0], IntegratorConfig(step=0.1, max_time=0.2),
+                         guards=lambda t, x: x[1:] - 0.04, clamp_nonneg=[0])
+        assert traj.times[1] == traj.events[0][0] == pytest.approx(0.04)
+        assert traj.states[1, 0] == 0.0
+        assert traj.stats.clamp_truncations == 1
+        # The same undershoot after a plain step of the landing's length raises.
+        with pytest.raises(ValueError, match=r"undershot zero by 8\.333e-03"):
+            integrate(rhs, [0.025, 0.0], IntegratorConfig(step=0.04, max_time=0.1),
+                      clamp_nonneg=[0])
 
     def test_event_time_error_is_not_bounded_by_event_tol(self):
         # mu' = -1 while mu > 0, then 0: the true crossing is at t = mu0.

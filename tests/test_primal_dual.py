@@ -3,8 +3,11 @@ import pytest
 import dataclasses
 
 from oracles import (
+    active_set,
     enumerate_qp_kkt,
+    lagrangian,
     make_random_qp,
+    positive_projection,
     reference_storage,
     reference_switch_events,
     sigma_at,
@@ -16,16 +19,12 @@ from passiflow.primal_dual import (
     AffineInequalities,
     ConvexProblem,
     FlowState,
-    SwitchEvent,
     TimeConstants,
-    active_set,
     augmented_problem,
     damping_injection_rhs,
     equality_flow_rhs,
     interconnected_rhs,
     kkt_residual,
-    lagrangian,
-    positive_projection,
     quadratic_oracle,
     solve,
     storage_switch_audit,
@@ -248,14 +247,14 @@ class TestDampingInjection:
 class TestSwitchedStorage:
     def test_zero_at_equilibrium(self):
         tc = TimeConstants.ones(2, 1, 2)
-        val = switched_storage((np.zeros(2), np.zeros(1), np.zeros(2)), frozenset(), tc)
+        val = switched_storage((np.zeros(2), np.zeros(1), np.zeros(2)), np.zeros(2, bool), tc)
         assert val == 0.0
 
     def test_reduces_to_quadratic_form_without_inequalities(self):
         tc = TimeConstants(np.array([2.0, 3.0]), np.array([4.0]), np.zeros(0))
         xd = np.array([1.0, -1.0])
         ld = np.array([0.5])
-        val = switched_storage((xd, ld, np.zeros(0)), frozenset(), tc)
+        val = switched_storage((xd, ld, np.zeros(0)), np.zeros(0, bool), tc)
         assert val == pytest.approx(0.5 * (2 + 3) + 0.5 * 4 * 0.25)
 
     def test_matches_brute_force_sum(self):
@@ -263,19 +262,11 @@ class TestSwitchedStorage:
         tc = TimeConstants(rng.uniform(0.5, 2, 3), rng.uniform(0.5, 2, 2),
                            rng.uniform(0.5, 2, 4))
         xd, ld, md = rng.normal(size=3), rng.normal(size=2), rng.normal(size=4)
-        sigma = frozenset({1, 3})
+        sigma = np.array([False, True, False, True])
         brute = (0.5 * sum(tc.tau_x[i] * xd[i] ** 2 for i in range(3))
                  + 0.5 * sum(tc.tau_lam[i] * ld[i] ** 2 for i in range(2))
-                 + 0.5 * sum(tc.tau_mu[i] * md[i] ** 2 for i in range(4) if i not in sigma))
+                 + 0.5 * sum(tc.tau_mu[i] * md[i] ** 2 for i in range(4) if not sigma[i]))
         assert switched_storage((xd, ld, md), sigma, tc) == pytest.approx(brute)
-
-    def test_mask_and_index_set_give_the_same_storage(self):
-        rng = np.random.default_rng(13)
-        tc = TimeConstants(rng.uniform(0.5, 2, 3), rng.uniform(0.5, 2, 2),
-                           rng.uniform(0.5, 2, 4))
-        sdot = (rng.normal(size=3), rng.normal(size=2), rng.normal(size=4))
-        mask = np.array([False, True, False, True])
-        assert switched_storage(sdot, mask, tc) == switched_storage(sdot, frozenset({1, 3}), tc)
 
 
 class TestSolve:
@@ -503,53 +494,18 @@ class TestSwitchClassification:
         assert ref and res.storage.switch_events == ref
 
 
-def reference_post_pass(prob, traj, tc, proj_tol):
-    """Storage and switch events of a ``solve`` trajectory, the way ``solve``
-    computed them after integration before its sample hook did: per sample,
-    the flow at the stored state and its clamp mask; per event batch, the
-    masks of the neighbouring samples."""
-    n, m, p = prob.n, prob.m, prob.p
-    flow_tc = None if all(np.all(a == 1.0) for a in (tc.tau_x, tc.tau_lam, tc.tau_mu)) else tc
-    storage_vals = np.empty(traj.times.size)
-    clamped = np.zeros((traj.times.size, p), dtype=bool)
-    for k, z in enumerate(traj.states):
-        s = FlowState.unpack(z, n, m, p)
-        rates = interconnected_rhs(prob, s, tc=flow_tc, proj_tol=proj_tol)
-        clamped[k] = (s.mu <= proj_tol) & (prob.g_values(s.x) < -proj_tol)
-        storage_vals[k] = switched_storage(rates, clamped[k], tc)
-    switch_events = []
-    batches = {}
-    for t_e, tag in traj.events:
-        batches.setdefault(t_e, set()).add(int(tag[1:]))
-    for t_e in sorted(batches):
-        k = int(np.searchsorted(traj.times, t_e))
-        if k == 0:
-            continue
-        was, now = clamped[k - 1], clamped[min(k + 1, traj.times.size - 1)]
-        flips = [i for i in sorted(batches[t_e]) if was[i] != now[i]]
-        if not flips:
-            continue
-        g = prob.g_values(traj.states[k][:n])
-        jump = 0.0
-        for i in flips:
-            term = g[i] ** 2 / (2.0 * tc.tau_mu[i])
-            jump += -term if now[i] else term
-        switch_events.append(SwitchEvent(t_e, jump, tuple(i for i in flips if now[i]),
-                                         tuple(i for i in flips if was[i])))
-    return storage_vals, switch_events
-
-
 class TestStorageDuringIntegration:
     """``solve`` computes the storage in ``integrate``'s sample hook, reusing
-    the rates and constraint values integration already has; the post-pass
-    it replaced is the reference, bit for bit."""
+    the rates and constraint values integration already has; the per-sample
+    and per-batch references in ``oracles`` must match it bit for bit."""
 
     @staticmethod
     def check(prob, init, tc, cfg):
         res = solve(prob, init, tc=tc, cfg=cfg)
-        storage, events = reference_post_pass(prob, res.trajectory, tc, cfg.event_tol)
+        storage = reference_storage(prob, res.trajectory, tc, cfg.event_tol)
         assert res.storage.storage.tobytes() == storage.tobytes()
-        assert res.storage.switch_events == events
+        assert res.storage.switch_events == reference_switch_events(prob, res.trajectory, tc,
+                                                                    cfg.event_tol)
         return res
 
     def test_random_qp_with_an_equality_row_and_the_ball(self):
