@@ -259,10 +259,11 @@ def _read_svm(cfg: dict, d: _Diagnostics):
            "svm.seed: must be an integer in [0, 2**128)")
     mean_a = d.vector("svm.mean_a", blk.get("mean_a", svm_mod.DEFAULT_MEAN_A), 2)
     mean_b = d.vector("svm.mean_b", blk.get("mean_b", svm_mod.DEFAULT_MEAN_B), 2)
-    cov = np.asarray(blk.get("cov", svm_mod.DEFAULT_COV), dtype=float)
+    cov = d.array("svm.cov", blk.get("cov", svm_mod.DEFAULT_COV))
+    finite = np.isfinite(cov).all()
     # the symmetry bound of svm.generate_gaussian_classes
-    symmetric = cov.shape == (2, 2) and np.max(np.abs(cov - cov.T)) <= 1e-12
-    d.need(symmetric, "svm.cov: must be symmetric 2x2")
+    symmetric = finite and cov.shape == (2, 2) and np.max(np.abs(cov - cov.T)) <= 1e-12
+    d.need(symmetric or not finite, "svm.cov: must be symmetric 2x2")
     if symmetric:
         d.need(np.linalg.eigvalsh(cov)[0] > 0, "svm.cov: must be positive definite")
     sv_tol = blk.get("sv_tol", 1e-6)

@@ -3,9 +3,12 @@
 Every flow in this library (gradient flows, switched multiplier dynamics,
 circuit and line simulations) runs through :func:`integrate`.  The scheme is
 deliberately plain: classical fourth-order Runge-Kutta with a constant step,
-plus bisection of guard sign changes along the RK4 map from the step start
-(not along the exact solution, so on a switched field an event time can be
-off by O(step) whatever ``event_tol`` is).  A fixed step keeps switch
+plus a bracketing search for guard sign changes along the RK4 map from the
+step start (not along the exact solution, so on a switched field an event
+time can be off by O(step) whatever ``event_tol`` is).  The search probes the
+bracket's midpoint, or, while a guard the caller marks as smooth changes sign
+over it, that guard's secant root estimate, with the regula falsi weighting
+of Anderson and Bjorck (BIT 13, 1973).  A fixed step keeps switch
 bookkeeping and storage audits deterministic and reproducible; there is no
 adaptive error control and no stiff path.
 """
@@ -46,8 +49,8 @@ class IntegratorConfig:
     """Knobs for :func:`integrate` and convergence detection.
 
     ``step`` is the RK4 step and ``max_time`` the integrated span.
-    ``event_tol`` is the bracket width bisection reaches on a guard's sign
-    change along the RK4 map from the step start; it does not bound the
+    ``event_tol`` is the bracket width the event search reaches on a guard's
+    sign change along the RK4 map from the step start; it does not bound the
     crossing-time error, which is O(step) on a switched rhs.
     ``convergence_tol`` and ``convergence_window`` define convergence (see
     :func:`integrate`), and every ``record_every``-th step is sampled.  The
@@ -75,10 +78,11 @@ class IntegratorConfig:
 class IntegrationStats:
     """Counts of one :func:`integrate` call: calls into ``rhs`` (four per
     RK4 step, one per convergence check; ``primal_dual.solve`` answers some
-    from a cache), RK4 steps (bisection and crossing steps included), event
-    batches, and components truncated by the clamp.  Only calls that
-    :func:`integrate` itself makes count; evaluations inside ``on_sample``
-    (``primal_dual.solve``'s storage) do not.
+    from a cache), RK4 steps (probes, crossing and landing steps included),
+    event-search probes, event batches, and components truncated by the
+    clamp.  ``bisection_steps`` counts every probe, midpoint and secant alike.
+    Only calls that :func:`integrate` itself makes count; evaluations inside
+    ``on_sample`` (``primal_dual.solve``'s storage) do not.
     """
 
     rhs_evals: int = 0
@@ -154,6 +158,15 @@ def _rk4_step(rhs, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
 
 
+def _anderson_bjorck(s_new, s_old):
+    """Factor for the kept end's secant values after the other end moved, on
+    the same side of the crossing, from values ``s_old`` to ``s_new``:
+    ``1 - s_new / s_old``, or 1/2 where that is not positive (1 where
+    ``s_old`` is 0)."""
+    m = 1.0 - np.divide(s_new, s_old, out=np.zeros_like(s_new), where=s_old != 0.0)
+    return np.where(m > 0.0, m, 0.5)
+
+
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],
@@ -163,6 +176,7 @@ def integrate(
     clamp_nonneg: Sequence[int] | None = None,
     stop_when_converged: bool = False,
     on_sample: Callable[[float, np.ndarray], None] | None = None,
+    smooth_guards: Sequence[int] = (),
 ) -> Trajectory:
     """Integrate ``xdot = rhs(t, x)`` from 0 to ``max_time``.
 
@@ -175,10 +189,12 @@ def integrate(
     config : IntegratorConfig
     guards : optional
         Callable ``guards(t, x)`` returning all guard values as one 1-D
-        array.  Whenever a guard changes sign inside a step, bisection
+        array.  Whenever a guard changes sign inside a step, a search
         brackets the sign change to a width ``<= event_tol`` (see
         :class:`IntegratorConfig`), the step is shortened to land on the
-        bracket's far end, and an event is recorded.
+        bracket's far end, and an event is recorded for every guard that
+        changed sign over the bracket or reached exactly 0 at its far end.
+        Each probe is one RK4 step from the step start and one guard call.
     guard_labels : optional
         Event tags, aligned with the guards; defaults to ``guard<k>``.
     clamp_nonneg : optional
@@ -190,6 +206,14 @@ def integrate(
     stop_when_converged : bool
         Stop early once ``|rhs|_inf < convergence_tol`` holds over
         ``convergence_window`` consecutive accepted steps.
+    smooth_guards : sequence of int
+        Indices of guards that are continuous along the RK4 map inside a
+        step.  While one of them changes sign over the bracket, the search
+        probes the earliest of their secant root estimates, shifted by
+        ``event_tol / 2`` toward the end the last probe did not move; it
+        probes the midpoint when that estimate leaves the bracket or two
+        secant probes in a row did not halve it.  Guards that can jump mid
+        step must stay unmarked: every guard is bisected by default.
     on_sample : optional
         Callable ``on_sample(t, x)``, called once per sample in time order
         with the sampled accepted state itself (read-only): the initial
@@ -209,7 +233,7 @@ def integrate(
     Each accepted state (the initial state, each step's state and each event
     landing, after the clamp) is read-only and stays one array object while
     it is current, so ``rhs`` may cache on its identity; RK4 stage states and
-    bisection probes stay writable.  A step's state is the object the guards
+    search probes stay writable.  A step's state is the object the guards
     saw, and the clamp writes only ``clamp_nonneg`` entries of it.  Each
     sample is copied once into one growing array (1024 rows to start,
     doubling); ``Trajectory.states`` is its filled rows, writable and
@@ -236,6 +260,8 @@ def integrate(
         if guard_labels is None:
             guard_labels = [f"guard{k}" for k in range(n_guards)]
     clamp_idx = None if clamp_nonneg is None else np.asarray(clamp_nonneg, dtype=int)
+    smooth_idx = np.asarray(smooth_guards, dtype=int)
+    tol = config.event_tol
 
     times: list[float] = []
     states = np.empty((1024,) + x.shape)
@@ -267,26 +293,55 @@ def integrate(
             landing = (s_cur * s_new < 0.0).any()
 
         if landing:
-            # One vector bisection localizes the earliest crossing among all
-            # triggered guards; per-guard bisections would cost quadratically
+            # One vector search localizes a crossing among all triggered
+            # guards (the earliest, unless a guard crosses more than once
+            # within the step); per-guard searches would cost quadratically
             # when a cluster of guards crosses in the same step.
             lo, hi = 0.0, h_step
             s_lo = s_cur
             s_hi = s_new
-            while hi - lo > config.event_tol:
-                mid = 0.5 * (lo + hi)
-                x_mid, _ = _rk4_step(rhs, t, x, mid)
+            # Secant values of the smooth guards at lo and hi; Anderson-Bjorck
+            # scales the kept end's when one end moves twice in a row.
+            w_lo, w_hi = s_lo[smooth_idx], s_hi[smooth_idx]
+            last = 0        # the end the last probe moved: -1 lo, +1 hi
+            slow = 0        # secant probes in a row that did not halve the bracket
+            zero_hit = False
+            while hi - lo > tol:
+                width = hi - lo
+                probe = 0.5 * (lo + hi)
+                secant = False
+                if zero_hit:
+                    # A guard is exactly 0 at hi, so the crossing is there.
+                    probe = hi - 0.5 * tol
+                elif slow < 2:
+                    change = w_lo * w_hi < 0.0
+                    if change.any():
+                        a, b = w_lo[change], w_hi[change]
+                        # The earliest root estimate, shifted toward the end
+                        # the last probe did not move so that the bracket closes.
+                        root = lo + width * float(np.min(a / (a - b))) - 0.5 * tol * last
+                        if lo < root < hi:
+                            probe, secant = root, True
+                x_mid, _ = _rk4_step(rhs, t, x, probe)
                 stats.rk4_steps += 1
                 stats.bisection_steps += 1
-                s_mid = guards(t + mid, x_mid)
-                if (s_lo * s_mid < 0.0).any():
-                    hi, s_hi = mid, s_mid
+                s_mid = guards(t + probe, x_mid)
+                hit = (s_mid == 0.0) & (s_lo != 0.0)
+                w_mid = s_mid[smooth_idx]
+                if ((s_lo * s_mid < 0.0) | hit).any():
+                    if last == 1:
+                        w_lo = w_lo * _anderson_bjorck(w_mid, w_hi)
+                    hi, s_hi, w_hi, last = probe, s_mid, w_mid, 1
+                    zero_hit = hit.any()
                 else:
-                    lo, s_lo = mid, s_mid
+                    if last == -1:
+                        w_hi = w_hi * _anderson_bjorck(w_mid, w_lo)
+                    lo, s_lo, w_lo, last = probe, s_mid, w_mid, -1
+                slow = slow + 1 if secant and hi - lo > 0.5 * width else 0
             # All guards flipped inside the localization window count as one
             # simultaneous batch of events; landing on the post-crossing side
             # lets switched bookkeeping see the new signs at the sample.
-            flipped = np.nonzero(s_lo * s_hi < 0.0)[0]
+            flipped = np.nonzero((s_lo * s_hi < 0.0) | ((s_hi == 0.0) & (s_lo != 0.0)))[0]
             # A guard can miss a dip that starts and ends inside one step,
             # and the landing of an unrelated event may fall mid-dip.  The
             # dip depth is bounded by one step's travel, so that is the clamp

@@ -436,6 +436,10 @@ def solve(
         # otherwise converged support vectors (g = 0, mu > 0) would chatter
         # events on every step, and a threshold above zero would flip the
         # gate an instant before the mu crossing and mask the real event.
+        # The mu-guards are smooth along a step's RK4 map, so the event
+        # search may probe their secant roots; a gated g-guard jumps from
+        # 1.0 to g where its gate flips mid-bracket, and a secant through
+        # that jump points anywhere, so the g-guards stay on bisection.
         def guards(t, z):
             mu = z[n + m:]
             return np.concatenate([mu, np.where(mu <= 0.0, g_at(z), 1.0)])
@@ -458,7 +462,8 @@ def solve(
         storage.append(switched_storage(sdot, clamped(z, g_at(z)), tc))
 
     traj = integrate(rhs, init.pack(), cfg, guards=guards, guard_labels=labels,
-                     clamp_nonneg=clamp, stop_when_converged=True, on_sample=on_sample)
+                     clamp_nonneg=clamp, stop_when_converged=True, on_sample=on_sample,
+                     smooth_guards=range(p))
     storage_vals = np.array(storage)
 
     # One switch event per batch of simultaneous guard crossings.  The

@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,17 @@ def test_malformed_block_is_a_diagnostic():
     diags = cli.validate({"schema": 1, "kind": "solve",
                           "problem": {"objective": {"Q0": "abc"}}})
     assert diags and diags[0].startswith("config: malformed field")
+
+
+@pytest.mark.parametrize("cov", [
+    [[np.inf, 1.5], [1.5, 3.0]],                # symmetric
+    [[1.0, np.inf], [1.5, 3.0]],                # asymmetric
+])
+def test_infinite_svm_cov_is_reported_as_not_finite(cov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diags = cli.validate({"schema": 1, "kind": "svm", "svm": {"cov": cov}})
+    assert diags == ["svm.cov: must be finite"]
 
 
 def test_run_reports_a_wrong_typed_field_with_exit_code_2(tmp_path):

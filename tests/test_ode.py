@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from oracles import finite_diff_gradient
 
-from passiflow import primal_dual
+from passiflow import ode, primal_dual, svm
 from passiflow.ode import (
     DivergenceError,
     IntegratorConfig,
@@ -144,6 +145,16 @@ class TestIntegrate:
             assert t_event == pytest.approx(1.2e-3, abs=2 * tol)
             assert abs(t_event - mu0) > 1e3 * tol
 
+    def test_guard_exactly_zero_at_a_probe_is_localized(self):
+        # x = t: the first probe, the midpoint 0.05 of the step, finds the
+        # guard exactly 0.  That zero is the crossing; one probe just before
+        # it closes the bracket, and the landing is on it.
+        traj = integrate(lambda t, x: np.ones(1), [0.0], IntegratorConfig(step=0.1, max_time=0.3),
+                         guards=lambda t, x: x - 0.05)
+        assert traj.events == [(0.05, "guard0")]
+        assert traj.times[1] == 0.05
+        assert traj.stats.bisection_steps == 2
+
     def test_max_time_not_multiple_of_step_hits_end_exactly(self):
         cfg = IntegratorConfig(step=0.3, max_time=1.0)
         traj = integrate(lambda t, x: -x, [1.0], cfg)
@@ -200,6 +211,51 @@ class TestIntegrate:
             assert writable or np.array_equal(x, samples[t])
         assert traj.states.flags.writeable
         traj.states[0, 0] = 7.0
+
+
+class TestSecantEventSearch:
+    """A guard marked smooth is searched at secant root estimates."""
+
+    H = 0.01
+    TOL = 1e-10
+
+    def search(self, smooth_guards):
+        # mu' = -(1 + 2 mu) from mu0 = 4e-3 crosses 0 at 0.5 ln(1.008) ~ 3.98e-3,
+        # inside the first step; the RK4 map in the probe length is a quartic,
+        # so no secant estimate is exact.  Returns the guard values at each
+        # probe, the landing's value and the event time.
+        seen = []
+
+        def guards(t, x):
+            seen.append((t, x[0]))
+            return x.copy()
+
+        cfg = IntegratorConfig(step=self.H, max_time=self.H, event_tol=self.TOL)
+        traj = integrate(lambda t, x: -(1.0 + 2.0 * x), [4e-3], cfg, guards=guards,
+                         smooth_guards=smooth_guards)
+        (t_event, _), = traj.events
+        probes = traj.stats.bisection_steps
+        # seen: the initial state, the crossing step's end, the probes, the
+        # landing, and the step from the landing to max_time.
+        assert len(seen) == 1 + 1 + probes + 1 + 1
+        return seen[2:2 + probes], seen[2 + probes], t_event
+
+    def test_secant_probes_close_the_bracket_on_the_post_crossing_side(self):
+        probes, (t_land, mu_land), t_event = self.search([0])
+        assert t_land == t_event
+        # The last probe before the crossing and the landing bracket the
+        # crossing to event_tol; the landing is past it.
+        lo = max(t for t, mu in probes if mu > 0.0)
+        assert t_event - lo <= self.TOL
+        assert mu_land <= 0.0
+        assert t_event == pytest.approx(0.5 * np.log(1.008), abs=1e-9)
+        assert len(probes) <= 6
+
+    def test_bisection_takes_a_probe_per_halving(self):
+        probes, (_, mu_land), t_event = self.search(())
+        assert len(probes) == int(np.ceil(np.log2(self.H / self.TOL))) == 27
+        assert mu_land <= 0.0
+        assert t_event == pytest.approx(0.5 * np.log(1.008), abs=1e-9)
 
 
 class TestSampleBuffer:
@@ -306,6 +362,45 @@ class TestIntegrationStats:
                                 + 3 * result.switch_count + 2)
         assert len(g_calls) == 1954
         assert stats.clamp_truncations == 0
+
+    def test_call_counts_follow_the_step_counts_on_a_multi_event_solve(self, monkeypatch):
+        # The identities perfbench's tracer (tracing.step_counts) uses to
+        # infer RK4 and advancing steps from the calls it counts: the guards
+        # run once at the start and once after every RK4 step, and the rhs
+        # four times per RK4 step plus once per convergence check, which
+        # solve makes after every step that advances without an event.
+        calls = {"rhs": 0, "guards": 0}
+        lengths = []
+        real_integrate, real_step = primal_dual.integrate, ode._rk4_step
+
+        def counting_integrate(rhs, x0, cfg, guards=None, **kwargs):
+            def counted_rhs(t, x):
+                calls["rhs"] += 1
+                return rhs(t, x)
+
+            def counted_guards(t, x):
+                calls["guards"] += 1
+                return guards(t, x)
+            return real_integrate(counted_rhs, x0, cfg, guards=counted_guards, **kwargs)
+
+        def counting_step(rhs, t, x, h):
+            lengths.append(h)
+            return real_step(rhs, t, x, h)
+
+        monkeypatch.setattr(primal_dual, "integrate", counting_integrate)
+        monkeypatch.setattr(ode, "_rk4_step", counting_step)
+        data = svm.generate_gaussian_classes(seed=0, n_per_class=10)
+        cfg = dataclasses.replace(svm.DEFAULT_INTEGRATOR, max_time=10.0)
+        result = primal_dual.solve(svm.build_svm_problem(data),
+                                   FlowState(np.zeros(3), mu=np.zeros(data.size)), cfg=cfg)
+        stats = result.trajectory.stats
+        assert stats.event_batches > 10
+        assert stats.rk4_steps == len(lengths)
+        assert calls["guards"] == stats.rk4_steps + 1
+        # Each event batch costs a crossing step, its probes and a landing
+        # step; every other RK4 step is a plain step and gets a check.
+        checks = stats.rk4_steps - stats.bisection_steps - 2 * stats.event_batches
+        assert calls["rhs"] == stats.rhs_evals == 4 * stats.rk4_steps + checks
 
     def test_clamp_truncations_are_counted(self):
         cfg = IntegratorConfig(step=0.01, max_time=1.0)
