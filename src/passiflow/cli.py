@@ -33,7 +33,6 @@ code.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import numbers
 import sys
@@ -176,7 +175,7 @@ def _ball(params: dict, n: int, path: str, d: _Diagnostics) -> ScalarOracle:
     center = d.vector(f"{path}.center", params.get("center", np.zeros(n)), n)
 
     return ScalarOracle(
-        value=lambda x: float((x - center) @ (x - center) - radius ** 2),
+        value=lambda x: float((dx := x - center) @ dx - radius ** 2),
         grad=lambda x: 2.0 * (x - center),
         hess=lambda x: 2.0 * np.eye(n),
     )
@@ -649,6 +648,7 @@ def main(argv=None) -> int:
                 else [Path(args.out)])
     strict = [args.strict] * len(configs)
     if args.jobs > 1 and len(configs) > 1:
+        import concurrent.futures       # only --jobs needs it; saves every import ~5 ms
         # fork starts all max_workers at the first submit: start no idle ones
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
             results = list(pool.map(run, configs, out_dirs, strict))

@@ -15,10 +15,15 @@ switched Krasovskii storage is audited along every solve.
 
 All inequalities form one block, :class:`AffineInequalities`: affine rows
 ``G x - h`` evaluated as one product, then any nonlinear oracle rows.
+
+:func:`interconnected_rhs`, the one implementation of the flow, maps the
+packed state ``(x, lam, mu)`` to ``(xdot, lamdot, mudot)``, reading the problem
+from a :class:`PreparedFlow` that :func:`prepare_flow` builds once per solve.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -39,6 +44,8 @@ __all__ = [
     "SolveResult",
     "kkt_residual",
     "equality_flow_rhs",
+    "PreparedFlow",
+    "prepare_flow",
     "interconnected_rhs",
     "damping_injection_rhs",
     "augmented_problem",
@@ -248,49 +255,67 @@ def equality_flow_rhs(prob: ConvexProblem, s: FlowState, u, tc: TimeConstants):
     return xdot, lamdot, -s.x
 
 
-def interconnected_rhs(
-    prob: ConvexProblem,
-    s: FlowState,
-    v=None,
-    tc: TimeConstants | None = None,
-    proj_tol: float = 1e-10,
-    g=None,
-):
-    """Power-conserving interconnection of the equality flow and the
-    projected multiplier flow.
+#: The per-problem data of the flow; see :func:`prepare_flow`.
+PreparedFlow = namedtuple("PreparedFlow", "n m p grad A At b values oracles Jt tc proj_tol")
 
+
+def prepare_flow(prob: ConvexProblem, tc: TimeConstants | None = None,
+                 proj_tol: float = 1e-10) -> PreparedFlow:
+    """What every :func:`interconnected_rhs` call on ``prob`` shares: the
+    sizes, ``f.grad``, ``A``, ``A.T``, ``b``, the constraint ``values``, the
+    oracle rows as ``(row, oracle)`` pairs, the transpose of a private buffer
+    of stacked constraint gradients with the affine rows filled (``G`` itself
+    without oracle rows), ``tc`` (``None`` when every time constant is 1:
+    dividing by it would be exact) and ``proj_tol``.  Wrong-sized ``tc`` raises."""
+    n, m, p = prob.n, prob.m, prob.p
+    if tc is not None:
+        for name, size in (("tau_x", n), ("tau_lam", m), ("tau_mu", p)):
+            if getattr(tc, name).shape != (size,):
+                raise ValueError(f"{name} must have {size} entries, one per state")
+        if all(np.all(a == 1.0) for a in (tc.tau_x, tc.tau_lam, tc.tau_mu)):
+            tc = None
+    G, oracles = prob.ineq.G, prob.ineq.oracles
+    J = np.concatenate([G, np.empty((len(oracles), n))]) if oracles else G
+    return PreparedFlow(n, m, p, prob.f.grad, prob.A, prob.A.T, prob.b, prob.ineq.values,
+                        tuple(enumerate(oracles, G.shape[0])), J.T, tc, proj_tol)
+
+
+_EMPTY = np.zeros(0)
+
+
+def interconnected_rhs(flow: PreparedFlow, z, g=None, v=None):
+    """Power-conserving interconnection of the equality flow and the
+    projected multiplier flow, the one implementation of the flow.
+
+    ``flow`` is :func:`prepare_flow` of the problem and ``z`` the packed
+    state ``(x, lam, mu)``; returns ``(xdot, lamdot, mudot)``.
     With the injection port ``v`` at zero this is exactly the primal-dual
-    dynamics of the full problem; ``v`` enters the primal channel.
-    Returns ``(xdot, lamdot, mudot)``.  ``tc=None`` means unit time
-    constants; dividing by them would be exact, so it is skipped.  ``g``,
-    when given, is the constraint values at ``s.x`` already computed.
+    dynamics of the full problem; ``v`` enters the primal channel.  ``g``,
+    when given, is the constraint values at ``x`` already computed.
     """
-    x = s.x
-    grad_L = prob.f.grad(x)
+    n, m, p, grad, A, At, b, values, oracles, Jt, tc, proj_tol = flow
+    x = z[:n]
+    grad_L = grad(x)
     if v is not None:
         grad_L = grad_L + v
-    A = prob.A
-    if A.shape[0]:
-        grad_L = grad_L + A.T @ s.lam
-        lamdot = A @ x - prob.b
-    else:
-        lamdot = np.zeros(0)
-    ineq = prob.ineq
-    if ineq.p:
-        grad_L = grad_L + ineq.jacobian(x).T @ np.maximum(s.mu, 0.0)
+    lamdot = mudot = _EMPTY
+    if m:
+        grad_L = grad_L + At @ z[n:n + m]
+        lamdot = A @ x - b
+    if p:
+        mu = z[n + m:]
+        for k, o in oracles:
+            Jt[:, k] = o.grad(x)
+        grad_L = grad_L + Jt @ np.maximum(mu, 0.0)
         if g is None:
-            g = ineq.values(x)
+            g = values(x)
         # mu within proj_tol of zero (or transiently below, mid-step) takes
         # the clamped branch; everything else flows freely along g.
-        mudot = np.where(s.mu <= proj_tol, np.maximum(0.0, g), g)
-    else:
-        mudot = np.zeros(0)
+        mudot = np.where(mu <= proj_tol, np.maximum(0.0, g), g)
     xdot = -grad_L
-    if tc is not None:
-        xdot = xdot / tc.tau_x
-        lamdot = lamdot / tc.tau_lam
-        mudot = mudot / tc.tau_mu
-    return xdot, lamdot, mudot
+    if tc is None:
+        return xdot, lamdot, mudot
+    return xdot / tc.tau_x, lamdot / tc.tau_lam, mudot / tc.tau_mu
 
 
 def damping_injection_rhs(prob: ConvexProblem, s: FlowState, k: float,
@@ -303,7 +328,7 @@ def damping_injection_rhs(prob: ConvexProblem, s: FlowState, k: float,
     if k < 0:
         raise ValueError("k must be >= 0")
     v = k * (prob.A.T @ (prob.A @ s.x - prob.b)) if prob.m else np.zeros(prob.n)
-    return interconnected_rhs(prob, s, v=v, tc=tc, proj_tol=proj_tol)
+    return interconnected_rhs(prepare_flow(prob, tc, proj_tol), s.pack(), v=v)
 
 
 def augmented_problem(prob: ConvexProblem, k: float) -> ConvexProblem:
@@ -390,8 +415,7 @@ def solve(
     if init.mu.size != p or init.lam.size != m or init.x.size != n:
         raise ValueError("initial state dimensions do not match problem")
     proj_tol = cfg.event_tol
-    unit_tc = all(np.all(a == 1.0) for a in (tc.tau_x, tc.tau_lam, tc.tau_mu))
-    flow_tc = None if unit_tc else tc
+    flow = prepare_flow(prob, tc, proj_tol)
 
     # One constraint-value slot: g at the last state the guards saw, or the
     # last read-only state the flow saw, reused when that object comes again
@@ -417,13 +441,11 @@ def solve(
         nonlocal slot_z, slot_rate
         if z is slot_z:
             return slot_rate
-        read_only = not z.flags.writeable
-        g = g_at(z) if read_only else None
-        rate = np.concatenate(interconnected_rhs(prob, FlowState.unpack(z, n, m, p),
-                                                 tc=flow_tc, proj_tol=proj_tol, g=g))
-        if read_only:
-            rate.flags.writeable = False
-            slot_z, slot_rate = z, rate
+        if z.flags.writeable:
+            return np.concatenate(interconnected_rhs(flow, z))
+        rate = np.concatenate(interconnected_rhs(flow, z, g_at(z)))
+        rate.flags.writeable = False
+        slot_z, slot_rate = z, rate
         return rate
 
     guards = None
@@ -497,7 +519,7 @@ def solve(
                          switch_events=switch_events)
     final = FlowState.unpack(traj.final_state, n, m, p)
     final.mu = np.maximum(final.mu, 0.0)
-    rates = interconnected_rhs(prob, final, tc=flow_tc, proj_tol=proj_tol)
+    rates = interconnected_rhs(flow, final.pack())
     converged = bool(max(np.max(np.abs(r), initial=0.0) for r in rates) < cfg.convergence_tol)
     return SolveResult(
         trajectory=traj,

@@ -1,11 +1,12 @@
 """Independent references used to freeze expected values in tests.
 
 Except for the storage and switch references at the end, nothing here
-touches the gradient-flow code paths: gradients are checked by central
-differences, QPs are solved by brute enumeration of active sets over the
-KKT linear systems, the toy SVM by its closed form, and the SVM training
-flow is written out a second time from the problem data to cross-check the
-generic primal-dual flow.  The clamp set, a boolean mask in
+touches the gradient-flow code paths: the primal-dual flow is written out
+per part from the problem (:func:`reference_flow`), gradients are checked
+by central differences, QPs are solved by brute enumeration of active sets
+over the KKT linear systems, the toy SVM by its closed form, and the SVM
+training flow is written out a second time from the problem data to
+cross-check the generic primal-dual flow.  The clamp set, a boolean mask in
 ``passiflow.primal_dual.solve``, is :func:`active_set` here, an index set;
 the storage and the switch classification of ``solve`` are written out per
 sample and per event batch from it.
@@ -18,7 +19,6 @@ import numpy as np
 from passiflow.primal_dual import (
     FlowState,
     SwitchEvent,
-    interconnected_rhs,
     switched_storage,
 )
 
@@ -206,6 +206,41 @@ def svm_flow_rhs(data, s, tc, proj_tol=1e-10):
     return np.concatenate([betadot, [beta0dot]]), mudot
 
 
+def reference_flow(prob, s, v=None, tc=None, proj_tol: float = 1e-10, g=None):
+    """The projected primal-dual flow of ``prob`` at ``s`` as
+    ``(xdot, lamdot, mudot)``, from the problem's attributes and a fresh
+    ``ineq.jacobian`` per call; ``s`` may carry negative multipliers (use
+    ``FlowState.unpack``).  ``v`` enters the primal channel, ``tc=None``
+    means unit time constants, and ``g`` is the constraint values at
+    ``s.x`` if already computed.  ``passiflow.primal_dual.interconnected_rhs``
+    must equal it bit for bit.
+    """
+    x = s.x
+    grad_L = prob.f.grad(x)
+    if v is not None:
+        grad_L = grad_L + v
+    A = prob.A
+    if A.shape[0]:
+        grad_L = grad_L + A.T @ s.lam
+        lamdot = A @ x - prob.b
+    else:
+        lamdot = np.zeros(0)
+    ineq = prob.ineq
+    if ineq.p:
+        grad_L = grad_L + ineq.jacobian(x).T @ np.maximum(s.mu, 0.0)
+        if g is None:
+            g = ineq.values(x)
+        mudot = np.where(s.mu <= proj_tol, np.maximum(0.0, g), g)
+    else:
+        mudot = np.zeros(0)
+    xdot = -grad_L
+    if tc is not None:
+        xdot = xdot / tc.tau_x
+        lamdot = lamdot / tc.tau_lam
+        mudot = mudot / tc.tau_mu
+    return xdot, lamdot, mudot
+
+
 def sigma_at(prob, z, proj_tol):
     """The clamp set at packed state ``z`` as a ``frozenset`` of indices:
     ``active_set`` at the sample with ``mu`` clipped to zero."""
@@ -218,14 +253,15 @@ def sigma_at(prob, z, proj_tol):
 def reference_storage(prob, traj, tc, proj_tol):
     """Switched storage at every sample of a ``solve`` trajectory.
 
-    Per sample: the flow rates, the clamp set from :func:`sigma_at` as a
-    mask, and :func:`passiflow.primal_dual.switched_storage` of the two.
+    Per sample: the rates of :func:`reference_flow`, the clamp set from
+    :func:`sigma_at` as a mask, and
+    :func:`passiflow.primal_dual.switched_storage` of the two.
     ``proj_tol`` is the ``event_tol`` the solve ran with.
     """
     n, m, p = prob.n, prob.m, prob.p
     out = np.empty(traj.times.size)
     for k, z in enumerate(traj.states):
-        rates = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=tc, proj_tol=proj_tol)
+        rates = reference_flow(prob, FlowState.unpack(z, n, m, p), tc=tc, proj_tol=proj_tol)
         mask = np.zeros(p, dtype=bool)
         mask[list(sigma_at(prob, z, proj_tol))] = True
         out[k] = switched_storage(rates, mask, tc)

@@ -121,7 +121,7 @@ def test_jobs_start_no_more_workers_than_configs(tmp_path, monkeypatch):
         requested.append(max_workers)
         return concurrent.futures.ThreadPoolExecutor(1)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     argv = _two_configs_argv(tmp_path) + ["--out", str(tmp_path / "out"), "--jobs", "500"]
     assert cli.main(argv) == 0
     assert requested == [2]
@@ -129,15 +129,17 @@ def test_jobs_start_no_more_workers_than_configs(tmp_path, monkeypatch):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # passiflow/__init__ imports every submodule, so this covers the library.
+    # passiflow/__init__ imports every submodule, so this covers the library;
+    # concurrent.futures is for --jobs alone and costs every import ~5 ms.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, passiflow.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, passiflow.cli; "
+         "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 # -- exit codes through cli.run ------------------------------------------------

@@ -14,7 +14,14 @@ from passiflow.ode import (
     integrate,
     write_csv,
 )
-from passiflow.primal_dual import AffineInequalities, ConvexProblem, FlowState, quadratic_oracle
+from passiflow.primal_dual import (
+    AffineInequalities,
+    ConvexProblem,
+    FlowState,
+    ScalarOracle,
+    TimeConstants,
+    quadratic_oracle,
+)
 
 
 class TestTrajectory:
@@ -362,6 +369,47 @@ class TestIntegrationStats:
                                 + 3 * result.switch_count + 2)
         assert len(g_calls) == 1954
         assert stats.clamp_truncations == 0
+
+    def test_counts_on_a_problem_with_an_equality_and_a_ball_row(self, monkeypatch):
+        # min |x|^2 / 2 - 2 x0 - x1  s.t.  x0 + x1 + x2 = 1, x0 - x1 <= 0.5,
+        # -x2 <= 0 and |x - (0.5, 0.5, 0)|^2 <= 0.36, at non-unit time
+        # constants: the oracle row fills its gradient row at every flow
+        # evaluation, and the clamp set gains and loses indices.
+        center = np.array([0.5, 0.5, 0.0])
+        ball = ScalarOracle(value=lambda x: float((x - center) @ (x - center) - 0.36),
+                            grad=lambda x: 2.0 * (x - center), hess=lambda x: 2.0 * np.eye(3))
+        prob = ConvexProblem(n=3, f=quadratic_oracle(np.eye(3), [-2.0, -1.0, 0.0]),
+                             A=[[1.0, 1.0, 1.0]], b=[1.0],
+                             ineq=AffineInequalities([[1.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
+                                                     [0.5, 0.0], [ball]))
+        tc = TimeConstants([1.0, 0.5, 2.0], [1.5], [0.7, 1.0, 2.0])
+        h = 2.0 ** -5
+        cfg = IntegratorConfig(step=h, event_tol=h / 2 ** 12, max_time=40.0)
+        calls = {"rhs": 0, "g": 0}
+        real_rhs, real_g = primal_dual.interconnected_rhs, ConvexProblem.g_values
+
+        def counted_rhs(*args, **kwargs):
+            calls["rhs"] += 1
+            return real_rhs(*args, **kwargs)
+
+        def counted_g(self, x):
+            calls["g"] += 1
+            return real_g(self, x)
+
+        monkeypatch.setattr(primal_dual, "interconnected_rhs", counted_rhs)
+        monkeypatch.setattr(ConvexProblem, "g_values", counted_g)
+        result = primal_dual.solve(prob, FlowState(np.zeros(3), lam=[0.0], mu=[0.0, 0.5, 0.0]),
+                                   tc=tc, cfg=cfg)
+        stats = result.trajectory.stats
+        assert result.converged
+        assert [(e.entered, e.left) for e in result.storage.switch_events] == [
+            ((2,), ()), ((), (2,)), ((), (0,)), ((2,), ())]
+        assert (stats.rk4_steps, stats.bisection_steps, stats.event_batches) == (1180, 31, 4)
+        # The flow: three stage states per RK4 step, every sample, the final
+        # rate check.  g_values: the guards' slot at the initial state and
+        # after every RK4 step, three per switch event, the KKT report.
+        assert calls["rhs"] == 3 * stats.rk4_steps + result.trajectory.times.size + 1 == 4687
+        assert calls["g"] == 1 + stats.rk4_steps + 3 * result.switch_count + 1 == 1194
 
     def test_call_counts_follow_the_step_counts_on_a_multi_event_solve(self, monkeypatch):
         # The identities perfbench's tracer (tracing.step_counts) uses to

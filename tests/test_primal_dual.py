@@ -8,6 +8,7 @@ from oracles import (
     lagrangian,
     make_random_qp,
     positive_projection,
+    reference_flow,
     reference_storage,
     reference_switch_events,
     sigma_at,
@@ -25,6 +26,7 @@ from passiflow.primal_dual import (
     equality_flow_rhs,
     interconnected_rhs,
     kkt_residual,
+    prepare_flow,
     quadratic_oracle,
     solve,
     storage_switch_audit,
@@ -166,7 +168,7 @@ class TestInterconnectedFlow:
     def test_zero_rhs_at_kkt_point(self):
         prob = one_d_nonneg()
         s = FlowState(np.zeros(1), mu=np.zeros(1))
-        xd, ld, md = interconnected_rhs(prob, s)
+        xd, ld, md = interconnected_rhs(prepare_flow(prob), s.pack())
         assert np.max(np.abs(np.concatenate([xd, ld, md]))) < 1e-14
 
     def test_reduces_to_equality_flow_without_inequalities(self):
@@ -174,7 +176,7 @@ class TestInterconnectedFlow:
         tc = TimeConstants.ones(2, 1, 0)
         s = FlowState(np.array([0.4, 0.1]), lam=np.array([0.7]))
         v = np.array([0.3, -0.2])
-        xd_a, ld_a, md = interconnected_rhs(prob, s, v=v, tc=tc)
+        xd_a, ld_a, md = interconnected_rhs(prepare_flow(prob, tc), s.pack(), v=v)
         xd_b, ld_b, _ = equality_flow_rhs(prob, s, v, tc)
         assert np.allclose(xd_a, xd_b)
         assert np.allclose(ld_a, ld_b)
@@ -190,11 +192,88 @@ class TestInterconnectedFlow:
         assert res.kkt.comp_slack <= 1e-6
 
 
+class TestFlowMatchesReference:
+    """The prepared flow is the reference flow of ``oracles`` bit for bit,
+    signs of zeros included, with one ``PreparedFlow`` reused across states."""
+
+    PROJ_TOL = 1e-10
+    TAU_KINDS = ("none", "ones", "random")
+
+    @staticmethod
+    def random_problem(rng, equalities, oracle_rows):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, n + 1)) if equalities else 0
+        r = int(rng.integers(0 if oracle_rows else 1, 4))
+        W = rng.normal(size=(n, n))
+        c = np.zeros(n) if rng.random() < 0.5 else rng.normal(size=n)
+        h = rng.normal(size=r)
+        h[:1] = 0.0                 # g = 0 exactly at x = 0
+        oracles = [quadratic_oracle(np.eye(n) * rng.uniform(0.5, 2.0), rng.normal(size=n))
+                   for _ in range(oracle_rows)]
+        return ConvexProblem(n=n, f=quadratic_oracle(W.T @ W, c),
+                             A=rng.normal(size=(m, n)), b=rng.normal(size=m),
+                             ineq=AffineInequalities(rng.normal(size=(r, n)), h, oracles))
+
+    def states(self, rng, prob):
+        n, m, p = prob.n, prob.m, prob.p
+        # mu below zero (an RK4 stage), exactly zero or negative zero,
+        # within proj_tol of zero, and well inside the orthant.  The first
+        # state is the origin with no positive mu: with c = 0 every rate of
+        # x is a zero whose sign is checked.
+        mu_pool = np.array([-1e-3, -1e-12, -0.0, 0.0, 0.5 * self.PROJ_TOL, self.PROJ_TOL,
+                            2.0 * self.PROJ_TOL, 0.3, 1.7])
+        yield np.concatenate([np.zeros(n + m), rng.choice(mu_pool[:4], size=p)])
+        for _ in range(11):
+            yield np.concatenate([rng.normal(size=n + m), rng.choice(mu_pool, size=p)])
+
+    @pytest.mark.parametrize("equalities", [False, True])
+    @pytest.mark.parametrize("oracle_rows", [0, 1, 2])
+    @pytest.mark.parametrize("taus", TAU_KINDS)
+    def test_random_problems_and_states(self, equalities, oracle_rows, taus):
+        rng = np.random.default_rng([5, equalities, oracle_rows, self.TAU_KINDS.index(taus)])
+        for _ in range(8):
+            prob = self.random_problem(rng, equalities, oracle_rows)
+            n, m, p = prob.n, prob.m, prob.p
+            tc = {"none": None, "ones": TimeConstants.ones(n, m, p),
+                  "random": TimeConstants(rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m),
+                                          rng.uniform(0.5, 2.0, p))}[taus]
+            flow = prepare_flow(prob, tc, self.PROJ_TOL)
+            for z in self.states(rng, prob):
+                s = FlowState.unpack(z, n, m, p)
+                for g in (None, prob.g_values(z[:n])):
+                    for v in (None, rng.normal(size=n)):
+                        rates = interconnected_rhs(flow, z, g=g, v=v)
+                        refs = reference_flow(prob, s, v=v, tc=tc, proj_tol=self.PROJ_TOL, g=g)
+                        assert len(rates) == 3
+                        for rate, ref in zip(rates, refs):
+                            assert rate.shape == ref.shape
+                            assert np.array_equal(rate, ref)
+                            assert np.array_equal(np.signbit(rate), np.signbit(ref))
+
+
+class TestTimeConstantSizes:
+    """Each time constant must have one entry per state of its block."""
+
+    @pytest.mark.parametrize("field, taus", [
+        ("tau_x", {"tau_x": [2.0], "tau_lam": [1.0], "tau_mu": [1.0]}),
+        ("tau_x", {"tau_x": [1.0, 2.0, 3.0], "tau_lam": [1.0], "tau_mu": [1.0]}),
+        ("tau_lam", {"tau_x": [1.0, 2.0], "tau_lam": [], "tau_mu": [1.0]}),
+        ("tau_mu", {"tau_x": [1.0, 2.0], "tau_lam": [1.0], "tau_mu": [1.0, 1.0]}),
+    ])
+    def test_wrong_size_is_a_value_error_naming_the_field(self, field, taus):
+        prob = ConvexProblem(n=2, f=quadratic_oracle(np.eye(2), np.zeros(2)),
+                             A=np.array([[1.0, 1.0]]), b=np.array([1.0]),
+                             ineq=AffineInequalities(np.array([[1.0, 0.0]]), np.array([0.2])))
+        init = FlowState(np.zeros(2), lam=np.zeros(1), mu=np.zeros(1))
+        with pytest.raises(ValueError, match=field):
+            solve(prob, init, tc=TimeConstants(**taus), cfg=IntegratorConfig(max_time=0.1))
+
+
 class TestDampingInjection:
     def test_zero_gain_identical_to_plain_flow(self):
         prob = simple_qp()
         s = FlowState(np.array([0.2, -0.5]), lam=np.array([0.4]))
-        plain = interconnected_rhs(prob, s)
+        plain = interconnected_rhs(prepare_flow(prob), s.pack())
         damped = damping_injection_rhs(prob, s, 0.0)
         for a, b in zip(plain, damped):
             assert np.allclose(a, b)
@@ -206,7 +285,7 @@ class TestDampingInjection:
         for _ in range(25):
             s = FlowState(rng.normal(size=2), lam=rng.normal(size=1))
             a = damping_injection_rhs(prob, s, 3.0)
-            b = interconnected_rhs(aug, s)
+            b = interconnected_rhs(prepare_flow(aug), s.pack())
             for ra, rb in zip(a, b):
                 assert np.max(np.abs(ra - rb), initial=0.0) < 1e-12
 
@@ -231,8 +310,7 @@ class TestDampingInjection:
             return np.concatenate([xd, ld])
 
         def rhs_aug(t, z):
-            s = FlowState(z[:2], lam=z[2:])
-            xd, ld, _ = interconnected_rhs(aug, s)
+            xd, ld, _ = interconnected_rhs(prepare_flow(aug), z)
             return np.concatenate([xd, ld])
 
         za = integrate(rhs_damped, init.pack(), cfg).final_state
@@ -460,12 +538,11 @@ class TestStoragePostPass:
         ref = reference_storage(prob, res.trajectory, tc, cfg.event_tol)
         assert np.array_equal(res.storage.storage, ref)
 
-        n, m, p = prob.n, prob.m, prob.p
+        flow = prepare_flow(prob, tc, cfg.event_tol)
         clamped_samples = 0
         for z in res.trajectory.states:
             sigma = sigma_at(prob, z, cfg.event_tol)
-            _, _, mudot = interconnected_rhs(prob, FlowState.unpack(z, n, m, p), tc=tc,
-                                             proj_tol=cfg.event_tol)
+            _, _, mudot = interconnected_rhs(flow, z)
             assert all(mudot[i] == 0.0 for i in sigma)
             clamped_samples += bool(sigma)
         assert clamped_samples > 0
@@ -553,7 +630,7 @@ class TestStepStartRateReuse:
                 nonlocal last_read_only
                 rate = rhs(t, z)
                 s = FlowState.unpack(z.copy(), prob.n, prob.m, prob.p)
-                fresh = np.concatenate(interconnected_rhs(prob, s, tc=tc, proj_tol=cfg.event_tol))
+                fresh = np.concatenate(reference_flow(prob, s, tc=tc, proj_tol=cfg.event_tol))
                 assert rate.tobytes() == fresh.tobytes(), t
                 reused.append(rate is last_read_only)
                 if not rate.flags.writeable:

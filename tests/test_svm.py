@@ -3,7 +3,8 @@ import pytest
 from oracles import svm_flow_rhs, two_point_svm
 
 from passiflow.ode import IntegratorConfig
-from passiflow.primal_dual import FlowState, TimeConstants, interconnected_rhs, kkt_residual
+from passiflow.primal_dual import (FlowState, TimeConstants, interconnected_rhs, kkt_residual,
+                                   prepare_flow)
 from passiflow.svm import (
     DEFAULT_COV,
     DEFAULT_MEAN_A,
@@ -95,11 +96,12 @@ class TestSpecializedFlow:
         prob = build_svm_problem(data)
         tc = TimeConstants.ones(3, 0, data.size)
         rng = np.random.default_rng(8)
+        flow = prepare_flow(prob, tc)
         for _ in range(100):
             s = FlowState(rng.normal(size=3),
                           mu=rng.uniform(0.0, 1.0, data.size) * (rng.random(data.size) > 0.3))
             bdot, mudot = svm_flow_rhs(data, s, tc)
-            xd, _, md = interconnected_rhs(prob, s, tc=tc)
+            xd, _, md = interconnected_rhs(flow, s.pack())
             assert np.max(np.abs(bdot - xd)) < 1e-12
             assert np.max(np.abs(mudot - md)) < 1e-12
 
