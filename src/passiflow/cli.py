@@ -485,18 +485,37 @@ def _run_plant(inputs, out: Path) -> dict:
     }
 
 
+# Samples per block of the line's post-pass.  At 200 intervals, 16 samples
+# keep a block's temporaries near 0.3 MB; 32 would save about 1 ms per run
+# and double them.
+_BLOCK = 16
+
+
+def _blocks(traj):
+    """``(times, states)`` of consecutive samples, ``_BLOCK`` at a time."""
+    for k in range(0, len(traj.times), _BLOCK):
+        yield traj.times[k:k + _BLOCK], traj.states[k:k + _BLOCK]
+
+
+def _spacetime_rows(p, M, traj):
+    """``t, i0..iM, v0..vM, vC0, vC1`` per sample, unpacked a block at a time."""
+    for times, states in _blocks(traj):
+        for row in np.column_stack((times, *tline_mod.unpack(p, states, M))):
+            yield row.tolist()
+
+
 def _run_tline(inputs, out: Path) -> dict:
     p, M, vC1_star, pi_gains, icfg = inputs
     zero = tline_mod.LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
     if pi_gains is None:
         traj = tline_mod.simulate_open_loop(p, zero, 0.0, icfg)
-        lyap_vals = np.array([tline_mod.line_energy(p, tline_mod.unpack_state(p, y, M))
-                              for y in traj.states])
+        lyap_vals = np.concatenate([tline_mod.line_energy(p, states)
+                                    for _, states in _blocks(traj)])
         summary = {"mode": "open_loop_zero", "final_energy": float(lyap_vals[-1])}
     else:
         rhs, lyap, eq, I0_star = tline_mod.tline_pi_loop(p, M, vC1_star, *pi_gains)
         traj = integrate(rhs, zero.pack(), icfg)
-        lyap_vals = np.array([lyap(t, y) for t, y in zip(traj.times, traj.states)])
+        lyap_vals = np.concatenate([lyap(times, states) for times, states in _blocks(traj)])
         final = tline_mod.unpack_state(p, traj.final_state, M)
         audit = lyapunov_audit(traj.times, lyap_vals)
         summary = {
@@ -511,9 +530,7 @@ def _run_tline(inputs, out: Path) -> dict:
 
     header = (["t"] + [f"i{k}" for k in range(M + 1)]
               + [f"v{k}" for k in range(M + 1)] + ["vC0", "vC1"])
-    line_states = (tline_mod.unpack_state(p, y, M) for y in traj.states)
-    write_csv(out / "spacetime.csv", header, ([t] + s.i.tolist() + s.v.tolist() + [s.vC0, s.vC1]
-                                              for t, s in zip(traj.times.tolist(), line_states)))
+    write_csv(out / "spacetime.csv", header, _spacetime_rows(p, M, traj))
     write_csv(out / "lyapunov.csv", ["t", "V"], zip(traj.times.tolist(), lyap_vals.tolist()))
     return summary
 

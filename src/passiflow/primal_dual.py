@@ -365,7 +365,7 @@ def switched_storage(sdot, sigma, tc: TimeConstants) -> float:
     xdot, lamdot, mudot = sdot
     keep = ~sigma
     val = 0.5 * float(xdot @ (tc.tau_x * xdot)) + 0.5 * float(lamdot @ (tc.tau_lam * lamdot))
-    return val + 0.5 * float(np.sum(tc.tau_mu[keep] * mudot[keep] ** 2))
+    return val + 0.5 * float((tc.tau_mu[keep] * mudot[keep] ** 2).sum())
 
 
 class SwitchEvent(NamedTuple):

@@ -9,7 +9,9 @@ training flow is written out a second time from the problem data to
 cross-check the generic primal-dual flow.  The clamp set, a boolean mask in
 ``passiflow.primal_dual.solve``, is :func:`active_set` here, an index set;
 the storage and the switch classification of ``solve`` are written out per
-sample and per event batch from it.
+sample and per event batch from it.  The transmission line's stencil and
+closed-loop functional are written out for one state at the very end, as
+the references of their block evaluation.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from passiflow.primal_dual import (
     SwitchEvent,
     switched_storage,
 )
+from passiflow.tline import LineState
 
 
 def finite_diff_gradient(f, x, h: float = 1e-6) -> np.ndarray:
@@ -305,3 +308,55 @@ def reference_switch_events(prob, traj, tc, proj_tol):
         if entered or left:
             events.append(SwitchEvent(t_e, jump, tuple(sorted(entered)), tuple(sorted(left))))
     return events
+
+
+def reference_line_state(p, y, M):
+    """One packed line state as a ``LineState``, unpacked component by component."""
+    i = y[: M + 1]
+    v = np.empty(M + 1)
+    v[1:-1] = y[M + 1: 2 * M]
+    v[0] = y[2 * M] - i[0] * p.R0
+    v[-1] = p.R1 * i[-1] + y[2 * M + 1]
+    return LineState(i, v, float(y[2 * M]), float(y[2 * M + 1]))
+
+
+def reference_line_energy(p, state) -> float:
+    """``passiflow.tline.line_energy`` on one ``LineState``, the capacitor
+    voltages squared as scalars, by ``** 2``."""
+    z = np.linspace(0.0, 1.0, state.M + 1)
+    field = 0.5 * np.trapezoid(p.L * state.i ** 2 + p.C * state.v ** 2, z)
+    return float(field + 0.5 * p.C0 * state.vC0 ** 2 + 0.5 * p.C1 * state.vC1 ** 2)
+
+
+def reference_dz(values: np.ndarray, dz: float) -> np.ndarray:
+    """The line's second-order stencil on one profile, node by node."""
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2 * dz)
+    out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * dz)
+    out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * dz)
+    return out
+
+
+def reference_closed_loop_lyapunov(p, state, targets, adm, K_I, terms) -> float:
+    """``passiflow.tline.closed_loop_lyapunov`` on one ``LineState``, written
+    per state: the field integrand summed as one expression and the boundary
+    terms squared as scalars, by ``** 2``."""
+    dz = 1.0 / state.M
+    i0_star, vC0_star, _ = targets
+    z, i_star, i_star_z, delta_ri, delta_gv, coeff = terms
+    v_z = reference_dz(state.v, dz)
+    i_z = reference_dz(state.i, dz)
+    ri_vz = p.R * state.i + v_z
+    gv_iz = p.G * state.v + i_z
+    delta = delta_ri * ri_vz - delta_gv * gv_iz
+    integrand = (
+        coeff * ri_vz ** 2
+        + delta ** 2
+        + (v_z + p.R * i_star) ** 2 / (2.0 * p.R)
+        + (p.G * state.v + i_star_z) ** 2 / (2.0 * p.G)
+    )
+    value = np.trapezoid(integrand, z)
+    value += 0.5 * p.R0 * (state.i[0] - i0_star) ** 2
+    value += 0.5 * p.R1 * state.i[-1] ** 2
+    value += 0.5 * K_I * (state.vC0 - vC0_star) ** 2
+    return float(value)

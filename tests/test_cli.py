@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import reference_line_state
 from passiflow import cli, plants, svm, tline
+from passiflow.ode import Trajectory
 from test_artifacts_golden import CONFIGS
 
 
@@ -559,3 +561,57 @@ def test_hvac_power_shaping_divisor_gains_must_be_positive(tmp_path, gain):
     code, payload = cli.run(_hvac_cfg(gains={gain: 0.0}), tmp_path)
     assert code == cli.EXIT_VALIDATION
     assert f"plant.gains.{gain}: must be a number > 0" in payload["validation_errors"]
+
+
+@pytest.mark.parametrize("M", [8, 200])
+@pytest.mark.parametrize("K", [1, 7, 32, 75])
+def test_spacetime_rows_equal_each_sample_unpacked_alone(M, K):
+    # Rows are built a block of samples at a time; each must be the row of
+    # its sample unpacked alone, bit for bit, over full and partial blocks.
+    p = tline.LineParams(R0=0.7, R1=1.3)
+    rng = np.random.default_rng([M, K])
+    traj = Trajectory(np.cumsum(rng.uniform(0.1, 1.0, K)), rng.normal(size=(K, 2 * M + 2)))
+    rows = list(cli._spacetime_rows(p, M, traj))
+    states = [reference_line_state(p, y, M) for y in traj.states]
+    expected = [[t] + s.i.tolist() + s.v.tolist() + [s.vC0, s.vC1]
+                for t, s in zip(traj.times.tolist(), states)]
+    assert rows == expected
+    assert np.array_equal(np.signbit(rows), np.signbit(expected))
+
+
+def test_line_run_goes_through_the_traced_names(tmp_path, monkeypatch):
+    # Benchmark tracing wraps tline.tline_rhs and tline.closed_loop_lyapunov
+    # by name: the line run must call both through the module, the rhs four
+    # times per RK4 step and the functional once per block of samples.
+    cfg = {"schema": 1, "kind": "tline",
+           "tline": {"grid": 16, "horizon": 0.2, "target_vc1": 1.0,
+                     "gains": {"K_P": 1.0, "K_I": 1.0}}}
+    code, _ = cli.run(cfg, tmp_path / "plain")
+    assert code == 0
+    calls = {"tline_rhs": 0, "closed_loop_lyapunov": 0}
+    trajectories = []
+
+    def counting(name):
+        inner = getattr(tline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    def recording(integrate):
+        def wrapper(*args, **kwargs):
+            trajectories.append(integrate(*args, **kwargs))
+            return trajectories[-1]
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tline, name, counting(name))
+    monkeypatch.setattr(cli, "integrate", recording(cli.integrate))
+    code, _ = cli.run(cfg, tmp_path / "counted")
+    assert code == 0
+    [traj] = trajectories
+    assert calls["tline_rhs"] == traj.stats.rhs_evals == 4 * traj.stats.rk4_steps > 0
+    assert calls["closed_loop_lyapunov"] == -(-traj.times.size // cli._BLOCK) > 1
+    for name in ("spacetime.csv", "lyapunov.csv", "summary.json"):
+        assert (tmp_path / "counted" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

@@ -5,6 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    reference_closed_loop_lyapunov,
+    reference_dz,
+    reference_line_energy,
+    reference_line_state,
+)
 from passiflow import tline
 from passiflow.ode import IntegratorConfig, integrate
 from passiflow.tline import (
@@ -16,6 +22,7 @@ from passiflow.tline import (
     closed_loop_lyapunov,
     conservation_check,
     dissipation_obstacle_report,
+    line_energy,
     simulate_open_loop,
     tline_equilibrium,
     tline_pi_loop,
@@ -175,3 +182,116 @@ def test_dissipation_obstacle_gap_falls_fourfold_per_doubling():
     assert gaps[0] < 4e-4
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
     assert all(3.8 < r < 4.2 for r in ratios), ratios
+
+
+# -- one formula over the last axis: blocks equal single states bit for bit ----
+
+BLOCKS = (1, 7, 32)
+LINE_GRIDS = (8, 16, 200)
+# The boundary draws' line: a small L shrinks the field terms that the end
+# nodes' current stencils feed, so the squared boundary terms dominate.
+BOUNDARY_LINE = LineParams(L=1e-4, R0=2.0, R1=3.0)
+
+
+def bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def pow_hazards(rng, base: float, size: int) -> np.ndarray:
+    """``size`` values ``x`` whose ``x - base`` squares differently by
+    ``** 2`` on a scalar (libm ``pow``) and by an exact multiplication,
+    which is what an array's ``** 2`` does.  With glibc about 1 draw in
+    1,000 does; where none does, any draws serve."""
+    x = base + rng.uniform(-2.0, 2.0, 5000 * size)
+    hazard = np.array([d ** 2 != d * d for d in (x - base).tolist()])
+    return np.concatenate([x[hazard], x[~hazard]])[:size]
+
+
+def boundary_lyapunov_draws(p, eq, M, B, rng) -> np.ndarray:
+    """Packed states on the target profile except at the two end nodes.
+
+    ``i_M`` and, on alternate rows, ``i0 - i0*`` or ``vC0 - vC0*`` are
+    :func:`pow_hazards`; the capacitor voltages keep both end-node voltages
+    on the target, so the voltage stencils stay small.
+    """
+    Y = np.tile(eq.pack(), (B, 1))
+    i0 = pow_hazards(rng, eq.i[0], B)
+    vC0 = eq.v[0] + i0 * p.R0
+    odd = slice(1, None, 2)
+    vC0[odd] = pow_hazards(rng, eq.vC0, B)[odd]
+    i0[odd] = (vC0[odd] - eq.v[0]) / p.R0
+    iM = pow_hazards(rng, 0.0, B)
+    Y[:, 0], Y[:, M], Y[:, 2 * M], Y[:, 2 * M + 1] = i0, iM, vC0, eq.v[-1] - p.R1 * iM
+    return Y
+
+
+@pytest.mark.parametrize("M", LINE_GRIDS)
+@pytest.mark.parametrize("B", BLOCKS)
+def test_block_unpack_and_stencil_equal_each_state_bitwise(M, B):
+    p = LineParams(R0=0.7, R1=1.3)
+    Y = np.random.default_rng([M, B]).normal(size=(B, 2 * M + 2))
+    i, v, vC0, vC1 = tline.unpack(p, Y, M)
+    assert i.shape == v.shape == (B, M + 1) and vC0.shape == vC1.shape == (B,)
+    for k, y in enumerate(Y):
+        ref = reference_line_state(p, y, M)
+        one = tline.unpack(p, y, M)
+        # one state's capacitor voltages are numpy scalars, not 0-d arrays
+        assert not isinstance(one[2], np.ndarray) and not isinstance(one[3], np.ndarray)
+        for got in ((i[k], v[k], vC0[k], vC1[k]), one):
+            assert all(bitwise_equal(a, b) for a, b in zip(got, (ref.i, ref.v, ref.vC0, ref.vC1)))
+    dz = 1.0 / M
+    for values in (i, v, Y):
+        block = tline._dz(values, dz)
+        for k in range(B):
+            ref = reference_dz(np.ascontiguousarray(values[k]), dz)
+            assert bitwise_equal(block[k], ref)
+            assert bitwise_equal(tline._dz(values[k], dz), ref)
+
+
+@pytest.mark.parametrize("M", LINE_GRIDS)
+@pytest.mark.parametrize("B", BLOCKS)
+@pytest.mark.parametrize("draw", ["random", "boundary"])
+def test_block_lyapunov_equals_the_per_state_reference_bitwise(M, B, draw):
+    p = LineParams() if draw == "random" else BOUNDARY_LINE
+    K_I = 1.5
+    eq, _ = tline_equilibrium(p, 1.0, M)
+    adm = admissible_params_search(p)
+    targets = (eq.i[0], eq.vC0, 1.0)
+    terms = tline._lyapunov_terms(p, M, 1.0, adm)
+    rng = np.random.default_rng([M, B, draw == "boundary"])
+    if draw == "random":
+        Y = rng.normal(size=(B, 2 * M + 2))
+    else:
+        Y = boundary_lyapunov_draws(p, eq, M, B, rng)
+    ref = [reference_closed_loop_lyapunov(p, reference_line_state(p, y, M), targets, adm, K_I,
+                                          terms) for y in Y]
+    block = closed_loop_lyapunov(p, Y, targets, adm, K_I, terms)
+    assert isinstance(block, np.ndarray) and block.shape == (B,)
+    assert bitwise_equal(block, ref)
+    for y, r in zip(Y, ref):
+        for state in (y, reference_line_state(p, y, M)):
+            one = closed_loop_lyapunov(p, state, targets, adm, K_I, terms)
+            assert type(one) is float and bitwise_equal(one, r)
+
+
+@pytest.mark.parametrize("M", LINE_GRIDS)
+@pytest.mark.parametrize("B", BLOCKS)
+@pytest.mark.parametrize("draw", ["random", "boundary"])
+def test_block_line_energy_equals_each_state_bitwise(M, B, draw):
+    p = LineParams(C0=0.6, C1=1.7)
+    rng = np.random.default_rng([M, B, 7])
+    if draw == "random":
+        Y = rng.normal(size=(B, 2 * M + 2))
+    else:
+        # a line at rest but for its capacitors: the capacitor terms dominate
+        Y = np.zeros((B, 2 * M + 2))
+        Y[:, 2 * M], Y[:, 2 * M + 1] = pow_hazards(rng, 0.0, B), pow_hazards(rng, 0.0, B)
+    ref = [reference_line_energy(p, reference_line_state(p, y, M)) for y in Y]
+    block = line_energy(p, Y)
+    assert isinstance(block, np.ndarray) and block.shape == (B,)
+    assert bitwise_equal(block, ref)
+    for y, r in zip(Y, ref):
+        for state in (y, reference_line_state(p, y, M)):
+            one = line_energy(p, state)
+            assert type(one) is float and bitwise_equal(one, r)
