@@ -173,9 +173,14 @@ def _ball(params: dict, n: int, path: str, d: _Diagnostics) -> ScalarOracle:
     radius = params.get("radius")
     d.need_num(f"{path}.radius", radius, 0)
     center = d.vector(f"{path}.center", params.get("center", np.zeros(n)), n)
+    try:
+        r2 = float(radius ** 2)
+    except (TypeError, OverflowError):  # a non-number is reported above
+        r2 = np.inf if isinstance(radius, numbers.Real) else 0.0
+    d.need(np.isfinite(r2), f"{path}.radius: its square must be finite")
 
     return ScalarOracle(
-        value=lambda x: float((dx := x - center) @ dx - radius ** 2),
+        value=lambda x: float((dx := x - center) @ dx - r2),
         grad=lambda x: 2.0 * (x - center),
         hess=lambda x: 2.0 * np.eye(n),
     )
@@ -291,7 +296,7 @@ _PLANTS = {
                       "krasovskii_pi": {"K_P": False, "K_I": False}}),
     "hvac": (plants.HvacParams, {"T1": 2.5, "T2": 6.0}, [4.0, 5.0, 16.0, 16.0],
              {"power_shaping": {"k": True, "k1": True, "k2": True, "alpha": False},
-              "dyn_feedback": {"k1": True, "kd": False, "ki": False}}),
+              "dyn_feedback": {"k1": True, "kd": False, "ki": True}}),
 }
 
 
@@ -366,8 +371,17 @@ def _read_tline(cfg: dict, d: _Diagnostics):
     icfg = IntegratorConfig(**_integrator(cfg, max_time=float(horizon)))
     limit = tline_mod.cfl_limit(p, grid)
     d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at this grid")
-    pi_gains = (float(gains.get("K_P", 1.0)), float(gains.get("K_I", 1.0))) if closed else None
-    return p, grid, float(vC1_star), pi_gains, icfg
+    loop = None
+    if closed:
+        K = [float(gains.get(k, 1.0)) for k in ("K_P", "K_I")]
+        try:
+            with np.errstate(over="ignore"):    # an overflow is reported below
+                loop = tline_mod.tline_pi_loop(p, grid, float(vC1_star), *K)
+        except ValueError:              # LineState refuses a non-finite profile
+            d.append("tline.target_vc1: equilibrium profile not finite with these tline.params")
+        except (ArithmeticError, RuntimeError) as exc:
+            d.append(f"tline.params: no stability certificate for tau = RC/(LG) ({exc!r})")
+    return p, grid, loop, icfg
 
 
 def _read_audit(cfg: dict, d: _Diagnostics):
@@ -505,15 +519,15 @@ def _spacetime_rows(p, M, traj):
 
 
 def _run_tline(inputs, out: Path) -> dict:
-    p, M, vC1_star, pi_gains, icfg = inputs
+    p, M, loop, icfg = inputs
     zero = tline_mod.LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
-    if pi_gains is None:
+    if loop is None:
         traj = tline_mod.simulate_open_loop(p, zero, 0.0, icfg)
         lyap_vals = np.concatenate([tline_mod.line_energy(p, states)
                                     for _, states in _blocks(traj)])
         summary = {"mode": "open_loop_zero", "final_energy": float(lyap_vals[-1])}
     else:
-        rhs, lyap, eq, I0_star = tline_mod.tline_pi_loop(p, M, vC1_star, *pi_gains)
+        rhs, lyap, eq, I0_star = loop
         traj = integrate(rhs, zero.pack(), icfg)
         lyap_vals = np.concatenate([lyap(times, states) for times, states in _blocks(traj)])
         final = tline_mod.unpack_state(p, traj.final_state, M)

@@ -634,6 +634,8 @@ def dyn_feedback_loop(sys: DynFeedbackSystem, x_star, k1: float, kd: float, ki: 
 
     The Lyapunov function is ``k1 xdot^T M xdot / 2 + ki |Gamma - Gamma*|^2 / 2``.
     """
+    if k1 <= 0 or ki <= 0 or kd < 0:
+        raise ValueError("need k1 > 0, ki > 0, kd >= 0")
     gamma_star = sys.gamma_value(x_star)
 
     def rhs(t, z):

@@ -132,13 +132,6 @@ def unpack_state(p: LineParams, y: np.ndarray, M: int) -> LineState:
     return LineState(i, v, float(vC0), float(vC1))
 
 
-def _components(p: LineParams, state):
-    """``(i, v, vC0, vC1)`` of a :class:`LineState` or of packed states."""
-    if isinstance(state, LineState):
-        return state.i, state.v, state.vC0, state.vC1
-    return unpack(p, state, state.shape[-1] // 2 - 1)
-
-
 def _dz(values: np.ndarray, dz: float) -> np.ndarray:
     """Second-order derivative stencils over the last axis (central + one-sided ends)."""
     out = np.empty_like(values)
@@ -297,30 +290,14 @@ def boundary_pi_control(p: LineParams, vC0: float, targets, K_P: float,
     return i0_star - K_P * vC0_dot - K_I * (vC0 - vC0_star)
 
 
-def _lyapunov_terms(p: LineParams, M: int, vC1_star: float, adm: AdmissibleLineParams):
-    """State-independent terms of :func:`closed_loop_lyapunov`.
-
-    The grid, the target profile ``i*`` and ``i*_z``, the two ``Delta``
-    coefficients and the coefficient of ``(R i + v_z)^2``.
-    """
-    z = np.linspace(0.0, 1.0, M + 1)
-    w = np.sqrt(p.R * p.G)
-    i_star = (p.G / w) * vC1_star * np.sinh(w * (1.0 - z))
-    i_star_z = -p.G * vC1_star * np.cosh(w * (1.0 - z))
-    delta_ri = adm.zeta * np.sqrt(p.C / 2.0)
-    delta_gv = np.sqrt(p.L / 2.0)
-    coeff = (adm.alpha * (1.0 - adm.zeta ** 2) - 1.0) / (2.0 * p.R)
-    return z, i_star, i_star_z, delta_ri, delta_gv, coeff
-
-
-def closed_loop_lyapunov(p: LineParams, state, targets,
-                         adm: AdmissibleLineParams, K_I: float, terms=None):
+def closed_loop_lyapunov(p: LineParams, y: np.ndarray, targets,
+                         adm: AdmissibleLineParams, K_I: float):
     """Shaped closed-loop functional of the PI-controlled line.
 
-    ``state`` is a :class:`LineState`, one packed state ``(2M+2,)`` or a
-    C-contiguous block ``(B, 2M+2)`` of packed samples; the value is a
-    ``float`` for one state and a ``(B,)`` array for a block, equal row for
-    row to the values of the single states.
+    ``y`` is one packed state ``(2M+2,)`` or a C-contiguous block
+    ``(B, 2M+2)`` of packed samples; the value is a ``float`` for one state
+    and a ``(B,)`` array for a block, equal row for row to the values of the
+    single states.
 
     It vanishes at the continuous target profile.  At the sampled
     equilibrium of ``tline_equilibrium`` it is the square of the stencil's
@@ -336,23 +313,22 @@ def closed_loop_lyapunov(p: LineParams, state, targets,
     The boundary terms are squared by libm ``pow`` (``np.float_power``),
     as ``** 2`` squares a scalar; an array's ``** 2`` multiplies exactly
     and differs in the last bit on about 1 draw in 1,000.
-    ``terms`` are the state-independent terms from ``_lyapunov_terms``,
-    which a caller evaluating many states computes once.
     """
-    i, v, vC0, _ = _components(p, state)
-    M = i.shape[-1] - 1
+    M = y.shape[-1] // 2 - 1
+    i, v, vC0, _ = unpack(p, y, M)
     dz = 1.0 / M
     i0_star, vC0_star, vC1_star = targets
-    if terms is None:
-        terms = _lyapunov_terms(p, M, vC1_star, adm)
-    z, i_star, i_star_z, delta_ri, delta_gv, coeff = terms
+    z = np.linspace(0.0, 1.0, M + 1)
+    w = np.sqrt(p.R * p.G)
+    i_star = (p.G / w) * vC1_star * np.sinh(w * (1.0 - z))
+    i_star_z = -p.G * vC1_star * np.cosh(w * (1.0 - z))
     v_z = _dz(v, dz)
     i_z = _dz(i, dz)
     ri_vz = p.R * i + v_z
     gv = p.G * v
     gv_iz = gv + i_z
-    delta = delta_ri * ri_vz - delta_gv * gv_iz
-    integrand = coeff * ri_vz ** 2
+    delta = adm.zeta * np.sqrt(p.C / 2.0) * ri_vz - np.sqrt(p.L / 2.0) * gv_iz
+    integrand = (adm.alpha * (1.0 - adm.zeta ** 2) - 1.0) / (2.0 * p.R) * ri_vz ** 2
     integrand += delta ** 2
     integrand += (v_z + p.R * i_star) ** 2 / (2.0 * p.R)
     integrand += (gv + i_star_z) ** 2 / (2.0 * p.G)
@@ -377,7 +353,6 @@ def tline_pi_loop(p: LineParams, M: int, vC1_star: float, K_P: float, K_I: float
     eq, I0_star = tline_equilibrium(p, vC1_star, M)
     adm = admissible_params_search(p)
     targets3 = (eq.i[0], eq.vC0, vC1_star)
-    terms = _lyapunov_terms(p, M, vC1_star, adm)
 
     def applied_current(y):
         i0 = y[0]
@@ -389,7 +364,7 @@ def tline_pi_loop(p: LineParams, M: int, vC1_star: float, K_P: float, K_I: float
         return tline_rhs(p, y, applied_current(y), M)
 
     def lyap(t, y):
-        return closed_loop_lyapunov(p, y, targets3, adm, K_I, terms)
+        return closed_loop_lyapunov(p, y, targets3, adm, K_I)
 
     return rhs, lyap, eq, I0_star
 
@@ -406,15 +381,14 @@ def simulate_open_loop(p: LineParams, state0: LineState, I0: float,
     return integrate(lambda t, y: tline_rhs(p, y, I0, M), state0.pack(), cfg)
 
 
-def line_energy(p: LineParams, state):
+def line_energy(p: LineParams, y: np.ndarray):
     """Stored energy: field quadrature plus the boundary capacitors.
 
-    ``state`` is a :class:`LineState`, one packed state or a C-contiguous
-    block ``(B, 2M+2)``; a ``float`` for one state, a ``(B,)`` array for a
-    block.  The capacitor voltages are squared by libm ``pow``, as in
-    :func:`closed_loop_lyapunov`.
+    ``y`` is one packed state or a C-contiguous block ``(B, 2M+2)``; a
+    ``float`` for one state, a ``(B,)`` array for a block.  The capacitor
+    voltages are squared by libm ``pow``, as in :func:`closed_loop_lyapunov`.
     """
-    i, v, vC0, vC1 = _components(p, state)
+    i, v, vC0, vC1 = unpack(p, y, y.shape[-1] // 2 - 1)
     z = np.linspace(0.0, 1.0, i.shape[-1])
     field = 0.5 * np.trapezoid(p.L * i ** 2 + p.C * v ** 2, z)
     value = field + 0.5 * p.C0 * np.float_power(vC0, 2) + 0.5 * p.C1 * np.float_power(vC1, 2)

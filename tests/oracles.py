@@ -337,13 +337,20 @@ def reference_dz(values: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def reference_closed_loop_lyapunov(p, state, targets, adm, K_I, terms) -> float:
+def reference_closed_loop_lyapunov(p, state, targets, adm, K_I) -> float:
     """``passiflow.tline.closed_loop_lyapunov`` on one ``LineState``, written
-    per state: the field integrand summed as one expression and the boundary
-    terms squared as scalars, by ``** 2``."""
+    per state: the target profile and the coefficients computed first, the
+    field integrand summed as one expression and the boundary terms squared
+    as scalars, by ``** 2``."""
     dz = 1.0 / state.M
-    i0_star, vC0_star, _ = targets
-    z, i_star, i_star_z, delta_ri, delta_gv, coeff = terms
+    i0_star, vC0_star, vC1_star = targets
+    z = np.linspace(0.0, 1.0, state.M + 1)
+    w = np.sqrt(p.R * p.G)
+    i_star = (p.G / w) * vC1_star * np.sinh(w * (1.0 - z))
+    i_star_z = -p.G * vC1_star * np.cosh(w * (1.0 - z))
+    delta_ri = adm.zeta * np.sqrt(p.C / 2.0)
+    delta_gv = np.sqrt(p.L / 2.0)
+    coeff = (adm.alpha * (1.0 - adm.zeta ** 2) - 1.0) / (2.0 * p.R)
     v_z = reference_dz(state.v, dz)
     i_z = reference_dz(state.i, dz)
     ri_vz = p.R * state.i + v_z

@@ -56,6 +56,9 @@ CONFIGS = {
         "tline": {"grid": 16, "horizon": 1.0, "target_vc1": 1.0,
                   "gains": {"K_P": 1.0, "K_I": 1.0}},
     },
+    # The default of `passiflow tline`: the open loop from rest, whose
+    # Lyapunov column is the stored energy.
+    "tline_open": {"schema": 1, "kind": "tline", "tline": {"grid": 16, "horizon": 1.0}},
 }
 
 # Recorded before the CSV writer, the flow rhs and the clamp were rewritten
@@ -68,7 +71,8 @@ CONFIGS = {
 # sign change of the RK4 map inside the same step for some events (solve_eq's
 # m1 moved from t = 2.74000 to 2.74217, against 2.73946 at step 1e-4), so the
 # sample times after them shifted, by at most 2.17e-3 (solve_eq) and 2.33e-3
-# (svm).
+# (svm).  The tline_open digests were recorded when the closed line's loop
+# moved into the config reader.
 GOLDEN = {
     "audit/summary.json":
         "e92f51374867b877da4734742d2dd85adb06b150895d6f8313178bd941b9c9ff",
@@ -108,6 +112,12 @@ GOLDEN = {
         "9d5ddfeb0f62ae30574464264e68f6bafe42dd51210740806eb45ddaa39e2ada",
     "tline/summary.json":
         "6a93ec41ef4e9e713ab13fb1b87fe66f38344820d656c367354a6331b4b2a1d1",
+    "tline_open/lyapunov.csv":
+        "df98b16ccb8b3df0bd93c411f27a66f833b429bfb2702d268bf33ab7dd9d125a",
+    "tline_open/spacetime.csv":
+        "1ceea9ede58056b2d7b867a5b986009b3744910b6e5a6aa53d93fea1ae585abc",
+    "tline_open/summary.json":
+        "30e7f5d971a680a497fc30e8310f6f2666821e8694b20eae1f572dde13492fb1",
 }
 
 

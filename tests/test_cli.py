@@ -364,6 +364,30 @@ def test_malformed_config_is_a_diagnostic_not_a_traceback(tmp_path, cfg, field):
     assert [d for d in payload["validation_errors"] if d.startswith(field + ":")], payload
 
 
+@pytest.mark.parametrize("cfg, field", [
+    # cosh(sqrt(RG)) overflows in the equilibrium profile
+    ({"schema": 1, "kind": "tline",
+      "tline": {"grid": 8, "params": {"R": 1000, "G": 1000}, "target_vc1": 1.0}},
+     "tline.target_vc1"),
+    # (1 + tau)^2 overflows in the certificate search
+    ({"schema": 1, "kind": "tline",
+      "tline": {"grid": 8, "params": {"G": 1e-300}, "target_vc1": 1.0}}, "tline.params"),
+    ({"schema": 1, "kind": "tline", "tline": {"grid": 8, "target_vc1": 1e308}},
+     "tline.target_vc1"),
+    (_ball_cfg(params={"radius": 1e200}), "problem.inequalities.named[0].params.radius"),
+    # plants.dyn_feedback_control refuses ki = 0
+    (_hvac_cfg(controller="dyn_feedback", gains={"k1": 1.0, "kd": 2.0, "ki": 0.0},
+               horizon=60.0), "plant.gains.ki"),
+])
+def test_inputs_the_library_refuses_are_diagnostics_not_tracebacks(tmp_path, cfg, field):
+    diags = cli.validate(cfg)
+    assert [d for d in diags if d.startswith(field + ":")], diags
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION
+    assert payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
 def _full_configs(trace_csv):
     """One config per kind (two plants) with every optional field set."""
     integrator = {"step": 0.01, "event_tol": 1e-10, "convergence_tol": 1e-6,

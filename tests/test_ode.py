@@ -350,24 +350,23 @@ class TestIntegrationStats:
         # solve's sample hook evaluates the flow at every sample, and solve's
         # slot answers every later call at that state: the convergence check
         # and the next step's k1, the ten probes' and the landing step's k1
-        # included.  So the flow runs at three stage states per RK4 step,
-        # once per sample and once in the final rate check.  With
-        # rhs_evals = 4 rk4 + advancing, rk4 = advancing + 12 and
+        # included.  So the flow runs at three stage states per RK4 step and
+        # once per sample; the convergence verdict reads the last sample's
+        # rate.  With rhs_evals = 4 rk4 + advancing, rk4 = advancing + 12 and
         # samples = advancing + 2 that equals the second form.
-        assert len(calls) == 3 * stats.rk4_steps + traj.times.size + 1
-        assert len(calls) == (stats.rhs_evals - (advancing - 1) - (stats.bisection_steps + 1)
-                              + 1)
-        assert len(calls) == 1939
+        assert len(calls) == 3 * stats.rk4_steps + traj.times.size
+        assert len(calls) == stats.rhs_evals - (advancing - 1) - (stats.bisection_steps + 1)
+        assert len(calls) == 1938
         # Constraint values: inside the flow at the three stage states of
         # each RK4 step, and once at every other state integrate visits, the
         # initial state and each RK4 step's end: by the guards, or at the
         # landing by the sample hook's flow, and the other of the two and the
         # storage mask reuse it.  The switch classification evaluates the
-        # crossing sample and its two neighbours; the final rate check and
-        # the KKT report evaluate one each.
+        # crossing sample and its two neighbours; the KKT report evaluates
+        # one more.
         assert len(g_calls) == (3 * stats.rk4_steps + (1 + stats.rk4_steps)
-                                + 3 * result.switch_count + 2)
-        assert len(g_calls) == 1954
+                                + 3 * result.switch_count + 1)
+        assert len(g_calls) == 1953
         assert stats.clamp_truncations == 0
 
     def test_counts_on_a_problem_with_an_equality_and_a_ball_row(self, monkeypatch):
@@ -405,10 +404,10 @@ class TestIntegrationStats:
         assert [(e.entered, e.left) for e in result.storage.switch_events] == [
             ((2,), ()), ((), (2,)), ((), (0,)), ((2,), ())]
         assert (stats.rk4_steps, stats.bisection_steps, stats.event_batches) == (1180, 31, 4)
-        # The flow: three stage states per RK4 step, every sample, the final
-        # rate check.  g_values: the guards' slot at the initial state and
-        # after every RK4 step, three per switch event, the KKT report.
-        assert calls["rhs"] == 3 * stats.rk4_steps + result.trajectory.times.size + 1 == 4687
+        # The flow: three stage states per RK4 step and every sample.
+        # g_values: the guards' slot at the initial state and after every
+        # RK4 step, three per switch event, the KKT report.
+        assert calls["rhs"] == 3 * stats.rk4_steps + result.trajectory.times.size == 4686
         assert calls["g"] == 1 + stats.rk4_steps + 3 * result.switch_count + 1 == 1194
 
     def test_call_counts_follow_the_step_counts_on_a_multi_event_solve(self, monkeypatch):

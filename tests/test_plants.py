@@ -435,6 +435,15 @@ class TestDynFeedback:
         rhs(0.0, np.array([4.0, 5.0, 16.0, 16.0, 0.3, -0.2]))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("k1, kd, ki", [(0.0, 2.0, 5.0), (1.0, -1.0, 5.0), (1.0, 2.0, 0.0)])
+    def test_loop_refuses_the_gains_the_control_law_refuses(self, k1, kd, ki):
+        x = np.array([4.0, 5.0, 16.0, 16.0])
+        with pytest.raises(ValueError) as law:
+            dyn_feedback_control(self.sys, x, np.zeros(4), self.T_star, k1, kd, ki)
+        with pytest.raises(ValueError) as loop:
+            dyn_feedback_loop(self.sys, self.T_star, k1, kd, ki)
+        assert str(loop.value) == str(law.value)
+
     def test_loop_rhs_is_the_feedback_rhs_under_the_control_law(self):
         k1, kd, ki = 1.5, 2.0, 5.0
         rhs, _ = dyn_feedback_loop(self.sys, self.T_star, k1, kd, ki)

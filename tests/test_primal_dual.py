@@ -510,12 +510,6 @@ class TestOneInequalityBlock:
             expect.append(float(d @ d - 1.1 ** 2))
             np.testing.assert_allclose(self.prob.g_values(x), expect, rtol=1e-15, atol=1e-15)
 
-    def test_hessian_is_zero_on_affine_rows_and_2I_on_the_ball(self):
-        x = np.array([0.3, -0.9])
-        for i in range(2):
-            assert np.array_equal(self.prob.ineq.hessian(i, x), np.zeros((2, 2)))
-        assert np.array_equal(self.prob.ineq.hessian(2, x), 2.0 * np.eye(2))
-
     def test_named_only_problem_runs_through_the_cli(self, tmp_path):
         cfg = {"schema": 1, "kind": "solve",
                "problem": {"objective": MIXED_CONFIG["objective"],

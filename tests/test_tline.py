@@ -53,7 +53,7 @@ def test_closed_loop_functional_vanishes_at_the_target():
     values = []
     for M in GRIDS:
         eq, _ = tline_equilibrium(p, 1.0, M)
-        values.append(closed_loop_lyapunov(p, eq, (eq.i[0], eq.vC0, 1.0), adm, 1.0))
+        values.append(closed_loop_lyapunov(p, eq.pack(), (eq.i[0], eq.vC0, 1.0), adm, 1.0))
     assert min(values) >= 0.0
     assert values[0] < 1e-7
     ratios = [a / b for a, b in zip(values, values[1:])]
@@ -258,21 +258,19 @@ def test_block_lyapunov_equals_the_per_state_reference_bitwise(M, B, draw):
     eq, _ = tline_equilibrium(p, 1.0, M)
     adm = admissible_params_search(p)
     targets = (eq.i[0], eq.vC0, 1.0)
-    terms = tline._lyapunov_terms(p, M, 1.0, adm)
     rng = np.random.default_rng([M, B, draw == "boundary"])
     if draw == "random":
         Y = rng.normal(size=(B, 2 * M + 2))
     else:
         Y = boundary_lyapunov_draws(p, eq, M, B, rng)
-    ref = [reference_closed_loop_lyapunov(p, reference_line_state(p, y, M), targets, adm, K_I,
-                                          terms) for y in Y]
-    block = closed_loop_lyapunov(p, Y, targets, adm, K_I, terms)
+    ref = [reference_closed_loop_lyapunov(p, reference_line_state(p, y, M), targets, adm, K_I)
+           for y in Y]
+    block = closed_loop_lyapunov(p, Y, targets, adm, K_I)
     assert isinstance(block, np.ndarray) and block.shape == (B,)
     assert bitwise_equal(block, ref)
     for y, r in zip(Y, ref):
-        for state in (y, reference_line_state(p, y, M)):
-            one = closed_loop_lyapunov(p, state, targets, adm, K_I, terms)
-            assert type(one) is float and bitwise_equal(one, r)
+        one = closed_loop_lyapunov(p, y, targets, adm, K_I)
+        assert type(one) is float and bitwise_equal(one, r)
 
 
 @pytest.mark.parametrize("M", LINE_GRIDS)
@@ -292,6 +290,5 @@ def test_block_line_energy_equals_each_state_bitwise(M, B, draw):
     assert isinstance(block, np.ndarray) and block.shape == (B,)
     assert bitwise_equal(block, ref)
     for y, r in zip(Y, ref):
-        for state in (y, reference_line_state(p, y, M)):
-            one = line_energy(p, state)
-            assert type(one) is float and bitwise_equal(one, r)
+        one = line_energy(p, y)
+        assert type(one) is float and bitwise_equal(one, r)
