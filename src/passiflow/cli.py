@@ -76,11 +76,10 @@ def load_config(path) -> dict:
 
 
 def _integrator(cfg: dict, **override) -> dict:
-    """The defaults, updated by the config's integrator block, then by
-    ``override``; an svm config without that block runs on ``svm.DEFAULT_INTEGRATOR``."""
-    if cfg.get("kind") == "svm" and "integrator" not in cfg:
-        return asdict(svm_mod.DEFAULT_INTEGRATOR)
-    return {**_DEFAULT_INTEGRATOR, **cfg.get("integrator", {}), **override}
+    """The defaults (``svm.DEFAULT_INTEGRATOR`` for an svm config), updated by
+    the config's integrator block, then by ``override``."""
+    base = asdict(svm_mod.DEFAULT_INTEGRATOR) if cfg.get("kind") == "svm" else _DEFAULT_INTEGRATOR
+    return {**base, **cfg.get("integrator", {}), **override}
 
 
 def _echoed(cfg: dict) -> dict:

@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration with zero-crossing events.
+"""RK4 integration with zero-crossing events.
 
 Every flow in this library (gradient flows, switched multiplier dynamics,
 circuit and line simulations) runs through :func:`integrate`.  The scheme is
@@ -8,9 +8,12 @@ step start (not along the exact solution, so on a switched field an event
 time can be off by O(step) whatever ``event_tol`` is).  The search probes the
 bracket's midpoint, or, while a guard the caller marks as smooth changes sign
 over it, that guard's secant root estimate, with the regula falsi weighting
-of Anderson and Bjorck (BIT 13, 1973).  A fixed step keeps switch
-bookkeeping and storage audits deterministic and reproducible; there is no
-adaptive error control and no stiff path.
+of Anderson and Bjorck (BIT 13, 1973).  A caller that checks convergence
+may let the step grow between events (``grow_step``): an embedded
+third-order estimate sets the next step, never below the configured one,
+and no step is rejected (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4).  Every step is deterministic, so switch bookkeeping and storage
+audits are reproducible; there is no stiff path.
 """
 
 from __future__ import annotations
@@ -48,13 +51,16 @@ class DivergenceError(RuntimeError):
 class IntegratorConfig:
     """Knobs for :func:`integrate` and convergence detection.
 
-    ``step`` is the RK4 step and ``max_time`` the integrated span.
+    ``step`` is the RK4 step (the floor of a grown step, see :func:`integrate`)
+    and ``max_time`` the integrated span.
     ``event_tol`` is the bracket width the event search reaches on a guard's
     sign change along the RK4 map from the step start; it does not bound the
     crossing-time error, which is O(step) on a switched rhs.
     ``convergence_tol`` and ``convergence_window`` define convergence (see
-    :func:`integrate`), and every ``record_every``-th step is sampled.  The
-    clamp slack is the module constant :data:`CLAMP_TOL`.
+    :func:`integrate`), and every ``record_every``-th step is sampled; both
+    count steps, whatever their length.  ``convergence_tol * step`` is also
+    the local error tolerance of a grown step.  The clamp slack is the
+    module constant :data:`CLAMP_TOL`.
     """
 
     step: float = 1e-3
@@ -149,13 +155,20 @@ def write_csv(path, header, rows) -> None:
 #: treated as an integration error rather than crossing residue.
 CLAMP_TOL = 1e-8
 
+#: Step growth of ``integrate(grow_step=True)``: the safety factor on the
+#: optimal step and the bounds of one step's change factor.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 5.0
+
 
 def _rk4_step(rhs, t, x, h):
+    """The RK4 state after ``h``, with the first and last stage rates."""
     k1 = rhs(t, x)
     k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
     k4 = rhs(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1, k4
 
 
 def _anderson_bjorck(s_new, s_old):
@@ -177,6 +190,7 @@ def integrate(
     stop_when_converged: bool = False,
     on_sample: Callable[[float, np.ndarray], None] | None = None,
     smooth_guards: Sequence[int] = (),
+    grow_step: bool = False,
 ) -> Trajectory:
     """Integrate ``xdot = rhs(t, x)`` from 0 to ``max_time``.
 
@@ -200,12 +214,25 @@ def integrate(
     clamp_nonneg : optional
         Indices whose components are truncated at zero when they undershoot
         by less than :data:`CLAMP_TOL` ``* max(1, |k1_i|)``, with ``k1`` the
-        step-start rate, plus one step's travel ``step * max(1, |k1|_inf)``
-        at an event landing.  A larger undershoot raises ``ValueError`` --
-        guards are supposed to catch the crossing first.
+        step-start rate, plus one step's travel
+        ``min(h, step) * max(1, |k1|_inf)`` at an event landing, ``h`` the
+        length of the step that crossed.  A larger undershoot raises
+        ``ValueError`` -- guards are supposed to catch the crossing first.
     stop_when_converged : bool
         Stop early once ``|rhs|_inf < convergence_tol`` holds over
         ``convergence_window`` consecutive accepted steps.
+    grow_step : bool
+        Let the step grow while no event fires; needs
+        ``stop_when_converged``.  After each plain step, whose convergence
+        check evaluates the rate ``k5`` at the accepted state, the embedded
+        third-order solution with weights (1/6, 1/3, 1/3, 0, 1/6) gives the
+        error ``err = h/6 * |k4 - k5|_inf``, and the next step is
+        ``max(step, h * min(MAX_FACTOR, max(MIN_FACTOR,
+        SAFETY * (tol / err)^(1/4))))`` with ``tol = convergence_tol * step``.
+        ``step`` is the floor and no step is rejected, so up to the first
+        grown step the run equals the fixed-step run.  Each event landing
+        resets the step to ``step``.  The rate is the one the check
+        evaluates anyway, so growth adds no ``rhs`` call.
     smooth_guards : sequence of int
         Indices of guards that are continuous along the RK4 map inside a
         step.  While one of them changes sign over the bracket, the search
@@ -247,8 +274,11 @@ def integrate(
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("initial state must be finite")
+    if grow_step and not stop_when_converged:
+        raise ValueError("grow_step needs stop_when_converged")
     x.flags.writeable = False
     h = config.step
+    grow_tol = config.convergence_tol * config.step
     t = 0.0
     t_end = float(config.max_time)
     stats = IntegrationStats()
@@ -284,7 +314,7 @@ def integrate(
     _record(t, x)
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h_step = min(h, t_end - t)
-        x_new, k1 = _rk4_step(rhs, t, x, h_step)
+        x_new, k1, k4 = _rk4_step(rhs, t, x, h_step)
         stats.rk4_steps += 1
         landing = False
         travel = 0.0
@@ -322,7 +352,7 @@ def integrate(
                         root = lo + width * float(np.min(a / (a - b))) - 0.5 * tol * last
                         if lo < root < hi:
                             probe, secant = root, True
-                x_mid, _ = _rk4_step(rhs, t, x, probe)
+                x_mid, _, _ = _rk4_step(rhs, t, x, probe)
                 stats.rk4_steps += 1
                 stats.bisection_steps += 1
                 s_mid = guards(t + probe, x_mid)
@@ -345,11 +375,12 @@ def integrate(
             # A guard can miss a dip that starts and ends inside one step,
             # and the landing of an unrelated event may fall mid-dip.  The
             # dip depth is bounded by one step's travel, so that is the clamp
-            # slack granted at a landing; plain steps keep the strict bound so
-            # a genuinely missing guard is still caught.
-            travel = h_step * max(1.0, np.max(np.abs(k1)))
+            # slack granted at a landing, never more than at the fixed step;
+            # plain steps keep the strict bound so a genuinely missing guard
+            # is still caught.
+            travel = min(h_step, config.step) * max(1.0, np.max(np.abs(k1)))
             h_step = hi
-            x_new, _ = _rk4_step(rhs, t, x, h_step)
+            x_new, _, _ = _rk4_step(rhs, t, x, h_step)
             stats.rk4_steps += 1
 
         if not np.isfinite(x_new).all():
@@ -375,6 +406,7 @@ def integrate(
             _record(t, x)
             s_cur = guards(t, x)
             quiet = 0
+            h = config.step
             continue
 
         if step_index % config.record_every == 0:
@@ -385,6 +417,10 @@ def integrate(
         if stop_when_converged:
             rate = rhs(t, x)
             stats.rhs_evals += 1
+            if grow_step:
+                err = h_step / 6.0 * np.abs(k4 - rate).max()
+                factor = MAX_FACTOR if err == 0.0 else SAFETY * (grow_tol / err) ** 0.25
+                h = max(config.step, h_step * min(MAX_FACTOR, max(MIN_FACTOR, factor)))
             if np.abs(rate).max() < config.convergence_tol:
                 quiet += 1
                 if quiet >= config.convergence_window:

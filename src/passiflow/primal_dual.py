@@ -392,6 +392,7 @@ def solve(
     init: FlowState,
     tc: TimeConstants | None = None,
     cfg: IntegratorConfig | None = None,
+    grow_step: bool = False,
 ) -> SolveResult:
     """Integrate the primal-dual flow until the rates settle.
 
@@ -399,6 +400,7 @@ def solve(
     projection switches are localized; the switched storage is evaluated at
     every sample, both sides of each switch included, as ``integrate``
     records it (its ``on_sample`` hook), and returned as the trace.
+    ``grow_step`` is ``integrate``'s: the step grows between events.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -481,7 +483,7 @@ def solve(
 
     traj = integrate(rhs, init.pack(), cfg, guards=guards, guard_labels=labels,
                      clamp_nonneg=clamp, stop_when_converged=True, on_sample=on_sample,
-                     smooth_guards=range(p))
+                     smooth_guards=range(p), grow_step=grow_step)
     storage_vals = np.array(storage)
 
     # One switch event per batch of simultaneous guard crossings.  The

@@ -550,11 +550,27 @@ def test_seed_flag_is_echoed_in_the_config(tmp_path):
     assert saved["config"]["svm"]["seed"] == 3
 
 
-def test_svm_without_an_integrator_block_echoes_the_settings_it_ran_with(tmp_path):
-    cfg = {"schema": 1, "kind": "svm", "svm": {"seed": 1, "n_per_class": 5}}
+@pytest.mark.filterwarnings("ignore:SVM flow stopped unconverged")
+@pytest.mark.parametrize("cfg", [
+    {"schema": 1, "kind": "svm", "svm": {"seed": 1, "n_per_class": 5}},
+    # A partial block is applied over svm.DEFAULT_INTEGRATOR, not over the
+    # generic defaults (step 1e-3, convergence_tol 1e-6, record_every 1).
+    {"kind": "svm", "svm": {"n_per_class": 5}, "integrator": {"max_time": 50.0}},
+], ids=["no_block", "partial_block"])
+def test_svm_integrator_echoes_the_settings_it_ran_with(tmp_path, monkeypatch, cfg):
+    ran = []
+    real_train = svm.train_svm
+
+    def recording_train(data, cfg):
+        ran.append(cfg)
+        return real_train(data, cfg=cfg)
+
+    monkeypatch.setattr(svm, "train_svm", recording_train)
     code, payload = cli.run(cfg, tmp_path)
     assert code == 0
-    assert payload["config"]["integrator"] == dataclasses.asdict(svm.DEFAULT_INTEGRATOR)
+    want = dataclasses.replace(svm.DEFAULT_INTEGRATOR, **cfg.get("integrator", {}))
+    assert ran == [want]
+    assert payload["config"]["integrator"] == dataclasses.asdict(want)
 
 
 def test_configs_with_the_same_stem_are_rejected(tmp_path, capsys):

@@ -265,6 +265,91 @@ class TestSecantEventSearch:
         assert t_event == pytest.approx(0.5 * np.log(1.008), abs=1e-9)
 
 
+class TestStepGrowth:
+    """``grow_step``: the step grows between events, never below ``step``."""
+
+    CFG = IntegratorConfig(step=0.01, max_time=10.0)
+    X0 = [1.0, 0.0, 1.0]
+
+    @staticmethod
+    def rhs(t, x):
+        # A damped oscillator, x0 = exp(-t/10) (cos wt + sin(wt) / (10 w)),
+        # crosses zero at t1 = (pi - atan(10 w)) / w ~ 1.68, then every pi / w.
+        # The fast mode x2 = exp(-50 t) puts the error estimate above the
+        # tolerance at step until t ~ 0.26, so the floor holds the step there.
+        return np.array([x[1], -x[0] - 0.2 * x[1], -50.0 * x[2]])
+
+    def run(self, monkeypatch, grow_step):
+        """The trajectory, every step sampled, and the ``(t, h)`` of every RK4
+        step taken."""
+        calls = []
+        real_step = ode._rk4_step
+
+        def counting_step(rhs, t, x, h):
+            calls.append((t, h))
+            return real_step(rhs, t, x, h)
+
+        monkeypatch.setattr(ode, "_rk4_step", counting_step)
+        traj = integrate(self.rhs, self.X0, self.CFG, guards=lambda t, x: x[:1].copy(),
+                         stop_when_converged=True, grow_step=grow_step)
+        return traj, calls
+
+    def test_no_step_is_shorter_than_step_but_probes_landings_and_the_last(self, monkeypatch):
+        traj, calls = self.run(monkeypatch, True)
+        w = np.sqrt(0.99)
+        t1 = (np.pi - np.arctan(10.0 * w)) / w
+        assert [t for t, _ in traj.events] == pytest.approx(t1 + np.pi / w * np.arange(3),
+                                                            abs=1e-6)
+        assert max(h for _, h in calls) > 2 * self.CFG.step
+        # The first RK4 step from each start time is a plain or crossing
+        # step; the probes and the landing from that start follow it.
+        first = {}
+        for t, h in calls:
+            first.setdefault(t, h)
+        for t, h in first.items():
+            assert h >= self.CFG.step or h == self.CFG.max_time - t
+        assert traj.times[-1] == self.CFG.max_time
+
+    def test_the_step_after_each_landing_is_step(self, monkeypatch):
+        traj, calls = self.run(monkeypatch, True)
+        assert len(traj.events) == 3
+        for t_event, _ in traj.events:
+            assert next(h for t, h in calls if t == t_event) == self.CFG.step
+        # ... and the step grows again before the next event.
+        grown = [t for t, h in calls if h > self.CFG.step]
+        assert all(any(t > t_event for t in grown) for t_event, _ in traj.events)
+
+    def test_samples_equal_the_fixed_step_run_up_to_the_first_grown_step(self, monkeypatch):
+        grown, calls = self.run(monkeypatch, True)
+        fixed, _ = self.run(monkeypatch, False)
+        t_grow = next(t for t, h in calls if h > self.CFG.step)
+        assert t_grow > 0.0
+        k = int(np.searchsorted(grown.times, t_grow, side="right"))
+        assert k > 1
+        assert np.array_equal(grown.times[:k], fixed.times[:k])
+        assert np.array_equal(grown.states[:k], fixed.states[:k])
+        assert grown.times.size < fixed.times.size
+
+    def test_landing_clamp_slack_stays_one_step_of_travel(self):
+        # x0' = -1 while x0 > 0, x1' = 1: the rates are constant, so the step
+        # grows fivefold per step, 0.01, 0.05, 0.25, 1.25, and x0 = 0.1 at
+        # t = 0.31.  The guard x1 - 0.61 lands the 1.25 step at 0.3, where
+        # the RK4 map (as in test_landing_grants_one_step_of_clamp_slack)
+        # has taken x0 to -0.05: more than step * max(1, |k1|) = 0.01, the
+        # slack of the fixed-step run, though less than 1.25 * max(1, |k1|).
+        def rhs(t, x):
+            return np.array([-1.0 if x[0] > 0 else 0.0, 1.0])
+
+        with pytest.raises(ValueError, match=r"undershot zero by 5\.000e-02 "
+                                             r"\(> clamp slack 1\.000e-02\)"):
+            integrate(rhs, [0.41, 0.0], self.CFG, guards=lambda t, x: x[1:] - 0.61,
+                      clamp_nonneg=[0], stop_when_converged=True, grow_step=True)
+
+    def test_growth_needs_the_convergence_check(self):
+        with pytest.raises(ValueError, match="grow_step needs stop_when_converged"):
+            integrate(self.rhs, self.X0, self.CFG, grow_step=True)
+
+
 class TestSampleBuffer:
     """Samples are copied into one array that starts at 1024 rows and doubles."""
 
@@ -410,12 +495,14 @@ class TestIntegrationStats:
         assert calls["rhs"] == 3 * stats.rk4_steps + result.trajectory.times.size == 4686
         assert calls["g"] == 1 + stats.rk4_steps + 3 * result.switch_count + 1 == 1194
 
-    def test_call_counts_follow_the_step_counts_on_a_multi_event_solve(self, monkeypatch):
+    @pytest.mark.parametrize("grow_step", [False, True])
+    def test_call_counts_follow_the_step_counts_on_many_events(self, monkeypatch, grow_step):
         # The identities perfbench's tracer (tracing.step_counts) uses to
         # infer RK4 and advancing steps from the calls it counts: the guards
         # run once at the start and once after every RK4 step, and the rhs
         # four times per RK4 step plus once per convergence check, which
-        # solve makes after every step that advances without an event.
+        # solve makes after every step that advances without an event.  A
+        # grown step reads its error from that check's rate: no extra call.
         calls = {"rhs": 0, "guards": 0}
         lengths = []
         real_integrate, real_step = primal_dual.integrate, ode._rk4_step
@@ -439,10 +526,12 @@ class TestIntegrationStats:
         data = svm.generate_gaussian_classes(seed=0, n_per_class=10)
         cfg = dataclasses.replace(svm.DEFAULT_INTEGRATOR, max_time=10.0)
         result = primal_dual.solve(svm.build_svm_problem(data),
-                                   FlowState(np.zeros(3), mu=np.zeros(data.size)), cfg=cfg)
+                                   FlowState(np.zeros(3), mu=np.zeros(data.size)), cfg=cfg,
+                                   grow_step=grow_step)
         stats = result.trajectory.stats
         assert stats.event_batches > 10
         assert stats.rk4_steps == len(lengths)
+        assert (max(lengths) > cfg.step) == grow_step
         assert calls["guards"] == stats.rk4_steps + 1
         # Each event batch costs a crossing step, its probes and a landing
         # step; every other RK4 step is a plain step and gets a check.

@@ -4,9 +4,10 @@ from oracles import svm_flow_rhs, two_point_svm
 
 from passiflow.ode import IntegratorConfig
 from passiflow.primal_dual import (FlowState, TimeConstants, interconnected_rhs, kkt_residual,
-                                   prepare_flow)
+                                   prepare_flow, solve, storage_switch_audit)
 from passiflow.svm import (
     DEFAULT_COV,
+    DEFAULT_INTEGRATOR,
     DEFAULT_MEAN_A,
     DEFAULT_MEAN_B,
     Dataset,
@@ -163,6 +164,31 @@ class TestTrainedModel:
     def test_mu_nonnegative_throughout(self, trained):
         _, res = trained
         assert res.trajectory.states[:, 3:].min() >= 0.0
+
+
+def test_grown_steps_match_slsqp_pass_both_audits_and_take_fewer_steps():
+    """train_svm grows the step between events; the hyperplane still agrees
+    with SLSQP on the same max-margin QP."""
+    from scipy.optimize import minimize
+
+    data = generate_gaussian_classes(seed=9, n_per_class=25)
+    grown = train_svm(data)
+    assert grown.converged
+    assert grown.storage.report()["verdict"] == "PASS"
+    assert storage_switch_audit(grown.storage)["verdict"] == "PASS"
+    rows = data.labels[:, None] * np.column_stack([data.points, np.ones(data.size)])
+    ref = minimize(lambda w: 0.5 * (w[0] ** 2 + w[1] ** 2), np.zeros(3),
+                   jac=lambda w: np.array([w[0], w[1], 0.0]),
+                   constraints=[{"type": "ineq", "fun": lambda w: rows @ w - 1.0,
+                                 "jac": lambda w: rows}],
+                   method="SLSQP", options={"ftol": 1e-12, "maxiter": 500})
+    assert ref.success
+    _, plane, _ = support_vectors(data, grown.final)
+    assert np.concatenate([plane.beta, [plane.beta0]]) == pytest.approx(ref.x, abs=1e-6)
+    fixed = solve(build_svm_problem(data), FlowState(np.zeros(3), mu=np.zeros(data.size)),
+                  cfg=DEFAULT_INTEGRATOR)
+    assert fixed.converged
+    assert grown.trajectory.stats.rk4_steps < fixed.trajectory.stats.rk4_steps
 
 
 def test_slow_separable_draw_warns_with_its_stationarity_not_inseparability():
