@@ -15,7 +15,12 @@ seed is ``svm.seed``, which ``--seed`` writes; a top-level ``seed`` is an
 unknown key.  Outputs are deterministic for a fixed config and seed:
 trajectory/storage CSVs with 17-significant-digit floats and a
 ``summary.json`` that echoes the fully defaulted config, so every run is
-self-describing.
+self-describing.  The ``solve`` and ``svm`` kinds grow the RK4 step between
+events, with ``integrator.step`` as its floor.  ``record_every`` and
+``convergence_window`` count steps, so a grown run samples more sparsely,
+and ``converged`` reads the final rate alone, so a grown run may reach
+``max_time`` with ``converged`` true (the golden ``solve`` config ends at
+t = 30.0, where the fixed step stops at 28.10).
 
 Exit codes: 0 ok, 2 validation failure, 3 divergence (a non-finite state,
 as when an HVAC zone under dynamic feedback nears the supply temperature
@@ -424,7 +429,7 @@ def _read_audit(cfg: dict, d: _Diagnostics):
 
 def _run_solve(inputs, out: Path) -> dict:
     problem, init, tc, icfg = inputs
-    result = solve(problem, init, tc=tc, cfg=icfg)
+    result = solve(problem, init, tc=tc, cfg=icfg, grow_step=True)
     result.trajectory.to_csv(out / "trajectory.csv", out / "events.csv")
     result.storage.to_csv(out / "storage.csv")
     return {**result.summary(), "switch_audit": storage_switch_audit(result.storage)}

@@ -2,18 +2,19 @@
 
 Every flow in this library (gradient flows, switched multiplier dynamics,
 circuit and line simulations) runs through :func:`integrate`.  The scheme is
-deliberately plain: classical fourth-order Runge-Kutta with a constant step,
-plus a bracketing search for guard sign changes along the RK4 map from the
-step start (not along the exact solution, so on a switched field an event
-time can be off by O(step) whatever ``event_tol`` is).  The search probes the
-bracket's midpoint, or, while a guard the caller marks as smooth changes sign
-over it, that guard's secant root estimate, with the regula falsi weighting
-of Anderson and Bjorck (BIT 13, 1973).  A caller that checks convergence
-may let the step grow between events (``grow_step``): an embedded
-third-order estimate sets the next step, never below the configured one,
-and no step is rejected (Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.4).  Every step is deterministic, so switch bookkeeping and storage
-audits are reproducible; there is no stiff path.
+deliberately plain: classical fourth-order Runge-Kutta with the configured
+step (or a grown one, see below), plus a bracketing search for guard sign
+changes along the RK4 map from the step start (not along the exact
+solution, so on a switched field an event time can be off by O(step)
+whatever ``event_tol`` is).  The search probes the bracket's midpoint, or,
+while a guard the caller marks as smooth changes sign over it, that guard's
+secant root estimate, with the regula falsi weighting of Anderson and
+Bjorck (BIT 13, 1973).  A caller that checks convergence may let the step
+grow between events (``grow_step``): an embedded third-order estimate sets
+the next step, never below the configured one, and no step is rejected
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  Every step is
+deterministic, so switch bookkeeping and storage audits are reproducible;
+there is no stiff path.
 """
 
 from __future__ import annotations

@@ -400,7 +400,9 @@ def solve(
     projection switches are localized; the switched storage is evaluated at
     every sample, both sides of each switch included, as ``integrate``
     records it (its ``on_sample`` hook), and returned as the trace.
-    ``grow_step`` is ``integrate``'s: the step grows between events.
+    ``grow_step`` is ``integrate``'s: the step grows between events.  It
+    stays off by default so that a direct call takes the configured step
+    throughout; ``svm.train_svm`` and the CLI's ``solve`` kind turn it on.
     """
     if cfg is None:
         cfg = IntegratorConfig()

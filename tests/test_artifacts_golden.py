@@ -80,6 +80,18 @@ CONFIGS = {
 # to the first grown step are unchanged, the support set [4, 8] and the 16
 # switches too.  Largest absolute change: summary.json 4.32e-6 (beta0),
 # beta_trajectory.csv 4.32e-6 and mu_trajectory.csv 1.31e-6 on the final row.
+# The solve and solve_eq digests were re-recorded when the CLI's solve kind
+# began to grow the step between events, as train_svm does.  The step grows
+# from the second step on, so only the first two samples are unchanged.
+# solve: 298 samples (was 2,812), ending at max_time, t = 30.0 (was 28.10),
+# still converged; solve_eq: 421 samples (was 2,387), ending at t = 30.06
+# (was 23.84).  Switch counts (2 and 3), event tags and both audit verdicts
+# are unchanged.  Largest absolute change, solve / solve_eq: trajectory.csv
+# 8.16e-7 / 1.06e-6 and storage.csv 3.6e-13 / 7.1e-13 on the final row;
+# events.csv 1.41e-6 (g1) / 5.54e-4 (m1 and g1, at t = 2.7416, was 2.7422)
+# in the event times; summary.json 8.16e-7 (kkt.dual_feas) / 9.43e-7
+# (kkt.stationarity), besides iterations and solve_eq's worst_time, which
+# moved from 0.0 to the last sample with a min_margin of -8.4e-15 (was 0.0).
 GOLDEN = {
     "audit/summary.json":
         "e92f51374867b877da4734742d2dd85adb06b150895d6f8313178bd941b9c9ff",
@@ -90,21 +102,21 @@ GOLDEN = {
     "plant/trajectory.csv":
         "717d89439278dbbe303d651d3a2b9222387bbc05c4d785e04635c8181d752722",
     "solve/events.csv":
-        "9d96e37ac9988b14dd491346944b1bc0841c8cf7f142e42d1727ac792407c4da",
+        "774c291e7ca9e611f9b0748c0713942931ae4062a7199d15a39bc548d0dcca01",
     "solve/storage.csv":
-        "b65cf51178ad2f1a1f03b487ee0fa25022efd67fe7e2d22023403ccef088a927",
+        "92938a07de27929a28799d3eb885df40d000cd18fb2498b8afcb41df3a6bd41e",
     "solve/summary.json":
-        "9b685ab806864729d2f22b05df4bb043ac3494f56e2b52d6d265442e4911fa9e",
+        "6d3fd6a9270582b7f522da648ff3cd99d9adff1c718ca3441740289ce4429792",
     "solve/trajectory.csv":
-        "0bba359c18d853ad042bda256973eb7f5b5ad79714b7577528d892e78014799d",
+        "dee59fdd66f0d22ed6ea5741fb1fbd5e01afcbfbf8912a1a898652e1c35f1c21",
     "solve_eq/events.csv":
-        "30fe04cb1f256609990b88592f70455144bb6fe5b7fb3cc4f689c4be176e094b",
+        "b557ca0302a6d4eb378913d51519d37c34dfb35532586475aa20fbb696694bf5",
     "solve_eq/storage.csv":
-        "531d01c508947e2b7751d10c823b9dce546c1d8b8e24e892ccfdbfbcd6c58cd0",
+        "968e0cfaf84ea80e04d025f0bb32bad43d8e75f272ca11617cf6b6db35b8e376",
     "solve_eq/summary.json":
-        "b73ae0699746b929eb28cbcbd2bfee43eb69814ce0c501007ca2ede2dfc1c1b8",
+        "a2c4890be05423d980830ac2dd3be0c3ab8fb77224aefef48ca8de0115d827b4",
     "solve_eq/trajectory.csv":
-        "0d676fad3ff821bc41f2ff7afd4bd2579d23d44c82fe4c8d5327ebd130b8d886",
+        "e66e6a67eaa719c09a62f7928bf2fa1ec9873887a0966d3450390ee429ee9e80",
     "svm/beta_trajectory.csv":
         "76f2a621def8f4a2c8bd5b9364dfe880c5ff49c08ba27df017483c46449b6b41",
     "svm/dataset.csv":
