@@ -8,10 +8,13 @@ Lyapunov/storage evaluator so simulations can be audited for monotone
 decrease, and each plant exposes its pseudo-gradient description for
 cross-checking against the plain state-space right-hand side.
 
-A dynamic-feedback system may give ``Gamma`` and ``alpha`` in closed form;
-the HVAC system gives both, and its diagonal ``alpha`` replaces the Gram
-solve of the generic path.  Each loop rhs call evaluates ``f``, ``g``,
-``Gamma`` and the port output ``y = g^T M xdot`` once.
+A dynamic-feedback system may give ``Gamma``, ``alpha`` and its closed loop
+in closed form; the HVAC system gives all three.  A generic loop rhs call
+evaluates ``f``, ``g``, ``Gamma`` and the port output ``y = g^T M xdot``
+once and solves the Gram system for ``alpha``.  The rhs of each loop the
+CLI runs is one scalar formula instead: the state unpacked to Python floats
+once, numpy's operation order, its ``** 2`` and the zero entries of its
+matrix products kept, so that it equals the matrix form bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +70,20 @@ class RankDeficientInput(ValueError):
     """The input matrix ``g(x)`` lost column rank, so ``alpha`` is undefined."""
 
 
+def _packed(rates):
+    """``rhs(t, x) = np.array(rates(*x))`` on Python floats, which round as
+    float64 does at a fraction of a numpy scalar's cost.  A float ``** 2``
+    past the float range raises where numpy's gives inf: numpy scalars then."""
+
+    def rhs(t, x):
+        try:
+            return np.array(rates(*x.tolist()))
+        except OverflowError:
+            return np.array(rates(*x))
+
+    return rhs
+
+
 # ---------------------------------------------------------------------------
 # Parallel RLC circuit
 # ---------------------------------------------------------------------------
@@ -120,6 +137,15 @@ def prlc_bm(p: ParallelRLC) -> PseudoGradientSystem:
     )
 
 
+def _check_power_shaping(p: ParallelRLC, K: float):
+    """Refuse ``K < 0``; warn the caller's caller when ``G^2 L < C``."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    if not p.admissible_certificate_holds:
+        warnings.warn("G^2 L < C: shaped-pair certificate unavailable for this parameter set",
+                      CertificateUnavailable, stacklevel=3)
+
+
 def prlc_power_shaping(p: ParallelRLC, state, i_star: float, K: float) -> float:
     """Source voltage ``Vs = -K (i - i*) + (R + 1/G) i*``.
 
@@ -127,14 +153,7 @@ def prlc_power_shaping(p: ParallelRLC, state, i_star: float, K: float) -> float:
     behind this law is then unavailable, though the control value itself is
     still well defined.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if not p.admissible_certificate_holds:
-        warnings.warn(
-            "G^2 L < C: shaped-pair certificate unavailable for this parameter set",
-            CertificateUnavailable,
-            stacklevel=2,
-        )
+    _check_power_shaping(p, K)
     i = state[0]
     return -K * (i - i_star) + (p.R + 1.0 / p.G) * i_star
 
@@ -149,16 +168,20 @@ def prlc_shaped_potential(p: ParallelRLC, state, i_star: float, K: float) -> flo
 
 
 def prlc_power_shaping_loop(p: ParallelRLC, i_star: float, K: float):
-    """(rhs, lyapunov) for the power-shaped closed loop over state (i, v)."""
+    """(rhs, lyapunov) for the power-shaped closed loop over state (i, v);
+    ``K`` is checked, and the certificate warning given, once, here."""
+    _check_power_shaping(p, K)
+    R, G, L, C = p.R, p.G, p.L, p.C
+    feedforward = (p.R + 1.0 / p.G) * i_star
 
-    def rhs(t, x):
-        x = x.tolist()          # Python floats: float64 rounding, cheaper scalars
-        return prlc_rhs(p, x, prlc_power_shaping(p, x, i_star, K))
+    def rates(i, v):
+        Vs = -K * (i - i_star) + feedforward
+        return (Vs - R * i - v) / L, (i - G * v) / C
 
     def lyap(t, x):
         return prlc_shaped_potential(p, x, i_star, K)
 
-    return rhs, lyap
+    return _packed(rates), lyap
 
 
 def prlc_krasovskii_pi(p: ParallelRLC, state, ctrl_state: float,
@@ -183,12 +206,16 @@ def prlc_krasovskii_pi_loop(p: ParallelRLC, i_star: float, v_star: float,
     The Lyapunov function is the velocity storage plus the integral-error
     penalty: ``L i_t^2 / 2 + C v_t^2 / 2 + K_I (i - i*)^2 / 2``.
     """
+    if K_P < 0 or K_I < 0:
+        raise ValueError("K_P and K_I must be >= 0")
+    R, G, L, C = p.R, p.G, p.L, p.C
+    R_i_star = p.R * i_star
 
-    def rhs(t, x):
-        i, v, z = x.tolist()
-        Vs, zdot = prlc_krasovskii_pi(p, (i, v), z, i_star, v_star, K_P, K_I)
-        di, dv = prlc_rhs(p, (i, v), Vs)
-        return np.array([di, dv, zdot])
+    def rates(i, v, z):
+        Vs = -K_P * (i - i_star) - K_I * z + R_i_star + v_star
+        return (Vs - R * i - v) / L, (i - G * v) / C, i - i_star
+
+    rhs = _packed(rates)
 
     def lyap(t, x):
         di, dv, _ = rhs(t, x)
@@ -341,16 +368,25 @@ class HvacParams:
         return np.array([self.C1, self.C2, self.C3, self.C4])
 
 
+def _hvac_rates(h: HvacParams):
+    """``(T0, T1, T2, T3, u0, u1) -> Tdot`` of :func:`hvac_rhs`, on scalars."""
+    R31, R42, R34, R10, R20 = h.R31, h.R42, h.R34, h.R10, h.R20
+    C1, C2, C3, C4, c_p, T_s, T_inf = h.C1, h.C2, h.C3, h.C4, h.c_p, h.T_s, h.T_inf
+
+    def rates(T0, T1, T2, T3, u0, u1):
+        q1 = (T2 - T0) / R31 + (T_inf - T0) / R10 + u0 * c_p * (T_s - T0)
+        q2 = (T3 - T1) / R42 + (T_inf - T1) / R20 + u1 * c_p * (T_s - T1)
+        q3 = (T0 - T2) / R31 + (T3 - T2) / R34
+        q4 = (T1 - T3) / R42 + (T2 - T3) / R34
+        return q1 / C1, q2 / C2, q3 / C3, q4 / C4
+
+    return rates
+
+
 def hvac_rhs(h: HvacParams, T, u) -> np.ndarray:
     """Capacitance-scaled heat balances of the four temperature nodes."""
-    # Python floats round as float64 does, at a fraction of the call cost.
-    T0, T1, T2, T3 = np.asarray(T, dtype=float).tolist()
-    u0, u1 = np.asarray(u, dtype=float).tolist()
-    q1 = (T2 - T0) / h.R31 + (h.T_inf - T0) / h.R10 + u0 * h.c_p * (h.T_s - T0)
-    q2 = (T3 - T1) / h.R42 + (h.T_inf - T1) / h.R20 + u1 * h.c_p * (h.T_s - T1)
-    q3 = (T0 - T2) / h.R31 + (T3 - T2) / h.R34
-    q4 = (T1 - T3) / h.R42 + (T2 - T3) / h.R34
-    return np.array([q1 / h.C1, q2 / h.C2, q3 / h.C3, q4 / h.C4])
+    return np.array(_hvac_rates(h)(*np.asarray(T, dtype=float).tolist(),
+                                   *np.asarray(u, dtype=float).tolist()))
 
 
 def hvac_bm(h: HvacParams) -> PseudoGradientSystem:
@@ -459,15 +495,17 @@ def hvac_power_shaping(h: HvacParams, T, Tdot, targets, k: float,
     return damping - (kvec / k) * (gam - gam_star - (k / kvec) * u_star)
 
 
-def hvac_shaped_potential(h: HvacParams, T, a, k, k1, k2) -> float:
+def hvac_shaped_potential(h: HvacParams, T, a, k, k1, k2, P=None) -> float:
     """Closed-loop potential ``k P(T) + sum_i k_i (Gamma_i + a_i)^2 / 2``.
 
-    ``a`` are the offsets of :func:`hvac_shaping_offsets` for the targets.
+    ``a`` are the offsets of :func:`hvac_shaping_offsets` for the targets;
+    ``P`` is ``hvac_bm(h).P`` when the caller already has it.
     """
+    if P is None:
+        P = hvac_bm(h).P
     gam = hvac_gamma(h, T)
     kvec = np.array([k1, k2])
-    return float(k * hvac_bm(h).P(np.asarray(T, dtype=float))
-                 + 0.5 * np.sum(kvec * (gam + a) ** 2))
+    return float(k * P(np.asarray(T, dtype=float)) + 0.5 * np.sum(kvec * (gam + a) ** 2))
 
 
 def hvac_power_shaping_loop(h: HvacParams, targets, k, k1, k2, alpha):
@@ -479,23 +517,25 @@ def hvac_power_shaping_loop(h: HvacParams, targets, k, k1, k2, alpha):
     explicit ODE.
     """
     _, _, a = hvac_shaping_offsets(h, targets, k, k1, k2)
-    kw = (np.array([k1, k2]) / k).tolist()
+    a1, a2 = a.tolist()
+    kw1, kw2 = (np.array([k1, k2]) / k).tolist()
     damping = alpha / k
+    heat = _hvac_rates(h)
+    C1, C2, c_p, T_s = h.C1, h.C2, h.c_p, h.T_s
+    P = hvac_bm(h).P
 
-    def rhs(t, T):
-        T = np.asarray(T, dtype=float)
-        dT = hvac_rhs(h, T, (0.0, 0.0))               # u = 0 part
-        gam_a = (hvac_gamma(h, T) + a).tolist()
-        for i, Ci in enumerate((h.C1, h.C2)):
-            b = h.c_p * (h.T_s - T.item(i))
-            w = kw[i] * gam_a[i]                      # integral part of the law
-            dT[i] = (dT.item(i) * Ci - b * w) / (Ci + damping * b * b)
-        return dT
+    def rates(T0, T1, T2, T3):
+        f1, f2, f3, f4 = heat(T0, T1, T2, T3, 0.0, 0.0)          # u = 0 part
+        b1, b2 = c_p * (T_s - T0), c_p * (T_s - T1)
+        w1 = kw1 * (-0.5 * c_p * (T0 - T_s) ** 2 + a1)        # integral part of the law
+        w2 = kw2 * (-0.5 * c_p * (T1 - T_s) ** 2 + a2)
+        return ((f1 * C1 - b1 * w1) / (C1 + damping * b1 * b1),
+                (f2 * C2 - b2 * w2) / (C2 + damping * b2 * b2), f3, f4)
 
     def lyap(t, T):
-        return hvac_shaped_potential(h, T, a, k, k1, k2)
+        return hvac_shaped_potential(h, T, a, k, k1, k2, P)
 
-    return rhs, lyap
+    return _packed(rates), lyap
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +554,9 @@ class DynFeedbackSystem:
     m x m matrix with ``gdot + g alpha = 0`` that raises
     :class:`RankDeficientInput` where ``g`` loses rank.  Without it
     :func:`dyn_feedback_alpha` solves the Gram system of ``g``.
+    ``loop_rhs(gamma_star, k1, kd, ki)`` may give the closed loop in closed
+    form: the ``rhs(t, z)`` of :func:`dyn_feedback_loop`, bit for bit.
+    Like ``alpha``, it stands for this system's own ``f``, ``g`` and ``M``.
     """
 
     n: int
@@ -525,6 +568,7 @@ class DynFeedbackSystem:
     M: np.ndarray
     gamma: Callable[[np.ndarray], np.ndarray] | None = None
     alpha: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    loop_rhs: Callable[[np.ndarray, float, float, float], Callable] | None = None
 
     def __post_init__(self):
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
@@ -637,13 +681,15 @@ def dyn_feedback_loop(sys: DynFeedbackSystem, x_star, k1: float, kd: float, ki: 
     if k1 <= 0 or ki <= 0 or kd < 0:
         raise ValueError("need k1 > 0, ki > 0, kd >= 0")
     gamma_star = sys.gamma_value(x_star)
-
-    def rhs(t, z):
-        x, u = z[: sys.n], z[sys.n:]
-        g, xdot, y = _plant_port(sys, x, u)
-        vdot = (-kd * y - ki * (sys.gamma_value(x) - gamma_star)) / k1
-        udot = dyn_feedback_alpha(sys, x, xdot, g) @ u - y + vdot
-        return np.concatenate([xdot, udot])
+    if sys.loop_rhs is not None:
+        rhs = sys.loop_rhs(gamma_star, k1, kd, ki)
+    else:
+        def rhs(t, z):
+            x, u = z[: sys.n], z[sys.n:]
+            g, xdot, y = _plant_port(sys, x, u)
+            vdot = (-kd * y - ki * (sys.gamma_value(x) - gamma_star)) / k1
+            udot = dyn_feedback_alpha(sys, x, xdot, g) @ u - y + vdot
+            return np.concatenate([xdot, udot])
 
     def lyap(t, z):
         x, u = z[: sys.n], z[sys.n:]
@@ -655,44 +701,68 @@ def dyn_feedback_loop(sys: DynFeedbackSystem, x_star, k1: float, kd: float, ki: 
 
 
 def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
-    """HVAC as a contracting system with metric diag(C) and closed-form Gamma."""
-
-    def f(T):
-        return hvac_rhs(h, T, np.zeros(2))
-
+    """HVAC as a contracting system with metric diag(C), closed-form Gamma,
+    alpha and closed loop."""
+    heat = _hvac_rates(h)
+    C1, C2, c_p, T_s = h.C1, h.C2, h.c_p, h.T_s
     jac = -hvac_bm(h).hess_P(h.cap) / h.cap[:, None]   # hess_P is constant
 
     def g(T):
         Gm = np.zeros((4, 2))
-        Gm[0, 0] = h.c_p * (h.T_s - T[0]) / h.C1
-        Gm[1, 1] = h.c_p * (h.T_s - T[1]) / h.C2
+        Gm[0, 0] = c_p * (T_s - T[0]) / C1
+        Gm[1, 1] = c_p * (T_s - T[1]) / C2
         return Gm
 
-    dg = (-h.c_p / h.C1, -h.c_p / h.C2)   # d g[k, k] / d T_k
+    dg = (-c_p / C1, -c_p / C2)   # d g[k, k] / d T_k
 
     def jac_g(T, k):
         J = np.zeros((4, 4))
         J[k, k] = dg[k]
         return J
 
-    def alpha(T, Tdot, g):
+    def zone_alpha(d, d_rate):
         # g is zero off its zone entries d_k, so alpha = diag(-d_k ddot_k / d_k^2).
         # Scaling by 1 / d_k^2 is the Gram solve's own arithmetic, so the two
         # paths agree to the last bit: both raise where d_k^2 is 0, and both
         # pass a NaN d_k on, so that a diverging run reports its divergence.
-        a = []
-        for k in range(2):
-            d = g.item(k, k)
-            if d * d == 0.0:
-                raise RankDeficientInput("input matrix is rank deficient")
-            a.append(-(d * (dg[k] * float(Tdot[k]))) * (1.0 / (d * d)))
-        return np.array([[a[0], 0.0], [0.0, a[1]]])
+        if d * d == 0.0:
+            raise RankDeficientInput("input matrix is rank deficient")
+        return -(d * d_rate) * (1.0 / (d * d))
+
+    def alpha(T, Tdot, g):
+        a0 = zone_alpha(g.item(0, 0), dg[0] * float(Tdot[0]))
+        a1 = zone_alpha(g.item(1, 1), dg[1] * float(Tdot[1]))
+        return np.array([[a0, 0.0], [0.0, a1]])
+
+    def loop_rhs(gamma_star, k1, kd, ki):
+        gs0, gs1 = gamma_star.tolist()
+
+        def rates(T0, T1, T2, T3, u0, u1):
+            f0, f1, f2, f3 = heat(T0, T1, T2, T3, 0.0, 0.0)
+            d0, d1 = c_p * (T_s - T0) / C1, c_p * (T_s - T1) / C2   # g's zone entries
+            # numpy's products sum each entry from +0.0, over g's zeros too
+            xd0 = f0 + (0.0 + d0 * u0 + 0.0 * u1)
+            xd1 = f1 + (0.0 + 0.0 * u0 + d1 * u1)
+            zu = 0.0 + 0.0 * u0 + 0.0 * u1
+            xd2, xd3 = f2 + zu, f3 + zu
+            m0, m1 = 0.0 + d0 * C1, 0.0 + d1 * C2      # g^T M: zone entries,
+            z0, z1 = 0.0 + d0 * 0.0, 0.0 + d1 * 0.0    # and the others
+            y0 = 0.0 + m0 * xd0 + z0 * xd1 + z0 * xd2 + z0 * xd3
+            y1 = 0.0 + z1 * xd0 + m1 * xd1 + z1 * xd2 + z1 * xd3
+            v0 = (-kd * y0 - ki * (-0.5 * c_p * (T0 - T_s) ** 2 - gs0)) / k1
+            v1 = (-kd * y1 - ki * (-0.5 * c_p * (T1 - T_s) ** 2 - gs1)) / k1
+            a0, a1 = zone_alpha(d0, dg[0] * xd0), zone_alpha(d1, dg[1] * xd1)
+            return (xd0, xd1, xd2, xd3, (0.0 + a0 * u0 + 0.0 * u1) - y0 + v0,
+                    (0.0 + 0.0 * u0 + a1 * u1) - y1 + v1)
+
+        return _packed(rates)
 
     return DynFeedbackSystem(
         n=4, m=2,
-        f=f, jac_f=lambda T: jac,
+        f=lambda T: hvac_rhs(h, T, np.zeros(2)), jac_f=lambda T: jac,
         g=g, jac_g=jac_g,
         M=np.diag(h.cap),
         gamma=lambda T: hvac_gamma(h, T),
         alpha=alpha,
+        loop_rhs=loop_rhs,
     )

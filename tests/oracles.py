@@ -10,14 +10,17 @@ cross-check the generic primal-dual flow.  The clamp set, a boolean mask in
 ``passiflow.primal_dual.solve``, is :func:`active_set` here, an index set;
 the storage and the switch classification of ``solve`` are written out per
 sample and per event batch from it.  The transmission line's stencil and
-closed-loop functional are written out for one state at the very end, as
-the references of their block evaluation.
+closed-loop functional are written out for one state, as the references of
+their block evaluation.  The four plant loops the CLI runs are written out
+at the very end as they were before their scalar closed forms: numpy arrays
+for ``g``, ``M``, ``Gamma`` and ``alpha``, and numpy's products.
 """
 
 import itertools
 
 import numpy as np
 
+from passiflow.plants import RankDeficientInput, hvac_gamma, hvac_shaping_offsets
 from passiflow.primal_dual import (
     FlowState,
     SwitchEvent,
@@ -367,3 +370,68 @@ def reference_closed_loop_lyapunov(p, state, targets, adm, K_I) -> float:
     value += 0.5 * p.R1 * state.i[-1] ** 2
     value += 0.5 * K_I * (state.vC0 - vC0_star) ** 2
     return float(value)
+
+
+def reference_prlc_power_shaping_rhs(p, x, i_star, K) -> np.ndarray:
+    """The rate of ``passiflow.plants.prlc_power_shaping_loop`` at ``x``."""
+    i, v = x.tolist()
+    Vs = -K * (i - i_star) + (p.R + 1.0 / p.G) * i_star
+    return np.array([(Vs - p.R * i - v) / p.L, (i - p.G * v) / p.C])
+
+
+def reference_prlc_krasovskii_pi_rhs(p, x, i_star, v_star, K_P, K_I) -> np.ndarray:
+    """The rate of ``passiflow.plants.prlc_krasovskii_pi_loop`` at ``x = (i, v, z)``."""
+    i, v, z = x.tolist()
+    Vs = -K_P * (i - i_star) - K_I * z + p.R * i_star + v_star
+    di, dv = np.array([(Vs - p.R * i - v) / p.L, (i - p.G * v) / p.C])
+    return np.array([di, dv, i - i_star])
+
+
+def reference_hvac_rhs(h, T, u) -> np.ndarray:
+    """``passiflow.plants.hvac_rhs``: the four heat balances over ``C_i``."""
+    T0, T1, T2, T3 = np.asarray(T, dtype=float).tolist()
+    u0, u1 = np.asarray(u, dtype=float).tolist()
+    q1 = (T2 - T0) / h.R31 + (h.T_inf - T0) / h.R10 + u0 * h.c_p * (h.T_s - T0)
+    q2 = (T3 - T1) / h.R42 + (h.T_inf - T1) / h.R20 + u1 * h.c_p * (h.T_s - T1)
+    q3 = (T0 - T2) / h.R31 + (T3 - T2) / h.R34
+    q4 = (T1 - T3) / h.R42 + (T2 - T3) / h.R34
+    return np.array([q1 / h.C1, q2 / h.C2, q3 / h.C3, q4 / h.C4])
+
+
+def reference_hvac_power_shaping_rhs(h, T, targets, k, k1, k2, alpha) -> np.ndarray:
+    """The rate of ``passiflow.plants.hvac_power_shaping_loop`` at ``T``, the
+    law's ``Gamma + a`` as a numpy array."""
+    _, _, a = hvac_shaping_offsets(h, targets, k, k1, k2)
+    kw = (np.array([k1, k2]) / k).tolist()
+    damping = alpha / k
+    T = np.asarray(T, dtype=float)
+    dT = reference_hvac_rhs(h, T, (0.0, 0.0))
+    gam_a = (hvac_gamma(h, T) + a).tolist()
+    for i, Ci in enumerate((h.C1, h.C2)):
+        b = h.c_p * (h.T_s - T.item(i))
+        w = kw[i] * gam_a[i]
+        dT[i] = (dT.item(i) * Ci - b * w) / (Ci + damping * b * b)
+    return dT
+
+
+def reference_hvac_dyn_feedback_rhs(h, z, x_star, k1, kd, ki) -> np.ndarray:
+    """The rate of ``passiflow.plants.dyn_feedback_loop`` for
+    ``hvac_dyn_feedback(h)`` at ``z = (T, u)``: ``g(T)`` a 4 x 2 array,
+    ``M = diag(C)``, ``alpha`` the diagonal 2 x 2 array of the Gram solve's
+    arithmetic, raising :class:`RankDeficientInput` where ``d_k^2`` is 0."""
+    x, u = z[:4], z[4:]
+    g = np.zeros((4, 2))
+    g[0, 0] = h.c_p * (h.T_s - x[0]) / h.C1
+    g[1, 1] = h.c_p * (h.T_s - x[1]) / h.C2
+    xdot = reference_hvac_rhs(h, x, np.zeros(2)) + g @ u
+    y = g.T @ np.diag(h.cap) @ xdot
+    vdot = (-kd * y - ki * (hvac_gamma(h, x) - hvac_gamma(h, x_star))) / k1
+    dg = (-h.c_p / h.C1, -h.c_p / h.C2)
+    a = []
+    for k in range(2):
+        d = g.item(k, k)
+        if d * d == 0.0:
+            raise RankDeficientInput("input matrix is rank deficient")
+        a.append(-(d * (dg[k] * float(xdot[k]))) * (1.0 / (d * d)))
+    udot = np.array([[a[0], 0.0], [0.0, a[1]]]) @ u - y + vdot
+    return np.concatenate([xdot, udot])

@@ -51,6 +51,30 @@ CONFIGS = {
                   "gains": {"k1": 1.0, "kd": 2.0, "ki": 5.0}, "horizon": 2.0},
         "integrator": {"step": 0.01, "record_every": 10},
     },
+    # The other three plant loops the CLI offers, with the parameters and
+    # gains of the closed_loops benchmark workload.
+    "plant_rlc_ps": {
+        "schema": 1, "kind": "plant",
+        "plant": {"name": "parallel_rlc", "controller": "power_shaping",
+                  "params": {"R": 1.0, "G": 2.0, "L": 1.0, "C": 1.0},
+                  "gains": {"K": 1.0}, "initial_state": [-0.5, 0.8], "horizon": 4.0},
+        "integrator": {"step": 0.01, "record_every": 10},
+    },
+    "plant_rlc_pi": {
+        "schema": 1, "kind": "plant",
+        "plant": {"name": "parallel_rlc", "controller": "krasovskii_pi",
+                  "params": {"R": 1.0, "G": 0.5, "L": 1.0, "C": 1.0},
+                  "gains": {"K_P": 1.0, "K_I": 1.0}, "initial_state": [1.5, -0.7],
+                  "horizon": 4.0},
+        "integrator": {"step": 0.01, "record_every": 10},
+    },
+    "plant_hvac_ps": {
+        "schema": 1, "kind": "plant",
+        "plant": {"name": "hvac", "controller": "power_shaping",
+                  "gains": {"k": 1.0, "k1": 10.0, "k2": 10.0, "alpha": 10.0},
+                  "initial_state": [3.0, 7.5, 12.0, 18.0], "horizon": 4.0},
+        "integrator": {"step": 0.01, "record_every": 10},
+    },
     "tline": {
         "schema": 1, "kind": "tline",
         "tline": {"grid": 16, "horizon": 1.0, "target_vc1": 1.0,
@@ -92,6 +116,9 @@ CONFIGS = {
 # in the event times; summary.json 8.16e-7 (kkt.dual_feas) / 9.43e-7
 # (kkt.stationarity), besides iterations and solve_eq's worst_time, which
 # moved from 0.0 to the last sample with a min_margin of -8.4e-15 (was 0.0).
+# The plant_rlc_ps, plant_rlc_pi and plant_hvac_ps digests were recorded
+# before the four plant loops became scalar closed-form closures, which keep
+# every artifact byte for byte.
 GOLDEN = {
     "audit/summary.json":
         "e92f51374867b877da4734742d2dd85adb06b150895d6f8313178bd941b9c9ff",
@@ -101,6 +128,24 @@ GOLDEN = {
         "0e5a35fb7b8f4a02e77a8f32103c498b41fe063672cb056b469159af74dfd27d",
     "plant/trajectory.csv":
         "717d89439278dbbe303d651d3a2b9222387bbc05c4d785e04635c8181d752722",
+    "plant_hvac_ps/lyapunov.csv":
+        "70b6ddf60433792cf5f1959a2c79b03cae07b7228e9bdd64c653e7ebf61e89af",
+    "plant_hvac_ps/summary.json":
+        "680f1413f48399a38eac9138255c7015d731a2d067f3cc77d1788b9af7acd5d1",
+    "plant_hvac_ps/trajectory.csv":
+        "4eed09a48c28ac942b91761e271075cb950c2e7bb6dfaf721b07da3eb1c41e7f",
+    "plant_rlc_pi/lyapunov.csv":
+        "3dbe2dd05a34d66c70f8adb00291dec2301e6ad588b9db9214f77c40f9333366",
+    "plant_rlc_pi/summary.json":
+        "cd04bd39147345f93e79ea546f3ae414577573d16aa70bd194e0249c1c2cb5ca",
+    "plant_rlc_pi/trajectory.csv":
+        "8d8a8bd3636428a47fa0ba496b4e17c32134246c81c1afbafa92f452353d8212",
+    "plant_rlc_ps/lyapunov.csv":
+        "86e93cc33cd5b6b94e6b4fa5864382ddd76c4474a19f9068927a889acb38ecd2",
+    "plant_rlc_ps/summary.json":
+        "bbd8786713c943f6da0dad68a41910a71e10769cc383e18c157a7791fa933d29",
+    "plant_rlc_ps/trajectory.csv":
+        "1ea6cdf2683b8af826a43bdca27b7cbb853ada1f92c47a8b64e935a5507b55cb",
     "solve/events.csv":
         "774c291e7ca9e611f9b0748c0713942931ae4062a7199d15a39bc548d0dcca01",
     "solve/storage.csv":

@@ -233,6 +233,19 @@ def test_hvac_zone_reaching_the_supply_temperature_exits_3(tmp_path):
     assert json.loads((tmp_path / "summary.json").read_text())["exit_code"] == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hvac_zone_past_the_square_range_still_exits_3(tmp_path):
+    # RK4 at step 5 is unstable for this loop: a zone passes |T - T_s| > 1.3e154,
+    # where a Python float's ** 2 raises OverflowError and numpy's gives inf.
+    cfg = {"schema": 1, "kind": "plant",
+           "plant": {"name": "hvac", "controller": "dyn_feedback",
+                     "gains": {"k1": 1.0, "kd": 2.0, "ki": 5.0}, "horizon": 100.0},
+           "integrator": {"step": 5.0}}
+    code, payload = cli.run(cfg, tmp_path)
+    assert code == cli.EXIT_DIVERGENCE == 3
+    assert payload["error"].startswith("non-finite state")
+
+
 def test_rising_lyapunov_function_exits_4_only_under_strict(tmp_path):
     # Step 2 keeps RK4 finite over the horizon but not monotone.
     cfg = _prlc_cfg(2.0, 20.0)

@@ -1,10 +1,20 @@
 import dataclasses
+import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import check_consistency, finite_diff_gradient
+from oracles import (
+    check_consistency,
+    finite_diff_gradient,
+    reference_hvac_dyn_feedback_rhs,
+    reference_hvac_power_shaping_rhs,
+    reference_prlc_krasovskii_pi_rhs,
+    reference_prlc_power_shaping_rhs,
+)
 
+from passiflow import plants
 from passiflow.brayton_moser import passivity_audit
 from passiflow.ode import IntegratorConfig, integrate
 from passiflow.plants import (
@@ -13,6 +23,7 @@ from passiflow.plants import (
     DynFeedbackSystem,
     HvacParams,
     ParallelRLC,
+    RankDeficientInput,
     complete_rlc_bm,
     complete_rlc_rhs,
     complete_rlc_storage,
@@ -101,6 +112,21 @@ class TestPowerShaping:
         with pytest.warns(CertificateUnavailable):
             prlc_power_shaping(BAD_RLC, [0.0, 0.0], 0.5, K=1.0)
 
+    def test_loop_warns_once_when_built_and_never_while_running(self):
+        i_star, _ = prlc_equilibrium(BAD_RLC, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rhs, _ = prlc_power_shaping_loop(BAD_RLC, i_star, K=1.0)
+            assert [w.category for w in caught] == [CertificateUnavailable]
+            assert caught[0].filename == __file__
+            traj = integrate(rhs, [0.0, 0.0], IntegratorConfig(step=1e-2, max_time=1.0))
+        assert traj.stats.rk4_steps == 100
+        assert len(caught) == 1
+
+    def test_loop_refuses_a_negative_gain_when_built(self):
+        with pytest.raises(ValueError, match="K must be >= 0"):
+            prlc_power_shaping_loop(GOOD_RLC, 2.0, K=-1.0)
+
     def test_shaped_potential_monotone_along_loop(self):
         i_star, _ = prlc_equilibrium(GOOD_RLC, 1.0)
         rhs, lyap = prlc_power_shaping_loop(GOOD_RLC, i_star, K=1.0)
@@ -128,6 +154,10 @@ class TestKrasovskiiPI:
                                       K_P=1.0, K_I=1.0)
         assert Vs == pytest.approx(Vs_star)
         assert zdot == pytest.approx(0.0)
+
+    def test_loop_refuses_a_negative_gain_when_built(self):
+        with pytest.raises(ValueError, match="K_P and K_I must be >= 0"):
+            prlc_krasovskii_pi_loop(BAD_RLC, 0.5, 1.0, K_P=1.0, K_I=-1.0)
 
     def test_converges_without_parameter_condition(self):
         # the shaped-pair condition fails here, the PI law still stabilizes
@@ -323,6 +353,24 @@ class TestHvacPowerShaping:
         T = T_star + np.array([0.3, -0.2, 1.0, 0.5])
         assert lyap(0.0, T) == hvac_shaped_potential(h, T, a, *gains)
 
+    def test_lyapunov_builds_the_pseudo_gradient_form_once_per_loop(self, monkeypatch):
+        built = []
+
+        def counted_bm(h):
+            built.append(h)
+            return hvac_bm(h)
+
+        h = HvacParams()
+        monkeypatch.setattr(plants, "hvac_bm", counted_bm)
+        _, lyap = hvac_power_shaping_loop(h, (2.5, 6.0), 1.0, 10.0, 10.0, 10.0)
+        n_built = len(built)
+        T = np.array([4.0, 5.0, 16.0, 16.0])
+        values = [lyap(0.0, T + 0.1 * k) for k in range(10)]
+        assert len(built) == n_built
+        _, _, a = hvac_shaping_offsets(h, (2.5, 6.0), 1.0, 10.0, 10.0)
+        assert values == [hvac_shaped_potential(h, T + 0.1 * k, a, 1.0, 10.0, 10.0)
+                          for k in range(10)]
+
     def test_converges_from_twenty_random_starts(self):
         h = HvacParams()
         rhs, lyap = hvac_power_shaping_loop(h, (2.5, 6.0), 1.0, 10.0, 10.0, 10.0)
@@ -430,7 +478,8 @@ class TestDynFeedback:
             calls.append(1)
             return self.sys.g(T)
 
-        sys_counted = dataclasses.replace(self.sys, g=counted_g)
+        # the generic path: the closed-form loop evaluates no g matrix
+        sys_counted = dataclasses.replace(self.sys, g=counted_g, loop_rhs=None)
         rhs, _ = dyn_feedback_loop(sys_counted, self.T_star, 1.0, 2.0, 5.0)
         rhs(0.0, np.array([4.0, 5.0, 16.0, 16.0, 0.3, -0.2]))
         assert len(calls) == 1
@@ -591,3 +640,139 @@ class TestDynFeedback:
                                                        record_every=200))
             finals.append(traj.final_state)
         assert np.max(np.abs(finals[0] - finals[1])) < 1e-4
+
+
+def assert_same_bits(got, ref):
+    """Equal values, NaN where NaN, and the sign of every zero.  A NaN's sign
+    bit is not compared: no artifact shows it."""
+    assert np.array_equal(got, ref, equal_nan=True)
+    num = ~np.isnan(ref)
+    assert np.array_equal(np.signbit(got[num]), np.signbit(ref[num]))
+
+
+def bit_probes(rng, base, zero_slots):
+    """States around ``base``: seeded draws at magnitudes from the subnormal
+    range to 1e150, each component of ``base`` in turn +-inf or NaN, and
+    every pattern of +-0.0 over the components ``zero_slots``."""
+    n = base.size
+    for k, bad in itertools.product(range(n), (np.inf, -np.inf, np.nan)):
+        x = base.copy()
+        x[k] = bad
+        yield x
+    for _ in range(200):
+        yield base + rng.normal(size=n) * rng.uniform(0.1, 3.0)
+    for exp in range(-300, 151, 25):
+        yield rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(exp - 25, exp, size=n)
+        yield base + rng.normal(size=n) * 10.0 ** exp
+    for signs in itertools.product((0.0, -0.0), repeat=len(zero_slots)):
+        for x in (base.copy(), base + rng.normal(size=n)):
+            x[list(zero_slots)] = signs
+            yield x
+
+
+RLC_LOOPS = [
+    (GOOD_RLC, 1.0, 1.0), (GOOD_RLC, 1.0, 0.0),
+    (ParallelRLC(R=0.3, G=1.7, L=2.5, C=0.4), -0.6, 3.0),
+]
+
+
+class TestLoopClosedForms:
+    """Each CLI plant loop's scalar rhs equals the matrix form it replaced bit
+    for bit (``oracles.reference_*``)."""
+
+    @pytest.mark.parametrize("p, v_star, K", RLC_LOOPS)
+    def test_power_shaping_rhs_matches_the_reference_bitwise(self, p, v_star, K):
+        i_star, _ = prlc_equilibrium(p, v_star)
+        rhs, _ = prlc_power_shaping_loop(p, i_star, K)
+        for x in bit_probes(np.random.default_rng(30), np.array([i_star, v_star]), (0, 1)):
+            assert_same_bits(rhs(0.0, x), reference_prlc_power_shaping_rhs(p, x, i_star, K))
+
+    @pytest.mark.parametrize("p, v_star, K_I", RLC_LOOPS)
+    def test_krasovskii_pi_rhs_matches_the_reference_bitwise(self, p, v_star, K_I):
+        i_star, _ = prlc_equilibrium(p, v_star)
+        rhs, _ = prlc_krasovskii_pi_loop(p, i_star, v_star, 1.0, K_I)
+        base = np.array([i_star, v_star, 0.0])
+        for x in bit_probes(np.random.default_rng(31), base, (0, 1, 2)):
+            assert_same_bits(rhs(0.0, x),
+                             reference_prlc_krasovskii_pi_rhs(p, x, i_star, v_star, 1.0, K_I))
+
+    @pytest.mark.parametrize("h, gains", [
+        (HvacParams(), (1.0, 10.0, 10.0, 10.0)), (HvacParams(), (2.0, 3.0, 0.5, 0.0)),
+        (HvacParams(T_s=-5.0, T_inf=-0.0), (1.0, 10.0, 10.0, 10.0)),
+    ])
+    def test_hvac_power_shaping_rhs_matches_the_reference_bitwise(self, h, gains):
+        rhs, _ = hvac_power_shaping_loop(h, (2.5, 6.0), *gains)
+        near = [np.nextafter(h.T_s, -np.inf), h.T_s, np.nextafter(h.T_s, np.inf)]
+        probes = itertools.chain(
+            bit_probes(np.random.default_rng(32), np.array([4.0, 5.0, 16.0, 16.0]), (0, 1, 2, 3)),
+            (np.array([T0, 5.0, 16.0, 16.0]) for T0 in near),
+        )
+        for T in probes:
+            assert_same_bits(rhs(0.0, T),
+                             reference_hvac_power_shaping_rhs(h, T, (2.5, 6.0), *gains))
+
+    @pytest.mark.parametrize("h, k1, kd, ki", [
+        (HvacParams(), 1.0, 2.0, 5.0), (HvacParams(), 1.5, 0.0, 5.0),
+        # T_inf = -0.0 and T_s < 0 let a zone's rate at u = 0 be -0.0
+        (HvacParams(T_s=-5.0, T_inf=-0.0), 1.0, 2.0, 5.0),
+    ])
+    def test_hvac_dyn_feedback_rhs_matches_the_reference_bitwise(self, h, k1, kd, ki):
+        T_star, _ = hvac_equilibrium(h, 2.5, 6.0)
+        rhs, _ = dyn_feedback_loop(hvac_dyn_feedback(h), T_star, k1, kd, ki)
+        base = np.array([4.0, 5.0, 16.0, 16.0, 0.3, -0.2])
+        # the zones on their targets with zero u = 0 rates, so y = 0, Gamma = Gamma*
+        rest = np.array([2.5, 6.0, -25.0, -18.0, 0.0, 0.0])
+        near = [np.nextafter(h.T_s, -np.inf), np.nextafter(h.T_s, np.inf)]
+        probes = itertools.chain(
+            bit_probes(np.random.default_rng(33), base, (4, 5)),
+            bit_probes(np.random.default_rng(34), base, (0, 2, 3, 4, 5)),
+            bit_probes(np.random.default_rng(35), rest, (4, 5)),
+            (np.array([T0, 5.0, 16.0, 16.0, u0, -0.2]) for T0 in near for u0 in (0.0, -0.0)),
+        )
+        with np.errstate(all="ignore"):        # the reference's products past 1e300
+            for z in probes:
+                try:
+                    ref = reference_hvac_dyn_feedback_rhs(h, z, T_star, k1, kd, ki)
+                except RankDeficientInput:
+                    with pytest.raises(RankDeficientInput):
+                        rhs(0.0, z)
+                    continue
+                assert_same_bits(rhs(0.0, z), ref)
+
+    def test_a_zone_at_the_supply_temperature_raises_in_both(self):
+        h = HvacParams()
+        T_star, _ = hvac_equilibrium(h, 2.5, 6.0)
+        rhs, _ = dyn_feedback_loop(hvac_dyn_feedback(h), T_star, 1.0, 2.0, 5.0)
+        for z in ([h.T_s, 5.0, 16.0, 16.0, 0.3, -0.2], [4.0, h.T_s, 16.0, 16.0, 0.0, -0.0]):
+            z = np.array(z)
+            with pytest.raises(RankDeficientInput):
+                reference_hvac_dyn_feedback_rhs(h, z, T_star, 1.0, 2.0, 5.0)
+            with pytest.raises(RankDeficientInput):
+                rhs(0.0, z)
+
+    def test_a_nan_zone_entry_passes_on_in_both(self):
+        h = HvacParams()
+        T_star, _ = hvac_equilibrium(h, 2.5, 6.0)
+        rhs, _ = dyn_feedback_loop(hvac_dyn_feedback(h), T_star, 1.0, 2.0, 5.0)
+        z = np.array([np.nan, 5.0, 16.0, 16.0, 0.3, -0.2])
+        out = rhs(0.0, z)
+        assert np.isnan(out[0]) and np.isnan(out[4])
+        assert np.array_equal(out, reference_hvac_dyn_feedback_rhs(h, z, T_star, 1.0, 2.0, 5.0),
+                              equal_nan=True)
+
+    def test_a_square_past_the_float_range_overflows_as_numpy_does(self):
+        # Python's float ** 2 raises OverflowError where numpy's gives inf
+        h = HvacParams()
+        T_star, _ = hvac_equilibrium(h, 2.5, 6.0)
+        dyn, _ = dyn_feedback_loop(hvac_dyn_feedback(h), T_star, 1.0, 2.0, 5.0)
+        shaped, _ = hvac_power_shaping_loop(h, (2.5, 6.0), 1.0, 10.0, 10.0, 10.0)
+        with np.errstate(all="ignore"):
+            for big in (1e200, -1e200):
+                z = np.array([big, 5.0, 16.0, 16.0, 0.3, -0.2])
+                assert np.array_equal(dyn(0.0, z),
+                                      reference_hvac_dyn_feedback_rhs(h, z, T_star, 1.0, 2.0, 5.0),
+                                      equal_nan=True)
+                assert np.array_equal(
+                    shaped(0.0, z[:4]),
+                    reference_hvac_power_shaping_rhs(h, z[:4], (2.5, 6.0), 1.0, 10.0, 10.0, 10.0),
+                    equal_nan=True)
