@@ -32,7 +32,8 @@ Under ``--strict``, 4 if any ``verdict``, ``lyapunov_monotone`` or
 false.  So for ``plant`` and ``tline`` runs ``--strict`` gates only the
 Lyapunov audit verdict; the distance to the target (``target_error``,
 ``profile_error``) is reported in ``summary.json`` but never sets the exit
-code.
+code.  A parallel-RLC power-shaping run with ``G^2 L < C`` has no certificate:
+it warns, and its ``summary.json`` reads ``"certificate": "unavailable"``.
 """
 
 from __future__ import annotations
@@ -474,6 +475,8 @@ def _run_plant(inputs, out: Path) -> dict:
             x0 = np.concatenate([x0, [0.0]])
         target_state = np.array([i_star, v_star])
         extra = {"i_star": i_star, "v_star": v_star, "Vs_star": Vs_star}
+        if controller == "power_shaping" and not p.admissible_certificate_holds:
+            extra["certificate"] = "unavailable"
     else:
         T_zones = (targets["T1"], targets["T2"])
         T_star, u_star = plants.hvac_equilibrium(p, *T_zones)
@@ -485,7 +488,7 @@ def _run_plant(inputs, out: Path) -> dict:
             target_state = np.concatenate([T_star, u_star])
         extra = {"T_star": [float(x) for x in T_star], "u_star": [float(x) for x in u_star]}
 
-    traj = integrate(rhs, x0, icfg, stop_when_converged=False)
+    traj = integrate(rhs, x0, icfg)
     traj.to_csv(out / "trajectory.csv")
     V = np.array([lyap(t, z) for t, z in zip(traj.times, traj.states)])
     write_csv(out / "lyapunov.csv", ["t", "V"], zip(traj.times.tolist(), V.tolist()))

@@ -8,13 +8,13 @@ Lyapunov/storage evaluator so simulations can be audited for monotone
 decrease, and each plant exposes its pseudo-gradient description for
 cross-checking against the plain state-space right-hand side.
 
-A dynamic-feedback system may give ``Gamma``, ``alpha`` and its closed loop
-in closed form; the HVAC system gives all three.  A generic loop rhs call
-evaluates ``f``, ``g``, ``Gamma`` and the port output ``y = g^T M xdot``
-once and solves the Gram system for ``alpha``.  The rhs of each loop the
-CLI runs is one scalar formula instead: the state unpacked to Python floats
-once, numpy's operation order, its ``** 2`` and the zero entries of its
-matrix products kept, so that it equals the matrix form bit for bit.
+A dynamic-feedback system may give ``Gamma`` and its closed loop in closed
+form; the HVAC system gives both.  A generic loop rhs call evaluates ``f``,
+``g``, ``Gamma`` and the port output ``y = g^T M xdot`` once and solves the
+Gram system for ``alpha``.  The rhs of each loop the CLI runs is one scalar
+formula instead: the state unpacked to Python floats once, numpy's operation
+order, its ``** 2`` and the zero entries of its matrix products kept, so
+that it equals the matrix form bit for bit.
 """
 
 from __future__ import annotations
@@ -495,17 +495,15 @@ def hvac_power_shaping(h: HvacParams, T, Tdot, targets, k: float,
     return damping - (kvec / k) * (gam - gam_star - (k / kvec) * u_star)
 
 
-def hvac_shaped_potential(h: HvacParams, T, a, k, k1, k2, P=None) -> float:
+def hvac_shaped_potential(h: HvacParams, T, a, k, k1, k2) -> float:
     """Closed-loop potential ``k P(T) + sum_i k_i (Gamma_i + a_i)^2 / 2``.
 
-    ``a`` are the offsets of :func:`hvac_shaping_offsets` for the targets;
-    ``P`` is ``hvac_bm(h).P`` when the caller already has it.
+    ``P`` is the potential of :func:`hvac_bm`, and ``a`` are the offsets of
+    :func:`hvac_shaping_offsets` for the targets.
     """
-    if P is None:
-        P = hvac_bm(h).P
     gam = hvac_gamma(h, T)
     kvec = np.array([k1, k2])
-    return float(k * P(np.asarray(T, dtype=float)) + 0.5 * np.sum(kvec * (gam + a) ** 2))
+    return float(k * hvac_bm(h).P(np.asarray(T, dtype=float)) + 0.5 * np.sum(kvec * (gam + a) ** 2))
 
 
 def hvac_power_shaping_loop(h: HvacParams, targets, k, k1, k2, alpha):
@@ -514,15 +512,16 @@ def hvac_power_shaping_loop(h: HvacParams, targets, k, k1, k2, alpha):
     Substituting the control into the zone balances gives
     ``Tdot_i (C_i + (alpha/k) c_p^2 (T_s - T_i)^2) = q_i(T) - c_p (T_s - T_i) w_i(T)``
     with ``w`` the integral part of the law, so the closed loop stays an
-    explicit ODE.
+    explicit ODE.  The gains are checked once, here, as the law checks them.
     """
+    if min(k, k1, k2) <= 0 or alpha < 0:
+        raise ValueError("k, k1, k2 must be > 0 and alpha >= 0")
     _, _, a = hvac_shaping_offsets(h, targets, k, k1, k2)
     a1, a2 = a.tolist()
     kw1, kw2 = (np.array([k1, k2]) / k).tolist()
     damping = alpha / k
     heat = _hvac_rates(h)
     C1, C2, c_p, T_s = h.C1, h.C2, h.c_p, h.T_s
-    P = hvac_bm(h).P
 
     def rates(T0, T1, T2, T3):
         f1, f2, f3, f4 = heat(T0, T1, T2, T3, 0.0, 0.0)          # u = 0 part
@@ -533,7 +532,7 @@ def hvac_power_shaping_loop(h: HvacParams, targets, k, k1, k2, alpha):
                 (f2 * C2 - b2 * w2) / (C2 + damping * b2 * b2), f3, f4)
 
     def lyap(t, T):
-        return hvac_shaped_potential(h, T, a, k, k1, k2, P)
+        return hvac_shaped_potential(h, T, a, k, k1, k2)
 
     return _packed(rates), lyap
 
@@ -550,13 +549,9 @@ class DynFeedbackSystem:
     (the potential whose gradient is ``M g``) may be closed form; otherwise
     it is evaluated as a straight-line path integral from the origin, which
     is well defined exactly when the integrability assumption holds.
-    ``alpha(x, xdot, g)``, given ``g = g(x)``, may also be closed form: the
-    m x m matrix with ``gdot + g alpha = 0`` that raises
-    :class:`RankDeficientInput` where ``g`` loses rank.  Without it
-    :func:`dyn_feedback_alpha` solves the Gram system of ``g``.
     ``loop_rhs(gamma_star, k1, kd, ki)`` may give the closed loop in closed
-    form: the ``rhs(t, z)`` of :func:`dyn_feedback_loop`, bit for bit.
-    Like ``alpha``, it stands for this system's own ``f``, ``g`` and ``M``.
+    form: the ``rhs(t, z)`` of :func:`dyn_feedback_loop`, bit for bit.  It
+    stands for this system's own ``f``, ``g`` and ``M``.
     """
 
     n: int
@@ -567,7 +562,6 @@ class DynFeedbackSystem:
     jac_g: Callable[[np.ndarray, int], np.ndarray]
     M: np.ndarray
     gamma: Callable[[np.ndarray], np.ndarray] | None = None
-    alpha: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     loop_rhs: Callable[[np.ndarray, float, float, float], Callable] | None = None
 
     def __post_init__(self):
@@ -625,16 +619,13 @@ class DynFeedbackSystem:
 def dyn_feedback_alpha(sys: DynFeedbackSystem, x, xdot, g=None) -> np.ndarray:
     """``alpha = -(g^T g)^{-1} g^T gdot``, the unique matrix with gdot + g alpha = 0.
 
-    ``g`` is ``sys.g(x)`` when the caller already has it.  The system's
-    closed-form ``alpha`` is used when it has one; otherwise the Gram
-    system is solved.  Both raise :class:`RankDeficientInput` when ``g`` is
-    rank deficient.
+    ``g`` is ``sys.g(x)`` when the caller already has it.  The Gram system
+    is solved, and :class:`RankDeficientInput` raised when ``g`` is rank
+    deficient.
     """
     x = np.asarray(x, dtype=float)
     if g is None:
         g = sys.g(x)
-    if sys.alpha is not None:
-        return sys.alpha(x, xdot, g)
     gdot = np.column_stack([sys.jac_g(x, k) @ xdot for k in range(sys.m)])
     gram = g.T @ g
     try:
@@ -701,8 +692,8 @@ def dyn_feedback_loop(sys: DynFeedbackSystem, x_star, k1: float, kd: float, ki: 
 
 
 def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
-    """HVAC as a contracting system with metric diag(C), closed-form Gamma,
-    alpha and closed loop."""
+    """HVAC as a contracting system with metric diag(C), closed-form Gamma
+    and closed loop."""
     heat = _hvac_rates(h)
     C1, C2, c_p, T_s = h.C1, h.C2, h.c_p, h.T_s
     jac = -hvac_bm(h).hess_P(h.cap) / h.cap[:, None]   # hess_P is constant
@@ -722,17 +713,12 @@ def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
 
     def zone_alpha(d, d_rate):
         # g is zero off its zone entries d_k, so alpha = diag(-d_k ddot_k / d_k^2).
-        # Scaling by 1 / d_k^2 is the Gram solve's own arithmetic, so the two
-        # paths agree to the last bit: both raise where d_k^2 is 0, and both
-        # pass a NaN d_k on, so that a diverging run reports its divergence.
+        # Scaling by 1 / d_k^2 is the Gram solve's own arithmetic, so this agrees
+        # with dyn_feedback_alpha to the last bit: both raise where d_k^2 is 0,
+        # and both pass a NaN d_k on, so that a diverging run reports its divergence.
         if d * d == 0.0:
             raise RankDeficientInput("input matrix is rank deficient")
         return -(d * d_rate) * (1.0 / (d * d))
-
-    def alpha(T, Tdot, g):
-        a0 = zone_alpha(g.item(0, 0), dg[0] * float(Tdot[0]))
-        a1 = zone_alpha(g.item(1, 1), dg[1] * float(Tdot[1]))
-        return np.array([[a0, 0.0], [0.0, a1]])
 
     def loop_rhs(gamma_star, k1, kd, ki):
         gs0, gs1 = gamma_star.tolist()
@@ -763,6 +749,5 @@ def hvac_dyn_feedback(h: HvacParams) -> DynFeedbackSystem:
         g=g, jac_g=jac_g,
         M=np.diag(h.cap),
         gamma=lambda T: hvac_gamma(h, T),
-        alpha=alpha,
         loop_rhs=loop_rhs,
     )

@@ -525,16 +525,16 @@ def solve(
     )
 
 
-def storage_switch_audit(trace: StorageTrace, audit_tol: float | None = None) -> dict:
+def storage_switch_audit(trace: StorageTrace) -> dict:
     """Check the two switch cases of the hybrid dissipation argument.
 
     At every event where an index enters the clamp set the storage must not
     rise (the clamped rate term is dropped); at every event where an index
-    leaves, the storage must be continuous to within the audit slack.
+    leaves, the storage must be continuous to within the audit slack
+    :func:`~passiflow.brayton_moser.default_audit_tol` of the storage.
     Passes vacuously with no switches.
     """
-    if audit_tol is None:
-        audit_tol = default_audit_tol(trace.storage)
+    audit_tol = default_audit_tol(trace.storage)
     worst_enter = 0.0
     worst_leave = 0.0
     ok = True

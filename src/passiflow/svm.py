@@ -21,7 +21,6 @@ from .primal_dual import (
     ConvexProblem,
     FlowState,
     SolveResult,
-    TimeConstants,
     quadratic_oracle,
     solve,
 )
@@ -161,12 +160,9 @@ def build_svm_problem(data: Dataset) -> ConvexProblem:
     )
 
 
-def train_svm(
-    data: Dataset,
-    tc: TimeConstants | None = None,
-    cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-) -> SolveResult:
-    """Run the primal-dual flow from the origin with zero multipliers.
+def train_svm(data: Dataset, cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> SolveResult:
+    """Run the primal-dual flow from the origin with zero multipliers, at
+    unit time constants.
 
     The step grows between events (``solve(grow_step=True)``): once the
     active set settles, the flow is smooth and a longer step reaches
@@ -178,7 +174,7 @@ def train_svm(
     """
     prob = build_svm_problem(data)
     init = FlowState(np.zeros(3), mu=np.zeros(data.size))
-    result = solve(prob, init, tc=tc, cfg=cfg, grow_step=True)
+    result = solve(prob, init, cfg=cfg, grow_step=True)
     if not result.converged:
         warnings.warn(
             f"SVM flow stopped unconverged at t = {result.trajectory.times[-1]:g}: final "

@@ -228,55 +228,40 @@ class AdmissibleLineParams:
             "zeta_bound": z2 - 4.0 * t / (1.0 + t) ** 2,
         }
 
-    def is_feasible(self, tol: float = 1e-12) -> bool:
-        return all(r <= tol for r in self.feasibility_residuals().values())
-
-
-def _bisect_root(fun, lo, hi, tol=1e-14):
-    f_lo = fun(lo)
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        f_mid = fun(mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    def is_feasible(self) -> bool:
+        """Every residual at most 1e-12."""
+        return all(r <= 1e-12 for r in self.feasibility_residuals().values())
 
 
 def admissible_params_search(p: LineParams) -> AdmissibleLineParams:
     """Pick a strictly feasible certificate point for this line.
 
-    ``zeta^2`` is set to half its admissible bound ``4 tau / (1+tau)^2``;
-    the multiplier ratio is then the midpoint of the interval cut out by
-    the linear bound and the quadratic inequality, whose positive root is
-    localized by bisection.  Feasibility holds for every positive ``tau``,
-    so failure here indicates a programming error, not a bad input.
+    ``zeta^2`` is set to half its admissible bound ``4 tau / (1+tau)^2``,
+    which turns the quadratic inequality into ``lp^2 + (1 - tau) lp - tau/2
+    <= 0``.  The multiplier ratio is then the midpoint of the interval cut
+    out by the linear bound and that quadratic's positive root
+    ``tau / ((1 - tau) + hypot(1, tau))``.  The root binds only below
+    ``tau`` = 0.393, where that form has no cancellation.  It rounds to 0
+    only where ``tau`` underflows, which raises; any other failure here
+    indicates a programming error, not a bad input.
     """
     if min(p.R, p.G) <= 0:
         raise ValueError("certificate search requires R > 0 and G > 0")
     tau = (p.R * p.C) / (p.L * p.G)
     zeta2 = 2.0 * tau / (1.0 + tau) ** 2
     zeta = np.sqrt(zeta2)
-
-    def quad(lp):
-        return (lp - tau) * (lp + 1.0) + 0.25 * (tau + 1.0) ** 2 * zeta2
-
-    if quad(0.0) >= 0:
-        raise RuntimeError("internal error: quadratic not negative at 0")
-    hi = max(tau, 1.0)
-    while quad(hi) <= 0:
-        hi *= 2.0
-    root_pos = _bisect_root(quad, 0.0, hi)
+    root_pos = tau / ((1.0 - tau) + np.hypot(1.0, tau))
     upper = min(root_pos, tau * (1.0 - zeta2))
     lam_prime = 0.5 * upper
+    if not lam_prime > 0:
+        raise RuntimeError(f"no positive multiplier ratio at tau = {tau!r}")
     beta = 1.0 / lam_prime
     alpha = tau * beta
     theta = beta * p.C / p.G
     m2 = zeta * theta / np.sqrt(p.L * p.C)
     rec = AdmissibleLineParams(tau, float(zeta), float(lam_prime),
                                float(alpha), float(beta), float(m2), float(theta))
-    if not rec.is_feasible(1e-12):
+    if not rec.is_feasible():
         raise RuntimeError("internal error: search produced infeasible record")
     return rec
 

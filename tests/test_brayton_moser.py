@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from passiflow.brayton_moser import (
+    StorageTrace,
     admissible_pair,
     krasovskii_storage,
     lyapunov_audit,
@@ -21,6 +22,20 @@ def rlc():
 @pytest.fixture
 def rlc_bm(rlc):
     return prlc_bm(rlc)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: admissible_pair(prlc_bm(ParallelRLC()), 1.0, np.eye(3)), ValueError,
+                 "M must be n x n", id="admissible_pair"),
+    pytest.param(lambda: krasovskii_storage(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2)),
+                 ValueError, "M must be symmetric", id="krasovskii_storage"),
+    pytest.param(lambda: StorageTrace(np.arange(2.0), np.ones(2), np.ones(2)), ValueError,
+                 "supply integral must start at 0", id="StorageTrace"),
+])
+def test_input_checks_raise_their_messages(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestMixedPotentialRate:

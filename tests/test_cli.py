@@ -191,6 +191,8 @@ def test_every_kind_exits_0(tmp_path, kind):
      "integrator.step"),
     ({"schema": 1, "kind": "audit", "audit": {}}, "audit.trace_csv"),
     ({"schema": 1, "kind": "bogus"}, "kind"),
+    ({"schema": 1, "kind": "solve", "problem": {"objective": {"Q0": [[1.0, 2.0]]}}},
+     "problem.objective.Q0"),
 ])
 def test_every_kind_exits_2_on_a_bad_field(tmp_path, cfg, field):
     code, payload = cli.run(cfg, tmp_path)
@@ -262,6 +264,46 @@ def test_rising_storage_trace_exits_4_only_under_strict(tmp_path):
     assert payload["min_margin"] == -1.5 and payload["worst_time"] == 2.0
     code, _ = cli.run(cfg, tmp_path / "lax")
     assert code == 0
+
+
+@pytest.mark.parametrize("G, certificate", [(0.5, "unavailable"), (2.0, None)])
+def test_summary_says_when_the_shaped_pair_certificate_is_unavailable(tmp_path, G, certificate):
+    # G^2 L < C at G = 0.5: the loop warns, and the summary says so beside the
+    # audit, which then fails; a certified run writes no certificate key.
+    cfg = _prlc_blk_cfg(params={"R": 1.0, "G": G, "L": 1.0, "C": 1.0}, gains={"K": 1.0},
+                        horizon=20.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, payload = cli.run(cfg, tmp_path)
+    assert code == 0
+    assert [w.category for w in caught] == [plants.CertificateUnavailable] * bool(certificate)
+    saved = json.loads((tmp_path / "summary.json").read_text())
+    assert saved.get("certificate") == payload.get("certificate") == certificate
+    assert saved["lyapunov_monotone"] == ("FAIL" if certificate else "PASS")
+
+
+def test_validate_subcommand_prints_each_config_verdict(tmp_path, capsys):
+    paths = []
+    for name, cfg in (("good", _tiny_solve_cfg(-1.0)), ("typo", _svm_cfg(stpe=0.01)),
+                      ("list", [1, 2])):
+        paths += ["--config", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    assert cli.main(["validate", *paths[:2]]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "config[0]: ok\n"
+    assert cli.main(["validate", *paths]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "config[0]: ok\n"
+    assert err == ("config[1]: integrator.stpe: unknown; expected one of step, max_time, "
+                   "event_tol, convergence_tol, convergence_window, record_every\n"
+                   "config[2]: config: must be a JSON object\n")
+
+
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_a_subcommand_without_defaults_needs_a_config(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command])
+    assert exc.value.code == 2
+    assert "--config is required for this subcommand" in capsys.readouterr().err
 
 
 # -- subcommand flags fold into the config --------------------------------------
@@ -385,6 +427,10 @@ def test_malformed_config_is_a_diagnostic_not_a_traceback(tmp_path, cfg, field):
     # (1 + tau)^2 overflows in the certificate search
     ({"schema": 1, "kind": "tline",
       "tline": {"grid": 8, "params": {"G": 1e-300}, "target_vc1": 1.0}}, "tline.params"),
+    # tau = RC/(LG) underflows to 0, and with it the certificate's multiplier ratio
+    ({"schema": 1, "kind": "tline",
+      "tline": {"grid": 8, "params": {"R": 1e-200, "G": 1e200}, "target_vc1": 1.0}},
+     "tline.params"),
     ({"schema": 1, "kind": "tline", "tline": {"grid": 8, "target_vc1": 1e308}},
      "tline.target_vc1"),
     (_ball_cfg(params={"radius": 1e200}), "problem.inequalities.named[0].params.radius"),

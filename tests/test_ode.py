@@ -24,6 +24,18 @@ from passiflow.primal_dual import (
 )
 
 
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: integrate(lambda t, x: -x, [np.nan], IntegratorConfig()),
+                 ValueError, "initial state must be finite", id="integrate-nan"),
+    pytest.param(lambda: integrate(lambda t, x: -x, [1.0, np.inf], IntegratorConfig()),
+                 ValueError, "initial state must be finite", id="integrate-inf"),
+])
+def test_input_checks_raise_their_messages(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestTrajectory:
     def test_strictly_increasing_times_required(self):
         with pytest.raises(ValueError):

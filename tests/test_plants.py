@@ -14,7 +14,6 @@ from oracles import (
     reference_prlc_power_shaping_rhs,
 )
 
-from passiflow import plants
 from passiflow.brayton_moser import passivity_audit
 from passiflow.ode import IntegratorConfig, integrate
 from passiflow.plants import (
@@ -197,6 +196,40 @@ def quadratic_resistor(coeff, n=1):
     )
 
 
+def _complete_rlc(**changes):
+    net = {"L": np.eye(2), "C": np.eye(1), "Gamma": np.ones((2, 1)),
+           "content": quadratic_resistor(0.5, 2), "cocontent": quadratic_resistor(0.8),
+           "Bs": np.ones((2, 1))}
+    return CompleteRLC(**{**net, **changes})
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: ParallelRLC(R=0.0), ValueError,
+                 "all RLC parameters must be strictly positive", id="ParallelRLC"),
+    pytest.param(lambda: prlc_krasovskii_pi(ParallelRLC(), (0.0, 0.0), 0.0, 1.0, 1.0, -1.0, 1.0),
+                 ValueError, "K_P and K_I must be >= 0", id="prlc_krasovskii_pi"),
+    pytest.param(lambda: _complete_rlc(L=-np.eye(2)), ValueError,
+                 "L must be positive definite", id="CompleteRLC-L"),
+    pytest.param(lambda: _complete_rlc(Gamma=np.ones((1, 1))), ValueError,
+                 "Gamma must be n_L x n_C", id="CompleteRLC-Gamma"),
+    pytest.param(lambda: _complete_rlc(Bs=np.ones((1, 1))), ValueError,
+                 "Bs must have n_L rows", id="CompleteRLC-Bs"),
+    pytest.param(lambda: HvacParams(C1=0.0), ValueError,
+                 "capacitances, resistances and c_p must be positive", id="HvacParams"),
+    pytest.param(lambda: hvac_power_shaping(HvacParams(), np.full(4, 5.0), np.zeros(4),
+                                            (2.5, 6.0), 0.0, 1.0, 1.0, 1.0),
+                 ValueError, "k, k1, k2 must be > 0 and alpha >= 0", id="hvac_power_shaping-k"),
+    pytest.param(lambda: hvac_power_shaping(HvacParams(), np.array([10.0, 5.0, 16.0, 16.0]),
+                                            np.zeros(4), (2.5, 6.0), 1.0, 1.0, 1.0, 1.0),
+                 ValueError, "zone temperature equals supply temperature",
+                 id="hvac_power_shaping-zone"),
+])
+def test_input_checks_raise_their_messages(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestCompleteRLC:
     def make_scalar_network(self):
         return CompleteRLC(
@@ -353,23 +386,27 @@ class TestHvacPowerShaping:
         T = T_star + np.array([0.3, -0.2, 1.0, 0.5])
         assert lyap(0.0, T) == hvac_shaped_potential(h, T, a, *gains)
 
-    def test_lyapunov_builds_the_pseudo_gradient_form_once_per_loop(self, monkeypatch):
-        built = []
-
-        def counted_bm(h):
-            built.append(h)
-            return hvac_bm(h)
-
+    def test_lyapunov_is_the_shaped_potential(self):
         h = HvacParams()
-        monkeypatch.setattr(plants, "hvac_bm", counted_bm)
         _, lyap = hvac_power_shaping_loop(h, (2.5, 6.0), 1.0, 10.0, 10.0, 10.0)
-        n_built = len(built)
         T = np.array([4.0, 5.0, 16.0, 16.0])
         values = [lyap(0.0, T + 0.1 * k) for k in range(10)]
-        assert len(built) == n_built
         _, _, a = hvac_shaping_offsets(h, (2.5, 6.0), 1.0, 10.0, 10.0)
         assert values == [hvac_shaped_potential(h, T + 0.1 * k, a, 1.0, 10.0, 10.0)
                           for k in range(10)]
+
+    @pytest.mark.parametrize("k, k1, k2, alpha", [
+        (0.0, 10.0, 10.0, 10.0), (1.0, 0.0, 10.0, 10.0), (1.0, 10.0, 0.0, 10.0),
+        (-1.0, 10.0, 10.0, 10.0), (1.0, 10.0, 10.0, -1.0),
+    ])
+    def test_loop_refuses_the_gains_the_law_refuses(self, k, k1, k2, alpha):
+        h = HvacParams()
+        T = np.array([4.0, 5.0, 16.0, 16.0])
+        with pytest.raises(ValueError) as law:
+            hvac_power_shaping(h, T, np.zeros(4), (2.5, 6.0), k, k1, k2, alpha)
+        with pytest.raises(ValueError) as loop:
+            hvac_power_shaping_loop(h, (2.5, 6.0), k, k1, k2, alpha)
+        assert str(loop.value) == str(law.value)
 
     def test_converges_from_twenty_random_starts(self):
         h = HvacParams()
@@ -454,22 +491,14 @@ class TestDynFeedback:
         with pytest.raises(ValueError, match="rank deficient"):
             dyn_feedback_alpha(sys_bad, np.ones(2), np.ones(2))
 
-    def test_closed_form_alpha_matches_the_gram_solve(self):
-        generic = dataclasses.replace(self.sys, alpha=None)
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            T = rng.uniform(0.0, 9.0, size=4)
-            Td = rng.normal(size=4)
-            closed = dyn_feedback_alpha(self.sys, T, Td)
-            solved = dyn_feedback_alpha(generic, T, Td)
-            assert np.max(np.abs(closed - solved)) <= 1e-14 * np.max(np.abs(solved))
-
     def test_closed_form_alpha_rejects_a_zone_at_the_supply_temperature(self):
+        # the Gram solve, and the closed-form zone alpha of the loop's rhs
         T = np.array([self.h.T_s, 5.0, 16.0, 16.0])
         with pytest.raises(ValueError, match="rank deficient"):
             dyn_feedback_alpha(self.sys, T, np.ones(4))
-        with pytest.raises(ValueError, match="rank deficient"):
-            dyn_feedback_alpha(dataclasses.replace(self.sys, alpha=None), T, np.ones(4))
+        rhs, _ = dyn_feedback_loop(self.sys, self.T_star, 1.0, 2.0, 5.0)
+        with pytest.raises(RankDeficientInput, match="rank deficient"):
+            rhs(0.0, np.concatenate([T, [0.3, -0.2]]))
 
     def test_loop_rhs_evaluates_the_input_matrix_once(self):
         calls = []

@@ -5,6 +5,7 @@ import dataclasses
 from oracles import (
     active_set,
     enumerate_qp_kkt,
+    finite_diff_gradient,
     lagrangian,
     make_random_qp,
     positive_projection,
@@ -15,11 +16,13 @@ from oracles import (
 )
 
 from passiflow import cli, ode, primal_dual, svm
+from passiflow.brayton_moser import StorageTrace
 from passiflow.ode import IntegratorConfig
 from passiflow.primal_dual import (
     AffineInequalities,
     ConvexProblem,
     FlowState,
+    SwitchEvent,
     TimeConstants,
     augmented_problem,
     damping_injection_rhs,
@@ -51,6 +54,27 @@ def one_d_nonneg():
         f=quadratic_oracle(np.eye(1), np.zeros(1)),
         ineq=AffineInequalities(np.array([[-1.0]]), np.array([0.0])),
     )
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: AffineInequalities(np.ones((2, 1)), np.ones(3)), ValueError,
+                 "G rows must match h length", id="AffineInequalities"),
+    pytest.param(lambda: ConvexProblem(n=2, f=quadratic_oracle(np.eye(2), np.zeros(2)),
+                                       A=np.ones((1, 3)), b=np.ones(1)),
+                 ValueError, "A must be m x n with b of length m", id="ConvexProblem"),
+    pytest.param(lambda: FlowState(np.zeros(1), mu=np.array([-1.0])), ValueError,
+                 "mu must be componentwise nonnegative", id="FlowState"),
+    pytest.param(lambda: TimeConstants(np.ones(1), np.zeros(1), np.ones(0)), ValueError,
+                 "tau_lam must be strictly positive", id="TimeConstants"),
+    pytest.param(lambda: solve(simple_qp(), FlowState(np.zeros(3), lam=np.zeros(1))),
+                 ValueError, "initial state dimensions do not match problem", id="solve"),
+    pytest.param(lambda: augmented_problem(simple_qp(), -1.0), ValueError,
+                 "k must be >= 0", id="augmented_problem"),
+])
+def test_input_checks_raise_their_messages(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestLagrangianAndKKT:
@@ -296,6 +320,15 @@ class TestDampingInjection:
             rates = damping_injection_rhs(prob, s, k)
             assert max(np.max(np.abs(r), initial=0.0) for r in rates) < 1e-12
 
+    def test_augmented_objective_adds_the_penalty(self):
+        aug = augmented_problem(simple_qp(), 3.0)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            x = rng.normal(size=2)
+            r = x[0] + x[1] - 2.0
+            assert aug.f.value(x) == pytest.approx(0.5 * x @ x + 1.5 * r * r, rel=1e-14)
+            assert np.max(np.abs(finite_diff_gradient(aug.f.value, x) - aug.f.grad(x))) < 1e-8
+
     def test_trajectories_match_augmented_problem(self):
         # bitwise-comparable runs over unit time
         prob = simple_qp()
@@ -432,6 +465,21 @@ class TestSwitchAudit:
         audit = storage_switch_audit(res.storage)
         assert audit["verdict"] == "PASS"
         assert audit["n_events"] == 0
+
+    @pytest.mark.parametrize("entered, left, jump, verdict", [
+        ((0,), (), 1e-3, "FAIL"),       # the storage may not rise where an index enters
+        ((0,), (), -1e-3, "PASS"),      # but it may drop
+        ((), (0,), -1e-3, "FAIL"),      # nor jump either way where one leaves
+        ((), (0,), 1e-6, "PASS"),       # within the slack 1e-6 (1 + max |storage|)
+    ])
+    def test_a_jump_past_the_slack_fails(self, entered, left, jump, verdict):
+        trace = StorageTrace(np.arange(3.0), np.array([1.0, 0.5, 0.25]), np.zeros(3),
+                             switch_events=[SwitchEvent(1.0, jump, entered, left)])
+        audit = storage_switch_audit(trace)
+        assert audit["verdict"] == verdict
+        assert audit["audit_tol"] == 2e-6
+        assert audit["worst_enter_jump"] == (max(jump, 0.0) if entered else 0.0)
+        assert audit["worst_leave_jump"] == (abs(jump) if left else 0.0)
 
     def test_forced_activation_and_deactivation(self):
         prob, init = forced_switch_problem()

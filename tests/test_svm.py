@@ -18,6 +18,24 @@ from passiflow.svm import (
 )
 
 
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: Dataset(np.zeros((2, 2)), np.array([1.0])), ValueError,
+                 "points must be (2N, 2) with matching labels", id="Dataset-shape"),
+    pytest.param(lambda: Dataset(np.array([[0.0, np.inf], [1.0, 1.0]]), np.array([1.0, -1.0])),
+                 ValueError, "points must be finite", id="Dataset-finite"),
+    pytest.param(lambda: Dataset(np.zeros((2, 2)), np.array([1.0, 0.0])), ValueError,
+                 "labels must be +1/-1", id="Dataset-labels"),
+    pytest.param(lambda: generate_gaussian_classes(seed=0, cov=[[1.0, 0.5], [0.0, 1.0]]),
+                 ValueError, "cov must be symmetric 2x2", id="generate_gaussian_classes"),
+    pytest.param(lambda: build_svm_problem(Dataset(np.zeros((0, 2)), np.zeros(0))),
+                 ValueError, "dataset must be nonempty", id="build_svm_problem"),
+])
+def test_input_checks_raise_their_messages(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestDataGeneration:
     def test_paper_scale_defaults(self):
         data = generate_gaussian_classes(seed=0)

@@ -32,6 +32,26 @@ from passiflow.tline import (
 GRIDS = (25, 50, 100, 200)
 
 
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: LineParams(L=0.0), ValueError,
+                 "L, C, C0, C1 must be strictly positive", id="LineParams-L"),
+    pytest.param(lambda: LineParams(R=-1.0), ValueError,
+                 "resistive parameters must be nonnegative", id="LineParams-R"),
+    pytest.param(lambda: LineState(np.zeros(5), np.zeros(5), 0.0, 0.0), ValueError,
+                 "need matching i, v profiles on M+1 >= 9 nodes", id="LineState"),
+    pytest.param(lambda: tline_equilibrium(LineParams(G=0.0), 1.0, 16), ValueError,
+                 "equilibrium profile requires R > 0 and G > 0", id="tline_equilibrium"),
+    pytest.param(lambda: admissible_params_search(LineParams(R=0.0)), ValueError,
+                 "certificate search requires R > 0 and G > 0", id="admissible_params_search"),
+    pytest.param(lambda: boundary_pi_control(LineParams(), 0.0, (0.0, 0.0), -1.0, 1.0, 0.0),
+                 ValueError, "gains must be >= 0", id="boundary_pi_control"),
+])
+def test_input_checks_raise_their_messages(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 def equilibrium_residual(p, M):
     eq, I0_star = tline_equilibrium(p, 1.0, M)
     return float(np.max(np.abs(tline_rhs(p, eq.pack(), I0_star, M))))
@@ -71,7 +91,7 @@ _decades = st.floats(-1.5, 1.5).map(lambda e: 10.0 ** e)
 def test_certificate_search_is_feasible_for_every_tau(R, G, L, C):
     rec = admissible_params_search(LineParams(R=R, G=G, L=L, C=C))
     assert rec.tau == pytest.approx(R * C / (L * G))
-    assert rec.is_feasible(1e-12), rec.feasibility_residuals()
+    assert rec.is_feasible(), rec.feasibility_residuals()
 
 
 @pytest.mark.parametrize("M", [16, 50])
@@ -156,6 +176,14 @@ def test_conservation_residuals_of_a_lossless_line_are_reported():
     traj = simulate_open_loop(p, zero, 1.0, IntegratorConfig(step=cfl_limit(p, M), max_time=0.5))
     report = conservation_check(p, traj, M)
     assert set(report) == {"residual_current", "residual_voltage"}
+
+
+@pytest.mark.parametrize("R, G", [(0.0, 1.0), (1.0, 0.0)])
+def test_a_line_with_one_of_r_g_zero_has_an_empty_report(R, G):
+    p, M = LineParams(R=R, G=G), 16
+    zero = LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
+    traj = simulate_open_loop(p, zero, 1.0, IntegratorConfig(step=cfl_limit(p, M), max_time=0.1))
+    assert conservation_check(p, traj, M) == {}
 
 
 def test_conservation_residuals_of_a_switched_on_lossless_line_are_first_order():
