@@ -14,9 +14,12 @@ tline config, whose ``horizon`` sets the simulated time.  The svm dataset
 seed is ``svm.seed``, which ``--seed`` writes; a top-level ``seed`` is an
 unknown key.  Outputs are deterministic for a fixed config and seed:
 trajectory/storage CSVs with 17-significant-digit floats and a
-``summary.json`` that echoes the fully defaulted config, so every run is
-self-describing.  The ``solve`` and ``svm`` kinds grow the RK4 step between
-events, with ``integrator.step`` as its floor.  ``record_every`` and
+``summary.json`` that echoes the config as given, with ``schema`` filled in
+and, for every kind that integrates, the ``integrator`` block the run used:
+the config's keys over the defaults (``svm.DEFAULT_INTEGRATOR`` for svm),
+with a plant's or line's horizon as ``max_time``.  No other block is
+defaulted in the echo.  The ``solve`` and ``svm`` kinds grow the RK4 step
+between events, with ``integrator.step`` as its floor.  ``record_every`` and
 ``convergence_window`` count steps, so a grown run samples more sparsely,
 and ``converged`` reads the final rate alone, so a grown run may reach
 ``max_time`` with ``converged`` true (the golden ``solve`` config ends at
@@ -29,11 +32,16 @@ deficient (:class:`passiflow.plants.RankDeficientInput`, a zone at the
 supply temperature); both end with an ``error`` entry in ``summary.json``.
 Under ``--strict``, 4 if any ``verdict``, ``lyapunov_monotone`` or
 ``switch_audit.verdict`` of the summary is FAIL, else 3 if ``converged`` is
-false.  So for ``plant`` and ``tline`` runs ``--strict`` gates only the
-Lyapunov audit verdict; the distance to the target (``target_error``,
-``profile_error``) is reported in ``summary.json`` but never sets the exit
-code.  A parallel-RLC power-shaping run with ``G^2 L < C`` has no certificate:
-it warns, and its ``summary.json`` reads ``"certificate": "unavailable"``.
+false.  ``solve`` and ``svm`` summaries carry the audit of the switched
+storage (``verdict``, ``min_margin``, ``worst_time``) and ``switch_audit``,
+so ``--strict`` gates both for either kind.  ``plant`` and ``tline``
+summaries carry the audit of ``lyapunov.csv`` (``lyapunov_monotone``,
+``min_margin``, ``worst_time``; the open line's is its stored energy), and
+for them ``--strict`` gates only that verdict; the distance to the target
+(``target_error``, ``profile_error``) is reported in ``summary.json`` but
+never sets the exit code.  A parallel-RLC power-shaping run with
+``G^2 L < C`` has no certificate: it warns, and its ``summary.json`` reads
+``"certificate": "unavailable"``.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import json
 import numbers
 import sys
 from collections import namedtuple
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +80,6 @@ EXIT_DIVERGENCE = 3
 EXIT_AUDIT = 4
 
 
-_DEFAULT_INTEGRATOR = asdict(IntegratorConfig())
 _TOP_LEVEL = ("schema", "kind", "integrator")
 
 
@@ -81,23 +88,16 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def _integrator(cfg: dict, **override) -> dict:
-    """The defaults (``svm.DEFAULT_INTEGRATOR`` for an svm config), updated by
-    the config's integrator block, then by ``override``."""
-    base = asdict(svm_mod.DEFAULT_INTEGRATOR) if cfg.get("kind") == "svm" else _DEFAULT_INTEGRATOR
-    return {**base, **cfg.get("integrator", {}), **override}
-
-
-def _echoed(cfg: dict) -> dict:
-    echo = json.loads(json.dumps(cfg))
-    echo["integrator"] = _integrator(echo)
-    echo.setdefault("schema", SCHEMA_VERSION)
-    return echo
-
-
 # ---------------------------------------------------------------------------
 # reading: one reader per kind checks its config and builds the run's inputs
 # ---------------------------------------------------------------------------
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is or nests ``true`` or ``false``, which numpy
+    would read as 1.0 or 0.0."""
+    return isinstance(value, bool) or (isinstance(value, (list, tuple))
+                                       and any(map(_holds_bool, value)))
+
 
 class _Diagnostics(list):
     """Validation messages and the checks that append them."""
@@ -107,8 +107,9 @@ class _Diagnostics(list):
             self.append(msg)
 
     def need_num(self, path, value, low=None, strict=True, integer=False):
-        ok = (isinstance(value, numbers.Integral) if integer
-              else isinstance(value, numbers.Real) and np.isfinite(float(value)))
+        ok = not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) if integer
+            else isinstance(value, numbers.Real) and np.isfinite(float(value)))
         bound = ""
         if low is not None:
             ok = ok and (value > low if strict else value >= low)
@@ -125,6 +126,7 @@ class _Diagnostics(list):
         """``value`` as a float array; a non-finite entry is a diagnostic."""
         arr = np.asarray(value, dtype=float)
         self.need(np.isfinite(arr).all(), f"{path}: must be finite")
+        self.need(not _holds_bool(value), f"{path}: must hold numbers, not true or false")
         return arr
 
     def vector(self, path, value, size):
@@ -133,7 +135,8 @@ class _Diagnostics(list):
             vec = np.atleast_1d(np.asarray(value, dtype=float))
         except (TypeError, ValueError):
             vec = None
-        if vec is None or vec.shape != (size,) or not np.isfinite(vec).all():
+        if (vec is None or vec.shape != (size,) or not np.isfinite(vec).all()
+                or _holds_bool(value)):
             self.append(f"{path}: must have {size} finite entries")
             return np.zeros(size)
         return vec
@@ -152,12 +155,13 @@ def _read(cfg: dict):
     d = _Diagnostics()
     inputs = None
     try:
-        d.need(cfg.get("schema", SCHEMA_VERSION) == SCHEMA_VERSION,
+        schema = cfg.get("schema", SCHEMA_VERSION)
+        d.need(schema == SCHEMA_VERSION and not isinstance(schema, bool),
                f"schema: expected version {SCHEMA_VERSION}")
         kind = cfg.get("kind")
         d.need(kind in KINDS, f"kind: must be one of {'/'.join(KINDS)}, got {kind!r}")
         integ = cfg.get("integrator", {})
-        d.known("integrator", integ, _DEFAULT_INTEGRATOR)
+        d.known("integrator", integ, [f.name for f in fields(IntegratorConfig)])
         for key in ("step", "max_time", "event_tol", "convergence_tol"):
             if key in integ:
                 d.need_num(f"integrator.{key}", integ[key], 0)
@@ -254,7 +258,8 @@ def _read_solve(cfg: dict, d: _Diagnostics):
         return None
     problem = ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b,
                             ineq=AffineInequalities(G, h, named))
-    return problem, FlowState(**start), TimeConstants(**tc), IntegratorConfig(**_integrator(cfg))
+    return (problem, FlowState(**start), TimeConstants(**tc),
+            IntegratorConfig(**cfg.get("integrator", {})))
 
 
 def _read_svm(cfg: dict, d: _Diagnostics):
@@ -264,7 +269,8 @@ def _read_svm(cfg: dict, d: _Diagnostics):
     n_per_class, seed = blk.get("n_per_class", 300), blk.get("seed", 0)
     d.need_num("svm.n_per_class", n_per_class, 1, strict=False, integer=True)
     # the Philox key of svm.generate_gaussian_classes
-    d.need(isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 128,
+    d.need(isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+           and 0 <= seed < 2 ** 128,
            "svm.seed: must be an integer in [0, 2**128)")
     mean_a = d.vector("svm.mean_a", blk.get("mean_a", svm_mod.DEFAULT_MEAN_A), 2)
     mean_b = d.vector("svm.mean_b", blk.get("mean_b", svm_mod.DEFAULT_MEAN_B), 2)
@@ -281,7 +287,7 @@ def _read_svm(cfg: dict, d: _Diagnostics):
         return None
     data = {"seed": int(seed), "n_per_class": int(n_per_class), "mean_a": mean_a,
             "mean_b": mean_b, "cov": cov}
-    return data, sv_tol, IntegratorConfig(**_integrator(cfg))
+    return data, sv_tol, replace(svm_mod.DEFAULT_INTEGRATOR, **cfg.get("integrator", {}))
 
 
 def _horizon(cfg: dict, kind: str, d: _Diagnostics):
@@ -347,7 +353,7 @@ def _read_plant(cfg: dict, d: _Diagnostics):
                f"plant.initial_state: zone temperatures must differ from T_s {p.T_s:g}")
     gains = {key: float(gains.get(key, 1.0)) for key in strict}
     targets = {key: float(val) for key, val in targets.items()}
-    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(horizon)))
+    icfg = IntegratorConfig(**cfg.get("integrator", {}), max_time=float(horizon))
     return name, controller, p, targets, gains, x0, icfg
 
 
@@ -373,7 +379,7 @@ def _read_tline(cfg: dict, d: _Diagnostics):
     if d:
         return None
     p = tline_mod.LineParams(**params)
-    icfg = IntegratorConfig(**_integrator(cfg, max_time=float(horizon)))
+    icfg = IntegratorConfig(**cfg.get("integrator", {}), max_time=float(horizon))
     limit = tline_mod.cfl_limit(p, grid)
     d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at this grid")
     loop = None
@@ -428,12 +434,17 @@ def _read_audit(cfg: dict, d: _Diagnostics):
 # experiment bodies: each writes its artifacts and returns its summary
 # ---------------------------------------------------------------------------
 
+def _solve_summary(result) -> dict:
+    """A solve's summary, its storage verdict included, and its switch audit."""
+    return {**result.summary(), "switch_audit": storage_switch_audit(result.storage)}
+
+
 def _run_solve(inputs, out: Path) -> dict:
     problem, init, tc, icfg = inputs
     result = solve(problem, init, tc=tc, cfg=icfg, grow_step=True)
     result.trajectory.to_csv(out / "trajectory.csv", out / "events.csv")
     result.storage.to_csv(out / "storage.csv")
-    return {**result.summary(), "switch_audit": storage_switch_audit(result.storage)}
+    return _solve_summary(result)
 
 
 def _run_svm(inputs, out: Path) -> dict:
@@ -457,10 +468,15 @@ def _run_svm(inputs, out: Path) -> dict:
         "representer_residual": report["representer_residual"],
         "margin": report["margin"],
         "dual_balance": report["dual_balance"],
-        "kkt": result.kkt.as_dict(),
-        "converged": result.converged,
-        "switch_count": result.switch_count,
+        **_solve_summary(result),
     }
+
+
+def _lyapunov_report(out: Path, times, V) -> dict:
+    """Write ``lyapunov.csv``; return its audit's verdict, worst margin and time."""
+    write_csv(out / "lyapunov.csv", ["t", "V"], zip(times.tolist(), V.tolist()))
+    audit = lyapunov_audit(times, V)
+    return {"lyapunov_monotone": audit.pop("verdict"), **audit}
 
 
 def _run_plant(inputs, out: Path) -> dict:
@@ -491,17 +507,13 @@ def _run_plant(inputs, out: Path) -> dict:
     traj = integrate(rhs, x0, icfg)
     traj.to_csv(out / "trajectory.csv")
     V = np.array([lyap(t, z) for t, z in zip(traj.times, traj.states)])
-    write_csv(out / "lyapunov.csv", ["t", "V"], zip(traj.times.tolist(), V.tolist()))
-    audit = lyapunov_audit(traj.times, V)
     return {
         "plant": name,
         "controller": controller,
         "final_state": [float(v) for v in traj.final_state],
         "target_error": float(np.max(np.abs(traj.final_state[: target_state.size]
                                             - target_state))),
-        "lyapunov_monotone": audit["verdict"],
-        "min_margin": audit["min_margin"],
-        "worst_time": audit["worst_time"],
+        **_lyapunov_report(out, traj.times, V),
         **extra,
     }
 
@@ -538,22 +550,18 @@ def _run_tline(inputs, out: Path) -> dict:
         traj = integrate(rhs, zero.pack(), icfg)
         lyap_vals = np.concatenate([lyap(times, states) for times, states in _blocks(traj)])
         final = tline_mod.unpack_state(p, traj.final_state, M)
-        audit = lyapunov_audit(traj.times, lyap_vals)
         summary = {
             "mode": "boundary_pi",
             "I0_star": float(I0_star),
             "profile_error": float(max(np.max(np.abs(final.i - eq.i)),
                                        np.max(np.abs(final.v - eq.v)))),
             "final_vC1": float(final.vC1),
-            "lyapunov_monotone": audit["verdict"],
-            "min_margin": audit["min_margin"],
         }
 
     header = (["t"] + [f"i{k}" for k in range(M + 1)]
               + [f"v{k}" for k in range(M + 1)] + ["vC0", "vC1"])
     write_csv(out / "spacetime.csv", header, _spacetime_rows(p, M, traj))
-    write_csv(out / "lyapunov.csv", ["t", "V"], zip(traj.times.tolist(), lyap_vals.tolist()))
-    return summary
+    return {**summary, **_lyapunov_report(out, traj.times, lyap_vals)}
 
 
 def _run_audit(inputs, out: Path) -> dict:
@@ -561,8 +569,9 @@ def _run_audit(inputs, out: Path) -> dict:
     return trace.report(audit_tol)
 
 
-# read(cfg, diagnostics) -> inputs, run(inputs, out) -> summary, subcommand
-# flags as (flag, type, key in the kind's config block, help), runs without a config
+# read(cfg, diagnostics) -> inputs, the last of them the run's IntegratorConfig
+# for a kind that integrates; run(inputs, out) -> summary; subcommand flags as
+# (flag, type, key in the kind's config block, help); runs without a config
 Kind = namedtuple("Kind", "read run flags runs_without_config", defaults=((), False))
 
 KINDS = {
@@ -609,7 +618,11 @@ def run(cfg: dict, out_dir, strict: bool = False) -> tuple[int, dict]:
     except (DivergenceError, plants.RankDeficientInput) as exc:
         summary = {"error": str(exc)}
     code = _exit_code(summary, strict)
-    payload = {"config": _echoed(cfg), "kind": kind, "exit_code": code, **summary}
+    echo = json.loads(json.dumps(cfg))
+    if isinstance(inputs[-1], IntegratorConfig):    # the settings the run used
+        echo["integrator"] = asdict(inputs[-1])
+    echo.setdefault("schema", SCHEMA_VERSION)
+    payload = {"config": echo, "kind": kind, "exit_code": code, **summary}
     with open(out / "summary.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=float)
     return code, payload

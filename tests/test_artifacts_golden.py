@@ -119,31 +119,41 @@ CONFIGS = {
 # The plant_rlc_ps, plant_rlc_pi and plant_hvac_ps digests were recorded
 # before the four plant loops became scalar closed-form closures, which keep
 # every artifact byte for byte.
+# The eight summary.json digests of audit, the four plants, tline, tline_open
+# and svm were re-recorded when each reader became the one place that
+# resolves a run's integrator settings and the summaries began to report what
+# the run audited; every CSV keeps its digest.  The four plant summaries and
+# both line summaries echo integrator.max_time as the horizon that ran (2.0,
+# 4.0, 4.0, 4.0, 1.0, 1.0; was 10.0).  audit echoes no integrator block.
+# tline gains worst_time 0.0; tline_open gains the Lyapunov audit of its
+# energy (PASS, min_margin 0.0, worst_time 0.0).  svm gains the solve's
+# iterations (437), storage verdict (PASS, min_margin 0.0, worst_time 0.0)
+# and switch_audit (PASS over the 16 switches).
 GOLDEN = {
     "audit/summary.json":
-        "e92f51374867b877da4734742d2dd85adb06b150895d6f8313178bd941b9c9ff",
+        "8efacb56309599e012fb351253e58407e50f732294ebdfdead4aa1e05d50025e",
     "plant/lyapunov.csv":
         "fc82ba5de02d93911d48173dcc1ab24cbc0ad55dcf590cfd90f087cb86608806",
     "plant/summary.json":
-        "0e5a35fb7b8f4a02e77a8f32103c498b41fe063672cb056b469159af74dfd27d",
+        "f578a53e0703f31e8ae9ad0c4427e879df7951b1a19e2b620c0d7c42e49de9ec",
     "plant/trajectory.csv":
         "717d89439278dbbe303d651d3a2b9222387bbc05c4d785e04635c8181d752722",
     "plant_hvac_ps/lyapunov.csv":
         "70b6ddf60433792cf5f1959a2c79b03cae07b7228e9bdd64c653e7ebf61e89af",
     "plant_hvac_ps/summary.json":
-        "680f1413f48399a38eac9138255c7015d731a2d067f3cc77d1788b9af7acd5d1",
+        "caec850e60df492ecb4612d4dfbca8af046b4feac68dc08c17fea403668dd627",
     "plant_hvac_ps/trajectory.csv":
         "4eed09a48c28ac942b91761e271075cb950c2e7bb6dfaf721b07da3eb1c41e7f",
     "plant_rlc_pi/lyapunov.csv":
         "3dbe2dd05a34d66c70f8adb00291dec2301e6ad588b9db9214f77c40f9333366",
     "plant_rlc_pi/summary.json":
-        "cd04bd39147345f93e79ea546f3ae414577573d16aa70bd194e0249c1c2cb5ca",
+        "c0412a2519a5c6c5555e30f5b0ee3d62b8cb6efb21253e791746cda29aafc773",
     "plant_rlc_pi/trajectory.csv":
         "8d8a8bd3636428a47fa0ba496b4e17c32134246c81c1afbafa92f452353d8212",
     "plant_rlc_ps/lyapunov.csv":
         "86e93cc33cd5b6b94e6b4fa5864382ddd76c4474a19f9068927a889acb38ecd2",
     "plant_rlc_ps/summary.json":
-        "bbd8786713c943f6da0dad68a41910a71e10769cc383e18c157a7791fa933d29",
+        "76543f7c0b3bb318a85f80b1c495b20e0c00dcc79a09bcbf8112c97932e42009",
     "plant_rlc_ps/trajectory.csv":
         "1ea6cdf2683b8af826a43bdca27b7cbb853ada1f92c47a8b64e935a5507b55cb",
     "solve/events.csv":
@@ -169,19 +179,19 @@ GOLDEN = {
     "svm/mu_trajectory.csv":
         "11d29b8a1a5ea094249bbe0bc71b41260aa32ec76f3977d7b7c3a140d7e36249",
     "svm/summary.json":
-        "d959189ea525a8d8ec52ddf2073eb3b85988befaf9a5f0017de6ae36e20c6805",
+        "632ec33d5ccaf353feeb51370240099b14f1c6a52e486951f2f9eff3d36abf7c",
     "tline/lyapunov.csv":
         "9f89255d02eddbfbadf5b305eb9082cd308c8f97b5b1dbe5cbd4d30faf3309af",
     "tline/spacetime.csv":
         "9d5ddfeb0f62ae30574464264e68f6bafe42dd51210740806eb45ddaa39e2ada",
     "tline/summary.json":
-        "6a93ec41ef4e9e713ab13fb1b87fe66f38344820d656c367354a6331b4b2a1d1",
+        "bb623d37c2a71ebf7d90782c5e5b5ecbdbf760f4b2e184e3d92ab085b39c54b7",
     "tline_open/lyapunov.csv":
         "df98b16ccb8b3df0bd93c411f27a66f833b429bfb2702d268bf33ab7dd9d125a",
     "tline_open/spacetime.csv":
         "1ceea9ede58056b2d7b867a5b986009b3744910b6e5a6aa53d93fea1ae585abc",
     "tline_open/summary.json":
-        "30e7f5d971a680a497fc30e8310f6f2666821e8694b20eae1f572dde13492fb1",
+        "8740f576497ddf854ec9ed5daa3e35d196d3bc2d84c603a085ef7a0d58bee08b",
 }
 
 

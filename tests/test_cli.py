@@ -14,6 +14,7 @@ import pytest
 
 from oracles import reference_line_state
 from passiflow import cli, plants, primal_dual, svm, tline
+from passiflow.brayton_moser import lyapunov_audit
 from passiflow.ode import Trajectory
 from test_artifacts_golden import CONFIGS
 
@@ -522,7 +523,7 @@ def _diagnostic_path(path):
 
 @pytest.mark.parametrize("name", ["solve", "svm", "parallel_rlc", "hvac", "tline", "audit"])
 def test_every_leaf_replaced_by_a_string_is_a_diagnostic(tmp_path, monkeypatch, name):
-    # ... and every numeric leaf replaced by NaN, inf or -inf.
+    # ... and every numeric leaf replaced by NaN, inf, -inf, true or false.
     monkeypatch.chdir(tmp_path)                 # so that the trace path "x" names no file
     trace = tmp_path / "trace.csv"
     trace.write_text("t,storage\n0,2\n1,1\n")
@@ -532,14 +533,15 @@ def test_every_leaf_replaced_by_a_string_is_a_diagnostic(tmp_path, monkeypatch, 
     for path in _leaf_paths(cfg):
         leaf = functools.reduce(operator.getitem, path, cfg)
         numeric = isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
-        for bad in ("x", *((np.nan, np.inf, -np.inf) if numeric else ())):
+        for bad in ("x", *((np.nan, np.inf, -np.inf, True, False) if numeric else ())):
             mutant = json.loads(json.dumps(cfg))
             functools.reduce(operator.getitem, path[:-1], mutant)[path[-1]] = bad
             try:
                 code, payload = cli.run(mutant, tmp_path / "out")
             except Exception as exc:            # noqa: BLE001 -- what escapes is the finding
                 code, payload = f"{type(exc).__name__}: {exc}", {}
-            # a non-finite number's diagnostic names its leaf, up to a list index
+            # a non-finite number's or a boolean's diagnostic names its leaf,
+            # up to a list index
             named = bad == "x" or any(d.startswith(_diagnostic_path(path) + ":")
                                       for d in payload.get("validation_errors", []))
             if code != cli.EXIT_VALIDATION or not named:
@@ -615,21 +617,58 @@ def test_seed_flag_is_echoed_in_the_config(tmp_path):
     # A partial block is applied over svm.DEFAULT_INTEGRATOR, not over the
     # generic defaults (step 1e-3, convergence_tol 1e-6, record_every 1).
     {"kind": "svm", "svm": {"n_per_class": 5}, "integrator": {"max_time": 50.0}},
-], ids=["no_block", "partial_block"])
+    # A plant's or a line's horizon is the max_time it runs with.
+    CONFIGS["plant"], CONFIGS["tline"], CONFIGS["tline_open"],
+], ids=["no_block", "partial_block", "plant", "tline", "tline_open"])
 def test_svm_integrator_echoes_the_settings_it_ran_with(tmp_path, monkeypatch, cfg):
     ran = []
-    real_train = svm.train_svm
-
-    def recording_train(data, cfg):
-        ran.append(cfg)
-        return real_train(data, cfg=cfg)
-
-    monkeypatch.setattr(svm, "train_svm", recording_train)
+    for module in (cli, primal_dual, tline):    # each calls integrate by its own name
+        def recording(rhs, y0, icfg, *args, real=module.integrate, **kwargs):
+            ran.append(icfg)
+            return real(rhs, y0, icfg, *args, **kwargs)
+        monkeypatch.setattr(module, "integrate", recording)
     code, payload = cli.run(cfg, tmp_path)
     assert code == 0
-    want = dataclasses.replace(svm.DEFAULT_INTEGRATOR, **cfg.get("integrator", {}))
-    assert ran == [want]
-    assert payload["config"]["integrator"] == dataclasses.asdict(want)
+    assert [dataclasses.asdict(icfg) for icfg in ran] == [payload["config"]["integrator"]]
+    kind = cfg["kind"]
+    if kind == "svm":
+        assert ran == [dataclasses.replace(svm.DEFAULT_INTEGRATOR, **cfg.get("integrator", {}))]
+    else:
+        csv = "trajectory.csv" if kind == "plant" else "spacetime.csv"
+        last = np.loadtxt(tmp_path / csv, delimiter=",", skiprows=1)[-1, 0]
+        assert ran[0].max_time == cfg[kind]["horizon"] == last
+
+
+def test_svm_summary_reports_its_storage_and_switch_audits(tmp_path):
+    code, payload = cli.run(CONFIGS["svm"], tmp_path)
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "beta_trajectory.csv", delimiter=",", skiprows=1)
+    assert payload["iterations"] == len(rows)
+    assert payload["verdict"] == payload["switch_audit"]["verdict"] == "PASS"
+    assert payload["min_margin"] >= 0.0 and 0.0 <= payload["worst_time"] <= rows[-1, 0]
+    assert payload["switch_audit"]["n_events"] == payload["switch_count"] == 16
+
+
+@pytest.mark.parametrize("kind", ["solve", "svm"])
+def test_failed_switch_audit_exits_4_only_under_strict(tmp_path, monkeypatch, kind):
+    real = cli.storage_switch_audit
+    monkeypatch.setattr(cli, "storage_switch_audit",
+                        lambda trace: {**real(trace), "verdict": "FAIL"})
+    code, payload = cli.run(CONFIGS[kind], tmp_path / "strict", strict=True)
+    assert code == cli.EXIT_AUDIT and payload["switch_audit"]["verdict"] == "FAIL"
+    assert payload["verdict"] == "PASS" and payload["converged"] is True
+    code, _ = cli.run(CONFIGS[kind], tmp_path / "lax")
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("kind", ["plant", "tline", "tline_open"])
+def test_lyapunov_report_is_the_audit_of_lyapunov_csv(tmp_path, kind):
+    code, payload = cli.run(CONFIGS[kind], tmp_path)
+    assert code == 0
+    t, V = np.loadtxt(tmp_path / "lyapunov.csv", delimiter=",", skiprows=1).T
+    audit = lyapunov_audit(t, V)
+    assert payload["lyapunov_monotone"] == audit.pop("verdict")
+    assert {key: payload[key] for key in ("min_margin", "worst_time")} == audit
 
 
 @pytest.mark.parametrize("kind, switches", [("solve", 2), ("solve_eq", 3)])
