@@ -41,7 +41,9 @@ for them ``--strict`` gates only that verdict; the distance to the target
 (``target_error``, ``profile_error``) is reported in ``summary.json`` but
 never sets the exit code.  A parallel-RLC power-shaping run with
 ``G^2 L < C`` has no certificate: it warns, and its ``summary.json`` reads
-``"certificate": "unavailable"``.
+``"certificate": "unavailable"``.  ``summary.json`` is strict JSON: a
+non-finite number in it, such as the margin of an overflowed Lyapunov
+value, is written as ``null``.
 """
 
 from __future__ import annotations
@@ -504,7 +506,7 @@ def _run_plant(inputs, out: Path) -> dict:
             target_state = np.concatenate([T_star, u_star])
         extra = {"T_star": [float(x) for x in T_star], "u_star": [float(x) for x in u_star]}
 
-    traj = integrate(rhs, x0, icfg)
+    traj = integrate(rhs, x0, icfg, floats=True)
     traj.to_csv(out / "trajectory.csv")
     V = np.array([lyap(t, z) for t, z in zip(traj.times, traj.states)])
     return {
@@ -618,13 +620,15 @@ def run(cfg: dict, out_dir, strict: bool = False) -> tuple[int, dict]:
     except (DivergenceError, plants.RankDeficientInput) as exc:
         summary = {"error": str(exc)}
     code = _exit_code(summary, strict)
-    echo = json.loads(json.dumps(cfg))
+    echo = dict(cfg)
     if isinstance(inputs[-1], IntegratorConfig):    # the settings the run used
         echo["integrator"] = asdict(inputs[-1])
     echo.setdefault("schema", SCHEMA_VERSION)
     payload = {"config": echo, "kind": kind, "exit_code": code, **summary}
+    # Plain JSON values, each non-finite float as None: JSON has no NaN.
+    payload = json.loads(json.dumps(payload, default=float), parse_constant=lambda _: None)
     with open(out / "summary.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=float)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
     return code, payload
 
 
@@ -708,7 +712,7 @@ def main(argv=None) -> int:
     worst = EXIT_OK
     for code, summary in results:
         print(json.dumps({k: v for k, v in summary.items() if k != "config"},
-                         sort_keys=True, default=float))
+                         sort_keys=True, allow_nan=False))
         worst = max(worst, code)
     return worst
 

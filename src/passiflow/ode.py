@@ -14,11 +14,14 @@ grow between events (``grow_step``): an embedded third-order estimate sets
 the next step, never below the configured one, and no step is rejected
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  Every step is
 deterministic, so switch bookkeeping and storage audits are reproducible;
-there is no stiff path.
+there is no stiff path.  An unguarded fixed-step run whose rhs works on
+plain floats may step a tuple of them instead of an array (``floats=True``),
+per component in the array path's operation order and so bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -89,7 +92,8 @@ class IntegrationStats:
     event-search probes, event batches, and components truncated by the
     clamp.  ``bisection_steps`` counts every probe, midpoint and secant alike.
     Only calls that :func:`integrate` itself makes count; evaluations inside
-    ``on_sample`` (``primal_dual.solve``'s storage) do not.
+    ``on_sample`` (``primal_dual.solve``'s storage) do not.  A run on floats
+    counts as the array path does: four rhs calls per RK4 step, no events.
     """
 
     rhs_evals: int = 0
@@ -172,6 +176,16 @@ def _rk4_step(rhs, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1, k4
 
 
+def _rk4_floats(rhs, t, x, h):
+    """:func:`_rk4_step`'s state on a tuple of floats, in its operation order."""
+    k1 = rhs(t, x)
+    k2 = rhs(t + 0.5 * h, tuple([a + 0.5 * h * b for a, b in zip(x, k1)]))
+    k3 = rhs(t + 0.5 * h, tuple([a + 0.5 * h * b for a, b in zip(x, k2)]))
+    k4 = rhs(t + h, tuple([a + h * b for a, b in zip(x, k3)]))
+    return tuple([a + h / 6.0 * (p + 2.0 * q + 2.0 * r + s)
+                  for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
+
+
 def _anderson_bjorck(s_new, s_old):
     """Factor for the kept end's secant values after the other end moved, on
     the same side of the crossing, from values ``s_old`` to ``s_new``:
@@ -192,6 +206,7 @@ def integrate(
     on_sample: Callable[[float, np.ndarray], None] | None = None,
     smooth_guards: Sequence[int] = (),
     grow_step: bool = False,
+    floats: bool = False,
 ) -> Trajectory:
     """Integrate ``xdot = rhs(t, x)`` from 0 to ``max_time``.
 
@@ -234,6 +249,12 @@ def integrate(
         grown step the run equals the fixed-step run.  Each event landing
         resets the step to ``step``.  The rate is the one the check
         evaluates anyway, so growth adds no ``rhs`` call.
+    floats : bool
+        Step a tuple of Python floats, which ``rhs`` takes and returns as a
+        sequence, per component in the array path's operation order: the
+        samples, stats and ``DivergenceError`` equal the array path's bit for
+        bit, without numpy's cost per small array.  A run with ``guards``,
+        ``clamp_nonneg``, ``stop_when_converged`` or ``on_sample`` refuses it.
     smooth_guards : sequence of int
         Indices of guards that are continuous along the RK4 map inside a
         step.  While one of them changes sign over the bracket, the search
@@ -277,11 +298,15 @@ def integrate(
         raise ValueError("initial state must be finite")
     if grow_step and not stop_when_converged:
         raise ValueError("grow_step needs stop_when_converged")
+    if floats and (guards is not None or clamp_nonneg is not None
+                   or stop_when_converged or on_sample is not None):
+        raise ValueError("floats takes no guards, clamp_nonneg, stop_when_converged or on_sample")
     x.flags.writeable = False
     h = config.step
     grow_tol = config.convergence_tol * config.step
     t = 0.0
     t_end = float(config.max_time)
+    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
     stats = IntegrationStats()
 
     n_guards = 0
@@ -313,7 +338,18 @@ def integrate(
             on_sample(tv, xv)
 
     _record(t, x)
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+    if floats:      # steps to t_stop, so the array loop below takes no step
+        x = tuple(x.tolist())
+        while t < t_stop:
+            h_step = min(h, t_end - t)
+            x_new = _rk4_floats(rhs, t, x, h_step)
+            if not all(map(math.isfinite, x_new)):
+                raise DivergenceError(t, np.array(x))
+            x, t = x_new, t + h_step
+            stats.rk4_steps += 1
+            if stats.rk4_steps % config.record_every == 0:
+                _record(t, x)
+    while t < t_stop:
         h_step = min(h, t_end - t)
         x_new, k1, k4 = _rk4_step(rhs, t, x, h_step)
         stats.rk4_steps += 1

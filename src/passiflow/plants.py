@@ -14,7 +14,8 @@ form; the HVAC system gives both.  A generic loop rhs call evaluates ``f``,
 Gram system for ``alpha``.  The rhs of each loop the CLI runs is one scalar
 formula instead: the state unpacked to Python floats once, numpy's operation
 order, its ``** 2`` and the zero entries of its matrix products kept, so
-that it equals the matrix form bit for bit.
+that it equals the matrix form bit for bit.  The CLI steps these loops on
+floats (``integrate(floats=True)``), so no stage is packed into an array.
 """
 
 from __future__ import annotations
@@ -73,13 +74,16 @@ class RankDeficientInput(ValueError):
 def _packed(rates):
     """``rhs(t, x) = np.array(rates(*x))`` on Python floats, which round as
     float64 does at a fraction of a numpy scalar's cost.  A float ``** 2``
-    past the float range raises where numpy's gives inf: numpy scalars then."""
+    past the float range raises where numpy's gives inf: numpy scalars then.
+    The CLI steps on floats: a tuple ``x`` gets ``rates(*x)``, not packed."""
 
     def rhs(t, x):
+        floats = type(x) is tuple
         try:
-            return np.array(rates(*x.tolist()))
+            k = rates(*(x if floats else x.tolist()))
         except OverflowError:
-            return np.array(rates(*x))
+            k = rates(*np.asarray(x))
+        return k if floats else np.array(k)
 
     return rhs
 

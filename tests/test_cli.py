@@ -258,6 +258,28 @@ def test_rising_lyapunov_function_exits_4_only_under_strict(tmp_path):
     assert code == 0 and payload["lyapunov_monotone"] == "FAIL"
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("controller, x0", [("power_shaping", [1e200, 1e200]),
+                                            ("krasovskii_pi", [1e300, -1e300])])
+def test_an_overflowed_lyapunov_margin_is_written_as_json_null(tmp_path, capsys,
+                                                               controller, x0):
+    # The Lyapunov values overflow to inf, so the audit's margin is NaN.
+    cfg = _prlc_blk_cfg(controller=controller, initial_state=x0, horizon=1.0)
+    cfg["integrator"] = {"step": 0.01}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["plant", "--config", str(path), "--out", str(tmp_path), "--strict"]) == 4
+    printed = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    saved = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_refuse_constant)
+    assert saved["lyapunov_monotone"] == "FAIL" and saved["min_margin"] is None
+    assert printed == {k: v for k, v in saved.items() if k != "config"}
+    assert cli.run(cfg, tmp_path, strict=True) == (4, saved)
+
+
 def test_rising_storage_trace_exits_4_only_under_strict(tmp_path):
     cfg = _audit_cfg(tmp_path, [1.0, 0.5, 2.0])
     code, payload = cli.run(cfg, tmp_path / "strict", strict=True)

@@ -29,6 +29,12 @@ from passiflow.primal_dual import (
                  ValueError, "initial state must be finite", id="integrate-nan"),
     pytest.param(lambda: integrate(lambda t, x: -x, [1.0, np.inf], IntegratorConfig()),
                  ValueError, "initial state must be finite", id="integrate-inf"),
+    *(pytest.param(lambda kw=kw: integrate(lambda t, x: x, [1.0], IntegratorConfig(),
+                                           floats=True, **kw),
+                   ValueError, "floats takes no guards, clamp_nonneg, stop_when_converged "
+                   "or on_sample", id=f"integrate-floats-{next(iter(kw))}")
+      for kw in ({"guards": lambda t, x: x}, {"clamp_nonneg": [0]},
+                 {"stop_when_converged": True}, {"on_sample": lambda t, x: None})),
 ])
 def test_input_checks_raise_their_messages(call, exc, message):
     with pytest.raises(exc) as info:
@@ -111,6 +117,31 @@ class TestIntegrate:
         with pytest.raises(DivergenceError) as err:
             integrate(lambda t, x: x ** 3, [2.0], cfg)
         assert np.all(np.isfinite(err.value.last_state))
+
+    def test_float_path_equals_the_array_path_bitwise(self):
+        # The off-grid horizon ends in a short step and an off-grid sample.
+        def rates(t, x):
+            a, b = x
+            return b * t - a * a, -a - 0.3 * b
+
+        cfg = IntegratorConfig(step=0.01, max_time=1.005, record_every=7)
+        ref = integrate(lambda t, x: np.array(rates(t, x)), [1.0, -0.0], cfg)
+        got = integrate(rates, [1.0, -0.0], cfg, floats=True)
+        assert got.times.tolist() == ref.times.tolist()
+        assert got.states.tobytes() == ref.states.tobytes()
+        assert got.stats == ref.stats and got.stats.rhs_evals == 4 * 101
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_float_path_diverges_as_the_array_path_does(self):
+        cfg = IntegratorConfig(step=0.1, max_time=10.0)
+        errors = []
+        for floats, rhs in ((False, lambda t, x: x * x * x),
+                            (True, lambda t, x: (x[0] * x[0] * x[0],))):
+            with pytest.raises(DivergenceError) as err:
+                integrate(rhs, [2.0], cfg, floats=floats)
+            errors.append(err.value)
+        assert errors[0].t == errors[1].t > 0.0
+        assert errors[1].last_state.tobytes() == errors[0].last_state.tobytes()
 
     def test_clamped_component_truncates_tiny_undershoot(self):
         # rate -1 until the guard stops it at zero; clamp kills the residue

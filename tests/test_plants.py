@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from passiflow.brayton_moser import passivity_audit
-from passiflow.ode import IntegratorConfig, integrate
+from passiflow.ode import DivergenceError, IntegratorConfig, integrate
 from passiflow.plants import (
     CertificateUnavailable,
     CompleteRLC,
@@ -140,7 +140,7 @@ class TestPowerShaping:
         for _ in range(20):
             x0 = rng.uniform(-2.0, 2.0, size=2)
             traj = integrate(rhs, x0, IntegratorConfig(step=1e-2, max_time=60.0,
-                                                       record_every=20))
+                                                       record_every=20), floats=True)
             assert np.max(np.abs(traj.final_state - [i_star, 1.0])) < 1e-6
             V = [lyap(t, z) for t, z in zip(traj.times, traj.states)]
             assert monotone_nonincreasing(V)
@@ -182,7 +182,7 @@ class TestKrasovskiiPI:
         for _ in range(20):
             x0 = np.concatenate([rng.uniform(-2.0, 2.0, size=2), [0.0]])
             traj = integrate(rhs, x0, IntegratorConfig(step=1e-2, max_time=120.0,
-                                                       record_every=20))
+                                                       record_every=20), floats=True)
             assert np.max(np.abs(traj.final_state[:2] - [i_star, 1.0])) < 1e-5
             V = [lyap(t, z) for t, z in zip(traj.times, traj.states)]
             assert monotone_nonincreasing(V)
@@ -415,7 +415,7 @@ class TestHvacPowerShaping:
         for _ in range(20):
             T0 = np.concatenate([rng.uniform(1.0, 7.0, 2), rng.uniform(2.0, 20.0, 2)])
             traj = integrate(rhs, T0, IntegratorConfig(step=0.05, max_time=400.0,
-                                                       record_every=100))
+                                                       record_every=100), floats=True)
             assert np.max(np.abs(traj.final_state[:2] - [2.5, 6.0])) < 1e-2
             V = [lyap(t, z) for t, z in zip(traj.times, traj.states)]
             assert monotone_nonincreasing(V)
@@ -654,7 +654,7 @@ class TestDynFeedback:
             z0 = np.concatenate([rng.uniform(1.0, 7.0, 2),
                                  rng.uniform(2.0, 20.0, 2), [0.0, 0.0]])
             traj = integrate(rhs, z0, IntegratorConfig(step=0.05, max_time=300.0,
-                                                       record_every=100))
+                                                       record_every=100), floats=True)
             assert np.max(np.abs(traj.final_state[:2] - [2.5, 6.0])) < 1e-3
             V = [lyap(t, z) for t, z in zip(traj.times, traj.states)]
             assert monotone_nonincreasing(V)
@@ -697,6 +697,65 @@ def bit_probes(rng, base, zero_slots):
         for x in (base.copy(), base + rng.normal(size=n)):
             x[list(zero_slots)] = signs
             yield x
+
+
+def cli_loops():
+    """The four loops the CLI plant kind runs, by name, each with seeded starts
+    (signed zeros among them) and a config as the CLI's own runs use."""
+    h = HvacParams()
+    T_star, _ = hvac_equilibrium(h, 2.5, 6.0)
+    rng = np.random.default_rng(36)
+    rlc = [rng.uniform(-2.0, 2.0, 2) for _ in range(4)] + [np.array([-0.0, 0.0])]
+    zones = [np.concatenate([rng.uniform(1.0, 7.0, 2), rng.uniform(2.0, 20.0, 2)])
+             for _ in range(4)] + [np.array([2.5, 6.0, -0.0, 0.0])]
+    i_good, _ = prlc_equilibrium(GOOD_RLC, 1.0)
+    i_bad, _ = prlc_equilibrium(BAD_RLC, 1.0)
+    cfg = IntegratorConfig(step=0.01, max_time=10.005, record_every=20)
+    return {
+        "prlc-power_shaping": (prlc_power_shaping_loop(GOOD_RLC, i_good, K=1.0)[0], rlc, cfg),
+        "prlc-krasovskii_pi": (prlc_krasovskii_pi_loop(BAD_RLC, i_bad, 1.0, K_P=1.0, K_I=1.0)[0],
+                               [np.append(x, z) for x, z in zip(rlc, (0.0, -0.0) * 3)], cfg),
+        "hvac-power_shaping": (hvac_power_shaping_loop(h, (2.5, 6.0), 1.0, 10.0, 10.0, 10.0)[0],
+                               zones, cfg),
+        "hvac-dyn_feedback": (dyn_feedback_loop(hvac_dyn_feedback(h), T_star, 1.0, 2.0, 5.0)[0],
+                              [np.append(T, u) for T, u in zip(zones, ([0.0, -0.0], [0.3, -0.2])
+                                                               * 3)], cfg),
+    }
+
+
+class TestFloatStepping:
+    """The CLI steps its plant loops on floats (``integrate(floats=True)``),
+    bit for bit as on arrays."""
+
+    @pytest.mark.parametrize("name", list(cli_loops()))
+    def test_float_path_equals_the_array_path_bitwise(self, name):
+        rhs, starts, cfg = cli_loops()[name]
+        for x0 in starts:
+            ref = integrate(rhs, x0, cfg)
+            got = integrate(rhs, x0, cfg, floats=True)
+            assert np.array_equal(got.times, ref.times)
+            assert_same_bits(got.states, ref.states)
+            assert got.stats == ref.stats
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_unstable_step_diverges_at_the_same_state(self):
+        # At step 5 a zone passes the range of a float's ** 2 on the way.
+        rhs, starts, _ = cli_loops()["hvac-dyn_feedback"]
+        cfg = IntegratorConfig(step=5.0, max_time=100.0)
+        errors = []
+        for floats in (False, True):
+            with pytest.raises(DivergenceError) as err:
+                integrate(rhs, starts[0], cfg, floats=floats)
+            errors.append(err.value)
+        assert errors[0].t == errors[1].t > 0.0
+        assert_same_bits(errors[1].last_state, errors[0].last_state)
+
+    def test_a_zone_at_the_supply_temperature_raises_on_both_paths(self):
+        rhs, _, cfg = cli_loops()["hvac-dyn_feedback"]
+        for floats in (False, True):
+            with pytest.raises(RankDeficientInput):
+                integrate(rhs, [HvacParams().T_s, 5.0, 16.0, 16.0, 0.3, -0.2], cfg,
+                          floats=floats)
 
 
 RLC_LOOPS = [
