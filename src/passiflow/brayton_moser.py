@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ode import Trajectory, write_csv
+from .ode import Trajectory
 
 __all__ = [
     "PseudoGradientSystem",
@@ -172,23 +172,15 @@ class StorageTrace:
         d = self.supply_integral - self.storage
         return d - np.maximum.accumulate(d)
 
-    def verdict(self, audit_tol: float | None = None):
-        """(PASS/FAIL, min margin, time of the worst margin)."""
+    def report(self, audit_tol: float | None = None) -> dict:
+        """``verdict`` (PASS/FAIL), ``min_margin`` and ``worst_time``, the time
+        of the worst margin."""
         if audit_tol is None:
             audit_tol = default_audit_tol(self.storage)
         m = self.margin
         k = int(np.argmin(m))
-        ok = m[k] >= -audit_tol
-        return ("PASS" if ok else "FAIL"), float(m[k]), float(self.times[k])
-
-    def report(self, audit_tol: float | None = None) -> dict:
-        """:meth:`verdict` as a dict with keys verdict, min_margin, worst_time."""
-        return dict(zip(("verdict", "min_margin", "worst_time"), self.verdict(audit_tol)))
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["t", "storage", "supply", "margin"],
-                  zip(self.times.tolist(), self.storage.tolist(),
-                      self.supply_integral.tolist(), self.margin.tolist()))
+        return {"verdict": "PASS" if m[k] >= -audit_tol else "FAIL",
+                "min_margin": float(m[k]), "worst_time": float(self.times[k])}
 
 
 def passivity_audit(

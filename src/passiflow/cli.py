@@ -6,13 +6,17 @@ re-audit of a stored storage trace; :data:`KINDS` holds how each kind is
 read, run and exposed as a subcommand.  Each kind has one reader, the only
 code that looks at its config.  It states each field's default and bound
 where it reads the field and returns either the run's inputs or
-diagnostics, so ``validate`` reports exactly what ``run`` refuses.  A key
-no reader knows is a diagnostic (``<path>: unknown; expected one of ...``),
-at the top level (``schema``, ``kind``, ``integrator`` and the kind's own
-blocks) as in every block; so is ``integrator.max_time`` in a plant or
-tline config, whose ``horizon`` sets the simulated time.  The svm dataset
-seed is ``svm.seed``, which ``--seed`` writes; a top-level ``seed`` is an
-unknown key.  Outputs are deterministic for a fixed config and seed:
+diagnostics, so ``validate`` reports exactly what ``run`` refuses.  A config
+file that cannot be read or parsed is a diagnostic of that config, and a
+block that is not a JSON object one of that block.  So is a key no reader
+knows (``<path>: unknown; expected one of ...``), at the top level
+(``schema``, ``kind``, ``integrator`` and the kind's own blocks) as in every
+block, and ``integrator.max_time`` in a plant or tline config, whose
+``horizon`` sets the simulated time.  The svm dataset seed is ``svm.seed``,
+which ``--seed`` writes; a top-level ``seed`` is an unknown key.  This module
+writes and reads every artifact, among them the ``storage.csv`` that a solve
+writes and an ``audit`` reads back; no other module of the package writes a
+file.  Outputs are deterministic for a fixed config and seed:
 trajectory/storage CSVs with 17-significant-digit floats and a
 ``summary.json`` that echoes the config as given, with ``schema`` filled in
 and, for every kind that integrates, the ``integrator`` block the run used:
@@ -60,7 +64,7 @@ import numpy as np
 
 from . import plants, svm as svm_mod, tline as tline_mod
 from .brayton_moser import StorageTrace, lyapunov_audit
-from .ode import DivergenceError, IntegratorConfig, integrate, write_csv
+from .ode import DivergenceError, IntegratorConfig, integrate
 from .primal_dual import (
     AffineInequalities,
     ConvexProblem,
@@ -90,6 +94,18 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
+class _Unreadable(str):
+    """The diagnostic of a config file that cannot be read or parsed."""
+
+
+def _load(path):
+    """The config at ``path``, or its :class:`_Unreadable` diagnostic."""
+    try:
+        return load_config(path)
+    except (OSError, ValueError) as exc:    # a JSONDecodeError is a ValueError
+        return _Unreadable(f"config: cannot read {path} ({type(exc).__name__}: {exc})")
+
+
 # ---------------------------------------------------------------------------
 # reading: one reader per kind checks its config and builds the run's inputs
 # ---------------------------------------------------------------------------
@@ -117,6 +133,11 @@ class _Diagnostics(list):
             ok = ok and (value > low if strict else value >= low)
             bound = f" {'>' if strict else '>='} {low:g}"
         self.need(ok, f"{path}: must be {'an integer' if integer else 'a number'}{bound}")
+
+    def block(self, path, value) -> dict:
+        """``value`` if it is a JSON object; else a diagnostic, and ``{}``."""
+        self.need(isinstance(value, dict), f"{path}: must be a JSON object")
+        return value if isinstance(value, dict) else {}
 
     def known(self, prefix, block, keys):
         for key in block:
@@ -152,6 +173,8 @@ def validate(cfg: dict) -> list[str]:
 def _read(cfg: dict):
     """(inputs, diagnostics) of ``cfg``: the schema, kind and integrator
     checks, then the kind's reader.  The inputs hold only without diagnostics."""
+    if isinstance(cfg, _Unreadable):
+        return None, [str(cfg)]
     if not isinstance(cfg, dict):
         return None, ["config: must be a JSON object"]
     d = _Diagnostics()
@@ -162,7 +185,7 @@ def _read(cfg: dict):
                f"schema: expected version {SCHEMA_VERSION}")
         kind = cfg.get("kind")
         d.need(kind in KINDS, f"kind: must be one of {'/'.join(KINDS)}, got {kind!r}")
-        integ = cfg.get("integrator", {})
+        integ = d.block("integrator", cfg.get("integrator", {}))
         d.known("integrator", integ, [f.name for f in fields(IntegratorConfig)])
         for key in ("step", "max_time", "event_tol", "convergence_tol"):
             if key in integ:
@@ -171,7 +194,7 @@ def _read(cfg: dict):
             if key in integ:
                 d.need_num(f"integrator.{key}", integ[key], 1, strict=False, integer=True)
         if kind in KINDS:
-            inputs = KINDS[kind].read(cfg, d)
+            inputs = KINDS[kind].read(cfg, integ, d)
     except (TypeError, ValueError, KeyError, AttributeError, IndexError, OverflowError) as exc:
         d.append(f"config: malformed field ({type(exc).__name__}: {exc})")
     return inputs, list(d)
@@ -200,14 +223,14 @@ def _ball(params: dict, n: int, path: str, d: _Diagnostics) -> ScalarOracle:
 NAMED_INEQUALITIES = {"ball": _ball}
 
 
-def _read_solve(cfg: dict, d: _Diagnostics):
+def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "problem", "init", "time_constants"))
-    prob = cfg.get("problem")
-    if not isinstance(prob, dict):
+    if cfg.get("problem") is None:
         d.append("problem: missing block")
         return None
+    prob = d.block("problem", cfg["problem"])
     d.known("problem", prob, ("objective", "equalities", "inequalities"))
-    obj = prob.get("objective", {})
+    obj = d.block("problem.objective", prob.get("objective", {}))
     d.known("problem.objective", obj, ("Q0", "c"))
     Q0 = d.array("problem.objective.Q0", obj.get("Q0", []))
     square = Q0.ndim == 2 and Q0.shape[0] == Q0.shape[1] and Q0.size > 0
@@ -220,31 +243,37 @@ def _read_solve(cfg: dict, d: _Diagnostics):
     c = d.array("problem.objective.c", obj.get("c", np.zeros(n)))
     d.need(c.shape == (n,), "problem.objective.c: length must match Q0")
     A, b, G, h, named = np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0), []
-    eq = prob.get("equalities")
-    if eq is not None:
+    if prob.get("equalities") is not None:
+        eq = d.block("problem.equalities", prob["equalities"])
         d.known("problem.equalities", eq, ("A", "b"))
         A = d.array("problem.equalities.A", eq.get("A", []))
         b = d.array("problem.equalities.b", eq.get("b", []))
         d.need(A.ndim == 2 and A.shape[1] == n, "problem.equalities.A: must be m x n")
         d.need(b.shape == A.shape[:1], "problem.equalities.b: rows must match A")
-    ineq = prob.get("inequalities")
-    if ineq is not None:
+    if prob.get("inequalities") is not None:
+        ineq = d.block("problem.inequalities", prob["inequalities"])
         d.known("problem.inequalities", ineq, ("affine", "named"))
         if "affine" in ineq:
-            d.known("problem.inequalities.affine", ineq["affine"], ("G", "h"))
-            G = d.array("problem.inequalities.affine.G", ineq["affine"].get("G", []))
-            h = d.array("problem.inequalities.affine.h", ineq["affine"].get("h", []))
+            affine = d.block("problem.inequalities.affine", ineq["affine"])
+            d.known("problem.inequalities.affine", affine, ("G", "h"))
+            G = d.array("problem.inequalities.affine.G", affine.get("G", []))
+            h = d.array("problem.inequalities.affine.h", affine.get("h", []))
             d.need(G.ndim == 2 and G.shape[1] == n, "problem.inequalities.affine.G: must be p x n")
             d.need(h.shape == G.shape[:1], "problem.inequalities.affine.h: rows must match G")
-        for k, entry in enumerate(ineq.get("named", [])):
+        entries = ineq.get("named", [])
+        d.need(isinstance(entries, list), "problem.inequalities.named: must be a list")
+        for k, entry in enumerate(entries if isinstance(entries, list) else []):
             path = f"problem.inequalities.named[{k}]"
+            entry = d.block(path, entry)
             d.known(path, entry, ("name", "params"))
             reader = NAMED_INEQUALITIES.get(entry.get("name"))
             d.need(reader, f"problem.inequalities.named: unknown name {entry.get('name')!r}")
             if reader:
-                named.append(reader(entry.get("params", {}), n, f"{path}.params", d))
+                params = d.block(f"{path}.params", entry.get("params", {}))
+                named.append(reader(params, n, f"{path}.params", d))
     sizes = {"x": n, "lam": b.shape[0], "mu": h.shape[0] + len(named)}
-    init, taus = cfg.get("init", {}), cfg.get("time_constants", {})
+    init = d.block("init", cfg.get("init", {}))
+    taus = d.block("time_constants", cfg.get("time_constants", {}))
     d.known("init", init, sizes)
     d.known("time_constants", taus, [f"tau_{key}" for key in sizes])
     start, tc = {}, {}
@@ -260,13 +289,12 @@ def _read_solve(cfg: dict, d: _Diagnostics):
         return None
     problem = ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b,
                             ineq=AffineInequalities(G, h, named))
-    return (problem, FlowState(**start), TimeConstants(**tc),
-            IntegratorConfig(**cfg.get("integrator", {})))
+    return problem, FlowState(**start), TimeConstants(**tc), IntegratorConfig(**integ)
 
 
-def _read_svm(cfg: dict, d: _Diagnostics):
+def _read_svm(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "svm"))
-    blk = cfg.get("svm", {})
+    blk = d.block("svm", cfg.get("svm", {}))
     d.known("svm", blk, ("n_per_class", "seed", "mean_a", "mean_b", "cov", "sv_tol"))
     n_per_class, seed = blk.get("n_per_class", 300), blk.get("seed", 0)
     d.need_num("svm.n_per_class", n_per_class, 1, strict=False, integer=True)
@@ -289,14 +317,14 @@ def _read_svm(cfg: dict, d: _Diagnostics):
         return None
     data = {"seed": int(seed), "n_per_class": int(n_per_class), "mean_a": mean_a,
             "mean_b": mean_b, "cov": cov}
-    return data, sv_tol, replace(svm_mod.DEFAULT_INTEGRATOR, **cfg.get("integrator", {}))
+    return data, sv_tol, replace(svm_mod.DEFAULT_INTEGRATOR, **integ)
 
 
-def _horizon(cfg: dict, kind: str, d: _Diagnostics):
-    """``<kind>.horizon``, which sets the integrator's ``max_time``."""
-    horizon = cfg.get(kind, {}).get("horizon", 10.0)
+def _horizon(kind: str, blk: dict, integ: dict, d: _Diagnostics):
+    """``horizon`` of the ``kind`` block ``blk``; it sets the integrator's ``max_time``."""
+    horizon = blk.get("horizon", 10.0)
     d.need_num(f"{kind}.horizon", horizon, 0)
-    d.need("max_time" not in cfg.get("integrator", {}),
+    d.need("max_time" not in integ,
            f"integrator.max_time: unused; {kind}.horizon sets the simulated time")
     return horizon
 
@@ -313,29 +341,31 @@ _PLANTS = {
 }
 
 
-def _read_plant(cfg: dict, d: _Diagnostics):
+def _read_plant(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "plant"))
-    blk = cfg.get("plant", {})
+    blk = d.block("plant", cfg.get("plant", {}))
     d.known("plant", blk, ("name", "controller", "params", "gains", "targets",
                            "initial_state", "initial_input", "horizon"))
     name, controller = blk.get("name"), blk.get("controller")
     d.need(name in _PLANTS, f"plant.name: unknown plant {name!r}")
-    horizon = _horizon(cfg, "plant", d)
+    horizon = _horizon("plant", blk, integ, d)
     if name not in _PLANTS:
         return None
     param_cls, target_defaults, initial_state, controllers = _PLANTS[name]
     d.need(controller in controllers, f"plant.controller: {controller!r} not available for {name}")
-    params, gains = blk.get("params", {}), blk.get("gains", {})
+    params = d.block("plant.params", blk.get("params", {}))
+    gains = d.block("plant.gains", blk.get("gains", {}))
+    targets = d.block("plant.targets", blk.get("targets", {}))
     # an unknown controller is reported above; its gains need only be >= 0
     strict = controllers.get(controller, dict.fromkeys(gains, False))
     d.known("plant.params", params, [f.name for f in fields(param_cls)])
     d.known("plant.gains", gains, strict)
-    d.known("plant.targets", blk.get("targets", {}), target_defaults)
+    d.known("plant.targets", targets, target_defaults)
     for key, val in params.items():
         d.need_num(f"plant.params.{key}", val, None if key in ("T_s", "T_inf") else 0)
     for key, val in gains.items():
         d.need_num(f"plant.gains.{key}", val, 0, strict=strict.get(key, False))
-    targets = {**target_defaults, **blk.get("targets", {})}
+    targets = {**target_defaults, **targets}
     for key, val in targets.items():
         d.need_num(f"plant.targets.{key}", val)
     x0 = d.vector("plant.initial_state", blk.get("initial_state", initial_state),
@@ -355,15 +385,16 @@ def _read_plant(cfg: dict, d: _Diagnostics):
                f"plant.initial_state: zone temperatures must differ from T_s {p.T_s:g}")
     gains = {key: float(gains.get(key, 1.0)) for key in strict}
     targets = {key: float(val) for key, val in targets.items()}
-    icfg = IntegratorConfig(**cfg.get("integrator", {}), max_time=float(horizon))
+    icfg = IntegratorConfig(**integ, max_time=float(horizon))
     return name, controller, p, targets, gains, x0, icfg
 
 
-def _read_tline(cfg: dict, d: _Diagnostics):
+def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "tline"))
-    blk = cfg.get("tline", {})
+    blk = d.block("tline", cfg.get("tline", {}))
     d.known("tline", blk, ("params", "gains", "grid", "horizon", "target_vc1"))
-    params, gains = blk.get("params", {}), blk.get("gains", {})
+    params = d.block("tline.params", blk.get("params", {}))
+    gains = d.block("tline.gains", blk.get("gains", {}))
     vC1_star = blk.get("target_vc1", 0.0)
     d.need_num("tline.target_vc1", vC1_star)
     closed = vC1_star != 0.0 or bool(gains)
@@ -377,11 +408,11 @@ def _read_tline(cfg: dict, d: _Diagnostics):
         d.need_num(f"tline.gains.{key}", val, 0, strict=False)
     grid = blk.get("grid", 100)
     d.need_num("tline.grid", grid, 8, strict=False, integer=True)
-    horizon = _horizon(cfg, "tline", d)
+    horizon = _horizon("tline", blk, integ, d)
     if d:
         return None
     p = tline_mod.LineParams(**params)
-    icfg = IntegratorConfig(**cfg.get("integrator", {}), max_time=float(horizon))
+    icfg = IntegratorConfig(**integ, max_time=float(horizon))
     limit = tline_mod.cfl_limit(p, grid)
     d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at this grid")
     loop = None
@@ -397,9 +428,9 @@ def _read_tline(cfg: dict, d: _Diagnostics):
     return p, grid, loop, icfg
 
 
-def _read_audit(cfg: dict, d: _Diagnostics):
+def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "audit"))
-    blk = cfg.get("audit", {})
+    blk = d.block("audit", cfg.get("audit", {}))
     d.known("audit", blk, ("trace_csv", "audit_tol"))
     path = blk.get("trace_csv")
     d.need(path is not None, "audit.trace_csv: missing path")
@@ -436,6 +467,27 @@ def _read_audit(cfg: dict, d: _Diagnostics):
 # experiment bodies: each writes its artifacts and returns its summary
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CRLF CSV lines, numbers as ``%.17g``.
+
+    Strings are written as they are (no quoting); the first row's cell types
+    fix the line format.  Rows are consumed lazily, so pass a generator.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        line = None
+        for row in rows:
+            if line is None:
+                line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) + "\r\n"
+            fh.write(line % tuple(row))
+
+
+def _write_samples(path, names, times, values) -> None:
+    """Write ``t`` and ``names``: row ``k`` is ``values[k]`` at ``times[k]``, converted alone."""
+    _write_csv(path, ["t", *names],
+               ([t] + row.tolist() for t, row in zip(times.tolist(), values)))
+
+
 def _solve_summary(result) -> dict:
     """A solve's summary, its storage verdict included, and its switch audit."""
     return {**result.summary(), "switch_audit": storage_switch_audit(result.storage)}
@@ -444,23 +496,27 @@ def _solve_summary(result) -> dict:
 def _run_solve(inputs, out: Path) -> dict:
     problem, init, tc, icfg = inputs
     result = solve(problem, init, tc=tc, cfg=icfg, grow_step=True)
-    result.trajectory.to_csv(out / "trajectory.csv", out / "events.csv")
-    result.storage.to_csv(out / "storage.csv")
+    traj, trace = result.trajectory, result.storage
+    _write_samples(out / "trajectory.csv", [f"x{k}" for k in range(traj.states.shape[1])],
+                   traj.times, traj.states)
+    _write_csv(out / "events.csv", ["t", "tag"], traj.events)
+    _write_csv(out / "storage.csv", ["t", "storage", "supply", "margin"],
+               zip(trace.times.tolist(), trace.storage.tolist(),
+                   trace.supply_integral.tolist(), trace.margin.tolist()))
     return _solve_summary(result)
 
 
 def _run_svm(inputs, out: Path) -> dict:
     data_args, sv_tol, icfg = inputs
     data = svm_mod.generate_gaussian_classes(**data_args)
-    write_csv(out / "dataset.csv", ["x1", "x2", "label"],
-              np.column_stack([data.points, data.labels]))
+    _write_csv(out / "dataset.csv", ["x1", "x2", "label"],
+               np.column_stack([data.points, data.labels]))
     result = svm_mod.train_svm(data, cfg=icfg)
     traj = result.trajectory
-    times = traj.times.tolist()
-    write_csv(out / "beta_trajectory.csv", ["t", "beta1", "beta2", "beta0"],
-              ([t] + z[:3].tolist() for t, z in zip(times, traj.states)))
-    write_csv(out / "mu_trajectory.csv", ["t"] + [f"mu{i}" for i in range(data.size)],
-              ([t] + z[3:].tolist() for t, z in zip(times, traj.states)))
+    _write_samples(out / "beta_trajectory.csv", ["beta1", "beta2", "beta0"],
+                   traj.times, traj.states[:, :3])
+    _write_samples(out / "mu_trajectory.csv", [f"mu{i}" for i in range(data.size)],
+                   traj.times, traj.states[:, 3:])
     idx, plane, report = svm_mod.support_vectors(data, result.final, tol=sv_tol)
     return {
         "seed": data_args["seed"],
@@ -476,7 +532,7 @@ def _run_svm(inputs, out: Path) -> dict:
 
 def _lyapunov_report(out: Path, times, V) -> dict:
     """Write ``lyapunov.csv``; return its audit's verdict, worst margin and time."""
-    write_csv(out / "lyapunov.csv", ["t", "V"], zip(times.tolist(), V.tolist()))
+    _write_csv(out / "lyapunov.csv", ["t", "V"], zip(times.tolist(), V.tolist()))
     audit = lyapunov_audit(times, V)
     return {"lyapunov_monotone": audit.pop("verdict"), **audit}
 
@@ -507,7 +563,8 @@ def _run_plant(inputs, out: Path) -> dict:
         extra = {"T_star": [float(x) for x in T_star], "u_star": [float(x) for x in u_star]}
 
     traj = integrate(rhs, x0, icfg, floats=True)
-    traj.to_csv(out / "trajectory.csv")
+    _write_samples(out / "trajectory.csv", [f"x{k}" for k in range(traj.states.shape[1])],
+                   traj.times, traj.states)
     V = np.array([lyap(t, z) for t, z in zip(traj.times, traj.states)])
     return {
         "plant": name,
@@ -562,7 +619,7 @@ def _run_tline(inputs, out: Path) -> dict:
 
     header = (["t"] + [f"i{k}" for k in range(M + 1)]
               + [f"v{k}" for k in range(M + 1)] + ["vC0", "vC1"])
-    write_csv(out / "spacetime.csv", header, _spacetime_rows(p, M, traj))
+    _write_csv(out / "spacetime.csv", header, _spacetime_rows(p, M, traj))
     return {**summary, **_lyapunov_report(out, traj.times, lyap_vals)}
 
 
@@ -571,9 +628,10 @@ def _run_audit(inputs, out: Path) -> dict:
     return trace.report(audit_tol)
 
 
-# read(cfg, diagnostics) -> inputs, the last of them the run's IntegratorConfig
-# for a kind that integrates; run(inputs, out) -> summary; subcommand flags as
-# (flag, type, key in the kind's config block, help); runs without a config
+# read(cfg, integrator block, diagnostics) -> inputs, the last of them the
+# run's IntegratorConfig for a kind that integrates; run(inputs, out) ->
+# summary; subcommand flags as (flag, type, key in the kind's config block,
+# help); runs without a config
 Kind = namedtuple("Kind", "read run flags runs_without_config", defaults=((), False))
 
 KINDS = {
@@ -668,24 +726,26 @@ def main(argv=None) -> int:
         parser.error("configs would share an output directory; repeated file stem "
                      + ", ".join(map(repr, repeated)))
 
-    configs = [load_config(path) for path in args.config]
+    configs = [_load(path) for path in args.config]
     if not configs:
         if kind is None or not kind.runs_without_config:
             parser.error("--config is required for this subcommand")
         configs = [{"schema": SCHEMA_VERSION, "kind": args.command, args.command: {}}]
 
-    # Subcommand flags and --seed fold into the loaded configs.
+    # Subcommand flags and --seed fold into the loaded configs; validate()
+    # reports a config or a block that is not a JSON object.
     for cfg in configs:
         if not isinstance(cfg, dict):
-            continue                    # validate() reports it
+            continue
         if kind is not None:
             cfg.setdefault("kind", args.command)
             values = {key: getattr(args, key) for _, _, key, _ in kind.flags
                       if getattr(args, key) is not None}
-            if values:
-                cfg.setdefault(args.command, {}).update(values)
-        if args.seed is not None and cfg.get("kind") == "svm":
-            cfg.setdefault("svm", {})["seed"] = args.seed
+            if values and isinstance(cfg.setdefault(args.command, {}), dict):
+                cfg[args.command].update(values)
+        if (args.seed is not None and cfg.get("kind") == "svm"
+                and isinstance(cfg.setdefault("svm", {}), dict)):
+            cfg["svm"]["seed"] = args.seed
 
     if args.command == "validate":
         worst = EXIT_OK

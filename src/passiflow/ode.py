@@ -17,6 +17,7 @@ deterministic, so switch bookkeeping and storage audits are reproducible;
 there is no stiff path.  An unguarded fixed-step run whose rhs works on
 plain floats may step a tuple of them instead of an array (``floats=True``),
 per component in the array path's operation order and so bit for bit.
+This module writes no files: :mod:`passiflow.cli` writes every artifact.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "IntegrationStats",
     "Trajectory",
     "integrate",
-    "write_csv",
 ]
 
 
@@ -131,28 +131,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def to_csv(self, path, events_path=None) -> None:
-        """Write ``t,x0,...,xn`` rows; events go to a sidecar ``t,tag`` CSV."""
-        write_csv(path, ["t"] + [f"x{k}" for k in range(self.states.shape[1])],
-                  ([t] + z.tolist() for t, z in zip(self.times.tolist(), self.states)))
-        if events_path is not None:
-            write_csv(events_path, ["t", "tag"], self.events)
-
-
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CRLF CSV lines, numbers as ``%.17g``.
-
-    Strings are written as they are (no quoting); the first row's cell types
-    fix the line format.  Rows are consumed lazily, so pass a generator.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        line = None
-        for row in rows:
-            if line is None:
-                line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) + "\r\n"
-            fh.write(line % tuple(row))
 
 
 #: Largest negative excursion, relative to ``max(1, |rate|)``, that a

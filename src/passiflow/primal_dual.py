@@ -213,9 +213,6 @@ class KKTReport:
             and self.dual_feas >= -tol
         )
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def kkt_residual(prob: ConvexProblem, s: FlowState) -> KKTReport:
     grad_L = prob.f.grad(s.x).copy()
@@ -379,7 +376,7 @@ class SolveResult:
 
     def summary(self) -> dict:
         return {
-            "kkt": self.kkt.as_dict(),
+            "kkt": asdict(self.kkt),
             "iterations": int(self.trajectory.times.size),
             "switch_count": self.switch_count,
             "converged": self.converged,

@@ -1,9 +1,12 @@
 import concurrent.futures
+import csv
 import dataclasses
 import functools
+import inspect
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_line_state
-from passiflow import cli, plants, primal_dual, svm, tline
+from passiflow import brayton_moser, cli, ode, plants, primal_dual, svm, tline
 from passiflow.brayton_moser import lyapunov_audit
 from passiflow.ode import Trajectory
 from test_artifacts_golden import CONFIGS
@@ -321,6 +324,30 @@ def test_validate_subcommand_prints_each_config_verdict(tmp_path, capsys):
                    "config[2]: config: must be a JSON object\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, text, error", [("bad", "{not json", "JSONDecodeError"),
+                                               ("missing", None, "FileNotFoundError")])
+def test_a_config_file_that_cannot_be_read_is_a_diagnostic(tmp_path, capsys, command, name,
+                                                            text, error):
+    good, bad = tmp_path / "good.json", tmp_path / f"{name}.json"
+    good.write_text(json.dumps(_tiny_solve_cfg(-1.0)))
+    if text is not None:
+        bad.write_text(text)
+    argv = [command, "--config", str(bad), "--config", str(good), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    expected = f"config: cannot read {bad} ({error}: "
+    if command == "validate":
+        assert err.startswith(f"config[0]: {expected}") and err.count("\n") == 1
+        assert out == "config[1]: ok\n"
+    else:
+        first, second = map(json.loads, out.splitlines())
+        assert len(first["validation_errors"]) == 1
+        assert first["validation_errors"][0].startswith(expected)
+        assert second["exit_code"] == cli.EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["good"]
+
+
 @pytest.mark.parametrize("command", ["run", "solve"])
 def test_a_subcommand_without_defaults_needs_a_config(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -440,6 +467,57 @@ def test_malformed_config_is_a_diagnostic_not_a_traceback(tmp_path, cfg, field):
     code, payload = cli.run(cfg, tmp_path)
     assert code == cli.EXIT_VALIDATION
     assert [d for d in payload["validation_errors"] if d.startswith(field + ":")], payload
+
+
+def _block_cases():
+    """(config, path) with the block at ``path`` replaced by a non-object."""
+    solve = {**_tiny_solve_cfg(-1.0), "init": {}, "time_constants": {}}
+    solve["problem"]["equalities"] = {"A": [[1.0]], "b": [0.0]}
+    solve["problem"]["inequalities"]["named"] = [{"name": "ball", "params": {"radius": 1.0}}]
+    plant = _hvac_cfg(params={}, gains={}, targets={})
+    line = {"schema": 1, "kind": "tline", "tline": {"grid": 8, "params": {}, "gains": {}}}
+    ineq = ("problem", "inequalities")
+    cases = [(solve, keys) for keys in (
+        ("integrator",), ("problem",), ("problem", "objective"), ("problem", "equalities"),
+        ineq, (*ineq, "affine"), (*ineq, "named"), (*ineq, "named", 0),
+        (*ineq, "named", 0, "params"), ("init",), ("time_constants",))]
+    cases += [(_svm_cfg({}), ("svm",)), (plant, ("plant",)), (line, ("tline",)),
+              ({"schema": 1, "kind": "audit", "audit": {}}, ("audit",))]
+    cases += [(plant, ("plant", key)) for key in ("params", "gains", "targets")]
+    cases += [(line, ("tline", key)) for key in ("params", "gains")]
+    for cfg, keys in cases:
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+        values = ("ball", 5, {"name": "ball"}) if keys[-1] == "named" else ([1, 2], "ball", 5)
+        for value in values:
+            cfg = json.loads(json.dumps(cfg))
+            functools.reduce(operator.getitem, keys[:-1], cfg)[keys[-1]] = value
+            yield pytest.param(cfg, path, id=f"{path}={value!r}")
+
+
+@pytest.mark.parametrize("cfg, path", _block_cases())
+def test_a_block_that_is_not_an_object_gets_one_diagnostic_naming_it(tmp_path, cfg, path):
+    # Not read element by element ("integrator.1: unknown"), nor a string
+    # one character at a time, nor raised inside the reader ("config:
+    # malformed field (AttributeError ...)").
+    diags = cli.validate(cfg)
+    kind = "a list" if path.endswith("named") else "a JSON object"
+    assert diags.count(f"{path}: must be {kind}") == 1, diags
+    assert not [d for d in diags if d.startswith("config:")], diags
+    assert not [d for d in diags if re.match(re.escape(path) + r"(\.\d|\[)", d)], diags
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, block", [(["svm", "--seed", "3"], "svm"),
+                                         (["plant", "--horizon", "1"], "plant")])
+def test_flags_leave_a_block_that_is_not_an_object_to_its_diagnostic(tmp_path, capsys,
+                                                                     argv, block):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "kind": block, block: [1]}))
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().out)["validation_errors"][0] == \
+        f"{block}: must be a JSON object"
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -691,6 +769,47 @@ def test_lyapunov_report_is_the_audit_of_lyapunov_csv(tmp_path, kind):
     audit = lyapunov_audit(t, V)
     assert payload["lyapunov_monotone"] == audit.pop("verdict")
     assert {key: payload[key] for key in ("min_margin", "worst_time")} == audit
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rows = [(0.1, -0.0, 1e-300, "tag"), (np.float64(2.0 / 3.0), np.inf, -7, "m12")]
+    cli._write_csv(tmp_path / "a.csv", ["t", "x", "y", "tag"], iter(rows))
+    with open(tmp_path / "b.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "x", "y", "tag"])
+        for row in rows:
+            w.writerow([c if isinstance(c, str) else f"{float(c):.17g}" for c in row])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_solve_csv_roundtrip(tmp_path):
+    # One row per sample under each header, one per event with its tag last,
+    # and the audit kind reads storage.csv back to the run's own verdict.
+    cfg = _tiny_solve_cfg(-1.0)
+    problem, init, tc, icfg = cli._read(cfg)[0]
+    traj = primal_dual.solve(problem, init, tc=tc, cfg=icfg, grow_step=True).trajectory
+    code, payload = cli.run(cfg, tmp_path / "run")
+    assert code == 0 and payload["iterations"] == traj.times.size
+    rows = (tmp_path / "run" / "trajectory.csv").read_text().splitlines()
+    assert rows[0] == "t,x0,x1"
+    assert len(rows) == traj.times.size + 1
+    storage = (tmp_path / "run" / "storage.csv").read_text().splitlines()
+    assert storage[0] == "t,storage,supply,margin"
+    assert len(storage) == len(rows)
+    erows = (tmp_path / "run" / "events.csv").read_text().splitlines()
+    assert erows == ["t,tag"] + [f"{t:.17g},{tag}" for t, tag in traj.events]
+    assert len(erows) == 2 and erows[1].endswith(",g0")
+    audit_cfg = {"schema": 1, "kind": "audit",
+                 "audit": {"trace_csv": str(tmp_path / "run" / "storage.csv")}}
+    code, audit = cli.run(audit_cfg, tmp_path / "audit")
+    assert code == 0
+    assert {key: audit[key] for key in ("verdict", "min_margin", "worst_time")} == \
+        {key: payload[key] for key in ("verdict", "min_margin", "worst_time")}
+
+
+def test_no_module_but_the_cli_opens_a_file():
+    for module in (brayton_moser, ode, plants, primal_dual, svm, tline):
+        assert "open(" not in inspect.getsource(module), module.__name__
 
 
 @pytest.mark.parametrize("kind, switches", [("solve", 2), ("solve_eq", 3)])

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 
 import numpy as np
@@ -12,7 +11,6 @@ from passiflow.ode import (
     IntegratorConfig,
     Trajectory,
     integrate,
-    write_csv,
 )
 from passiflow.primal_dual import (
     AffineInequalities,
@@ -54,26 +52,6 @@ class TestTrajectory:
     def test_event_inside_span(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1)), events=[(2.0, "x")])
-
-    def test_csv_roundtrip(self, tmp_path):
-        traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.arange(6.0).reshape(3, 2),
-                          events=[(0.5, "hit")])
-        traj.to_csv(tmp_path / "t.csv", tmp_path / "e.csv")
-        rows = (tmp_path / "t.csv").read_text().strip().splitlines()
-        assert rows[0] == "t,x0,x1"
-        assert len(rows) == 4
-        erows = (tmp_path / "e.csv").read_text().strip().splitlines()
-        assert erows[1].endswith("hit")
-
-    def test_write_csv_matches_csv_writer(self, tmp_path):
-        rows = [(0.1, -0.0, 1e-300, "tag"), (np.float64(2.0 / 3.0), np.inf, -7, "m12")]
-        write_csv(tmp_path / "a.csv", ["t", "x", "y", "tag"], iter(rows))
-        with open(tmp_path / "b.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "y", "tag"])
-            for row in rows:
-                w.writerow([c if isinstance(c, str) else f"{float(c):.17g}" for c in row])
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestIntegrate:

@@ -436,8 +436,7 @@ class TestSolve:
         prob = one_d_nonneg()
         res = solve(prob, FlowState(np.array([-1.0]), mu=np.array([0.8])),
                     cfg=IntegratorConfig(step=2e-3, max_time=40.0))
-        verdict, min_margin, _ = res.storage.verdict()
-        assert verdict == "PASS"
+        assert res.storage.report()["verdict"] == "PASS"
 
 
 def forced_switch_problem():
@@ -548,7 +547,7 @@ class TestStepGrowth:
             init = FlowState(np.zeros(n), np.zeros(m), np.zeros(p))
             runs = {grow: solve(prob, init, cfg=cfg, grow_step=grow) for grow in (False, True)}
             for grow, res in runs.items():
-                assert res.storage.verdict()[0] == "PASS"
+                assert res.storage.report()["verdict"] == "PASS"
                 assert storage_switch_audit(res.storage)["verdict"] == "PASS"
                 steps[grow] += res.trajectory.stats.rk4_steps
             grown = runs[True]

@@ -255,6 +255,28 @@ def boundary_lyapunov_draws(p, eq, M, B, rng) -> np.ndarray:
 
 
 @pytest.mark.parametrize("M", LINE_GRIDS)
+def test_unpack_state_returns_the_packed_state_bitwise(M):
+    # End-node voltages that obey the boundary circuits are what pack drops
+    # and unpack_state recomputes.
+    p = LineParams(R0=0.7, R1=1.3)
+    rng = np.random.default_rng(M)
+    for _ in range(20):
+        i, v = rng.normal(size=(2, M + 1))
+        vC0, vC1 = rng.normal(size=2).tolist()
+        v[0], v[M] = vC0 - p.R0 * i[0], p.R1 * i[M] + vC1
+        s = LineState(i, v, vC0, vC1)
+        got = tline.unpack_state(p, s.pack(), M)
+        assert isinstance(got.vC0, float) and isinstance(got.vC1, float)
+        for a, b in ((got.i, s.i), (got.v, s.v), (got.vC0, s.vC0), (got.vC1, s.vC1)):
+            assert bitwise_equal(a, b)
+    for k in (0, M, M + 1, 2 * M, 2 * M + 1):
+        y = s.pack()
+        y[k] = np.nan
+        with pytest.raises(ValueError, match="state must be finite"):
+            tline.unpack_state(p, y, M)
+
+
+@pytest.mark.parametrize("M", LINE_GRIDS)
 @pytest.mark.parametrize("B", BLOCKS)
 def test_block_unpack_and_stencil_equal_each_state_bitwise(M, B):
     p = LineParams(R0=0.7, R1=1.3)
