@@ -119,13 +119,13 @@ def admissible_pair(sys: PseudoGradientSystem, lam: float, M: np.ndarray) -> Adm
     return AdmissiblePair(sys, float(lam), M)
 
 
-def neg_semidefinite_symmetric_part(A, tol: float = 1e-10):
-    """(is the symmetric part <= 0, its largest eigenvalue)."""
+def neg_semidefinite_symmetric_part(A):
+    """(is the symmetric part <= 0 up to 1e-10, its largest eigenvalue)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
     eig_max = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
-    return eig_max <= tol, eig_max
+    return eig_max <= 1e-10, eig_max
 
 
 def krasovskii_storage(M, xdot) -> float:
@@ -188,13 +188,12 @@ def passivity_audit(
     storage: Callable[[float, np.ndarray], float],
     port_u: Callable[[float, np.ndarray], np.ndarray],
     port_y: Callable[[float, np.ndarray], np.ndarray],
-    audit_tol: float | None = None,
 ):
     """Check ``S(t_j) - S(t_i) <= supply(t_j) - supply(t_i)`` over all i <= j.
 
     Storage and both ports are sampled at every trajectory point; the supply
-    integral is trapezoidal.  Returns ``(StorageTrace, verdict_dict)`` where
-    the verdict carries the PASS/FAIL flag, the worst margin, and its time.
+    integral is trapezoidal.  Returns ``(StorageTrace, verdict_dict)``, the
+    verdict of :meth:`StorageTrace.report` at :func:`default_audit_tol`.
     """
     ts = traj.times
     S = np.array([storage(t, x) for t, x in zip(ts, traj.states)], dtype=float)
@@ -205,15 +204,15 @@ def passivity_audit(
     )
     supply = np.concatenate([[0.0], np.cumsum(0.5 * (uy[1:] + uy[:-1]) * np.diff(ts))])
     trace = StorageTrace(ts, S, supply)
-    return trace, trace.report(audit_tol)
+    return trace, trace.report()
 
 
-def lyapunov_audit(times, V, audit_tol: float | None = None) -> dict:
-    """Check ``V(t_j) <= V(t_i) + audit_tol`` over all sample pairs i <= j.
+def lyapunov_audit(times, V) -> dict:
+    """Check ``V(t_j) <= V(t_i) + default_audit_tol(V)`` over all sample pairs i <= j.
 
     The zero-supply case of :class:`StorageTrace`: a Lyapunov function
     sampled along a trajectory must never rise above its running minimum.
     Returns the verdict dict of :meth:`StorageTrace.report`.
     """
     V = np.asarray(V, dtype=float)
-    return StorageTrace(times, V, np.zeros_like(V)).report(audit_tol)
+    return StorageTrace(times, V, np.zeros_like(V)).report()

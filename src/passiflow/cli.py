@@ -7,11 +7,14 @@ read, run and exposed as a subcommand.  Each kind has one reader, the only
 code that looks at its config.  It states each field's default and bound
 where it reads the field and returns either the run's inputs or
 diagnostics, so ``validate`` reports exactly what ``run`` refuses.  A config
-file that cannot be read or parsed is a diagnostic of that config, and a
-block that is not a JSON object one of that block.  So is a key no reader
-knows (``<path>: unknown; expected one of ...``), at the top level
-(``schema``, ``kind``, ``integrator`` and the kind's own blocks) as in every
-block, and ``integrator.max_time`` in a plant or tline config, whose
+file that cannot be read or parsed is a diagnostic of that config, a block
+that is not a JSON object one of that block, and a name or a path that is
+not a string one of that field.  So is a key no reader knows (``<path>:
+unknown; expected one of ...``), at the top level (``schema``, ``kind``,
+``integrator`` and the kind's own blocks) as in every block, where one call
+reads a block and checks its keys.  So are ``plant.initial_input`` under a
+controller without an input state and ``integrator.max_time`` in a plant or
+tline config, whose
 ``horizon`` sets the simulated time.  The svm dataset seed is ``svm.seed``,
 which ``--seed`` writes; a top-level ``seed`` is an unknown key.  This module
 writes and reads every artifact, among them the ``storage.csv`` that a solve
@@ -134,16 +137,28 @@ class _Diagnostics(list):
             bound = f" {'>' if strict else '>='} {low:g}"
         self.need(ok, f"{path}: must be {'an integer' if integer else 'a number'}{bound}")
 
-    def block(self, path, value) -> dict:
-        """``value`` if it is a JSON object; else a diagnostic, and ``{}``."""
-        self.need(isinstance(value, dict), f"{path}: must be a JSON object")
-        return value if isinstance(value, dict) else {}
+    def block(self, path, value, keys) -> dict:
+        """``value`` if it is a JSON object, with a diagnostic for each of its
+        keys not in ``keys``; else one diagnostic, and ``{}``."""
+        if not isinstance(value, dict):
+            self.append(f"{path}: must be a JSON object")
+            return {}
+        self.known(path, value, keys)
+        return value
 
     def known(self, prefix, block, keys):
         for key in block:
             if key not in keys:
                 self.append(f"{prefix + '.' if prefix else ''}{key}: unknown; "
                             f"expected one of {', '.join(keys)}")
+
+    def string(self, value, msg, among=None) -> bool:
+        """Whether ``value`` is a string, and one of ``among`` if given; else
+        ``msg`` is a diagnostic.  A list or an object is neither looked up
+        nor opened as a path."""
+        ok = isinstance(value, str) and (among is None or value in among)
+        self.need(ok, msg)
+        return ok
 
     def array(self, path, value):
         """``value`` as a float array; a non-finite entry is a diagnostic."""
@@ -184,16 +199,17 @@ def _read(cfg: dict):
         d.need(schema == SCHEMA_VERSION and not isinstance(schema, bool),
                f"schema: expected version {SCHEMA_VERSION}")
         kind = cfg.get("kind")
-        d.need(kind in KINDS, f"kind: must be one of {'/'.join(KINDS)}, got {kind!r}")
-        integ = d.block("integrator", cfg.get("integrator", {}))
-        d.known("integrator", integ, [f.name for f in fields(IntegratorConfig)])
+        known_kind = d.string(kind, f"kind: must be one of {'/'.join(KINDS)}, got {kind!r}",
+                              KINDS)
+        integ = d.block("integrator", cfg.get("integrator", {}),
+                        [f.name for f in fields(IntegratorConfig)])
         for key in ("step", "max_time", "event_tol", "convergence_tol"):
             if key in integ:
                 d.need_num(f"integrator.{key}", integ[key], 0)
         for key in ("convergence_window", "record_every"):
             if key in integ:
                 d.need_num(f"integrator.{key}", integ[key], 1, strict=False, integer=True)
-        if kind in KINDS:
+        if known_kind:
             inputs = KINDS[kind].read(cfg, integ, d)
     except (TypeError, ValueError, KeyError, AttributeError, IndexError, OverflowError) as exc:
         d.append(f"config: malformed field ({type(exc).__name__}: {exc})")
@@ -202,8 +218,8 @@ def _read(cfg: dict):
 
 # -- named nonlinear inequalities registered for problem files --------------
 
-def _ball(params: dict, n: int, path: str, d: _Diagnostics) -> ScalarOracle:
-    d.known(path, params, ("center", "radius"))
+def _ball(params, n: int, path: str, d: _Diagnostics) -> ScalarOracle:
+    params = d.block(path, params, ("center", "radius"))
     radius = params.get("radius")
     d.need_num(f"{path}.radius", radius, 0)
     center = d.vector(f"{path}.center", params.get("center", np.zeros(n)), n)
@@ -228,10 +244,8 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
     if cfg.get("problem") is None:
         d.append("problem: missing block")
         return None
-    prob = d.block("problem", cfg["problem"])
-    d.known("problem", prob, ("objective", "equalities", "inequalities"))
-    obj = d.block("problem.objective", prob.get("objective", {}))
-    d.known("problem.objective", obj, ("Q0", "c"))
+    prob = d.block("problem", cfg["problem"], ("objective", "equalities", "inequalities"))
+    obj = d.block("problem.objective", prob.get("objective", {}), ("Q0", "c"))
     Q0 = d.array("problem.objective.Q0", obj.get("Q0", []))
     square = Q0.ndim == 2 and Q0.shape[0] == Q0.shape[1] and Q0.size > 0
     d.need(square, "problem.objective.Q0: must be a square matrix")
@@ -244,18 +258,15 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
     d.need(c.shape == (n,), "problem.objective.c: length must match Q0")
     A, b, G, h, named = np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0), []
     if prob.get("equalities") is not None:
-        eq = d.block("problem.equalities", prob["equalities"])
-        d.known("problem.equalities", eq, ("A", "b"))
+        eq = d.block("problem.equalities", prob["equalities"], ("A", "b"))
         A = d.array("problem.equalities.A", eq.get("A", []))
         b = d.array("problem.equalities.b", eq.get("b", []))
         d.need(A.ndim == 2 and A.shape[1] == n, "problem.equalities.A: must be m x n")
         d.need(b.shape == A.shape[:1], "problem.equalities.b: rows must match A")
     if prob.get("inequalities") is not None:
-        ineq = d.block("problem.inequalities", prob["inequalities"])
-        d.known("problem.inequalities", ineq, ("affine", "named"))
+        ineq = d.block("problem.inequalities", prob["inequalities"], ("affine", "named"))
         if "affine" in ineq:
-            affine = d.block("problem.inequalities.affine", ineq["affine"])
-            d.known("problem.inequalities.affine", affine, ("G", "h"))
+            affine = d.block("problem.inequalities.affine", ineq["affine"], ("G", "h"))
             G = d.array("problem.inequalities.affine.G", affine.get("G", []))
             h = d.array("problem.inequalities.affine.h", affine.get("h", []))
             d.need(G.ndim == 2 and G.shape[1] == n, "problem.inequalities.affine.G: must be p x n")
@@ -264,18 +275,15 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
         d.need(isinstance(entries, list), "problem.inequalities.named: must be a list")
         for k, entry in enumerate(entries if isinstance(entries, list) else []):
             path = f"problem.inequalities.named[{k}]"
-            entry = d.block(path, entry)
-            d.known(path, entry, ("name", "params"))
-            reader = NAMED_INEQUALITIES.get(entry.get("name"))
-            d.need(reader, f"problem.inequalities.named: unknown name {entry.get('name')!r}")
-            if reader:
-                params = d.block(f"{path}.params", entry.get("params", {}))
-                named.append(reader(params, n, f"{path}.params", d))
+            entry = d.block(path, entry, ("name", "params"))
+            name = entry.get("name")
+            if d.string(name, f"{path}.name: unknown name {name!r}", NAMED_INEQUALITIES):
+                named.append(NAMED_INEQUALITIES[name](entry.get("params", {}), n,
+                                                      f"{path}.params", d))
     sizes = {"x": n, "lam": b.shape[0], "mu": h.shape[0] + len(named)}
-    init = d.block("init", cfg.get("init", {}))
-    taus = d.block("time_constants", cfg.get("time_constants", {}))
-    d.known("init", init, sizes)
-    d.known("time_constants", taus, [f"tau_{key}" for key in sizes])
+    init = d.block("init", cfg.get("init", {}), sizes)
+    taus = d.block("time_constants", cfg.get("time_constants", {}),
+                   [f"tau_{key}" for key in sizes])
     start, tc = {}, {}
     for key, size in sizes.items():
         start[key] = d.vector(f"init.{key}", init.get(key, np.zeros(size)), size)
@@ -294,8 +302,8 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
 
 def _read_svm(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "svm"))
-    blk = d.block("svm", cfg.get("svm", {}))
-    d.known("svm", blk, ("n_per_class", "seed", "mean_a", "mean_b", "cov", "sv_tol"))
+    blk = d.block("svm", cfg.get("svm", {}),
+                  ("n_per_class", "seed", "mean_a", "mean_b", "cov", "sv_tol"))
     n_per_class, seed = blk.get("n_per_class", 300), blk.get("seed", 0)
     d.need_num("svm.n_per_class", n_per_class, 1, strict=False, integer=True)
     # the Philox key of svm.generate_gaussian_classes
@@ -343,24 +351,25 @@ _PLANTS = {
 
 def _read_plant(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "plant"))
-    blk = d.block("plant", cfg.get("plant", {}))
-    d.known("plant", blk, ("name", "controller", "params", "gains", "targets",
-                           "initial_state", "initial_input", "horizon"))
+    blk = d.block("plant", cfg.get("plant", {}),
+                  ("name", "controller", "params", "gains", "targets", "initial_state",
+                   "initial_input", "horizon"))
     name, controller = blk.get("name"), blk.get("controller")
-    d.need(name in _PLANTS, f"plant.name: unknown plant {name!r}")
+    known_plant = d.string(name, f"plant.name: unknown plant {name!r}", _PLANTS)
     horizon = _horizon("plant", blk, integ, d)
-    if name not in _PLANTS:
+    if not known_plant:
         return None
     param_cls, target_defaults, initial_state, controllers = _PLANTS[name]
-    d.need(controller in controllers, f"plant.controller: {controller!r} not available for {name}")
-    params = d.block("plant.params", blk.get("params", {}))
-    gains = d.block("plant.gains", blk.get("gains", {}))
-    targets = d.block("plant.targets", blk.get("targets", {}))
-    # an unknown controller is reported above; its gains need only be >= 0
-    strict = controllers.get(controller, dict.fromkeys(gains, False))
-    d.known("plant.params", params, [f.name for f in fields(param_cls)])
-    d.known("plant.gains", gains, strict)
-    d.known("plant.targets", targets, target_defaults)
+    gains = blk.get("gains", {})
+    # an unknown controller is reported here; its gains are all known and need only be >= 0
+    if d.string(controller, f"plant.controller: {controller!r} not available for {name}",
+                controllers):
+        strict = controllers[controller]
+    else:
+        strict = dict.fromkeys(gains if isinstance(gains, dict) else (), False)
+    params = d.block("plant.params", blk.get("params", {}), [f.name for f in fields(param_cls)])
+    gains = d.block("plant.gains", gains, strict)
+    targets = d.block("plant.targets", blk.get("targets", {}), target_defaults)
     for key, val in params.items():
         d.need_num(f"plant.params.{key}", val, None if key in ("T_s", "T_inf") else 0)
     for key, val in gains.items():
@@ -373,6 +382,9 @@ def _read_plant(cfg: dict, integ: dict, d: _Diagnostics):
     if controller == "dyn_feedback":
         x0 = np.concatenate([x0, d.vector("plant.initial_input",
                                           blk.get("initial_input", [0.0, 0.0]), 2)])
+    else:
+        d.need("initial_input" not in blk,
+               "plant.initial_input: unused; only the dyn_feedback controller has an input state")
     if d:
         return None
     p = param_cls(**params)
@@ -391,19 +403,18 @@ def _read_plant(cfg: dict, integ: dict, d: _Diagnostics):
 
 def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "tline"))
-    blk = d.block("tline", cfg.get("tline", {}))
-    d.known("tline", blk, ("params", "gains", "grid", "horizon", "target_vc1"))
-    params = d.block("tline.params", blk.get("params", {}))
-    gains = d.block("tline.gains", blk.get("gains", {}))
+    blk = d.block("tline", cfg.get("tline", {}),
+                  ("params", "gains", "grid", "horizon", "target_vc1"))
+    params = d.block("tline.params", blk.get("params", {}),
+                     [f.name for f in fields(tline_mod.LineParams)])
+    gains = d.block("tline.gains", blk.get("gains", {}), ("K_P", "K_I"))
     vC1_star = blk.get("target_vc1", 0.0)
     d.need_num("tline.target_vc1", vC1_star)
     closed = vC1_star != 0.0 or bool(gains)
-    d.known("tline.params", params, [f.name for f in fields(tline_mod.LineParams)])
     for key, val in params.items():
         # the closed loop's equilibrium profile needs R > 0 and G > 0
         d.need_num(f"tline.params.{key}", val, 0,
                    strict=key in ("L", "C", "C0", "C1") or closed and key in ("R", "G"))
-    d.known("tline.gains", gains, ("K_P", "K_I"))
     for key, val in gains.items():
         d.need_num(f"tline.gains.{key}", val, 0, strict=False)
     grid = blk.get("grid", 100)
@@ -430,11 +441,12 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
 
 def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "audit"))
-    blk = d.block("audit", cfg.get("audit", {}))
-    d.known("audit", blk, ("trace_csv", "audit_tol"))
+    blk = d.block("audit", cfg.get("audit", {}), ("trace_csv", "audit_tol"))
     path = blk.get("trace_csv")
-    d.need(path is not None, "audit.trace_csv: missing path")
-    d.need(path is None or Path(path).is_file(), f"audit.trace_csv: no file {path}")
+    if path is None:
+        d.append("audit.trace_csv: missing path")
+    elif d.string(path, f"audit.trace_csv: must be a path, got {path!r}"):
+        d.need(Path(path).is_file(), f"audit.trace_csv: no file {path}")
     if "audit_tol" in blk:
         d.need_num("audit.audit_tol", blk["audit_tol"], 0)
     if d:

@@ -305,9 +305,8 @@ def interconnected_rhs(flow: PreparedFlow, z, g=None, v=None):
     return xdot / tc.tau_x, lamdot / tc.tau_lam, mudot / tc.tau_mu
 
 
-def damping_injection_rhs(prob: ConvexProblem, s: FlowState, k: float,
-                          tc: TimeConstants | None = None, proj_tol: float = 1e-10):
-    """Interconnected flow with ``v = k A^T (Ax - b)``.
+def damping_injection_rhs(prob: ConvexProblem, s: FlowState, k: float):
+    """Interconnected flow with ``v = k A^T (Ax - b)``, unit time constants.
 
     Identical to the plain primal-dual flow of the augmented problem whose
     objective is ``f + 0.5 k |Ax - b|^2`` (see :func:`augmented_problem`).
@@ -315,7 +314,7 @@ def damping_injection_rhs(prob: ConvexProblem, s: FlowState, k: float,
     if k < 0:
         raise ValueError("k must be >= 0")
     v = k * (prob.A.T @ (prob.A @ s.x - prob.b)) if prob.m else np.zeros(prob.n)
-    return interconnected_rhs(prepare_flow(prob, tc, proj_tol), s.pack(), v=v)
+    return interconnected_rhs(prepare_flow(prob), s.pack(), v=v)
 
 
 def augmented_problem(prob: ConvexProblem, k: float) -> ConvexProblem:

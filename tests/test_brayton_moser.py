@@ -244,4 +244,5 @@ class TestLyapunovAudit:
     def test_slack_scales_with_the_values(self):
         # default slack 1e-6 (1 + max |V|) forgives a rise of 1e-6 at |V| ~ 1
         assert lyapunov_audit([0.0, 1.0], [1.0, 1.0 + 1e-6])["verdict"] == "PASS"
-        assert lyapunov_audit([0.0, 1.0], [1.0, 1.0 + 1e-6], audit_tol=0.0)["verdict"] == "FAIL"
+        trace = StorageTrace([0.0, 1.0], [1.0, 1.0 + 1e-6], [0.0, 0.0])
+        assert trace.report(0.0)["verdict"] == "FAIL"

@@ -469,8 +469,10 @@ def test_malformed_config_is_a_diagnostic_not_a_traceback(tmp_path, cfg, field):
     assert [d for d in payload["validation_errors"] if d.startswith(field + ":")], payload
 
 
-def _block_cases():
-    """(config, path) with the block at ``path`` replaced by a non-object."""
+def _blocks():
+    """(config, keys): each block of a config, and the keys that reach it
+    from the top level.  Each config validates, the audit's once its
+    ``trace_csv`` names a trace."""
     solve = {**_tiny_solve_cfg(-1.0), "init": {}, "time_constants": {}}
     solve["problem"]["equalities"] = {"A": [[1.0]], "b": [0.0]}
     solve["problem"]["inequalities"]["named"] = [{"name": "ball", "params": {"radius": 1.0}}]
@@ -485,8 +487,18 @@ def _block_cases():
               ({"schema": 1, "kind": "audit", "audit": {}}, ("audit",))]
     cases += [(plant, ("plant", key)) for key in ("params", "gains", "targets")]
     cases += [(line, ("tline", key)) for key in ("params", "gains")]
-    for cfg, keys in cases:
-        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+    return cases
+
+
+def _block_path(keys):
+    """How diagnostics name the block that ``keys`` reach."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+def _block_cases():
+    """(config, path) with the block at ``path`` replaced by a non-object."""
+    for cfg, keys in _blocks():
+        path = _block_path(keys)
         values = ("ball", 5, {"name": "ball"}) if keys[-1] == "named" else ([1, 2], "ball", 5)
         for value in values:
             cfg = json.loads(json.dumps(cfg))
@@ -504,6 +516,67 @@ def test_a_block_that_is_not_an_object_gets_one_diagnostic_naming_it(tmp_path, c
     assert diags.count(f"{path}: must be {kind}") == 1, diags
     assert not [d for d in diags if d.startswith("config:")], diags
     assert not [d for d in diags if re.match(re.escape(path) + r"(\.\d|\[)", d)], diags
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg, keys", [pytest.param(cfg, keys, id=_block_path(keys))
+                                       for cfg, keys in _blocks() if keys[-1] != "named"])
+def test_an_unknown_key_in_any_block_gets_one_diagnostic_naming_it(tmp_path, cfg, keys):
+    # ``named`` is a list, so it has no keys
+    cfg = json.loads(json.dumps(cfg))
+    if cfg["kind"] == "audit":
+        (tmp_path / "trace.csv").write_text("t,storage\n0,2\n1,1\n")
+        cfg["audit"]["trace_csv"] = str(tmp_path / "trace.csv")
+    functools.reduce(operator.getitem, keys, cfg)["bogus"] = 1.0
+    diags = cli.validate(cfg)
+    assert len(diags) == 1, diags
+    assert diags[0].startswith(f"{_block_path(keys)}.bogus: unknown; expected one of "), diags
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    _prlc_blk_cfg(initial_input=[5.0, 7.0, 9.0]),
+    _prlc_blk_cfg(controller="krasovskii_pi", initial_input=[5.0, 7.0, 9.0]),
+    _hvac_cfg(initial_input=[5.0, 7.0, 9.0]),
+    _hvac_cfg(initial_input="abc"),
+], ids=["parallel_rlc/power_shaping", "parallel_rlc/krasovskii_pi", "hvac/power_shaping",
+        "hvac/power_shaping/string"])
+def test_initial_input_is_unused_without_an_input_state(tmp_path, cfg):
+    diags = cli.validate(cfg)
+    assert diags == ["plant.initial_input: unused; "
+                     "only the dyn_feedback controller has an input state"]
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+# (config with a non-string in a name field, its diagnostic, the diagnostic of
+# a check that runs after it)
+@pytest.mark.parametrize("cfg, diag, later", [
+    ({"schema": 1, "kind": ["solve"], "integrator": {"stpe": 1}},
+     "kind: must be one of solve/svm/plant/tline/audit, got ['solve']",
+     "integrator.stpe: unknown; expected one of step, max_time, event_tol, "
+     "convergence_tol, convergence_window, record_every"),
+    (_hvac_cfg(name=["hvac"], horizon=-1.0), "plant.name: unknown plant ['hvac']",
+     "plant.horizon: must be a number > 0"),
+    (_hvac_cfg(controller={"a": 1}, initial_state=[1.0]),
+     "plant.controller: {'a': 1} not available for hvac",
+     "plant.initial_state: must have 4 finite entries"),
+    (_with(_ball_cfg(), problem={"inequalities": {"named": [{"name": ["ball"]}]}},
+           init={"x": [0.0, 0.0]}),
+     "problem.inequalities.named[0].name: unknown name ['ball']",
+     "init.x: must have 1 finite entries"),
+    ({"schema": 1, "kind": "audit", "audit": {"trace_csv": 5, "audit_tol": -1.0}},
+     "audit.trace_csv: must be a path, got 5",
+     "audit.audit_tol: must be a number > 0"),
+], ids=["kind", "plant.name", "plant.controller", "named.name", "audit.trace_csv"])
+def test_a_non_string_name_field_gets_a_diagnostic_naming_it(tmp_path, cfg, diag, later):
+    diags = cli.validate(cfg)
+    assert diags == [diag, later]
     code, payload = cli.run(cfg, tmp_path / "out")
     assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
     assert not (tmp_path / "out").exists()
