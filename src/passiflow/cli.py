@@ -9,7 +9,9 @@ where it reads the field and returns either the run's inputs or
 diagnostics, so ``validate`` reports exactly what ``run`` refuses.  A config
 file that cannot be read or parsed is a diagnostic of that config, a block
 that is not a JSON object one of that block, and a name or a path that is
-not a string one of that field.  So is a key no reader knows (``<path>:
+not a string one of that field.  So is a number field holding a non-number
+(a word, ``true``, an object), a ragged array or an integer past the float
+range; the checks after it still run.  So is a key no reader knows (``<path>:
 unknown; expected one of ...``), at the top level (``schema``, ``kind``,
 ``integrator`` and the kind's own blocks) as in every block, where one call
 reads a block and checks its keys.  So are ``plant.initial_input`` under a
@@ -113,11 +115,11 @@ def _load(path):
 # reading: one reader per kind checks its config and builds the run's inputs
 # ---------------------------------------------------------------------------
 
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is or nests ``true`` or ``false``, which numpy
-    would read as 1.0 or 0.0."""
-    return isinstance(value, bool) or (isinstance(value, (list, tuple))
-                                       and any(map(_holds_bool, value)))
+def _holds_non_number(value) -> bool:
+    """Whether a JSON value is or nests ``true``, ``false`` or a string, which
+    numpy would read as 1.0, 0.0 or the number the string spells."""
+    return isinstance(value, (bool, str)) or (isinstance(value, (list, tuple))
+                                              and any(map(_holds_non_number, value)))
 
 
 class _Diagnostics(list):
@@ -128,9 +130,10 @@ class _Diagnostics(list):
             self.append(msg)
 
     def need_num(self, path, value, low=None, strict=True, integer=False):
-        ok = not isinstance(value, bool) and (
-            isinstance(value, numbers.Integral) if integer
-            else isinstance(value, numbers.Real) and np.isfinite(float(value)))
+        # abs, not float: float() of an integer past the float range raises
+        ok = (not isinstance(value, bool)
+              and isinstance(value, numbers.Integral if integer else numbers.Real)
+              and abs(value) <= sys.float_info.max)
         bound = ""
         if low is not None:
             ok = ok and (value > low if strict else value >= low)
@@ -161,20 +164,25 @@ class _Diagnostics(list):
         return ok
 
     def array(self, path, value):
-        """``value`` as a float array; a non-finite entry is a diagnostic."""
-        arr = np.asarray(value, dtype=float)
+        """``value`` as a float array; a non-number or a non-finite entry is a
+        diagnostic, and a value numpy cannot read (a word, an object, a ragged
+        list, an integer past the float range) gives an empty array."""
+        try:
+            arr, ok = np.asarray(value, dtype=float), not _holds_non_number(value)
+        except (TypeError, ValueError, OverflowError):
+            arr, ok = np.empty(0), False
+        self.need(ok, f"{path}: must hold numbers")
         self.need(np.isfinite(arr).all(), f"{path}: must be finite")
-        self.need(not _holds_bool(value), f"{path}: must hold numbers, not true or false")
         return arr
 
     def vector(self, path, value, size):
         """``value`` as ``size`` finite floats; else a diagnostic, and zeros."""
         try:
             vec = np.atleast_1d(np.asarray(value, dtype=float))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             vec = None
         if (vec is None or vec.shape != (size,) or not np.isfinite(vec).all()
-                or _holds_bool(value)):
+                or _holds_non_number(value)):
             self.append(f"{path}: must have {size} finite entries")
             return np.zeros(size)
         return vec

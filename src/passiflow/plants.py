@@ -470,11 +470,11 @@ def hvac_gamma(h: HvacParams, T) -> np.ndarray:
 
 
 def hvac_shaping_offsets(h: HvacParams, targets, k, k1, k2):
-    """(T*, u*, a): the equilibrium and the offsets ``a`` of the shaped potential."""
+    """(T*, u*, a): the equilibrium and the offsets ``a = -k K_I^-1 u* - Gamma(T*)``
+    of the shaped potential, the design's ``k K_I^-1 G(T*)^+ grad P(T*) - Gamma(T*)``
+    because the equilibrium holds ``G(T*) u* = -grad P(T*)``."""
     T_star, u_star = hvac_equilibrium(h, *targets)
-    bm = hvac_bm(h)
-    kI_inv = np.array([1.0 / k1, 1.0 / k2])
-    a = k * kI_inv * (np.linalg.pinv(bm.G(T_star)) @ bm.grad_P(T_star)) - hvac_gamma(h, T_star)
+    a = -k * np.array([1.0 / k1, 1.0 / k2]) * u_star - hvac_gamma(h, T_star)
     return T_star, u_star, a
 
 
@@ -482,7 +482,8 @@ def hvac_power_shaping(h: HvacParams, T, Tdot, targets, k: float,
                        k1: float, k2: float, alpha: float) -> np.ndarray:
     """Integral-of-output law with optional output damping.
 
-    ``u_i = -(alpha/k) c_p (T_s - T_i) Tdot_i - (k_i/k)(Gamma_i - Gamma_i* - (k/k_i) u_i*)``
+    ``u_i = -(alpha/k) c_p (T_s - T_i) Tdot_i - (k_i/k)(Gamma_i + a_i)``, with the
+    offsets ``a`` of :func:`hvac_shaping_offsets`; at ``T*`` and ``Tdot = 0`` it is ``u*``.
     """
     if min(k, k1, k2) <= 0 or alpha < 0:
         raise ValueError("k, k1, k2 must be > 0 and alpha >= 0")
@@ -491,12 +492,9 @@ def hvac_power_shaping(h: HvacParams, T, Tdot, targets, k: float,
     for Tz in T[:2]:
         if abs(h.T_s - Tz) < 1e-12:
             raise ValueError("zone temperature equals supply temperature")
-    T_star, u_star, a = hvac_shaping_offsets(h, targets, k, k1, k2)
-    gam = hvac_gamma(h, T)
-    gam_star = hvac_gamma(h, T_star)
-    kvec = np.array([k1, k2])
+    _, _, a = hvac_shaping_offsets(h, targets, k, k1, k2)
     damping = -(alpha / k) * h.c_p * (h.T_s - T[:2]) * Tdot[:2]
-    return damping - (kvec / k) * (gam - gam_star - (k / kvec) * u_star)
+    return damping - (np.array([k1, k2]) / k) * (hvac_gamma(h, T) + a)
 
 
 def hvac_shaped_potential(h: HvacParams, T, a, k, k1, k2) -> float:

@@ -65,7 +65,16 @@ def test_unknown_integrator_key_names_the_known_ones():
 def test_malformed_block_is_a_diagnostic():
     diags = cli.validate({"schema": 1, "kind": "solve",
                           "problem": {"objective": {"Q0": "abc"}}})
-    assert diags and diags[0].startswith("config: malformed field")
+    assert diags == ["problem.objective.Q0: must hold numbers",
+                     "problem.objective.Q0: must be a square matrix"]
+    # an array numpy cannot read leaves the checks after it running
+    diags = cli.validate({"schema": 1, "kind": "solve",
+                          "problem": {"objective": {"Q0": [[1.0]]},
+                                      "equalities": {"A": {"a": 1}, "b": [0.0]}},
+                          "time_constants": {"tau_q": 1}})
+    assert "problem.equalities.A: must hold numbers" in diags
+    assert [d for d in diags if d.startswith("time_constants.tau_q: unknown")], diags
+    assert not [d for d in diags if d.startswith("config:")], diags
 
 
 @pytest.mark.parametrize("cov", [
@@ -696,7 +705,9 @@ def _diagnostic_path(path):
 
 @pytest.mark.parametrize("name", ["solve", "svm", "parallel_rlc", "hvac", "tline", "audit"])
 def test_every_leaf_replaced_by_a_string_is_a_diagnostic(tmp_path, monkeypatch, name):
-    # ... and every numeric leaf replaced by NaN, inf, -inf, true or false.
+    # ... or by an empty list, an empty object or an integer past the float
+    # range, and every numeric leaf replaced by NaN, inf, -inf, true, false
+    # or the string "1".
     monkeypatch.chdir(tmp_path)                 # so that the trace path "x" names no file
     trace = tmp_path / "trace.csv"
     trace.write_text("t,storage\n0,2\n1,1\n")
@@ -706,18 +717,20 @@ def test_every_leaf_replaced_by_a_string_is_a_diagnostic(tmp_path, monkeypatch, 
     for path in _leaf_paths(cfg):
         leaf = functools.reduce(operator.getitem, path, cfg)
         numeric = isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
-        for bad in ("x", *((np.nan, np.inf, -np.inf, True, False) if numeric else ())):
+        for bad in ("x", [], {}, 10 ** 400,
+                    *((np.nan, np.inf, -np.inf, True, False, "1") if numeric else ())):
             mutant = json.loads(json.dumps(cfg))
             functools.reduce(operator.getitem, path[:-1], mutant)[path[-1]] = bad
             try:
                 code, payload = cli.run(mutant, tmp_path / "out")
             except Exception as exc:            # noqa: BLE001 -- what escapes is the finding
                 code, payload = f"{type(exc).__name__}: {exc}", {}
-            # a non-finite number's or a boolean's diagnostic names its leaf,
-            # up to a list index
-            named = bad == "x" or any(d.startswith(_diagnostic_path(path) + ":")
-                                      for d in payload.get("validation_errors", []))
-            if code != cli.EXIT_VALIDATION or not named:
+            # each replacement's diagnostic names its leaf, up to a list index,
+            # and none is the catch-all "config: malformed field"
+            diags = payload.get("validation_errors", [])
+            named = any(d.startswith(_diagnostic_path(path) + ":") for d in diags)
+            if (code != cli.EXIT_VALIDATION or not named
+                    or any(d.startswith("config:") for d in diags)):
                 escaped.append((path, bad, code))
     assert escaped == []
     assert not (tmp_path / "out").exists()

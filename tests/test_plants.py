@@ -356,6 +356,31 @@ class TestHvacPowerShaping:
                                k=1.0, k1=2.0, k2=3.0, alpha=0.7)
         assert np.max(np.abs(u - u_star)) < 1e-10
 
+    @staticmethod
+    def _pinv_offsets(h, targets, k, k1, k2):
+        """The design's ``a = k K_I^-1 G(T*)^+ grad P(T*) - Gamma(T*)``."""
+        T_star, _ = hvac_equilibrium(h, *targets)
+        bm = hvac_bm(h)
+        return (k * np.array([1.0 / k1, 1.0 / k2])
+                * (np.linalg.pinv(bm.G(T_star)) @ bm.grad_P(T_star)) - hvac_gamma(h, T_star))
+
+    def test_offsets_are_the_pseudo_inverse_design(self):
+        h = HvacParams()
+        _, _, a = hvac_shaping_offsets(h, (2.5, 6.0), 1.0, 10.0, 10.0)
+        assert a.tobytes() == self._pinv_offsets(h, (2.5, 6.0), 1.0, 10.0, 10.0).tobytes()
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            T_s = rng.uniform(5.0, 15.0)
+            h = HvacParams(T_s=T_s, T_inf=rng.uniform(15.0, 40.0), c_p=rng.uniform(0.5, 2.0))
+            targets = tuple(T_s - rng.uniform(1.0, 8.0, 2))
+            k, k1, k2 = rng.uniform(0.5, 20.0, 3)
+            T_star, u_star, a = hvac_shaping_offsets(h, targets, k, k1, k2)
+            ref = self._pinv_offsets(h, targets, k, k1, k2)
+            assert np.max(np.abs(a - ref) / np.abs(ref)) <= 1e-15
+            u = hvac_power_shaping(h, T_star, np.zeros(4), targets, k, k1, k2,
+                                   alpha=rng.uniform(0.0, 5.0))
+            assert np.max(np.abs(u - u_star)) < 1e-10
+
     def test_zero_alpha_drops_damping_term(self):
         h = HvacParams()
         rng = np.random.default_rng(9)
