@@ -142,8 +142,10 @@ def krasovskii_storage(M, xdot) -> float:
 
 
 def default_audit_tol(storage_values) -> float:
-    """Scale-aware slack for discrete dissipation checks."""
-    return 1e-6 * (1.0 + float(np.max(np.abs(storage_values), initial=0.0)))
+    """Scale-aware slack for discrete dissipation checks, from the finite
+    values only: a non-finite value fails the audit instead of widening it."""
+    size = np.abs(np.asarray(storage_values, dtype=float))
+    return 1e-6 * (1.0 + float(np.max(size, where=np.isfinite(size), initial=0.0)))
 
 
 @dataclass
@@ -174,7 +176,8 @@ class StorageTrace:
 
     def report(self, audit_tol: float | None = None) -> dict:
         """``verdict`` (PASS/FAIL), ``min_margin`` and ``worst_time``, the time
-        of the worst margin."""
+        of the worst margin.  A non-finite storage value has a non-finite
+        margin, which fails the audit."""
         if audit_tol is None:
             audit_tol = default_audit_tol(self.storage)
         m = self.margin

@@ -27,7 +27,9 @@ trajectory/storage CSVs with 17-significant-digit floats and a
 and, for every kind that integrates, the ``integrator`` block the run used:
 the config's keys over the defaults (``svm.DEFAULT_INTEGRATOR`` for svm),
 with a plant's or line's horizon as ``max_time``.  No other block is
-defaulted in the echo.  The ``solve`` and ``svm`` kinds grow the RK4 step
+defaulted in the echo.  A ``tline`` run is the boundary-PI loop from rest,
+at ``vC1* = 0`` when the config names no ``target_vc1``, so its ``R`` and
+``G`` must be > 0.  The ``solve`` and ``svm`` kinds grow the RK4 step
 between events, with ``integrator.step`` as its floor.  ``record_every`` and
 ``convergence_window`` count steps, so a grown run samples more sparsely,
 and ``converged`` reads the final rate alone, so a grown run may reach
@@ -45,12 +47,11 @@ false.  ``solve`` and ``svm`` summaries carry the audit of the switched
 storage (``verdict``, ``min_margin``, ``worst_time``) and ``switch_audit``,
 so ``--strict`` gates both for either kind.  ``plant`` and ``tline``
 summaries carry the audit of ``lyapunov.csv`` (``lyapunov_monotone``,
-``min_margin``, ``worst_time``; the open line's is its stored energy), and
-for them ``--strict`` gates only that verdict; the distance to the target
-(``target_error``, ``profile_error``) is reported in ``summary.json`` but
-never sets the exit code.  A parallel-RLC power-shaping run with
-``G^2 L < C`` has no certificate: it warns, and its ``summary.json`` reads
-``"certificate": "unavailable"``.  ``summary.json`` is strict JSON: a
+``min_margin``, ``worst_time``), and for them ``--strict`` gates only that
+verdict; the distance to the target (``target_error``, ``profile_error``) is
+reported in ``summary.json`` but never sets the exit code.  A parallel-RLC
+power-shaping run with ``G^2 L < C`` has no certificate: it warns, and its
+``summary.json`` reads ``"certificate": "unavailable"``.  ``summary.json`` is strict JSON: a
 non-finite number in it, such as the margin of an overflowed Lyapunov
 value, is written as ``null``.
 """
@@ -259,7 +260,7 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
     d.need(square, "problem.objective.Q0: must be a square matrix")
     if not square:
         return None
-    d.need(np.linalg.eigvalsh(0.5 * (Q0 + Q0.T))[0] > 0,
+    d.need(np.linalg.eigvalsh(0.5 * Q0 + 0.5 * Q0.T)[0] > 0,   # halved first: no overflow
            "problem.objective.Q0: must be positive definite")
     n = Q0.shape[0]
     c = d.array("problem.objective.c", obj.get("c", np.zeros(n)))
@@ -418,11 +419,9 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
     gains = d.block("tline.gains", blk.get("gains", {}), ("K_P", "K_I"))
     vC1_star = blk.get("target_vc1", 0.0)
     d.need_num("tline.target_vc1", vC1_star)
-    closed = vC1_star != 0.0 or bool(gains)
     for key, val in params.items():
-        # the closed loop's equilibrium profile needs R > 0 and G > 0
-        d.need_num(f"tline.params.{key}", val, 0,
-                   strict=key in ("L", "C", "C0", "C1") or closed and key in ("R", "G"))
+        # the loop's equilibrium profile and certificate need R > 0 and G > 0
+        d.need_num(f"tline.params.{key}", val, 0, strict=key not in ("R0", "R1"))
     for key, val in gains.items():
         d.need_num(f"tline.gains.{key}", val, 0, strict=False)
     grid = blk.get("grid", 100)
@@ -434,17 +433,15 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
     icfg = IntegratorConfig(**integ, max_time=float(horizon))
     limit = tline_mod.cfl_limit(p, grid)
     d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at this grid")
-    loop = None
-    if closed:
-        K = [float(gains.get(k, 1.0)) for k in ("K_P", "K_I")]
-        try:
-            with np.errstate(over="ignore"):    # an overflow is reported below
-                loop = tline_mod.tline_pi_loop(p, grid, float(vC1_star), *K)
-        except ValueError:              # LineState refuses a non-finite profile
-            d.append("tline.target_vc1: equilibrium profile not finite with these tline.params")
-        except (ArithmeticError, RuntimeError) as exc:
-            d.append(f"tline.params: no stability certificate for tau = RC/(LG) ({exc!r})")
-    return p, grid, loop, icfg
+    K = [float(gains.get(k, 1.0)) for k in ("K_P", "K_I")]
+    try:
+        with np.errstate(over="ignore"):    # an overflow is reported below
+            return p, grid, tline_mod.tline_pi_loop(p, grid, float(vC1_star), *K), icfg
+    except ValueError:              # LineState refuses a non-finite profile
+        d.append("tline.target_vc1: equilibrium profile not finite with these tline.params")
+    except (ArithmeticError, RuntimeError) as exc:
+        d.append(f"tline.params: no stability certificate for tau = RC/(LG) ({exc!r})")
+    return None
 
 
 def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
@@ -617,30 +614,21 @@ def _spacetime_rows(p, M, traj):
 
 
 def _run_tline(inputs, out: Path) -> dict:
-    p, M, loop, icfg = inputs
-    zero = tline_mod.LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
-    if loop is None:
-        traj = tline_mod.simulate_open_loop(p, zero, 0.0, icfg)
-        lyap_vals = np.concatenate([tline_mod.line_energy(p, states)
-                                    for _, states in _blocks(traj)])
-        summary = {"mode": "open_loop_zero", "final_energy": float(lyap_vals[-1])}
-    else:
-        rhs, lyap, eq, I0_star = loop
-        traj = integrate(rhs, zero.pack(), icfg)
-        lyap_vals = np.concatenate([lyap(times, states) for times, states in _blocks(traj)])
-        final = tline_mod.unpack_state(p, traj.final_state, M)
-        summary = {
-            "mode": "boundary_pi",
-            "I0_star": float(I0_star),
-            "profile_error": float(max(np.max(np.abs(final.i - eq.i)),
-                                       np.max(np.abs(final.v - eq.v)))),
-            "final_vC1": float(final.vC1),
-        }
-
+    p, M, (rhs, lyap, eq, I0_star), icfg = inputs
+    traj = integrate(rhs, np.zeros(2 * M + 2), icfg)      # from rest
+    lyap_vals = np.concatenate([lyap(times, states) for times, states in _blocks(traj)])
+    final = tline_mod.unpack_state(p, traj.final_state, M)
     header = (["t"] + [f"i{k}" for k in range(M + 1)]
               + [f"v{k}" for k in range(M + 1)] + ["vC0", "vC1"])
     _write_csv(out / "spacetime.csv", header, _spacetime_rows(p, M, traj))
-    return {**summary, **_lyapunov_report(out, traj.times, lyap_vals)}
+    return {
+        "mode": "boundary_pi",
+        "I0_star": float(I0_star),
+        "profile_error": float(max(np.max(np.abs(final.i - eq.i)),
+                                   np.max(np.abs(final.v - eq.v)))),
+        "final_vC1": float(final.vC1),
+        **_lyapunov_report(out, traj.times, lyap_vals),
+    }
 
 
 def _run_audit(inputs, out: Path) -> dict:

@@ -75,12 +75,14 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        # bool is an Integral: True and False are refused, as the CLI refuses them
         for name in ("step", "max_time", "event_tol", "convergence_tol"):
-            if not 0 < getattr(self, name) < np.inf:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 < value < np.inf:
                 raise ValueError(f"IntegratorConfig.{name} must be finite and > 0")
         for name in ("convergence_window", "record_every"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"IntegratorConfig.{name} must be an integer >= 1")
 
 

@@ -65,8 +65,10 @@ class ScalarOracle:
 
 
 def quadratic_oracle(Q0, c) -> ScalarOracle:
-    """``f(x) = 0.5 x^T Q0 x + c^T x`` with ``Q0`` symmetrized."""
-    Q0 = 0.5 * (np.asarray(Q0, dtype=float) + np.asarray(Q0, dtype=float).T)
+    """``f(x) = 0.5 x^T Q0 x + c^T x`` with ``Q0`` symmetrized, halved before
+    the sum so that no finite entry overflows."""
+    Q0 = np.asarray(Q0, dtype=float)
+    Q0 = 0.5 * Q0 + 0.5 * Q0.T
     c = np.asarray(c, dtype=float)
     return ScalarOracle(
         value=lambda x: float(0.5 * x @ Q0 @ x + c @ x),

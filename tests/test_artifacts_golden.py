@@ -80,8 +80,8 @@ CONFIGS = {
         "tline": {"grid": 16, "horizon": 1.0, "target_vc1": 1.0,
                   "gains": {"K_P": 1.0, "K_I": 1.0}},
     },
-    # The default of `passiflow tline`: the open loop from rest, whose
-    # Lyapunov column is the stored energy.
+    # The default of `passiflow tline`: no target and no gains, so the PI
+    # loop holds vC1* = 0 from rest, its equilibrium, and every cell is 0.
     "tline_open": {"schema": 1, "kind": "tline", "tline": {"grid": 16, "horizon": 1.0}},
 }
 
@@ -129,6 +129,12 @@ CONFIGS = {
 # energy (PASS, min_margin 0.0, worst_time 0.0).  svm gains the solve's
 # iterations (437), storage verdict (PASS, min_margin 0.0, worst_time 0.0)
 # and switch_audit (PASS over the 16 switches).
+# The tline_open summary.json digest was re-recorded when the CLI's open-line
+# mode was deleted: a line config without a target now runs the boundary-PI
+# loop at vC1* = 0, which stays at rest as the open line at zero source
+# current did, so both CSVs keep their digests.  The summary's mode reads
+# boundary_pi (was open_loop_zero) and gains I0_star, profile_error and
+# final_vC1, each 0.0, in place of final_energy 0.0.
 GOLDEN = {
     "audit/summary.json":
         "8efacb56309599e012fb351253e58407e50f732294ebdfdead4aa1e05d50025e",
@@ -191,7 +197,7 @@ GOLDEN = {
     "tline_open/spacetime.csv":
         "1ceea9ede58056b2d7b867a5b986009b3744910b6e5a6aa53d93fea1ae585abc",
     "tline_open/summary.json":
-        "8740f576497ddf854ec9ed5daa3e35d196d3bc2d84c603a085ef7a0d58bee08b",
+        "a6c3516d2eeb828626725c80d2c1298db14ea8693cf96080b34ba7c4fbdfb0d6",
 }
 
 

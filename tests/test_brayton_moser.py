@@ -241,6 +241,11 @@ class TestLyapunovAudit:
         audit = lyapunov_audit([0.0, 1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.25, 0.5, 2.0])
         assert audit == {"verdict": "FAIL", "min_margin": -1.5, "worst_time": 4.0}
 
+    def test_an_infinite_value_fails_at_its_first_sample(self):
+        # the slack scales with the finite values only, so inf cannot widen it
+        audit = lyapunov_audit([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, np.inf, np.inf])
+        assert audit == {"verdict": "FAIL", "min_margin": -np.inf, "worst_time": 2.0}
+
     def test_slack_scales_with_the_values(self):
         # default slack 1e-6 (1 + max |V|) forgives a rise of 1e-6 at |V| ~ 1
         assert lyapunov_audit([0.0, 1.0], [1.0, 1.0 + 1e-6])["verdict"] == "PASS"

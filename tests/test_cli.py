@@ -184,12 +184,15 @@ def _audit_cfg(tmp_path, storage):
 def test_every_kind_exits_0(tmp_path, kind):
     if kind == "audit":
         cfg = _audit_cfg(tmp_path, [2.0, 1.0, 1.0, 0.5])
-    elif kind == "open_tline":                  # no target and no gains: open loop
+    elif kind == "open_tline":          # no target and no gains: the PI loop at vC1* = 0
         cfg = {"schema": 1, "kind": "tline", "tline": {"grid": 16, "horizon": 0.2}}
     else:
         cfg = CONFIGS[kind]
     code, payload = cli.run(cfg, tmp_path / "out", strict=True)
     assert code == payload["exit_code"] == 0, payload
+    if kind == "open_tline":            # it stays at rest, its target
+        assert payload["mode"] == "boundary_pi"
+        assert payload["I0_star"] == payload["profile_error"] == payload["final_vC1"] == 0.0
     saved = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert saved["exit_code"] == 0
 
@@ -290,6 +293,38 @@ def test_an_overflowed_lyapunov_margin_is_written_as_json_null(tmp_path, capsys,
     assert saved["lyapunov_monotone"] == "FAIL" and saved["min_margin"] is None
     assert printed == {k: v for k, v in saved.items() if k != "config"}
     assert cli.run(cfg, tmp_path, strict=True) == (4, saved)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowed_lyapunov_value_fails_the_line_audit(tmp_path):
+    # The step guard ignores the boundary circuits: at R0 = 3, 0.999 times
+    # the guard is unstable, and the functional overflows to inf from
+    # t = 4.3696 while the state stays finite.  The audit's slack scales with
+    # the finite values only, so the first inf is its worst margin.
+    step = 0.999 * tline.cfl_limit(tline.LineParams(R0=3.0), 50)
+    cfg = {"schema": 1, "kind": "tline",
+           "tline": {"params": {"R0": 3.0}, "grid": 50, "horizon": 5.0, "target_vc1": 1.0},
+           "integrator": {"step": step}}
+    code, payload = cli.run(cfg, tmp_path, strict=True)
+    assert code == cli.EXIT_AUDIT and payload["lyapunov_monotone"] == "FAIL"
+    assert np.isfinite(payload["final_vC1"])
+    t, V = np.loadtxt(tmp_path / "lyapunov.csv", delimiter=",", skiprows=1).T
+    assert payload["worst_time"] == t[~np.isfinite(V)][0] == pytest.approx(4.3696, abs=1e-4)
+
+
+def test_q0_near_the_float_range_is_symmetrized_without_overflow(tmp_path):
+    # Q0 is halved before it is symmetrized, so 1e308 + 1e308 never forms.
+    cfg = _with(_full_configs("x")["solve"],
+                problem={"objective": {"Q0": [[1e308, 0.0], [0.0, 1.0]], "c": [-2.0, -1.0]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        diags = cli.validate(cfg)
+    assert [d for d in diags if d.startswith("problem.objective.Q0")] == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # the flow overflows
+        code, payload = cli.run(cfg, tmp_path)
+    assert code == payload["exit_code"] == cli.EXIT_DIVERGENCE
+    assert json.loads((tmp_path / "summary.json").read_text())["error"] == payload["error"]
 
 
 def test_rising_storage_trace_exits_4_only_under_strict(tmp_path):
@@ -445,6 +480,7 @@ def _ball_cfg(**entry):
     ({"schema": 1, "kind": "tline", "tline": {"target_vc1": "x"}}, "tline.target_vc1"),
     ({"schema": 1, "kind": "tline", "tline": {"target_vc1": 1.0, "params": {"R": 0}}},
      "tline.params.R"),
+    ({"schema": 1, "kind": "tline", "tline": {"params": {"R": 0}}}, "tline.params.R"),
     ({"schema": 1, "kind": "tline", "tline": {"gains": {"K_P": 1.0}, "params": {"G": 0}}},
      "tline.params.G"),
     (_hvac_cfg(controller="dyn_feedback", initial_input=["a", "b"]), "plant.initial_input"),

@@ -33,6 +33,15 @@ from passiflow.primal_dual import (
                    "or on_sample", id=f"integrate-floats-{next(iter(kw))}")
       for kw in ({"guards": lambda t, x: x}, {"clamp_nonneg": [0]},
                  {"stop_when_converged": True}, {"on_sample": lambda t, x: None})),
+    # bool is an Integral, but True is not a step of 1.0 or a count of 1
+    *(pytest.param(lambda name=name: IntegratorConfig(**{name: True}),
+                   ValueError, f"IntegratorConfig.{name} must be {message}",
+                   id=f"config-{name}-True")
+      for name, message in [("step", "finite and > 0"), ("max_time", "finite and > 0"),
+                            ("event_tol", "finite and > 0"),
+                            ("convergence_tol", "finite and > 0"),
+                            ("convergence_window", "an integer >= 1"),
+                            ("record_every", "an integer >= 1")]),
 ])
 def test_input_checks_raise_their_messages(call, exc, message):
     with pytest.raises(exc) as info:
