@@ -171,17 +171,19 @@ class StorageTrace:
 
     @property
     def margin(self) -> np.ndarray:
+        """Per sample; non-finite wherever the storage or the supply is."""
         d = self.supply_integral - self.storage
-        return d - np.maximum.accumulate(d)
+        with np.errstate(invalid="ignore"):     # inf - inf, read as NaN
+            return d - np.maximum.accumulate(d)
 
     def report(self, audit_tol: float | None = None) -> dict:
         """``verdict`` (PASS/FAIL), ``min_margin`` and ``worst_time``, the time
         of the worst margin.  A non-finite storage value has a non-finite
-        margin, which fails the audit."""
+        margin, which fails the audit; the first one is the worst."""
         if audit_tol is None:
             audit_tol = default_audit_tol(self.storage)
         m = self.margin
-        k = int(np.argmin(m))
+        k = int(np.argmin(np.where(np.isfinite(m), m, -np.inf)))
         return {"verdict": "PASS" if m[k] >= -audit_tol else "FAIL",
                 "min_margin": float(m[k]), "worst_time": float(self.times[k])}
 

@@ -148,17 +148,40 @@ def cfl_limit(p: LineParams, M: int) -> float:
 
 
 def tline_rhs(p: LineParams, y: np.ndarray, I0: float, M: int) -> np.ndarray:
-    """Semidiscrete right-hand side over the packed state vector."""
-    dz = 1.0 / M
-    i, v, vC0, vC1 = unpack(p, y, M)
-    v_z = _dz(v, dz)
-    # the interior voltages alone are dynamic, so only their i_z is needed
-    i_z = (i[2:] - i[:-2]) / (2 * dz)
+    """Semidiscrete right-hand side over the packed state vector.
+
+    ``-(v_z + R i) / L`` and ``-(G v + i_z) / C``, with ``v_z`` and ``i_z``
+    the stencils of :func:`_dz` over the profiles of :func:`unpack`.  The
+    rate is written straight into its packed output: the voltage block
+    first holds the interior ``v_z``, then ``i_z``.  Each entry goes through
+    the same IEEE operations in the same order as that form; dividing by
+    ``-L`` in place of negating first is exact.
+    """
+    two_dz = 2 * (1.0 / M)
+    i0, iM = float(y[0]), float(y[M])
+    vC0, vC1 = float(y[2 * M]), float(y[2 * M + 1])
+    v0 = vC0 - i0 * p.R0
+    vM = p.R1 * iM + vC1
+    v = y[M + 1: 2 * M]                      # the interior voltages v1 .. v(M-1)
+    v1, v2, vM2, vM1 = float(v[0]), float(v[1]), float(v[-2]), float(v[-1])
     dy = np.empty(2 * M + 2)
-    dy[: M + 1] = -(v_z + p.R * i) / p.L
-    dy[M + 1: 2 * M] = -(p.G * v[1:-1] + i_z) / p.C
-    dy[2 * M] = (I0 - i[0]) / p.C0
-    dy[2 * M + 1] = i[-1] / p.C1
+    di, dv = dy[: M + 1], dy[M + 1: 2 * M]
+    np.subtract(v[2:], v[:-2], out=dv[1:-1])
+    dv[0] = v2 - v0
+    dv[-1] = vM - vM2
+    np.divide(dv, two_dz, out=dv)
+    np.multiply(y[1:M], p.R, out=di[1:-1])
+    np.add(dv, di[1:-1], out=di[1:-1])
+    di[0] = (-3 * v0 + 4 * v1 - v2) / two_dz + p.R * i0
+    di[-1] = (3 * vM - 4 * vM1 + vM2) / two_dz + p.R * iM
+    np.divide(di, -p.L, out=di)
+    # the interior voltages alone are dynamic, so only their i_z is needed
+    np.subtract(y[2: M + 1], y[: M - 1], out=dv)
+    np.divide(dv, two_dz, out=dv)
+    np.add(p.G * v, dv, out=dv)
+    np.divide(dv, -p.C, out=dv)
+    dy[2 * M] = (I0 - i0) / p.C0
+    dy[2 * M + 1] = iM / p.C1
     return dy
 
 

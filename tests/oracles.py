@@ -11,9 +11,12 @@ cross-check the generic primal-dual flow.  The clamp set, a boolean mask in
 the storage and the switch classification of ``solve`` are written out per
 sample and per event batch from it.  The transmission line's stencil and
 closed-loop functional are written out for one state, as the references of
-their block evaluation.  The four plant loops the CLI runs are written out
-at the very end as they were before their scalar closed forms: numpy arrays
-for ``g``, ``M``, ``Gamma`` and ``alpha``, and numpy's products.
+their block evaluation, and its right-hand side over whole profiles, as the
+reference of the one-buffer rate.  The CLI's CSV writer is kept in text
+mode, as the reference of the binary one.  The four plant loops the CLI runs
+are written out at the very end as they were before their scalar closed
+forms: numpy arrays for ``g``, ``M``, ``Gamma`` and ``alpha``, and numpy's
+products.
 """
 
 import itertools
@@ -340,6 +343,27 @@ def reference_dz(values: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
+def reference_tline_rhs(p, y, I0, M) -> np.ndarray:
+    """``passiflow.tline.tline_rhs`` written over whole profiles: ``v`` with
+    its end nodes unpacked, the stencil of :func:`reference_dz`, and each
+    block negated before its division.  No finiteness check, so non-finite
+    states pass through."""
+    dz = 1.0 / M
+    i = y[: M + 1]
+    v = np.empty(M + 1)
+    v[1:-1] = y[M + 1: 2 * M]
+    v[0] = y[2 * M] - i[0] * p.R0
+    v[-1] = p.R1 * i[-1] + y[2 * M + 1]
+    v_z = reference_dz(v, dz)
+    i_z = (i[2:] - i[:-2]) / (2 * dz)
+    dy = np.empty(2 * M + 2)
+    dy[: M + 1] = -(v_z + p.R * i) / p.L
+    dy[M + 1: 2 * M] = -(p.G * v[1:-1] + i_z) / p.C
+    dy[2 * M] = (I0 - i[0]) / p.C0
+    dy[2 * M + 1] = i[-1] / p.C1
+    return dy
+
+
 def reference_closed_loop_lyapunov(p, state, targets, adm, K_I) -> float:
     """``passiflow.tline.closed_loop_lyapunov`` on one ``LineState``, written
     per state: the target profile and the coefficients computed first, the
@@ -370,6 +394,18 @@ def reference_closed_loop_lyapunov(p, state, targets, adm, K_I) -> float:
     value += 0.5 * p.R1 * state.i[-1] ** 2
     value += 0.5 * K_I * (state.vC0 - vC0_star) ** 2
     return float(value)
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """``passiflow.cli._write_csv`` in text mode, each row formatted as a
+    ``str`` and encoded by the file: the reference of its binary writer."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        line = None
+        for row in rows:
+            if line is None:
+                line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) + "\r\n"
+            fh.write(line % tuple(row))
 
 
 def reference_prlc_power_shaping_rhs(p, x, i_star, K) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,22 @@ class TestLyapunovAudit:
         # the slack scales with the finite values only, so inf cannot widen it
         audit = lyapunov_audit([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, np.inf, np.inf])
         assert audit == {"verdict": "FAIL", "min_margin": -np.inf, "worst_time": 2.0}
+
+    def test_the_first_non_finite_value_is_the_worst(self):
+        # the NaN at t = 2 comes after V is already inf at t = 1
+        audit = lyapunov_audit([0.0, 1.0, 2.0, 3.0], [1.0, np.inf, np.nan, 1.0])
+        assert audit == {"verdict": "FAIL", "min_margin": -np.inf, "worst_time": 1.0}
+
+    @pytest.mark.parametrize("V, worst_time", [
+        pytest.param([1.0, -np.inf, 1.0], 1.0, id="minus-inf"),
+        pytest.param([np.inf, 1.0, 1.0], 0.0, id="inf-first"),
+    ])
+    def test_inf_minus_inf_fails_without_a_warning(self, V, worst_time):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            audit = lyapunov_audit([0.0, 1.0, 2.0], V)
+        assert audit["verdict"] == "FAIL" and audit["worst_time"] == worst_time
+        assert np.isnan(audit["min_margin"])
 
     def test_slack_scales_with_the_values(self):
         # default slack 1e-6 (1 + max |V|) forgives a rise of 1e-6 at |V| ~ 1

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import reference_line_state
+from oracles import reference_line_state, reference_write_csv
 from passiflow import brayton_moser, cli, ode, plants, primal_dual, svm, tline
 from passiflow.brayton_moser import lyapunov_audit
 from passiflow.ode import Trajectory
@@ -901,6 +901,21 @@ def test_write_csv_matches_csv_writer(tmp_path):
         w.writerow(["t", "x", "y", "tag"])
         for row in rows:
             w.writerow([c if isinstance(c, str) else f"{float(c):.17g}" for c in row])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("header, rows", [
+    pytest.param(["t", "tag"], [], id="header-only"),
+    pytest.param(["t", "x0", "x1", "x2"],
+                 [[0.0, -0.0, np.inf, -np.inf], [np.nan, 5e-324, 1.7976931348623157e308, -1e-300],
+                  [0.1, 2.0 / 3.0, -5e-324, -1.7976931348623157e308]], id="extremes"),
+    pytest.param(["x1", "x2", "label"],
+                 np.column_stack([[[0.1, -0.0], [np.nan, 5e-324]], [1.0, -1.0]]), id="float64"),
+    pytest.param(["t", "tag"], [(0.5, "g0"), (1.25, "g12"), (-0.0, "g3")], id="float-str"),
+])
+def test_write_csv_is_the_text_writers_bytes(tmp_path, header, rows):
+    cli._write_csv(tmp_path / "a.csv", header, iter(rows))
+    reference_write_csv(tmp_path / "b.csv", header, iter(rows))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 

@@ -10,6 +10,7 @@ from oracles import (
     reference_dz,
     reference_line_energy,
     reference_line_state,
+    reference_tline_rhs,
 )
 from passiflow import tline
 from passiflow.ode import IntegratorConfig, integrate
@@ -297,6 +298,31 @@ def test_block_unpack_and_stencil_equal_each_state_bitwise(M, B):
             ref = reference_dz(np.ascontiguousarray(values[k]), dz)
             assert bitwise_equal(block[k], ref)
             assert bitwise_equal(tline._dz(values[k], dz), ref)
+
+
+@pytest.mark.parametrize("M", (8, 9, 16, 50, 200))
+def test_rhs_equals_the_whole_profile_reference_bitwise(M):
+    # Parameters from 1e-3 to 1e3, on some draws with R0, R1 or every
+    # resistance 0; states and source currents scaled from 1e-300 to 1e300,
+    # every third draw with inf or nan at an end, a capacitor or inside.
+    # Only a NaN's sign may differ: -(a)/L is computed as a/(-L).
+    rng = np.random.default_rng(M)
+    ends = np.array([0, 1, M - 1, M, M + 1, M + 2, 2 * M - 2, 2 * M - 1, 2 * M, 2 * M + 1])
+    for k in range(60):
+        vals = 10.0 ** rng.uniform(-3.0, 3.0, 8)        # R L C G R0 C0 R1 C1
+        vals[[[], [4], [6], [0, 3, 4, 6]][k % 4]] = 0.0
+        p = LineParams(*vals)
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        y = scale * rng.normal(size=2 * M + 2)
+        I0 = scale * rng.normal()
+        if k % 3 == 0:
+            at = np.append(rng.choice(ends, 2), rng.integers(2 * M + 2))
+            y[at] = rng.choice([np.inf, -np.inf, np.nan], 3)
+        with np.errstate(all="ignore"):
+            got, ref = tline_rhs(p, y, I0, M), reference_tline_rhs(p, y, I0, M)
+        assert np.array_equal(got, ref, equal_nan=True)
+        number = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(ref[number]))
 
 
 @pytest.mark.parametrize("M", LINE_GRIDS)
