@@ -59,9 +59,12 @@ value, is written as ``null``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import numbers
 import sys
+import warnings
 from collections import namedtuple
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -456,9 +459,11 @@ def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
         d.need_num("audit.audit_tol", blk["audit_tol"], 0)
     if d:
         return None
-    with open(path) as fh:      # loadtxt parses in far less memory than genfromtxt
+    with open(path) as fh, warnings.catch_warnings():
+        # no data row is the diagnostic below, not also a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         names = [name.strip() for name in fh.readline().split(",")]
-        try:
+        try:        # loadtxt parses in far less memory than genfromtxt
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError:              # a non-numeric cell or a ragged row
             data = np.empty((0, 0))
@@ -484,15 +489,26 @@ def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
 # experiment bodies: each writes its artifacts and returns its summary
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CRLF CSV lines, numbers as ``%.17g``.
+# Values formatted at once by :func:`_csv_floats`.  A call costs about 60 us
+# plus 0.1-0.2 us a value on a 2-vCPU x86 host, and its temporaries peak at
+# about 400 bytes a value, so 2,048 values keep them under 1 MB.
+_CHUNK = 2048
+# A chunk of fewer values is written one ``%`` row at a time: the two cost
+# the same at 100-150 values, 2 or 7 a row (``benchmarks/csv_kernel.py``).
+_SMALL = 150
 
-    Strings, the header's and the cells', are written as they are in ASCII
-    (no quoting); the first row's cell types fix the line format.  Rows are
-    consumed lazily, so pass a generator.  The file is binary and each row
-    is one ``bytes`` format, so no text layer encodes the rows again, which
-    cost up to a tenth of this writer; ``%.17g`` itself, 0.5-0.7 us a value
-    on a 2-vCPU x86 host, is the floor of any byte-identical format.
+
+def _write_csv(path, header, rows=(), blocks=()) -> None:
+    """Write ``header``, then ``rows``, then ``blocks`` as CRLF CSV lines,
+    every number as ``%.17g`` writes it.
+
+    A row's ``str`` cells, like the header's, are written as they are in
+    ASCII (no quoting); the first row's cell types fix the line format.
+    Each block is a tuple of float arrays of equal length whose columns are
+    written side by side, row by row; it is cut into as few chunks of at most
+    ``_CHUNK`` values as its rows allow and each chunk formatted by
+    :func:`_csv_floats`: 0.15-0.25 us a value on a large block on a 2-vCPU
+    x86 host, where one ``bytes %`` a row takes 0.3-0.8 us.
     """
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode("ascii") + b"\r\n")
@@ -504,12 +520,183 @@ def _write_csv(path, header, rows) -> None:
             if strings:
                 row = [c.encode("ascii") if isinstance(c, str) else c for c in row]
             fh.write(line % tuple(row))
+        per_chunk = max(1, _CHUNK // len(header))
+        for block in blocks:
+            n = len(block[0])
+            chunks = max(1, -(-n // per_chunk))     # the fewest within the budget,
+            step = max(1, -(-n // chunks))          # of rows as equal as they can be
+            for k in range(0, n, step):
+                fh.write(_csv_floats(np.column_stack([col[k:k + step] for col in block])))
 
 
 def _write_samples(path, names, times, values) -> None:
-    """Write ``t`` and ``names``: row ``k`` is ``values[k]`` at ``times[k]``, converted alone."""
-    _write_csv(path, ["t", *names],
-               ([t] + row.tolist() for t, row in zip(times.tolist(), values)))
+    """Write ``t`` and ``names``: row ``k`` is ``values[k]`` at ``times[k]``."""
+    _write_csv(path, ["t", *names], blocks=[(times, values)])
+
+
+def _csv_floats(a) -> bytes:
+    """The CSV lines of the 2-D float array ``a``: each value as
+    ``b"%.17g" % x`` writes it, ``,`` between values and CRLF after each row.
+
+    Each finite nonzero ``|x| = f 2^e`` (``np.frexp``) is scaled to its 17
+    significant digits, ``|x| 10^(16 - X)`` in [1e16, 1e17), where ``X`` is
+    the decimal exponent that ``%.17g`` prints: ``floor(log10(2^(e - 1)))``
+    or one more, decided exactly by the least double from which ``%.17g``
+    prints the larger.  ``f 10^(16 - X)`` is a Dekker product with
+    ``10^(16 - X) = (hi + lo) 2^B`` as a double-double, scaled by
+    ``2^(e + B)``; its high part is an even integer, so ``rint`` of its low
+    part rounds the sum half-even.  The product is exact where ``lo`` is 0
+    (``0 <= 16 - X <= 22``, every exact tie among them).  Elsewhere it errs
+    by below 1e-14 of a unit, and a value within the guard band of
+    ``_csv_tables`` around a half unit is written by ``%``, as are nan and
+    inf.  The digits then fill a 48-byte slot per value, six 8-byte words:
+    ``"-0.000"`` and digit 1 with a dot slot, four words of four digits each
+    with a dot slot, and ``"e+308"`` with the separator.  A mask picked by
+    (layout class, significant digits, sign) zeroes every byte not in
+    ``%g``'s text (fixed notation for -4 <= X < 17 without trailing zeros
+    or a trailing dot, ``e+XX`` otherwise, ``-0`` for -0.0), and the zeros
+    are deleted.  Blocks of fewer than ``_SMALL`` values are written by
+    ``%``, which is faster there.
+    """
+    a = np.asarray(a, dtype=float)
+    rows, cols = a.shape
+    x = a.ravel()
+    if x.size < _SMALL:
+        line = b",".join([b"%.17g"] * cols) + b"\r\n"
+        return b"".join(line % tuple(row) for row in a.tolist())
+    T = _csv_tables()
+    take = np.take
+    ax = np.abs(x)
+    f, e = np.frexp(ax)
+    ei = np.add(e, T.e_bias, dtype=np.intp)
+    xi = take(T.x_row, ei)                  # the row of X
+    xi += ax >= take(T.x_next, ei)
+    bad = ~np.isfinite(f)
+    f[bad] = 0.0
+    xi[bad] = 0
+    hh, hl, lo, hi, half = take(T.scale, xi, axis=0).T
+    b, cls = take(T.layout, xi, axis=0).T
+    b += ei
+    b <<= 52
+    scale = b.view(np.float64)              # 2^(e + B), from its exponent bits
+    fh = (f.view(np.uint64) & 0xFFFFFFFFF8000000).view(np.float64)   # top 26 bits
+    fl = f - fh
+    p = f * hi
+    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl + f * lo
+    err *= scale
+    rounded = np.rint(err)
+    by_percent = np.flatnonzero((np.abs(err - rounded) > half) | bad)
+    p *= scale
+    digits = np.add(p, rounded, dtype=np.int64, casting="unsafe")    # 0 for 0.0
+    g = np.empty((5, x.size), np.int64)     # digit 1, then four groups of four
+    high = digits // 100000000
+    low = digits - high * 100000000
+    np.floor_divide(low, 10000, out=g[3])
+    np.subtract(low, g[3] * 10000, out=g[4])
+    low = high // 10000
+    np.subtract(high, low * 10000, out=g[2])
+    np.floor_divide(low, 10000, out=g[0])
+    np.subtract(low, g[0] * 10000, out=g[1])
+    cls += take(T.last_digit, g + T.group_offset).max(axis=0)
+    cls += np.signbit(x)
+    words = np.empty((6, x.size), np.uint64)
+    take(T.head, g[0], out=words[0])
+    take(T.quad, g[1:], out=words[1:5])
+    take(T.tail, xi, out=words[5])
+    text = np.bitwise_and(words.T, take(T.mask, cls, axis=0), order="C")
+    text = text.view(np.uint8).reshape(rows, cols, 48)
+    text[:, -1, 45:47] = np.frombuffer(b"\r\n", np.uint8)
+    text = text.reshape(-1, 48)
+    for i in by_percent:
+        value = np.frombuffer(b"%.17g" % x[i], np.uint8)
+        text[i, :45] = 0
+        text[i, :value.size] = value
+    return text.tobytes().translate(None, b"\0")
+
+
+_CsvTables = namedtuple("_CsvTables", "e_bias x_row x_next scale layout last_digit group_offset "
+                                      "head quad tail mask")
+
+
+@functools.cache
+def _csv_tables() -> _CsvTables:
+    """The read-only tables of :func:`_csv_floats`, built from Python
+    integers on first use (about 5 ms)."""
+    x_min, x_max, e_bias = -324, 308, 1074      # decimal exponents; frexp's e >= -1073
+    nx = x_max - x_min + 1
+    # per X, row X - x_min: 10^(16 - X) = (hi + lo) 2^B, hi in [1, 2) split
+    # as hh + hl of 26 bits each, and half a unit less the guard band; the
+    # exponent bits of 2^B less e_bias, and the mask row of the layout class
+    scale = np.empty((nx, 5))
+    layout = np.empty((nx, 2), np.intp)
+    x_next = np.empty(nx + 1)
+    for row, X in enumerate(range(x_min, x_max + 1)):
+        num, den = (10 ** (16 - X), 1) if X <= 16 else (1, 10 ** (X - 16))
+        B = num.bit_length() - den.bit_length()
+        num, den = (num, den << B) if B >= 0 else (num << -B, den)
+        if num < den:
+            B, num = B - 1, 2 * num
+        hi = num / den                                  # correctly rounded
+        p, q = hi.as_integer_ratio()
+        lo = (num * q - p * den) / (den * q)
+        hh = hi * 134217729.0 - (hi * 134217729.0 - hi)
+        # the double-double errs by below 1e-14 of a unit; the guard is wider
+        scale[row] = hh, hi - hh, lo, hi, 0.5 - 1e-9 if lo else 0.5
+        cls = X if 0 <= X < 17 else 16 - X if -4 <= X < 0 else 21 + (abs(X) >= 100)
+        layout[row] = 1023 - e_bias + B, 36 * cls
+        # the least double from which %.17g prints X: 10^X less half a unit
+        num, den = (2 * 10 ** 17 - 1) * 10 ** max(X - 17, 0), 2 * 10 ** max(17 - X, 0)
+        d = num / den
+        p, q = d.as_integer_ratio()
+        x_next[row] = math.nextafter(d, math.inf) if p * den < num * q else d
+    x_next[nx] = math.inf
+    # the row of X = floor(log10(2^(e - 1))) per frexp exponent e
+    x_row = ((np.arange(-e_bias, 1025) - 1) * 78913 >> 18) - x_min
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)     # of 0..9999
+    quad = np.full((10000, 8), ord("."), np.uint8)      # 4 digits, each with a dot slot
+    quad[:, ::2] = digits.T + ord("0")
+    # twice the place of the last nonzero digit (digit 1 is place 1), 0 if none
+    last = (np.arange(1, 5, dtype=np.uint8)[:, None] * (digits != 0)).max(axis=0)
+    last_digit = np.zeros((5, 10000), np.int8)
+    last_digit[0, 1:10] = 2
+    for k in (1, 2, 3, 4):
+        last_digit[k] = np.where(last > 0, 2 * (4 * k - 3 + last), 0)
+    head = np.tile(np.frombuffer(b"-0.000..", np.uint8), (10, 1))
+    head[:, 6] = np.arange(10) + ord("0")
+    X = np.arange(x_min, x_max + 1)
+    tail = np.zeros((nx, 8), np.uint8)                  # e, sign, 3 digits, ",", "\n"
+    tail[:, 0] = ord("e")
+    tail[:, 1] = np.where(X < 0, ord("-"), ord("+"))
+    for col, div in ((2, 100), (3, 10), (4, 1)):
+        tail[:, col] = np.abs(X) // div % 10 + ord("0")
+    tail[:, 5:7] = np.frombuffer(b",\n", np.uint8)
+    # the kept bytes per (class, significant digits nd, sign): class X for a
+    # fixed X >= 0, 16 - X for a fixed X < 0, 21 and 22 for 2- and 3-digit
+    # exponents; nd = 0 is a zero.  A row end keeps its "\n" besides.
+    c = np.arange(48)
+    cls = np.arange(23)[:, None, None, None]
+    nd = np.arange(18)[None, :, None, None]
+    neg = np.arange(2)[None, None, :, None]
+    X = np.where(cls < 17, cls, 16 - cls)
+    whole = np.where(cls < 17, cls + 1, np.where(cls < 21, 0, 1))    # digits before the dot
+    place = np.where(c >= 8, (c - 8) // 2 + 1, 0)        # digit place - 1 of cols 6..39
+    digit = (c >= 6) & (c < 40) & (c % 2 == 0)
+    dot = (c >= 6) & (c < 40) & (c % 2 == 1)
+    number = nd > 0
+    mask = (((c == 0) & (neg == 1))
+            | (number & (cls >= 17) & (cls < 21) & (c >= 1) & (c <= 1 - X))
+            | ((c == 6) & (nd == 0))
+            | (number & digit & (place < np.maximum(nd, whole)))
+            | (number & dot & (place == whole - 1) & (nd > whole))
+            | (number & (c >= 40) & (c < 45) & ((cls == 22) | ((cls == 21) & (c != 42))))
+            | (c == 45))
+    tables = _CsvTables(e_bias, x_row, x_next[x_row + 1], scale, layout, last_digit.ravel(),
+                        np.arange(5)[:, None] * 10000, head.view(np.uint64).ravel(),
+                        quad.view(np.uint64).ravel(), tail.view(np.uint64).ravel(),
+                        (mask.reshape(-1, 48) * np.uint8(255)).view(np.uint64))
+    for table in tables[1:]:
+        table.flags.writeable = False
+    return tables
 
 
 def _solve_summary(result) -> dict:
@@ -525,16 +712,14 @@ def _run_solve(inputs, out: Path) -> dict:
                    traj.times, traj.states)
     _write_csv(out / "events.csv", ["t", "tag"], traj.events)
     _write_csv(out / "storage.csv", ["t", "storage", "supply", "margin"],
-               zip(trace.times.tolist(), trace.storage.tolist(),
-                   trace.supply_integral.tolist(), trace.margin.tolist()))
+               blocks=[(trace.times, trace.storage, trace.supply_integral, trace.margin)])
     return _solve_summary(result)
 
 
 def _run_svm(inputs, out: Path) -> dict:
     data_args, sv_tol, icfg = inputs
     data = svm_mod.generate_gaussian_classes(**data_args)
-    _write_csv(out / "dataset.csv", ["x1", "x2", "label"],
-               np.column_stack([data.points, data.labels]))
+    _write_csv(out / "dataset.csv", ["x1", "x2", "label"], blocks=[(data.points, data.labels)])
     result = svm_mod.train_svm(data, cfg=icfg)
     traj = result.trajectory
     _write_samples(out / "beta_trajectory.csv", ["beta1", "beta2", "beta0"],
@@ -556,7 +741,7 @@ def _run_svm(inputs, out: Path) -> dict:
 
 def _lyapunov_report(out: Path, times, V) -> dict:
     """Write ``lyapunov.csv``; return its audit's verdict, worst margin and time."""
-    _write_csv(out / "lyapunov.csv", ["t", "V"], zip(times.tolist(), V.tolist()))
+    _write_csv(out / "lyapunov.csv", ["t", "V"], blocks=[(times, V)])
     audit = lyapunov_audit(times, V)
     return {"lyapunov_monotone": audit.pop("verdict"), **audit}
 
@@ -613,11 +798,10 @@ def _blocks(traj):
         yield traj.times[k:k + _BLOCK], traj.states[k:k + _BLOCK]
 
 
-def _spacetime_rows(p, M, traj):
-    """``t, i0..iM, v0..vM, vC0, vC1`` per sample, unpacked a block at a time."""
+def _spacetime_blocks(p, M, traj):
+    """The columns ``t, i0..iM, v0..vM, vC0, vC1``, unpacked a block of samples at a time."""
     for times, states in _blocks(traj):
-        for row in np.column_stack((times, *tline_mod.unpack(p, states, M))):
-            yield row.tolist()
+        yield (times, *tline_mod.unpack(p, states, M))
 
 
 def _run_tline(inputs, out: Path) -> dict:
@@ -627,7 +811,7 @@ def _run_tline(inputs, out: Path) -> dict:
     final = tline_mod.unpack_state(p, traj.final_state, M)
     header = (["t"] + [f"i{k}" for k in range(M + 1)]
               + [f"v{k}" for k in range(M + 1)] + ["vC0", "vC1"])
-    _write_csv(out / "spacetime.csv", header, _spacetime_rows(p, M, traj))
+    _write_csv(out / "spacetime.csv", header, blocks=_spacetime_blocks(p, M, traj))
     return {
         "mode": "boundary_pi",
         "I0_star": float(I0_star),

@@ -787,8 +787,8 @@ def test_audit_trace_without_its_columns_is_a_diagnostic(tmp_path, header, missi
                 if d.startswith(f"audit.trace_csv: no column {column} in ")], payload
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")
-@pytest.mark.parametrize("body, code", [("0,1\n", 0), ("", 2), ("0,1,2\n1,0,0\n", 2),
+@pytest.mark.filterwarnings("error::UserWarning")        # the diagnostic alone
+@pytest.mark.parametrize("body, code", [("0,1\n", 0), ("", 2), ("\r\n", 2), ("0,1,2\n1,0,0\n", 2),
                                         ("0,1\n1,abc\n", 2), ("0,1\n1,0.5,0\n", 2)])
 def test_audit_trace_needs_one_full_row_per_sample(tmp_path, body, code):
     trace = tmp_path / "trace.csv"
@@ -801,6 +801,17 @@ def test_audit_trace_needs_one_full_row_per_sample(tmp_path, body, code):
     else:
         assert payload["validation_errors"] == [
             "audit.trace_csv: needs rows of 2 numbers under its header"]
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_empty_audit_trace_is_a_diagnostic(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("")
+    cfg = {"schema": 1, "kind": "audit", "audit": {"trace_csv": str(trace)}}
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION
+    assert "audit.trace_csv: needs rows of 1 numbers under its header" in payload["validation_errors"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -997,13 +1008,16 @@ def test_hvac_power_shaping_divisor_gains_must_be_positive(tmp_path, gain):
 
 @pytest.mark.parametrize("M", [8, 200])
 @pytest.mark.parametrize("K", [1, 7, 32, 75])
-def test_spacetime_rows_equal_each_sample_unpacked_alone(M, K):
-    # Rows are built a block of samples at a time; each must be the row of
-    # its sample unpacked alone, bit for bit, over full and partial blocks.
+def test_spacetime_blocks_equal_each_sample_unpacked_alone(M, K):
+    # Columns are unpacked a block of samples at a time; each block row must
+    # be the row of its sample unpacked alone, bit for bit, over full and
+    # partial blocks.
     p = tline.LineParams(R0=0.7, R1=1.3)
     rng = np.random.default_rng([M, K])
     traj = Trajectory(np.cumsum(rng.uniform(0.1, 1.0, K)), rng.normal(size=(K, 2 * M + 2)))
-    rows = list(cli._spacetime_rows(p, M, traj))
+    blocks = list(cli._spacetime_blocks(p, M, traj))
+    assert [len(block[0]) for block in blocks[:-1]] == [cli._BLOCK] * (len(blocks) - 1)
+    rows = np.vstack([np.column_stack(block) for block in blocks]).tolist()
     states = [reference_line_state(p, y, M) for y in traj.states]
     expected = [[t] + s.i.tolist() + s.v.tolist() + [s.vC0, s.vC1]
                 for t, s in zip(traj.times.tolist(), states)]
