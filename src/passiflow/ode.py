@@ -15,13 +15,15 @@ the next step, never below the configured one, and no step is rejected
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  Every step is
 deterministic, so switch bookkeeping and storage audits are reproducible;
 there is no stiff path.  An unguarded fixed-step run whose rhs works on
-plain floats may step a tuple of them instead of an array (``floats=True``),
-per component in the array path's operation order and so bit for bit.
+plain floats may step a tuple of them instead of an array (``floats=True``)
+by a straight-line RK4 step generated once per state dimension, per
+component in the array path's operation order and so bit for bit.
 This module writes no files: :mod:`passiflow.cli` writes every artifact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -75,10 +77,11 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        # bool is an Integral: True and False are refused, as the CLI refuses them
+        # bool is an Integral and np.bool_ compares as 0 or 1: True and False
+        # are refused, as the CLI refuses them
         for name in ("step", "max_time", "event_tol", "convergence_tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not 0 < value < np.inf:
+            if isinstance(value, (bool, np.bool_)) or not 0 < value < np.inf:
                 raise ValueError(f"IntegratorConfig.{name} must be finite and > 0")
         for name in ("convergence_window", "record_every"):
             value = getattr(self, name)
@@ -156,14 +159,35 @@ def _rk4_step(rhs, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1, k4
 
 
-def _rk4_floats(rhs, t, x, h):
-    """:func:`_rk4_step`'s state on a tuple of floats, in its operation order."""
-    k1 = rhs(t, x)
-    k2 = rhs(t + 0.5 * h, tuple([a + 0.5 * h * b for a, b in zip(x, k1)]))
-    k3 = rhs(t + 0.5 * h, tuple([a + 0.5 * h * b for a, b in zip(x, k2)]))
-    k4 = rhs(t + h, tuple([a + h * b for a, b in zip(x, k3)]))
-    return tuple([a + h / 6.0 * (p + 2.0 * q + 2.0 * r + s)
-                  for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
+@functools.cache
+def _rk4_floats(d):
+    """``step(rhs, t, x, h)``: :func:`_rk4_step`'s state on a tuple of ``d``
+    floats, each component by the same IEEE operations in the same order.
+    The step is straight-line code generated once per ``d`` (as ``namedtuple``
+    generates a class): ``x`` and each rate are unpacked into locals, each
+    stage state is one tuple display, and a rate whose length is not ``d``
+    raises ``ValueError``."""
+    def tup(term):
+        return "(" + "".join(term.format(i=i) + ", " for i in range(d)) + ")"
+
+    src = f"""\
+def step(rhs, t, x, h):
+    k = {tup("x{i}")} = x
+    try:
+        k = {tup("a{i}")} = rhs(t, x)
+        k = {tup("b{i}")} = rhs(t + 0.5 * h, {tup("x{i} + 0.5 * h * a{i}")})
+        k = {tup("c{i}")} = rhs(t + 0.5 * h, {tup("x{i} + 0.5 * h * b{i}")})
+        k = {tup("e{i}")} = rhs(t + h, {tup("x{i} + h * c{i}")})
+    except ValueError:  # from unpacking k, or from rhs while k held a good rate
+        if len(k) != {d}:
+            raise ValueError(f"rhs returned a rate of length {{len(k)}} "
+                             f"for a state of length {d}") from None
+        raise
+    return {tup("x{i} + h / 6.0 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})")}
+"""
+    namespace = {}
+    exec(src, namespace)
+    return namespace["step"]
 
 
 def _anderson_bjorck(s_new, s_old):
@@ -230,11 +254,13 @@ def integrate(
         resets the step to ``step``.  The rate is the one the check
         evaluates anyway, so growth adds no ``rhs`` call.
     floats : bool
-        Step a tuple of Python floats, which ``rhs`` takes and returns as a
-        sequence, per component in the array path's operation order: the
-        samples, stats and ``DivergenceError`` equal the array path's bit for
-        bit, without numpy's cost per small array.  A run with ``guards``,
-        ``clamp_nonneg``, ``stop_when_converged`` or ``on_sample`` refuses it.
+        Step a tuple of Python floats, which ``rhs`` takes as a tuple and
+        returns as a sequence of the state's length, by a straight-line step
+        generated for that length (:func:`_rk4_floats`) in the array path's
+        operation order: the samples, stats and ``DivergenceError`` equal the
+        array path's bit for bit, without numpy's cost per small array.  A run
+        with ``guards``, ``clamp_nonneg``, ``stop_when_converged`` or
+        ``on_sample`` refuses it.
     smooth_guards : sequence of int
         Indices of guards that are continuous along the RK4 map inside a
         step.  While one of them changes sign over the bracket, the search
@@ -272,6 +298,9 @@ def integrate(
     ------
     DivergenceError
         If the state leaves the finite range.
+    ValueError
+        If a rate's shape is not the state's: checked on the first step, and
+        on floats a rate's length at every stage.
     """
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
@@ -320,9 +349,10 @@ def integrate(
     _record(t, x)
     if floats:      # steps to t_stop, so the array loop below takes no step
         x = tuple(x.tolist())
+        step = _rk4_floats(len(x))
         while t < t_stop:
             h_step = min(h, t_end - t)
-            x_new = _rk4_floats(rhs, t, x, h_step)
+            x_new = step(rhs, t, x, h_step)
             if not all(map(math.isfinite, x_new)):
                 raise DivergenceError(t, np.array(x))
             x, t = x_new, t + h_step
@@ -332,6 +362,9 @@ def integrate(
     while t < t_stop:
         h_step = min(h, t_end - t)
         x_new, k1, k4 = _rk4_step(rhs, t, x, h_step)
+        if step_index == 0 and np.shape(k1) != x.shape:     # once: it may broadcast
+            raise ValueError(f"rhs returned a rate of shape {np.shape(k1)} "
+                             f"for a state of shape {x.shape}")
         stats.rk4_steps += 1
         landing = False
         travel = 0.0

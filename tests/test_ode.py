@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import finite_diff_gradient
 
@@ -33,15 +35,28 @@ from passiflow.primal_dual import (
                    "or on_sample", id=f"integrate-floats-{next(iter(kw))}")
       for kw in ({"guards": lambda t, x: x}, {"clamp_nonneg": [0]},
                  {"stop_when_converged": True}, {"on_sample": lambda t, x: None})),
-    # bool is an Integral, but True is not a step of 1.0 or a count of 1
-    *(pytest.param(lambda name=name: IntegratorConfig(**{name: True}),
+    # bool is an Integral and np.bool_ compares as 0 or 1, but True is not a
+    # step of 1.0 or a count of 1
+    *(pytest.param(lambda name=name, value=value: IntegratorConfig(**{name: value}),
                    ValueError, f"IntegratorConfig.{name} must be {message}",
-                   id=f"config-{name}-True")
+                   id=f"config-{name}-{value!r}")
       for name, message in [("step", "finite and > 0"), ("max_time", "finite and > 0"),
                             ("event_tol", "finite and > 0"),
                             ("convergence_tol", "finite and > 0"),
                             ("convergence_window", "an integer >= 1"),
-                            ("record_every", "an integer >= 1")]),
+                            ("record_every", "an integer >= 1")]
+      for value in (True, np.True_)),
+    # a rate shorter or longer than the state, which zip would cut or numpy broadcast
+    *(pytest.param(lambda rate=rate, floats=floats: integrate(
+                       rate, [1.0, 2.0], IntegratorConfig(step=0.1, max_time=0.3),
+                       floats=floats),
+                   ValueError, f"rhs returned a rate of {message}", id=f"integrate-rate-{key}")
+      for key, rate, floats, message in [
+          ("floats-1", lambda t, x: (-x[0],), True, "length 1 for a state of length 2"),
+          ("floats-3", lambda t, x: (-x[0], -x[1], 0.0), True,
+           "length 3 for a state of length 2"),
+          ("array-1", lambda t, x: -x[:1], False, "shape (1,) for a state of shape (2,)"),
+          ("array-scalar", lambda t, x: -x[0], False, "shape () for a state of shape (2,)")]),
 ])
 def test_input_checks_raise_their_messages(call, exc, message):
     with pytest.raises(exc) as info:
@@ -248,6 +263,39 @@ class TestIntegrate:
             assert writable or np.array_equal(x, samples[t])
         assert traj.states.flags.writeable
         traj.states[0, 0] = 7.0
+
+
+# Every float, with its edges drawn often: +-0.0, subnormals, +-inf and nan.
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                         np.inf, -np.inf, np.nan, 1.0, 1e308]),
+                        st.floats(width=64))
+
+
+class TestFloatStep:
+    """``ode._rk4_floats(d)``, the straight-line step on a tuple of ``d``
+    floats, against :func:`ode._rk4_step` on arrays."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 8).flatmap(lambda d: st.tuples(
+        st.lists(EDGE_FLOATS, min_size=d, max_size=d),
+        st.lists(st.lists(EDGE_FLOATS, min_size=d, max_size=d), min_size=4, max_size=4),
+        EDGE_FLOATS, EDGE_FLOATS)))
+    def test_step_equals_the_array_step_bitwise(self, case):
+        x, rates, t, h = case
+        seen = {"floats": [], "array": []}
+
+        def rhs(key, wrap):
+            def f(tv, xv):
+                seen[key].append(np.array([tv, *xv]).view(np.uint64).tolist())
+                return wrap(rates[len(seen[key]) - 1])
+            return f
+
+        got = ode._rk4_floats(len(x))(rhs("floats", tuple), t, tuple(x), h)
+        with np.errstate(all="ignore"):
+            ref, _, _ = ode._rk4_step(rhs("array", np.array), t, np.array(x), h)
+        assert type(got) is tuple and len(got) == len(x)
+        assert np.array(got, dtype=float).view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+        assert seen["floats"] == seen["array"] and len(seen["array"]) == 4
 
 
 class TestSecantEventSearch:
