@@ -17,7 +17,8 @@ deterministic, so switch bookkeeping and storage audits are reproducible;
 there is no stiff path.  An unguarded fixed-step run whose rhs works on
 plain floats may step a tuple of them instead of an array (``floats=True``)
 by a straight-line RK4 step generated once per state dimension, per
-component in the array path's operation order and so bit for bit.
+component in the array path's operation order and so bit for bit (a NaN's
+payload and sign aside).
 This module writes no files: :mod:`passiflow.cli` writes every artifact.
 """
 
@@ -149,6 +150,11 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
 
+#: Most bytes of sample rows that :func:`integrate` reserves before its first
+#: step (64 MiB), so that a tiny step over a long span cannot reserve address
+#: space without bound; a run that fills them doubles its buffer.
+SAMPLE_BUFFER_BYTES = 64 * 2**20
+
 
 def _rk4_step(rhs, t, x, h):
     """The RK4 state after ``h``, with the first and last stage rates."""
@@ -162,7 +168,9 @@ def _rk4_step(rhs, t, x, h):
 @functools.cache
 def _rk4_floats(d):
     """``step(rhs, t, x, h)``: :func:`_rk4_step`'s state on a tuple of ``d``
-    floats, each component by the same IEEE operations in the same order.
+    floats, each component by the same IEEE operations in the same order, so
+    bit for bit except a NaN's payload and sign, which numpy's array step
+    does not give the same from call to call.
     The step is straight-line code generated once per ``d`` (as ``namedtuple``
     generates a class): ``x`` and each rate are unpacked into locals, each
     stage state is one tuple display, and a rate whose length is not ``d``
@@ -219,7 +227,7 @@ def integrate(
     rhs : callable
         Vector field ``rhs(t, x) -> xdot``.
     x0 : array_like
-        Finite initial state.
+        Finite initial state, at least 1-D (1-D on floats).
     config : IntegratorConfig
     guards : optional
         Callable ``guards(t, x)`` returning all guard values as one 1-D
@@ -258,7 +266,8 @@ def integrate(
         returns as a sequence of the state's length, by a straight-line step
         generated for that length (:func:`_rk4_floats`) in the array path's
         operation order: the samples, stats and ``DivergenceError`` equal the
-        array path's bit for bit, without numpy's cost per small array.  A run
+        array path's bit for bit (a NaN's payload and sign aside, which numpy
+        does not keep either), without numpy's cost per small array.  A run
         with ``guards``, ``clamp_nonneg``, ``stop_when_converged`` or
         ``on_sample`` refuses it.
     smooth_guards : sequence of int
@@ -290,19 +299,28 @@ def integrate(
     it is current, so ``rhs`` may cache on its identity; RK4 stage states and
     search probes stay writable.  A step's state is the object the guards
     saw, and the clamp writes only ``clamp_nonneg`` entries of it.  Each
-    sample is copied once into one growing array (1024 rows to start,
-    doubling); ``Trajectory.states`` is its filled rows, writable and
-    sharing no memory with any accepted state.
+    sample is copied once into one array of ``ceil(max_time / step) //
+    record_every + 2`` rows, at most :data:`SAMPLE_BUFFER_BYTES`: a
+    fixed-step run's samples, with a row to spare when ``record_every``
+    divides its steps.  A grown step takes fewer samples; event landings
+    may take more, and a full array is copied into one of twice its rows.
+    Rows never written are never touched, so they cost address space, not
+    memory.  ``Trajectory.states`` is the filled rows, a view of that array,
+    writable and sharing no memory with any accepted state.
 
     Raises
     ------
     DivergenceError
         If the state leaves the finite range.
     ValueError
-        If a rate's shape is not the state's: checked on the first step, and
-        on floats a rate's length at every stage.
+        If ``x0`` is 0-d, or on floats not 1-D; if a rate's shape is not the
+        state's: checked on the first step, and on floats a rate's length at
+        every stage.
     """
     x = np.array(x0, dtype=float)
+    if x.ndim == 0 or (floats and x.ndim != 1):
+        need = "1-D on floats" if floats else "at least 1-D"
+        raise ValueError(f"x0 must be {need}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("initial state must be finite")
     if grow_step and not stop_when_converged:
@@ -328,8 +346,10 @@ def integrate(
     smooth_idx = np.asarray(smooth_guards, dtype=int)
     tol = config.event_tol
 
+    row_cap = max(1, SAMPLE_BUFFER_BYTES // max(1, x.nbytes))
+    steps = math.ceil(min(t_end / h, row_cap * config.record_every))
     times: list[float] = []
-    states = np.empty((1024,) + x.shape)
+    states = np.empty((min(row_cap, steps // config.record_every + 2),) + x.shape)
     events: list[tuple[float, str]] = []
     quiet = 0
     step_index = 0

@@ -57,6 +57,15 @@ from passiflow.primal_dual import (
            "length 3 for a state of length 2"),
           ("array-1", lambda t, x: -x[:1], False, "shape (1,) for a state of shape (2,)"),
           ("array-scalar", lambda t, x: -x[0], False, "shape () for a state of shape (2,)")]),
+    # a start that the array path cannot mark read-only, or the float path unpack
+    *(pytest.param(lambda x0=x0, floats=floats: integrate(
+                       lambda t, x: x, x0, IntegratorConfig(step=0.1, max_time=0.3),
+                       floats=floats),
+                   ValueError, f"x0 must be {message}", id=f"integrate-x0-{key}")
+      for key, x0, floats, message in [
+          ("array-0d", 1.0, False, "at least 1-D, got shape ()"),
+          ("floats-0d", 1.0, True, "1-D on floats, got shape ()"),
+          ("floats-2d", [[1.0, 2.0]], True, "1-D on floats, got shape (1, 2)")]),
 ])
 def test_input_checks_raise_their_messages(call, exc, message):
     with pytest.raises(exc) as info:
@@ -271,9 +280,17 @@ EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858
                         st.floats(width=64))
 
 
+def _bits(values):
+    """Each float's bits, or None for every NaN whatever its payload and sign:
+    numpy's array step does not give the same NaN bits from call to call."""
+    a = np.array(values, dtype=float)
+    return [None if v != v else b for v, b in zip(a.tolist(), a.view(np.uint64).tolist())]
+
+
 class TestFloatStep:
     """``ode._rk4_floats(d)``, the straight-line step on a tuple of ``d``
-    floats, against :func:`ode._rk4_step` on arrays."""
+    floats, against :func:`ode._rk4_step` on arrays: every value's bits,
+    +-0.0 included, except a NaN's payload and sign."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.integers(0, 8).flatmap(lambda d: st.tuples(
@@ -286,7 +303,7 @@ class TestFloatStep:
 
         def rhs(key, wrap):
             def f(tv, xv):
-                seen[key].append(np.array([tv, *xv]).view(np.uint64).tolist())
+                seen[key].append(_bits([tv, *xv]))
                 return wrap(rates[len(seen[key]) - 1])
             return f
 
@@ -294,7 +311,7 @@ class TestFloatStep:
         with np.errstate(all="ignore"):
             ref, _, _ = ode._rk4_step(rhs("array", np.array), t, np.array(x), h)
         assert type(got) is tuple and len(got) == len(x)
-        assert np.array(got, dtype=float).view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+        assert _bits(got) == _bits(ref)
         assert seen["floats"] == seen["array"] and len(seen["array"]) == 4
 
 
@@ -429,20 +446,31 @@ class TestStepGrowth:
 
 
 class TestSampleBuffer:
-    """Samples are copied into one array that starts at 1024 rows and doubles."""
+    """Samples are copied into one array of ``ceil(max_time / step) //
+    record_every + 2`` rows, up to ``ode.SAMPLE_BUFFER_BYTES``, which doubles
+    whenever event landings fill it."""
 
-    H = 0.01
-
-    @pytest.mark.parametrize("crossings, max_time", [
-        ((), 21.0),                         # > 2048 samples, growth only
-        ((1023.5,), 15.0),                  # the landing is sample 1024, the first growth
-        ((1023.5, 2047.0), 25.0),           # landings at samples 1024 and 2048
+    @pytest.mark.parametrize("step, crossings, max_time, samples, rows, landing_samples", [
+        # > 2048 samples, no growth
+        pytest.param(0.01, (), 21.0, 2101, 2102, (), id="crossings0-21.0"),
+        # the landing is sample 1024
+        pytest.param(0.01, (1023.5,), 15.0, 1502, 1502, (1024,), id="crossings1-15.0"),
+        # landings at samples 1024 and 2048
+        pytest.param(0.01, (1023.5, 2047.0), 25.0, 2502, 2502, (1024, 2048),
+                     id="crossings2-25.0"),
+        # 10 rows: three landings in the last step, the third one sample 10
+        pytest.param(0.125, (7.25, 7.5, 7.75), 1.0, 12, 20, (8, 9, 10),
+                     id="grown-at-a-landing"),
+        # 10 rows: a landing in every step, grown at samples 10 and 20
+        pytest.param(0.125, tuple(0.16 + 0.3 * j for j in range(27)), 1.0, 29, 40,
+                     range(1, 28), id="grown-twice"),
     ])
-    def test_states_are_the_accepted_states_across_growth(self, crossings, max_time):
-        # x0' = 1 reaches c = k H after k plain steps; a crossing half a step
-        # after sample 1023 lands as sample 1024, and one 1023.5 steps after
-        # that landing as sample 2048.
-        cs = [c * self.H for c in crossings]
+    def test_states_are_the_accepted_states_across_growth(self, step, crossings, max_time,
+                                                          samples, rows, landing_samples):
+        # x0' = 1 reaches c = k step after k plain steps; a crossing half a
+        # step after sample 1023 lands as sample 1024, and one 1023.5 steps
+        # after that landing as sample 2048.
+        cs = [c * step for c in crossings]
         seen = {}
 
         def rhs(t, x):
@@ -451,15 +479,16 @@ class TestSampleBuffer:
             return np.array([1.0, -x[1]])
 
         hooked = []
-        cfg = IntegratorConfig(step=self.H, max_time=max_time, convergence_tol=1e-12)
+        cfg = IntegratorConfig(step=step, max_time=max_time, convergence_tol=1e-12)
         traj = integrate(rhs, [0.0, 1.0], cfg,
                          guards=(lambda t, x: x[0] - np.array(cs)) if cs else None,
                          stop_when_converged=True,
                          on_sample=lambda t, x: hooked.append((t, x)))
-        assert traj.times.size > (2048 if max_time > 20 else 1024)
+        assert traj.times.size == samples
+        assert traj.states.base.shape[0] == rows
         landings = sorted({t for t, _ in traj.events})
         assert len(landings) == len(cs)
-        for k, t_e in zip((1024, 2048), landings):
+        for k, t_e in zip(landing_samples, landings, strict=True):
             assert traj.times[k] == t_e
         # The hook sees every sample in time order, as the read-only object
         # that rhs saw at that time.
@@ -472,6 +501,30 @@ class TestSampleBuffer:
         assert traj.states.flags.writeable
         traj.states[-1, 0] = 7.0
         assert hooked[-1][1][0] != 7.0
+
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], []])
+    @pytest.mark.parametrize("floats", [False, True])
+    def test_a_fixed_step_run_reserves_its_sample_count(self, x0, floats):
+        # 10 steps, sampled at steps 3, 6 and 9, then the final state
+        cfg = IntegratorConfig(step=0.1, max_time=1.0, record_every=3)
+        rhs = (lambda t, x: tuple(-v for v in x)) if floats else (lambda t, x: -x)
+        traj = integrate(rhs, x0, cfg, floats=floats)
+        assert traj.times.tolist() == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+        assert traj.states.shape == (5, len(x0))
+        assert traj.states.base.shape == (5, len(x0))
+
+    @pytest.mark.parametrize("step, max_time, cap_bytes, rows", [
+        (1e-9, 1e6, ode.SAMPLE_BUFFER_BYTES, ode.SAMPLE_BUFFER_BYTES // 16),
+        (1e-300, 1e300, ode.SAMPLE_BUFFER_BYTES, ode.SAMPLE_BUFFER_BYTES // 16),  # ratio inf
+        (0.1, 1.0, 8, 8),       # a row past the cap: one row, grown at samples 1, 2 and 4
+    ])
+    def test_the_reservation_is_capped(self, monkeypatch, step, max_time, cap_bytes, rows):
+        monkeypatch.setattr(ode, "SAMPLE_BUFFER_BYTES", cap_bytes)
+        cfg = IntegratorConfig(step=step, max_time=max_time)
+        traj = integrate(lambda t, x: 0.0 * x, [1.0, 2.0], cfg, stop_when_converged=True)
+        assert traj.times.size == 1 + cfg.convergence_window
+        assert traj.states.base.shape == (rows, 2)
+        assert np.array_equal(traj.states, np.tile([1.0, 2.0], (traj.times.size, 1)))
 
 
 class TestIntegrationStats:
