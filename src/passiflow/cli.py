@@ -36,9 +36,11 @@ and ``converged`` reads the final rate alone, so a grown run may reach
 ``max_time`` with ``converged`` true (the golden ``solve`` config ends at
 t = 30.0, where the fixed step stops at 28.10).
 
-Exit codes: 0 ok, 2 validation failure, 3 divergence (a non-finite state,
-as when an HVAC zone under dynamic feedback nears the supply temperature
-and the feedback input blows up) or an input matrix that is exactly rank
+Exit codes: 0 ok, 2 validation failure (among them an output directory
+that cannot be made, as under an existing file: with nowhere to put it, no
+``summary.json`` is written), 3 divergence (a non-finite state, as when an
+HVAC zone under dynamic feedback nears the supply temperature and the
+feedback input blows up) or an input matrix that is exactly rank
 deficient (:class:`passiflow.plants.RankDeficientInput`, a zone at the
 supply temperature); both end with an ``error`` entry in ``summary.json``.
 Under ``--strict``, 4 if any ``verdict``, ``lyapunov_monotone`` or
@@ -494,7 +496,8 @@ def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
 # about 400 bytes a value, so 2,048 values keep them under 1 MB.
 _CHUNK = 2048
 # A chunk of fewer values is written one ``%`` row at a time: the two cost
-# the same at 100-150 values, 2 or 7 a row (``benchmarks/csv_kernel.py``).
+# the same at 100-150 values, 2 or 7 a row (``benchmarks/pairs.py --probe
+# csv``).
 _SMALL = 150
 
 
@@ -870,7 +873,11 @@ def run(cfg: dict, out_dir, strict: bool = False) -> tuple[int, dict]:
     if diags:
         return EXIT_VALIDATION, {"validation_errors": diags}
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:          # a file at out_dir, or a path under one
+        return EXIT_VALIDATION, {"validation_errors": [
+            f"out: cannot make directory {out} ({type(exc).__name__}: {exc})"]}
     kind = cfg["kind"]
     try:
         summary = KINDS[kind].run(inputs, out)

@@ -94,6 +94,21 @@ def test_run_reports_a_wrong_typed_field_with_exit_code_2(tmp_path):
     assert payload["validation_errors"]
 
 
+@pytest.mark.parametrize("under", ["afile", "afile/x"])
+def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / under
+    code, payload = cli.run(_tiny_solve_cfg(-1.0), out)
+    error = "FileExistsError" if under == "afile" else "NotADirectoryError"
+    assert code == cli.EXIT_VALIDATION
+    [diag] = payload["validation_errors"]
+    assert diag.startswith(f"out: cannot make directory {out} ({error}: ")
+    assert diag.endswith(f"{str(out)!r})")
+    assert cli.main(["svm", "--n", "5", "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out)["validation_errors"] == [diag]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 def _tiny_solve_cfg(c):
     return {"schema": 1, "kind": "solve",
             "problem": {"objective": {"Q0": [[1.0]], "c": [c]},
