@@ -14,11 +14,13 @@ not a string one of that field.  So is a number field holding a non-number
 range; the checks after it still run.  So is a key no reader knows (``<path>:
 unknown; expected one of ...``), at the top level (``schema``, ``kind``,
 ``integrator`` and the kind's own blocks) as in every block, where one call
-reads a block and checks its keys.  So are ``plant.initial_input`` under a
-controller without an input state and ``integrator.max_time`` in a plant or
-tline config, whose
-``horizon`` sets the simulated time.  The svm dataset seed is ``svm.seed``,
-which ``--seed`` writes; a top-level ``seed`` is an unknown key.  This module
+reads a block and checks its keys.  So is a field no run reads (``<path>:
+unused; ...``): ``plant.initial_input`` without an input state; a plant's or
+a line's ``integrator.max_time``, ``event_tol``, ``convergence_tol`` and
+``convergence_window``, as such a run reads only ``step``, ``record_every``
+and its ``horizon``; and an audit's ``integrator`` block.  The svm dataset
+seed is ``svm.seed``, which ``--seed`` writes; without an svm config
+``--seed`` exits 2, and a top-level ``seed`` is an unknown key.  This module
 writes and reads every artifact, among them the ``storage.csv`` that a solve
 writes and an ``audit`` reads back; no other module of the package writes a
 file.  Outputs are deterministic for a fixed config and seed:
@@ -346,8 +348,9 @@ def _horizon(kind: str, blk: dict, integ: dict, d: _Diagnostics):
     """``horizon`` of the ``kind`` block ``blk``; it sets the integrator's ``max_time``."""
     horizon = blk.get("horizon", 10.0)
     d.need_num(f"{kind}.horizon", horizon, 0)
-    d.need("max_time" not in integ,
-           f"integrator.max_time: unused; {kind}.horizon sets the simulated time")
+    for key in ("max_time", "event_tol", "convergence_tol", "convergence_window"):
+        d.need(key not in integ, f"integrator.{key}: unused; a {kind} run reads only "
+               f"integrator.step and record_every, and {kind}.horizon sets its simulated time")
     return horizon
 
 
@@ -436,8 +439,10 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
         return None
     p = tline_mod.LineParams(**params)
     icfg = IntegratorConfig(**integ, max_time=float(horizon))
-    limit = tline_mod.cfl_limit(p, grid)
-    d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at this grid")
+    limit, resistor = tline_mod._step_guard(p, grid)
+    d.need(icfg.step <= limit,
+           f"integrator.step: violates stability guard {limit:.3g} at this grid"
+           + (f", set by the end row of tline.params.{resistor}" if resistor else ""))
     K = [float(gains.get(k, 1.0)) for k in ("K_P", "K_I")]
     try:
         with np.errstate(over="ignore"):    # an overflow is reported below
@@ -451,6 +456,7 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
 
 def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
     d.known("", cfg, (*_TOP_LEVEL, "audit"))
+    d.need("integrator" not in cfg, "integrator: unused; an audit integrates nothing")
     blk = d.block("audit", cfg.get("audit", {}), ("trace_csv", "audit_tol"))
     path = blk.get("trace_csv")
     if path is None:
@@ -952,6 +958,9 @@ def main(argv=None) -> int:
         if (args.seed is not None and cfg.get("kind") == "svm"
                 and isinstance(cfg.setdefault("svm", {}), dict)):
             cfg["svm"]["seed"] = args.seed
+    if args.seed is not None and not any(isinstance(cfg, dict) and cfg.get("kind") == "svm"
+                                         for cfg in configs):
+        parser.error("--seed: unused; it sets svm.seed, and no config is an svm config")
 
     if args.command == "validate":
         worst = EXIT_OK

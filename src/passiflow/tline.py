@@ -143,8 +143,23 @@ def _dz(values: np.ndarray, dz: float) -> np.ndarray:
 
 
 def cfl_limit(p: LineParams, M: int) -> float:
-    """Largest admissible RK4 step: 0.9 dz sqrt(LC)."""
-    return 0.9 * (1.0 / M) * np.sqrt(p.L * p.C)
+    """Largest admissible RK4 step, ``min(0.9 dz sqrt(LC), 2.785 L / (1.5
+    max(R0, R1) M + R))``: the interior wave bound, and the end rows' bound.
+    Eliminating the end-node voltage gives the first current row the real
+    rate ``-(1.5 R0 M + R) / L`` (the last row the same with ``R1``), and RK4
+    is stable on the negative real axis only down to about -2.785 (Hairer &
+    Wanner, *Solving ODEs II*, IV.2).  The end term binds once ``max(R0, R1)``
+    exceeds about ``2.06 sqrt(L/C)``, so never at the default :class:`LineParams`."""
+    return _step_guard(p, M)[0]
+
+
+def _step_guard(p: LineParams, M: int):
+    """``(limit, resistor)``: :func:`cfl_limit`, and ``"R0"`` or ``"R1"``
+    when that end row's term sets it, else None."""
+    wave = 0.9 * (1.0 / M) * np.sqrt(p.L * p.C)
+    stiff = 1.5 * max(p.R0, p.R1) * M + p.R     # L times the stiffer end row's rate
+    end = 2.785 * p.L / stiff if stiff else np.inf
+    return (end, "R0" if p.R0 >= p.R1 else "R1") if end < wave else (wave, None)
 
 
 def tline_rhs(p: LineParams, y: np.ndarray, I0: float, M: int) -> np.ndarray:
@@ -381,10 +396,11 @@ def simulate_open_loop(p: LineParams, state0: LineState, I0: float,
                        cfg: IntegratorConfig) -> Trajectory:
     """Integrate the line under a constant source current."""
     M = state0.M
-    limit = float(cfl_limit(p, M))
+    limit, resistor = _step_guard(p, M)
     if cfg.step > limit:
         raise ValueError(
-            f"step {float(cfg.step)!r} violates the stability guard {limit!r} at M={M}"
+            f"step {float(cfg.step)!r} violates the stability guard {float(limit)!r} at M={M}"
+            + (f", set by the end row of {resistor}" if resistor else "")
         )
     return integrate(lambda t, y: tline_rhs(p, y, I0, M), state0.pack(), cfg)
 

@@ -231,6 +231,38 @@ def test_every_kind_exits_2_on_a_bad_field(tmp_path, cfg, field):
     assert [d for d in payload["validation_errors"] if d.startswith(field + ":")], payload
 
 
+def _line_cfg(params, grid, step):
+    return {"schema": 1, "kind": "tline",
+            "tline": {"params": params, "grid": grid, "horizon": 5.0, "target_vc1": 1.0},
+            "integrator": {"step": step}}
+
+
+@pytest.mark.parametrize("params, resistor", [({"R0": 2.5}, "R0"), ({"R0": 3.0}, "R0"),
+                                              ({"R1": 3.0}, "R1"), ({"C": 10.0}, "R0"),
+                                              ({"L": 0.1}, "R0")])
+def test_a_line_step_past_its_end_row_bound_exits_2(tmp_path, params, resistor):
+    # 0.999 times the interior wave bound 0.9 dz sqrt(LC): accepted before the
+    # guard had an end-row term, and then exit 3 or 4 under --strict
+    p = tline.LineParams(**params)
+    cfg = _line_cfg(params, 50, 0.999 * 0.9 * (1.0 / 50) * np.sqrt(p.L * p.C))
+    limit = tline.cfl_limit(p, 50)
+    diags = cli.validate(cfg)
+    assert diags == [f"integrator.step: violates stability guard {limit:.3g} at this grid, "
+                     f"set by the end row of tline.params.{resistor}"]
+    code, payload = cli.run(cfg, tmp_path / "out", strict=True)
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_line_step_within_the_guard_is_accepted_at_every_grid():
+    # the default line's guard is its interior wave bound; R0 = 2 is measured stable there
+    for M in range(8, 401):
+        step = 0.999 * tline.cfl_limit(tline.LineParams(), M)
+        assert cli.validate(_line_cfg({}, M, step)) == []
+        if M in (50, 200):
+            assert cli.validate(_line_cfg({"R0": 2.0}, M, step)) == []
+
+
 @pytest.mark.filterwarnings("ignore:SVM flow stopped unconverged")
 @pytest.mark.parametrize("kind", ["solve", "svm"])
 def test_non_convergence_exits_3_only_under_strict(tmp_path, kind):
@@ -312,19 +344,21 @@ def test_an_overflowed_lyapunov_margin_is_written_as_json_null(tmp_path, capsys,
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowed_lyapunov_value_fails_the_line_audit(tmp_path):
-    # The step guard ignores the boundary circuits: at R0 = 3, 0.999 times
-    # the guard is unstable, and the functional overflows to inf from
-    # t = 4.3696 while the state stays finite.  The audit's slack scales with
-    # the finite values only, so the first inf is its worst margin.
-    step = 0.999 * tline.cfl_limit(tline.LineParams(R0=3.0), 50)
+    # A stable run at the step guard whose functional overflows: at
+    # vC1* = 1e154 the target profile's terms square past the float range, so
+    # the functional is inf from rest through t = 1.008, until the state nears
+    # the profile, while the state stays finite.  The audit's slack scales
+    # with the finite values only, so the first inf is its worst margin.
     cfg = {"schema": 1, "kind": "tline",
-           "tline": {"params": {"R0": 3.0}, "grid": 50, "horizon": 5.0, "target_vc1": 1.0},
-           "integrator": {"step": step}}
+           "tline": {"grid": 50, "horizon": 2.0, "target_vc1": 1e154},
+           "integrator": {"step": tline.cfl_limit(tline.LineParams(), 50)}}
     code, payload = cli.run(cfg, tmp_path, strict=True)
     assert code == cli.EXIT_AUDIT and payload["lyapunov_monotone"] == "FAIL"
     assert np.isfinite(payload["final_vC1"])
+    assert np.isfinite(np.loadtxt(tmp_path / "spacetime.csv", delimiter=",", skiprows=1)).all()
     t, V = np.loadtxt(tmp_path / "lyapunov.csv", delimiter=",", skiprows=1).T
-    assert payload["worst_time"] == t[~np.isfinite(V)][0] == pytest.approx(4.3696, abs=1e-4)
+    assert not np.isfinite(V[0]) and np.isfinite(V[-1])
+    assert payload["worst_time"] == t[~np.isfinite(V)][0]
 
 
 def test_q0_near_the_float_range_is_symmetrized_without_overflow(tmp_path):
@@ -518,7 +552,8 @@ def _ball_cfg(**entry):
                                                                        "h": [[0.5]]}}}),
      "problem.inequalities.affine.h"),
     ({**_prlc_blk_cfg(), "integrator": {"max_time": 0.5}}, "integrator.max_time"),
-    ({"schema": 1, "kind": "tline", "integrator": {"max_time": 0.5}}, "integrator.max_time"),    ({"schema": 1, "kind": "svm", "svm": {"seed": 2 ** 128}}, "svm.seed"),
+    ({"schema": 1, "kind": "tline", "integrator": {"max_time": 0.5}}, "integrator.max_time"),
+    ({"schema": 1, "kind": "svm", "svm": {"seed": 2 ** 128}}, "svm.seed"),
     (_prlc_blk_cfg(horizon=float("inf")), "plant.horizon"),
     (_hvac_cfg(params={"T_inf": float("nan")}), "plant.params.T_inf"),
     ({"schema": 1, "kind": "tline", "tline": {"params": {"L": float("inf")}}}, "tline.params.L"),
@@ -614,6 +649,33 @@ def test_initial_input_is_unused_without_an_input_state(tmp_path, cfg):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["plant", "tline"])
+@pytest.mark.parametrize("key, value", [("max_time", 0.5), ("event_tol", 0.5),
+                                        ("convergence_tol", 123), ("convergence_window", 7)])
+def test_a_plant_or_line_refuses_the_integrator_settings_it_never_reads(tmp_path, kind,
+                                                                       key, value):
+    # It has no events and ends at its horizon: each of these would change no
+    # artifact byte, only the integrator block that summary.json echoes.
+    cfg = _with(CONFIGS[kind], integrator={key: value})
+    diags = cli.validate(cfg)
+    assert len(diags) == 1 and diags[0].startswith(f"integrator.{key}: unused; "), diags
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("integrator", [{}, {"step": 0.01},
+                                        dataclasses.asdict(ode.IntegratorConfig())],
+                         ids=["empty", "step", "full"])
+def test_an_audit_refuses_an_integrator_block(tmp_path, integrator):
+    cfg = {**_audit_cfg(tmp_path, [2.0, 1.0, 0.5]), "integrator": integrator}
+    diags = cli.validate(cfg)
+    assert diags == ["integrator: unused; an audit integrates nothing"]
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
 # (config with a non-string in a name field, its diagnostic, the diagnostic of
 # a check that runs after it)
 @pytest.mark.parametrize("cfg, diag, later", [
@@ -682,9 +744,12 @@ def test_inputs_the_library_refuses_are_diagnostics_not_tracebacks(tmp_path, cfg
 
 
 def _full_configs(trace_csv):
-    """One config per kind (two plants) with every optional field set."""
-    integrator = {"step": 0.01, "event_tol": 1e-10, "convergence_tol": 1e-6,
-                  "convergence_window": 5, "record_every": 2}
+    """One config per kind (two plants) with every optional field it reads set;
+    a plant or a line reads only the step and the sampling of the integrator
+    block, and an audit reads none."""
+    integrator = {"step": 0.01, "record_every": 2}
+    flow = {**integrator, "event_tol": 1e-10, "convergence_tol": 1e-6, "convergence_window": 5,
+            "max_time": 1.0}
     return {
         "solve": {
             "schema": 1, "kind": "solve",
@@ -698,13 +763,13 @@ def _full_configs(trace_csv):
             },
             "init": {"x": [0.1, 0.2], "lam": [0.0], "mu": [0.0, 0.5]},
             "time_constants": {"tau_x": [1.0, 2.0], "tau_lam": [1.0], "tau_mu": [1.0, 0.5]},
-            "integrator": {**integrator, "max_time": 1.0},
+            "integrator": flow,
         },
         "svm": {
             "schema": 1, "kind": "svm",
             "svm": {"n_per_class": 5, "seed": 1, "mean_a": [0.0, 0.0], "mean_b": [0.0, 6.0],
                     "cov": [[1.0, 1.5], [1.5, 3.0]], "sv_tol": 1e-6},
-            "integrator": {**integrator, "max_time": 1.0},
+            "integrator": flow,
         },
         "parallel_rlc": {
             "schema": 1, "kind": "plant",
@@ -730,7 +795,7 @@ def _full_configs(trace_csv):
                       "horizon": 0.1, "target_vc1": 1.0, "gains": {"K_P": 1.0, "K_I": 1.0}},
             "integrator": integrator,
         },
-        "audit": {"schema": 1, "kind": "audit", "integrator": integrator,
+        "audit": {"schema": 1, "kind": "audit",
                   "audit": {"trace_csv": trace_csv, "audit_tol": 1e-9}},
     }
 
@@ -857,6 +922,38 @@ def test_seed_flag_is_echoed_in_the_config(tmp_path):
     saved = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert saved["seed"] == 3
     assert saved["config"]["svm"]["seed"] == 3
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "plant.json"],
+                                  ["plant", "--config", "plant.json"],
+                                  ["validate", "--config", "plant.json"],
+                                  ["run", "--config", "plant.json", "--config", "audit.json"],
+                                  ["tline"]],
+                         ids=["run", "plant", "validate", "run-two", "tline-no-config"])
+def test_seed_without_an_svm_config_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("plant.json").write_text(json.dumps(CONFIGS["plant"]))
+    Path("audit.json").write_text(json.dumps(_audit_cfg(tmp_path, [2.0, 1.0])))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "3", "--out", "out"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and errors[0].endswith(
+        "error: --seed: unused; it sets svm.seed, and no config is an svm config"), errors
+    assert not Path("out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:SVM flow stopped unconverged")
+def test_seed_sets_the_svm_config_among_others(tmp_path):
+    paths = []
+    for name in ("svm", "plant"):
+        paths += ["--config", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
+    assert cli.main(["run", *paths, "--seed", "3", "--out", str(tmp_path / "out")]) == 0
+    svm_summary = json.loads((tmp_path / "out" / "svm" / "summary.json").read_text())
+    plant_summary = json.loads((tmp_path / "out" / "plant" / "summary.json").read_text())
+    assert svm_summary["seed"] == 3
+    assert plant_summary["config"]["plant"] == CONFIGS["plant"]["plant"]
 
 
 @pytest.mark.filterwarnings("ignore:SVM flow stopped unconverged")

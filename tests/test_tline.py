@@ -152,6 +152,70 @@ def test_cfl_limit_itself_is_an_admissible_step():
     assert np.all(np.isfinite(traj.final_state))
 
 
+def _wave_bound(p, M):
+    """The interior term of :func:`cfl_limit`, the whole guard before it had an end-row term."""
+    return 0.9 * (1.0 / M) * np.sqrt(p.L * p.C)
+
+
+def _rk4_spectral_radius(p, M, h):
+    """Largest ``|R(h lambda)|`` over the dense spectrum of the PI loop at
+    vC1* = 1, K_P = K_I = 1, with ``R`` the RK4 stability polynomial.  The
+    loop is affine, so its Jacobian is exact column by column."""
+    rhs = tline_pi_loop(p, M, 1.0, 1.0, 1.0)[0]
+    at_rest = rhs(0.0, np.zeros(2 * M + 2))
+    J = np.column_stack([rhs(0.0, e) - at_rest for e in np.eye(2 * M + 2)])
+    z = h * np.linalg.eigvals(J)
+    return float(np.max(np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)))
+
+
+def test_cfl_limit_at_the_default_line_is_the_wave_bound_bit_for_bit():
+    p = LineParams()
+    for M in range(8, 401):
+        assert cfl_limit(p, M) == _wave_bound(p, M)
+
+
+# (params, grid, whether 0.999 x the wave bound is accepted, max |R(h lambda)| there)
+@pytest.mark.parametrize("params, M, accepted, radius", [
+    ({}, 8, True, 0.957), ({}, 50, True, 0.993), ({}, 200, True, 0.998),
+    ({"R0": 2.0}, 50, True, 0.993), ({"R0": 2.0}, 200, True, 0.998),
+    # a conservative refusal: the end term h (1.5 R0 M + R) / L is 2.81 > 2.785,
+    # yet the spectrum is stable
+    ({"R0": 2.0}, 8, False, 0.957),
+    ({"R0": 2.5}, 50, False, 1.717), ({"R0": 3.0}, 50, False, 4.313),
+    ({"R1": 3.0}, 50, False, 4.296), ({"C": 10.0}, 50, False, 5.681),
+    ({"L": 0.1}, 50, False, 5.858),
+])
+def test_step_guard_refuses_the_steps_the_dense_spectrum_shows_unstable(params, M, accepted,
+                                                                        radius):
+    p = LineParams(**params)
+    h = 0.999 * _wave_bound(p, M)
+    rho = _rk4_spectral_radius(p, M, h)
+    assert rho == pytest.approx(radius, abs=1e-3)
+    assert (h <= cfl_limit(p, M)) == accepted
+    assert rho <= 1.0 or not accepted
+
+
+@pytest.mark.parametrize("M", [8, 50])
+@pytest.mark.parametrize("params, resistor", [
+    ({"R0": 2.5}, "R0"), ({"R0": 10.0}, "R0"), ({"R1": 3.0}, "R1"),
+    ({"R0": 100.0, "R1": 50.0}, "R0"), ({"C": 10.0}, "R0"), ({"L": 0.1}, "R0"),
+])
+def test_the_largest_step_an_end_row_bound_accepts_is_stable(params, resistor, M):
+    # RK4's real stability limit is -2.7853; the guard's 2.785 keeps the end
+    # rows' eigenvalue inside it (max |R| 0.99999 at R0 = 100, M = 50).
+    p = LineParams(**params)
+    assert tline._step_guard(p, M) == (cfl_limit(p, M), resistor)
+    assert cfl_limit(p, M) < _wave_bound(p, M)
+    assert _rk4_spectral_radius(p, M, cfl_limit(p, M)) <= 1.0
+
+
+def test_guard_message_names_the_end_row_that_sets_it():
+    p, M = LineParams(R1=3.0), 16
+    zero = LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"guard \S+ at M=16, set by the end row of R1$"):
+        simulate_open_loop(p, zero, 0.0, IntegratorConfig(step=_wave_bound(p, M), max_time=0.1))
+
+
 def test_conservation_residuals_of_a_lossy_line_decay_at_second_order():
     # From the equilibrium under its own source current the flux balance of
     # the weighted functional is exact up to the stencil: 7.3e-4, 1.9e-4,
