@@ -20,7 +20,11 @@ a line's ``integrator.max_time``, ``event_tol``, ``convergence_tol`` and
 ``convergence_window``, as such a run reads only ``step``, ``record_every``
 and its ``horizon``; and an audit's ``integrator`` block.  The svm dataset
 seed is ``svm.seed``, which ``--seed`` writes; without an svm config
-``--seed`` exits 2, and a top-level ``seed`` is an unknown key.  This module
+``--seed`` exits 2, and a top-level ``seed`` is an unknown key.  ``run``
+and ``validate`` take any kind and need ``--config``; a kind subcommand
+takes only configs of its kind, and without ``--config`` it starts from
+``{"schema": 1, "kind": <kind>}`` and its flags, so its reader names what
+is missing, as for a config file that lacks those fields.  This module
 writes and reads every artifact, among them the ``storage.csv`` that a solve
 writes and an ``audit`` reads back; no other module of the package writes a
 file.  Outputs are deterministic for a fixed config and seed:
@@ -29,9 +33,9 @@ trajectory/storage CSVs with 17-significant-digit floats and a
 and, for every kind that integrates, the ``integrator`` block the run used:
 the config's keys over the defaults (``svm.DEFAULT_INTEGRATOR`` for svm),
 with a plant's or line's horizon as ``max_time``.  No other block is
-defaulted in the echo.  A ``tline`` run is the boundary-PI loop from rest,
-at ``vC1* = 0`` when the config names no ``target_vc1``, so its ``R`` and
-``G`` must be > 0.  The ``solve`` and ``svm`` kinds grow the RK4 step
+defaulted in the echo.  A ``tline`` run is the boundary-PI loop from rest
+to the load voltage ``target_vc1``, which it needs, so its ``R`` and ``G``
+must be > 0.  The ``solve`` and ``svm`` kinds grow the RK4 step
 between events, with ``integrator.step`` as its floor.  ``record_every`` and
 ``convergence_window`` count steps, so a grown run samples more sparsely,
 and ``converged`` reads the final rate alone, so a grown run may reach
@@ -163,12 +167,15 @@ class _Diagnostics(list):
                 self.append(f"{prefix + '.' if prefix else ''}{key}: unknown; "
                             f"expected one of {', '.join(keys)}")
 
-    def string(self, value, msg, among=None) -> bool:
+    def string(self, path, value, msg, among=None) -> bool:
         """Whether ``value`` is a string, and one of ``among`` if given; else
-        ``msg`` is a diagnostic.  A list or an object is neither looked up
-        nor opened as a path."""
+        ``<path>: <msg>`` is a diagnostic, or ``<path>: missing; expected one
+        of ...`` where ``among`` is given and ``value`` is None.  A list or an
+        object is neither looked up nor opened as a path."""
         ok = isinstance(value, str) and (among is None or value in among)
-        self.need(ok, msg)
+        if value is None and among is not None:
+            msg = f"missing; expected one of {', '.join(among)}"
+        self.need(ok, f"{path}: {msg}")
         return ok
 
     def array(self, path, value):
@@ -215,7 +222,7 @@ def _read(cfg: dict):
         d.need(schema == SCHEMA_VERSION and not isinstance(schema, bool),
                f"schema: expected version {SCHEMA_VERSION}")
         kind = cfg.get("kind")
-        known_kind = d.string(kind, f"kind: must be one of {'/'.join(KINDS)}, got {kind!r}",
+        known_kind = d.string("kind", kind, f"must be one of {'/'.join(KINDS)}, got {kind!r}",
                               KINDS)
         integ = d.block("integrator", cfg.get("integrator", {}),
                         [f.name for f in fields(IntegratorConfig)])
@@ -293,7 +300,7 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
             path = f"problem.inequalities.named[{k}]"
             entry = d.block(path, entry, ("name", "params"))
             name = entry.get("name")
-            if d.string(name, f"{path}.name: unknown name {name!r}", NAMED_INEQUALITIES):
+            if d.string(f"{path}.name", name, f"unknown name {name!r}", NAMED_INEQUALITIES):
                 named.append(NAMED_INEQUALITIES[name](entry.get("params", {}), n,
                                                       f"{path}.params", d))
     sizes = {"x": n, "lam": b.shape[0], "mu": h.shape[0] + len(named)}
@@ -372,14 +379,14 @@ def _read_plant(cfg: dict, integ: dict, d: _Diagnostics):
                   ("name", "controller", "params", "gains", "targets", "initial_state",
                    "initial_input", "horizon"))
     name, controller = blk.get("name"), blk.get("controller")
-    known_plant = d.string(name, f"plant.name: unknown plant {name!r}", _PLANTS)
+    known_plant = d.string("plant.name", name, f"unknown plant {name!r}", _PLANTS)
     horizon = _horizon("plant", blk, integ, d)
     if not known_plant:
         return None
     param_cls, target_defaults, initial_state, controllers = _PLANTS[name]
     gains = blk.get("gains", {})
     # an unknown controller is reported here; its gains are all known and need only be >= 0
-    if d.string(controller, f"plant.controller: {controller!r} not available for {name}",
+    if d.string("plant.controller", controller, f"{controller!r} not available for {name}",
                 controllers):
         strict = controllers[controller]
     else:
@@ -425,8 +432,10 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
     params = d.block("tline.params", blk.get("params", {}),
                      [f.name for f in fields(tline_mod.LineParams)])
     gains = d.block("tline.gains", blk.get("gains", {}), ("K_P", "K_I"))
-    vC1_star = blk.get("target_vc1", 0.0)
-    d.need_num("tline.target_vc1", vC1_star)
+    vC1_star = blk.get("target_vc1")
+    d.need(vC1_star is not None, "tline.target_vc1: missing; the load voltage to hold (--target)")
+    if vC1_star is not None:
+        d.need_num("tline.target_vc1", vC1_star)
     for key, val in params.items():
         # the loop's equilibrium profile and certificate need R > 0 and G > 0
         d.need_num(f"tline.params.{key}", val, 0, strict=key not in ("R0", "R1"))
@@ -439,11 +448,10 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
         return None
     p = tline_mod.LineParams(**params)
     icfg = IntegratorConfig(**integ, max_time=float(horizon))
-    limit, resistor = tline_mod._step_guard(p, grid)
-    d.need(icfg.step <= limit,
-           f"integrator.step: violates stability guard {limit:.3g} at this grid"
-           + (f", set by the end row of tline.params.{resistor}" if resistor else ""))
     K = [float(gains.get(k, 1.0)) for k in ("K_P", "K_I")]
+    limit, row = tline_mod._step_guard(p, grid, *K)
+    d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at "
+           f"this grid{tline_mod._set_by(row, 'tline.params.')}")
     try:
         with np.errstate(over="ignore"):    # an overflow is reported below
             return p, grid, tline_mod.tline_pi_loop(p, grid, float(vC1_star), *K), icfg
@@ -461,7 +469,7 @@ def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
     path = blk.get("trace_csv")
     if path is None:
         d.append("audit.trace_csv: missing path")
-    elif d.string(path, f"audit.trace_csv: must be a path, got {path!r}"):
+    elif d.string("audit.trace_csv", path, f"must be a path, got {path!r}"):
         d.need(Path(path).is_file(), f"audit.trace_csv: no file {path}")
     if "audit_tol" in blk:
         d.need_num("audit.audit_tol", blk["audit_tol"], 0)
@@ -838,14 +846,12 @@ def _run_audit(inputs, out: Path) -> dict:
 
 # read(cfg, integrator block, diagnostics) -> inputs, the last of them the
 # run's IntegratorConfig for a kind that integrates; run(inputs, out) ->
-# summary; subcommand flags as (flag, type, key in the kind's config block,
-# help); runs without a config
-Kind = namedtuple("Kind", "read run flags runs_without_config", defaults=((), False))
+# summary; subcommand flags as (flag, type, key in the kind's config block, help)
+Kind = namedtuple("Kind", "read run flags", defaults=((),))
 
 KINDS = {
     "solve": Kind(_read_solve, _run_solve),
-    "svm": Kind(_read_svm, _run_svm,
-                (("--n", int, "n_per_class", "points per class"),), True),
+    "svm": Kind(_read_svm, _run_svm, (("--n", int, "n_per_class", "points per class"),)),
     "plant": Kind(_read_plant, _run_plant,
                   (("--plant", str, "name", "plant name"),
                    ("--controller", str, "controller", "controller name"),
@@ -853,7 +859,7 @@ KINDS = {
     "tline": Kind(_read_tline, _run_tline,
                   (("--target", float, "target_vc1", "target vC1"),
                    ("--grid", int, "grid", "grid intervals M"),
-                   ("--horizon", float, "horizon", "simulated time")), True),
+                   ("--horizon", float, "horizon", "simulated time"))),
     "audit": Kind(_read_audit, _run_audit),
 }
 
@@ -914,7 +920,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", *KINDS, "validate"):
         sp = sub.add_parser(name)
-        sp.add_argument("--config", action="append", default=[], help="experiment config JSON")
+        sp.add_argument("--config", action="append", default=[], required=name not in KINDS,
+                        help="experiment config JSON")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the svm seed")
         sp.add_argument("--strict", action="store_true",
@@ -931,6 +938,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs: must be >= 1")
     kind = KINDS.get(args.command)
     stems = [Path(path).stem for path in args.config]
     repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
@@ -940,17 +949,19 @@ def main(argv=None) -> int:
 
     configs = [_load(path) for path in args.config]
     if not configs:
-        if kind is None or not kind.runs_without_config:
-            parser.error("--config is required for this subcommand")
-        configs = [{"schema": SCHEMA_VERSION, "kind": args.command, args.command: {}}]
+        configs = [{"schema": SCHEMA_VERSION, "kind": args.command}]
 
-    # Subcommand flags and --seed fold into the loaded configs; validate()
-    # reports a config or a block that is not a JSON object.
-    for cfg in configs:
+    # Subcommand flags and --seed fold into the loaded configs, and a kind
+    # subcommand takes only its own kind; validate() reports a config or a
+    # block that is not a JSON object.
+    for i, cfg in enumerate(configs):
         if not isinstance(cfg, dict):
             continue
         if kind is not None:
-            cfg.setdefault("kind", args.command)
+            if cfg.setdefault("kind", args.command) != args.command:
+                parser.error(f"kind: {args.config[i]} has kind {cfg['kind']!r}, and the "
+                             f"{args.command} subcommand takes only {args.command!r}; run "
+                             "takes any kind")
             values = {key: getattr(args, key) for _, _, key, _ in kind.flags
                       if getattr(args, key) is not None}
             if values and isinstance(cfg.setdefault(args.command, {}), dict):

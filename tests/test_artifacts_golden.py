@@ -80,9 +80,6 @@ CONFIGS = {
         "tline": {"grid": 16, "horizon": 1.0, "target_vc1": 1.0,
                   "gains": {"K_P": 1.0, "K_I": 1.0}},
     },
-    # The default of `passiflow tline`: no target and no gains, so the PI
-    # loop holds vC1* = 0 from rest, its equilibrium, and every cell is 0.
-    "tline_open": {"schema": 1, "kind": "tline", "tline": {"grid": 16, "horizon": 1.0}},
 }
 
 # Recorded before the CSV writer, the flow rhs and the clamp were rewritten
@@ -135,6 +132,9 @@ CONFIGS = {
 # current did, so both CSVs keep their digests.  The summary's mode reads
 # boundary_pi (was open_loop_zero) and gains I0_star, profile_error and
 # final_vC1, each 0.0, in place of final_energy 0.0.
+# The three tline_open digests were deleted with their config when a line
+# config without target_vc1 became a diagnostic: at vC1* = 0 the loop starts
+# at its own equilibrium, so every cell it wrote was 0.  No other digest moved.
 GOLDEN = {
     "audit/summary.json":
         "8efacb56309599e012fb351253e58407e50f732294ebdfdead4aa1e05d50025e",
@@ -192,12 +192,6 @@ GOLDEN = {
         "9d5ddfeb0f62ae30574464264e68f6bafe42dd51210740806eb45ddaa39e2ada",
     "tline/summary.json":
         "bb623d37c2a71ebf7d90782c5e5b5ecbdbf760f4b2e184e3d92ab085b39c54b7",
-    "tline_open/lyapunov.csv":
-        "df98b16ccb8b3df0bd93c411f27a66f833b429bfb2702d268bf33ab7dd9d125a",
-    "tline_open/spacetime.csv":
-        "1ceea9ede58056b2d7b867a5b986009b3744910b6e5a6aa53d93fea1ae585abc",
-    "tline_open/summary.json":
-        "a6c3516d2eeb828626725c80d2c1298db14ea8693cf96080b34ba7c4fbdfb0d6",
 }
 
 

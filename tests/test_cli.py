@@ -195,19 +195,11 @@ def _audit_cfg(tmp_path, storage):
     return {"schema": 1, "kind": "audit", "audit": {"trace_csv": str(trace)}}
 
 
-@pytest.mark.parametrize("kind", ["solve", "svm", "plant", "tline", "audit", "open_tline"])
+@pytest.mark.parametrize("kind", ["solve", "svm", "plant", "tline", "audit"])
 def test_every_kind_exits_0(tmp_path, kind):
-    if kind == "audit":
-        cfg = _audit_cfg(tmp_path, [2.0, 1.0, 1.0, 0.5])
-    elif kind == "open_tline":          # no target and no gains: the PI loop at vC1* = 0
-        cfg = {"schema": 1, "kind": "tline", "tline": {"grid": 16, "horizon": 0.2}}
-    else:
-        cfg = CONFIGS[kind]
+    cfg = _audit_cfg(tmp_path, [2.0, 1.0, 1.0, 0.5]) if kind == "audit" else CONFIGS[kind]
     code, payload = cli.run(cfg, tmp_path / "out", strict=True)
     assert code == payload["exit_code"] == 0, payload
-    if kind == "open_tline":            # it stays at rest, its target
-        assert payload["mode"] == "boundary_pi"
-        assert payload["I0_star"] == payload["profile_error"] == payload["final_vC1"] == 0.0
     saved = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert saved["exit_code"] == 0
 
@@ -218,8 +210,8 @@ def test_every_kind_exits_0(tmp_path, kind):
     ({"schema": 1, "kind": "svm", "svm": {"cov": [[1.0, 2.0], [0.0, 1.0]]}}, "svm.cov"),
     ({"schema": 1, "kind": "plant", "plant": {"name": "hvac", "controller": "krasovskii_pi"}},
      "plant.controller"),
-    ({"schema": 1, "kind": "tline", "tline": {"grid": 16}, "integrator": {"step": 0.1}},
-     "integrator.step"),
+    ({"schema": 1, "kind": "tline", "tline": {"grid": 16, "target_vc1": 1.0},
+      "integrator": {"step": 0.1}}, "integrator.step"),
     ({"schema": 1, "kind": "audit", "audit": {}}, "audit.trace_csv"),
     ({"schema": 1, "kind": "bogus"}, "kind"),
     ({"schema": 1, "kind": "solve", "problem": {"objective": {"Q0": [[1.0, 2.0]]}}},
@@ -249,6 +241,25 @@ def test_a_line_step_past_its_end_row_bound_exits_2(tmp_path, params, resistor):
     diags = cli.validate(cfg)
     assert diags == [f"integrator.step: violates stability guard {limit:.3g} at this grid, "
                      f"set by the end row of tline.params.{resistor}"]
+    code, payload = cli.run(cfg, tmp_path / "out", strict=True)
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+# grid-8 lines that ran unstable at the wave bound 0.1125, each exiting 4 under
+# --strict, before the guard had the boundary-capacitor rows' terms
+@pytest.mark.parametrize("params, gains, row", [
+    ({}, {"K_P": 0.0, "K_I": 100.0}, "C0"),
+    ({"C1": 0.01}, {}, "C1"),
+    ({"C0": 0.01}, {"K_P": 0.0}, "C0"),
+])
+def test_a_line_step_past_its_capacitor_row_bound_exits_2(tmp_path, params, gains, row):
+    cfg = _with(_line_cfg(params, 8, 0.9 / 8), tline={"gains": gains})
+    K = [gains.get(k, 1.0) for k in ("K_P", "K_I")]
+    limit = tline._step_guard(tline.LineParams(**params), 8, *K)[0]
+    diags = cli.validate(cfg)
+    assert diags == [f"integrator.step: violates stability guard {limit:.3g} at this grid, "
+                     f"set by the capacitor row of tline.params.{row}"]
     code, payload = cli.run(cfg, tmp_path / "out", strict=True)
     assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
     assert not (tmp_path / "out").exists()
@@ -441,12 +452,102 @@ def test_a_config_file_that_cannot_be_read_is_a_diagnostic(tmp_path, capsys, com
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["good"]
 
 
-@pytest.mark.parametrize("command", ["run", "solve"])
-def test_a_subcommand_without_defaults_needs_a_config(capsys, command):
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_run_and_validate_need_a_config(capsys, command):
     with pytest.raises(SystemExit) as exc:
         cli.main([command])
     assert exc.value.code == 2
-    assert "--config is required for this subcommand" in capsys.readouterr().err
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+
+
+# (flags, the field of its kind that a run from these flags alone misses)
+_FLAGS_ALONE = {"solve": ([], "problem"), "svm": (["--n", "5"], None),
+                "plant": ([], "plant.name"), "tline": ([], "tline.target_vc1"),
+                "audit": ([], "audit.trace_csv")}
+
+
+@pytest.mark.filterwarnings("ignore:SVM flow stopped unconverged")
+@pytest.mark.parametrize("kind", list(cli.KINDS))
+def test_every_kind_subcommand_runs_from_its_flags_or_names_what_is_missing(tmp_path, capsys,
+                                                                            kind):
+    flags, missing = _FLAGS_ALONE[kind]
+    out = tmp_path / "out"
+    code = cli.main([kind, *flags, "--out", str(out)])
+    summary = json.loads(capsys.readouterr().out)
+    if missing is None:
+        assert code == summary["exit_code"] == 0
+        assert (out / "summary.json").is_file()
+    else:
+        assert code == cli.EXIT_VALIDATION
+        [diag] = summary["validation_errors"]
+        assert diag.startswith(f"{missing}: missing"), diag
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("blk, diag", [
+    ({}, "plant.name: missing; expected one of parallel_rlc, hvac"),
+    ({"name": "hvac"}, "plant.controller: missing; expected one of power_shaping, dyn_feedback"),
+    ({"name": "parallel_rlc"},
+     "plant.controller: missing; expected one of power_shaping, krasovskii_pi"),
+])
+def test_a_missing_plant_or_controller_names_the_choices(tmp_path, blk, diag):
+    code, payload = cli.run({"schema": 1, "kind": "plant", "plant": blk}, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == [diag]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_line_config_without_a_target_exits_2(tmp_path, capsys):
+    # At vC1* = 0 the loop would start at its own equilibrium and write zeros.
+    cfg = {"schema": 1, "kind": "tline", "tline": {"grid": 16, "horizon": 1.0}}
+    diag = "tline.target_vc1: missing; the load voltage to hold (--target)"
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == [diag]
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["tline", "--grid", "16", "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().out)["validation_errors"] == [diag]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["svm"], {}),
+    (["svm", "--n", "5"], {"svm": {"n_per_class": 5}}),
+    (["plant", "--plant", "hvac", "--horizon", "1"],
+     {"plant": {"name": "hvac", "horizon": 1.0}}),
+    (["tline", "--target", "1"], {"tline": {"target_vc1": 1.0}}),
+])
+def test_a_run_from_flags_alone_holds_only_its_kind_and_the_flags_given(monkeypatch, argv,
+                                                                        echo):
+    # summary.json echoes the config that run receives, and the integrator
+    # block of the run: so `passiflow svm` echoes no empty svm block.
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda cfg, out, strict: ran.append(cfg) or (0, {}))
+    assert cli.main(argv) == 0
+    assert ran == [{"schema": 1, "kind": argv[0], **echo}]
+
+
+@pytest.mark.parametrize("command", ["svm", "tline", "audit"])
+def test_a_kind_subcommand_refuses_a_config_of_another_kind(tmp_path, capsys, monkeypatch,
+                                                            command):
+    monkeypatch.chdir(tmp_path)
+    Path("plant.json").write_text(json.dumps(CONFIGS["plant"]))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", "plant.json", "--out", "out"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: kind: plant.json has kind 'plant', and the {command} subcommand takes "
+        f"only {command!r}; run takes any kind")
+    assert not Path("out").exists()
+    assert cli.main(["run", "--config", "plant.json", "--out", "out"]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_jobs_below_1_exit_2(tmp_path, capsys, jobs):
+    argv = _two_configs_argv(tmp_path) + ["--out", str(tmp_path / "out"), "--jobs", jobs]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: --jobs: must be >= 1")
+    assert not (tmp_path / "out").exists()
 
 
 # -- subcommand flags fold into the config --------------------------------------
@@ -463,6 +564,9 @@ def _csv_bytes(out_dir):
      {"plant": {"gains": CONFIGS["plant"]["plant"]["gains"]},
       "integrator": CONFIGS["plant"]["integrator"]},
      CONFIGS["plant"]),
+    ("plant", ["--plant", "hvac", "--controller", "power_shaping", "--horizon", "1"],
+     None, {"schema": 1, "kind": "plant",
+            "plant": {"name": "hvac", "controller": "power_shaping", "horizon": 1.0}}),
     ("tline", ["--grid", "16", "--target", "1", "--horizon", "1"],
      None, {"schema": 1, "kind": "tline",
             "tline": {"grid": 16, "horizon": 1.0, "target_vc1": 1.0}}),
@@ -480,6 +584,9 @@ def test_subcommand_flags_write_what_the_full_config_writes(tmp_path, command, f
     assert cli.main(argv) == 0
     written = _csv_bytes(tmp_path / command)
     assert written and written == _csv_bytes(tmp_path / "run")
+    if base is None:        # beside the integrator block it ran with, only the flags given
+        echo = json.loads((tmp_path / command / "summary.json").read_text())["config"]
+        assert {key: value for key, value in echo.items() if key != "integrator"} == full
 
 
 # -- malformed configs get diagnostics ------------------------------------------
@@ -572,7 +679,8 @@ def _blocks():
     solve["problem"]["equalities"] = {"A": [[1.0]], "b": [0.0]}
     solve["problem"]["inequalities"]["named"] = [{"name": "ball", "params": {"radius": 1.0}}]
     plant = _hvac_cfg(params={}, gains={}, targets={})
-    line = {"schema": 1, "kind": "tline", "tline": {"grid": 8, "params": {}, "gains": {}}}
+    line = {"schema": 1, "kind": "tline",
+            "tline": {"grid": 8, "params": {}, "gains": {}, "target_vc1": 1.0}}
     ineq = ("problem", "inequalities")
     cases = [(solve, keys) for keys in (
         ("integrator",), ("problem",), ("problem", "objective"), ("problem", "equalities"),
@@ -963,8 +1071,8 @@ def test_seed_sets_the_svm_config_among_others(tmp_path):
     # generic defaults (step 1e-3, convergence_tol 1e-6, record_every 1).
     {"kind": "svm", "svm": {"n_per_class": 5}, "integrator": {"max_time": 50.0}},
     # A plant's or a line's horizon is the max_time it runs with.
-    CONFIGS["plant"], CONFIGS["tline"], CONFIGS["tline_open"],
-], ids=["no_block", "partial_block", "plant", "tline", "tline_open"])
+    CONFIGS["plant"], CONFIGS["tline"],
+], ids=["no_block", "partial_block", "plant", "tline"])
 def test_svm_integrator_echoes_the_settings_it_ran_with(tmp_path, monkeypatch, cfg):
     ran = []
     for module in (cli, primal_dual, tline):    # each calls integrate by its own name
@@ -1006,7 +1114,7 @@ def test_failed_switch_audit_exits_4_only_under_strict(tmp_path, monkeypatch, ki
     assert code == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("kind", ["plant", "tline", "tline_open"])
+@pytest.mark.parametrize("kind", ["plant", "tline"])
 def test_lyapunov_report_is_the_audit_of_lyapunov_csv(tmp_path, kind):
     code, payload = cli.run(CONFIGS[kind], tmp_path)
     assert code == 0

@@ -46,6 +46,11 @@ GRIDS = (25, 50, 100, 200)
                  "certificate search requires R > 0 and G > 0", id="admissible_params_search"),
     pytest.param(lambda: boundary_pi_control(LineParams(), 0.0, (0.0, 0.0), -1.0, 1.0, 0.0),
                  ValueError, "gains must be >= 0", id="boundary_pi_control"),
+    # K_P = -C0 would divide by zero in the applied current
+    pytest.param(lambda: tline_pi_loop(LineParams(), 16, 1.0, -1.0, 1.0), ValueError,
+                 "gains must be >= 0", id="tline_pi_loop-K_P"),
+    pytest.param(lambda: tline_pi_loop(LineParams(), 16, 1.0, 1.0, -1.0), ValueError,
+                 "gains must be >= 0", id="tline_pi_loop-K_I"),
 ])
 def test_input_checks_raise_their_messages(call, exc, message):
     with pytest.raises(exc) as info:
@@ -157,11 +162,11 @@ def _wave_bound(p, M):
     return 0.9 * (1.0 / M) * np.sqrt(p.L * p.C)
 
 
-def _rk4_spectral_radius(p, M, h):
+def _rk4_spectral_radius(p, M, h, K_P=1.0, K_I=1.0):
     """Largest ``|R(h lambda)|`` over the dense spectrum of the PI loop at
-    vC1* = 1, K_P = K_I = 1, with ``R`` the RK4 stability polynomial.  The
+    vC1* = 1 and these gains, with ``R`` the RK4 stability polynomial.  The
     loop is affine, so its Jacobian is exact column by column."""
-    rhs = tline_pi_loop(p, M, 1.0, 1.0, 1.0)[0]
+    rhs = tline_pi_loop(p, M, 1.0, K_P, K_I)[0]
     at_rest = rhs(0.0, np.zeros(2 * M + 2))
     J = np.column_stack([rhs(0.0, e) - at_rest for e in np.eye(2 * M + 2)])
     z = h * np.linalg.eigvals(J)
@@ -174,7 +179,8 @@ def test_cfl_limit_at_the_default_line_is_the_wave_bound_bit_for_bit():
         assert cfl_limit(p, M) == _wave_bound(p, M)
 
 
-# (params, grid, whether 0.999 x the wave bound is accepted, max |R(h lambda)| there)
+# (params, grid, whether 0.999 x the wave bound is accepted, max |R(h lambda)| there),
+# at K_P = K_I = 1 unless the params name a gain
 @pytest.mark.parametrize("params, M, accepted, radius", [
     ({}, 8, True, 0.957), ({}, 50, True, 0.993), ({}, 200, True, 0.998),
     ({"R0": 2.0}, 50, True, 0.993), ({"R0": 2.0}, 200, True, 0.998),
@@ -184,14 +190,18 @@ def test_cfl_limit_at_the_default_line_is_the_wave_bound_bit_for_bit():
     ({"R0": 2.5}, 50, False, 1.717), ({"R0": 3.0}, 50, False, 4.313),
     ({"R1": 3.0}, 50, False, 4.296), ({"C": 10.0}, 50, False, 5.681),
     ({"L": 0.1}, 50, False, 5.858),
+    # the boundary-capacitor rows; at the wave bound itself their blocks read 480, 5.55, 214
+    ({"K_P": 0.0, "K_I": 100.0}, 8, False, 478.250), ({"C1": 0.01}, 8, False, 6.275),
+    ({"C0": 0.01, "K_P": 0.0}, 8, False, 215.823),
 ])
 def test_step_guard_refuses_the_steps_the_dense_spectrum_shows_unstable(params, M, accepted,
                                                                         radius):
-    p = LineParams(**params)
+    K = [params.get(k, 1.0) for k in ("K_P", "K_I")]
+    p = LineParams(**{k: v for k, v in params.items() if k not in ("K_P", "K_I")})
     h = 0.999 * _wave_bound(p, M)
-    rho = _rk4_spectral_radius(p, M, h)
+    rho = _rk4_spectral_radius(p, M, h, *K)
     assert rho == pytest.approx(radius, abs=1e-3)
-    assert (h <= cfl_limit(p, M)) == accepted
+    assert (h <= tline._step_guard(p, M, *K)[0]) == accepted
     assert rho <= 1.0 or not accepted
 
 
@@ -207,6 +217,22 @@ def test_the_largest_step_an_end_row_bound_accepts_is_stable(params, resistor, M
     assert tline._step_guard(p, M) == (cfl_limit(p, M), resistor)
     assert cfl_limit(p, M) < _wave_bound(p, M)
     assert _rk4_spectral_radius(p, M, cfl_limit(p, M)) <= 1.0
+
+
+# (params, gains, max |R(h lambda)| of the dense spectrum at the guard itself)
+@pytest.mark.parametrize("params, K, radius", [
+    ({}, (0.0, 100.0), 0.9996), ({"C1": 0.01}, (1.0, 1.0), 0.9536),
+    ({"C0": 0.01}, (0.0, 1.0), 1.0112),
+])
+def test_a_capacitor_row_bound_is_stable_a_few_percent_below_the_guard(params, K, radius):
+    # The blocks leave out the end currents' coupling to the interior
+    # voltages, so at the guard itself the dense spectrum can lie just past
+    # RK4's region; 0.96 times the guard is inside it (see cfl_limit).
+    p = LineParams(**params)
+    limit, row = tline._step_guard(p, 8, *K)
+    assert row[0] == "C" and limit < _wave_bound(p, 8)
+    assert _rk4_spectral_radius(p, 8, limit, *K) == pytest.approx(radius, abs=1e-4)
+    assert _rk4_spectral_radius(p, 8, 0.96 * limit, *K) <= 1.0
 
 
 def test_guard_message_names_the_end_row_that_sets_it():
