@@ -20,9 +20,7 @@ picks what one run measures:
 - ``csv``: ``cli._write_csv``'s microseconds per value, ``--repeats`` writes
   to new files, on three blocks the checkout's CLI writes (a boundary-PI line
   run's ``spacetime.csv``, grid 200; the paper-scale svm's
-  ``mu_trajectory.csv``; a parallel-RLC ``lyapunov.csv``), and the size
-  cut-over of its ``_csv_floats`` kernel against the ``%`` row format, by
-  which ``cli._SMALL`` was chosen;
+  ``mu_trajectory.csv``; a parallel-RLC ``lyapunov.csv``);
 - ``rk4_floats``: microseconds per ``integrate(floats=True)`` RK4 step,
   ``--repeats`` calls on each of the four plant loops of perfbench's
   ``closed_loops``, with the rhs, start and settings ``cli.run`` passes;
@@ -155,25 +153,6 @@ def csv_probe(repeats: int) -> dict:
                                   f"{name}.us_per_value_median": statistics.median(us)}
             result["blocks"][name] = {"shape": list(a.shape), "values": a.size}
             result["same_artifacts"][name] = [digest]
-    if hasattr(cli, "_csv_floats"):
-        result["cutover"] = []
-        rng, small = np.random.default_rng(0), cli._SMALL
-        try:
-            for cols in (2, 7):
-                for size in (50, 100, 150, 200, 300, 400, 800):
-                    n = max(1, size // cols)
-                    a = rng.normal(size=(n, cols)) * 10.0 ** rng.integers(-8, 8, (n, cols))
-                    best = {"kernel_us": [], "rows_us": []}
-                    for _ in range(200):        # interleaved, so drift hits both alike
-                        for key, limit in (("kernel_us", 0), ("rows_us", 10 ** 9)):
-                            cli._SMALL = limit
-                            start = time.perf_counter()
-                            cli._csv_floats(a)
-                            best[key].append(time.perf_counter() - start)
-                    result["cutover"].append({"cols": cols, "values": a.size,
-                                              **{k: min(t) * 1e6 for k, t in best.items()}})
-        finally:
-            cli._SMALL = small
     return result
 
 

@@ -21,7 +21,8 @@ a line's ``integrator.max_time``, ``event_tol``, ``convergence_tol`` and
 and its ``horizon``; and an audit's ``integrator`` block.  The svm dataset
 seed is ``svm.seed``, which ``--seed`` writes; without an svm config
 ``--seed`` exits 2, and a top-level ``seed`` is an unknown key.  ``run``
-and ``validate`` take any kind and need ``--config``; a kind subcommand
+and ``validate`` take any kind and need ``--config``, and ``validate``
+takes no flag but ``--config`` and ``--seed``; a kind subcommand
 takes only configs of its kind, and without ``--config`` it starts from
 ``{"schema": 1, "kind": <kind>}`` and its flags, so its reader names what
 is missing, as for a config file that lacks those fields.  This module
@@ -35,8 +36,10 @@ the config's keys over the defaults (``svm.DEFAULT_INTEGRATOR`` for svm),
 with a plant's or line's horizon as ``max_time``.  No other block is
 defaulted in the echo.  A ``tline`` run is the boundary-PI loop from rest
 to the load voltage ``target_vc1``, which it needs, so its ``R`` and ``G``
-must be > 0.  The ``solve`` and ``svm`` kinds grow the RK4 step
-between events, with ``integrator.step`` as its floor.  ``record_every`` and
+must be > 0.  A ``solve`` config's ``integrator.step`` must keep RK4 stable
+with no inequality active, where the flow is linear.  The ``solve`` and
+``svm`` kinds grow the RK4 step between events, with ``integrator.step`` as
+its floor.  ``record_every`` and
 ``convergence_window`` count steps, so a grown run samples more sparsely,
 and ``converged`` reads the final rate alone, so a grown run may reach
 ``max_time`` with ``converged`` true (the golden ``solve`` config ends at
@@ -318,9 +321,43 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
     d.need((start["mu"] >= 0).all(), "init.mu: must be >= 0")
     if d:
         return None
+    # With every mu held at 0 the flow is linear whatever the rows, with the
+    # rates [[-Q, -A^T] / tau_x, [A, 0] / tau_lam].  A step that RK4 grows
+    # there, max |R(h lambda)| > 1 + 1e-6 (a margin above the eigenvalues'
+    # roundoff), is refused.  The rates lie in the left half-plane, where
+    # RK4's region is star-shaped about 0 and within |z| < 3, so each
+    # eigenvalue's largest step is found by bisection along its ray.
+    icfg = IntegratorConfig(**integ)
+    tau = np.concatenate([tc["tau_x"], tc["tau_lam"]])[:, None]
+    with np.errstate(all="ignore"):
+        rates = np.block([[-0.5 * Q0 - 0.5 * Q0.T, -A.T], [A, np.zeros((len(b), len(b)))]]) / tau
+        lam = np.linalg.eigvals(rates) if np.isfinite(rates).all() else np.array([np.inf])
+        growth = _rk4_gain(icfg.step * lam).max()
+        if growth > 1 + 1e-6:
+            size = np.abs(lam)
+            ray = np.where(size > 0, lam / size, -1)    # a zero rate bounds nothing
+            lo, hi = np.zeros(size.shape), np.full(size.shape, 3.0)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                inside = _rk4_gain(mid * ray) <= 1 + 1e-6
+                lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+            d.append(f"integrator.step: {icfg.step:g} is past RK4's stability region with no "
+                     f"inequality active (max |R(h lambda)| {growth:.7g} > 1), which holds "
+                     f"up to step {np.min(lo / size):.3g}, set by problem.objective.Q0"
+                     f"{' and problem.equalities.A' if len(b) else ''} over time_constants")
+            return None
     problem = ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b,
                             ineq=AffineInequalities(G, h, named))
-    return problem, FlowState(**start), TimeConstants(**tc), IntegratorConfig(**integ)
+    return problem, FlowState(**start), TimeConstants(**tc), icfg
+
+
+def _rk4_gain(z):
+    """``|R(z)|``, with ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` the stability
+    polynomial of RK4: a linear mode ``hλ = z`` grows over a step where it
+    exceeds 1 (Hairer & Wanner, *Solving ODEs II*, IV.2).  A ``z`` whose
+    powers overflow, where ``|R|`` reads nan, reads inf."""
+    gain = np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
+    return np.where(np.isnan(gain), np.inf, gain)
 
 
 def _read_svm(cfg: dict, integ: dict, d: _Diagnostics):
@@ -509,10 +546,6 @@ def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
 # plus 0.1-0.2 us a value on a 2-vCPU x86 host, and its temporaries peak at
 # about 400 bytes a value, so 2,048 values keep them under 1 MB.
 _CHUNK = 2048
-# A chunk of fewer values is written one ``%`` row at a time: the two cost
-# the same at 100-150 values, 2 or 7 a row (``benchmarks/pairs.py --probe
-# csv``).
-_SMALL = 150
 
 
 def _write_csv(path, header, rows=(), blocks=()) -> None:
@@ -522,8 +555,8 @@ def _write_csv(path, header, rows=(), blocks=()) -> None:
     A row's ``str`` cells, like the header's, are written as they are in
     ASCII (no quoting); the first row's cell types fix the line format.
     Each block is a tuple of float arrays of equal length whose columns are
-    written side by side, row by row; it is cut into as few chunks of at most
-    ``_CHUNK`` values as its rows allow and each chunk formatted by
+    written side by side, row by row; it is cut into chunks of as many rows
+    as ``_CHUNK`` values allow and each chunk formatted by
     :func:`_csv_floats`: 0.15-0.25 us a value on a large block on a 2-vCPU
     x86 host, where one ``bytes %`` a row takes 0.3-0.8 us.
     """
@@ -539,11 +572,8 @@ def _write_csv(path, header, rows=(), blocks=()) -> None:
             fh.write(line % tuple(row))
         per_chunk = max(1, _CHUNK // len(header))
         for block in blocks:
-            n = len(block[0])
-            chunks = max(1, -(-n // per_chunk))     # the fewest within the budget,
-            step = max(1, -(-n // chunks))          # of rows as equal as they can be
-            for k in range(0, n, step):
-                fh.write(_csv_floats(np.column_stack([col[k:k + step] for col in block])))
+            for k in range(0, len(block[0]), per_chunk):
+                fh.write(_csv_floats(np.column_stack([col[k:k + per_chunk] for col in block])))
 
 
 def _write_samples(path, names, times, values) -> None:
@@ -572,15 +602,11 @@ def _csv_floats(a) -> bytes:
     (layout class, significant digits, sign) zeroes every byte not in
     ``%g``'s text (fixed notation for -4 <= X < 17 without trailing zeros
     or a trailing dot, ``e+XX`` otherwise, ``-0`` for -0.0), and the zeros
-    are deleted.  Blocks of fewer than ``_SMALL`` values are written by
-    ``%``, which is faster there.
+    are deleted.
     """
     a = np.asarray(a, dtype=float)
     rows, cols = a.shape
     x = a.ravel()
-    if x.size < _SMALL:
-        line = b",".join([b"%.17g"] * cols) + b"\r\n"
-        return b"".join(line % tuple(row) for row in a.tolist())
     T = _csv_tables()
     take = np.take
     ax = np.abs(x)
@@ -922,8 +948,10 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", action="append", default=[], required=name not in KINDS,
                         help="experiment config JSON")
-        sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the svm seed")
+        if name == "validate":          # it runs nothing and writes nothing
+            continue
+        sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--strict", action="store_true",
                         help="nonzero exit on non-convergence or audit failure; plant and "
                              "tline runs gate only the Lyapunov audit, not the distance "
@@ -938,8 +966,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs: must be >= 1")
     kind = KINDS.get(args.command)
     stems = [Path(path).stem for path in args.config]
     repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
@@ -985,6 +1011,8 @@ def main(argv=None) -> int:
                 print(f"config[{path_or_idx}]: ok")
         return worst
 
+    if args.jobs < 1:
+        parser.error("--jobs: must be >= 1")
     out_dirs = ([Path(args.out) / stem for stem in stems] if len(configs) > 1
                 else [Path(args.out)])
     strict = [args.strict] * len(configs)

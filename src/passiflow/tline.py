@@ -144,7 +144,7 @@ def _dz(values: np.ndarray, dz: float) -> np.ndarray:
 
 def cfl_limit(p: LineParams, M: int) -> float:
     """Largest admissible RK4 step of the line under a constant source
-    current, the least of four terms:
+    current, the least of five terms:
 
     - the interior wave bound ``0.9 dz sqrt(LC)``;
     - the end rows' bound ``2.785 L / (1.5 max(R0, R1) M + R)``.
@@ -155,7 +155,10 @@ def cfl_limit(p: LineParams, M: int) -> float:
     - the source block, ``(i0, vC0)`` with the rates
       ``[[-(1.5 M R0 + R)/L, 1.5 M/L], [-1/(C0 + K_P), -K_I/(C0 + K_P)]]``;
     - the load block, ``(iM, vC1)`` with ``[[-(1.5 M R1 + R)/L, -1.5 M/L],
-      [1/C1, 0]]``.
+      [1/C1, 0]]``;
+    - the interior voltage rows' bound ``2.785 C / G``: each decays at its
+      own rate ``-G/C`` besides the wave.  The current rows' own rate
+      ``-R/L`` needs no term, as the end term's rate exceeds it.
 
     A block's term is 2.785 over its largest eigenvalue modulus when both
     eigenvalues are real, else 2.6155 over it: the radius of the largest left
@@ -183,9 +186,9 @@ def _block_limit(trace: float, det: float) -> float:
 
 def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
     """``(limit, row)``: :func:`cfl_limit` under the PI gains ``K_P, K_I``,
-    and the parameter of the boundary row whose term sets it (``"R0"`` or
-    ``"R1"`` for an end row, ``"C0"`` or ``"C1"`` for a capacitor block),
-    else None."""
+    and the parameter of the rows whose term sets it (``"R0"`` or ``"R1"``
+    for an end row, ``"C0"`` or ``"C1"`` for a capacitor block, ``"G"`` for
+    the interior voltage rows), else None."""
     wave = 0.9 * (1.0 / M) * np.sqrt(p.L * p.C)
     stiff = 1.5 * max(p.R0, p.R1) * M + p.R     # L times the stiffer end row's rate
     end = 2.785 * p.L / stiff if stiff else np.inf
@@ -195,13 +198,16 @@ def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
     couple, C0 = 1.5 * M / p.L, p.C0 + K_P
     return min([(wave, None), (end, "R0" if p.R0 >= p.R1 else "R1"),
                 (_block_limit(-rate0 - K_I / C0, (rate0 * K_I + couple) / C0), "C0"),
-                (_block_limit(-rate1, couple / p.C1), "C1")], key=lambda term: term[0])
+                (_block_limit(-rate1, couple / p.C1), "C1"),
+                (2.785 * p.C / p.G if p.G else np.inf, "G")], key=lambda term: term[0])
 
 
 def _set_by(row, prefix: str = "") -> str:
-    """How a guard message names the boundary row of :func:`_step_guard`."""
+    """How a guard message names the rows of :func:`_step_guard`."""
     if row is None:
         return ""
+    if row == "G":
+        return f", set by the interior voltage rows' own rate of {prefix}G"
     return f", set by the {'end' if row[0] == 'R' else 'capacitor'} row of {prefix}{row}"
 
 

@@ -265,6 +265,48 @@ def test_a_line_step_past_its_capacitor_row_bound_exits_2(tmp_path, params, gain
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("params", [{"C": 0.01, "L": 20.0}, {"G": 200.0}])
+def test_a_line_step_past_its_interior_voltage_rows_bound_exits_2(tmp_path, params):
+    # at the wave bound (0.0503 and 0.1125) h G/C is 5.03 and 22.5, past RK4's
+    # -2.785; the first exited 4 under --strict before the guard had this term
+    p = tline.LineParams(**params)
+    cfg = _line_cfg(params, 8, 0.9 / 8 * np.sqrt(p.L * p.C))
+    diags = cli.validate(cfg)
+    assert diags == [f"integrator.step: violates stability guard {2.785 * p.C / p.G:.3g} at "
+                     "this grid, set by the interior voltage rows' own rate of tline.params.G"]
+    code, payload = cli.run(cfg, tmp_path / "out", strict=True)
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, growth, rows", [
+    ("solve", "2.12734", "problem.objective.Q0"),
+    ("solve_eq", "1.382138", "problem.objective.Q0 and problem.equalities.A"),
+])
+def test_a_solve_step_that_rk4_grows_with_no_inequality_active_exits_2(tmp_path, name, growth,
+                                                                      rows):
+    # The golden solve at step 1.5 raised the clamp's "undershot zero ... missing
+    # guard?" ValueError out of cli.run; h lambda_max(Q) is -3.31 there, past -2.785.
+    cfg = _with(CONFIGS[name], integrator={"step": 1.5})
+    diags = cli.validate(cfg)
+    assert len(diags) == 1 and re.fullmatch(
+        r"integrator\.step: 1\.5 is past RK4's stability region with no inequality active "
+        rf"\(max \|R\(h lambda\)\| {growth} > 1\), which holds up to step (\S+), set by "
+        rf"{rows} over time_constants", diags[0])
+    limit = float(re.search(r"up to step (\S+),", diags[0])[1])
+    assert cli.validate(_with(cfg, integrator={"step": 0.999 * limit})) == []
+    code, payload = cli.run(cfg, tmp_path / "out", strict=True)
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_solve_step_bound_is_rk4s_real_limit_over_the_stiffest_rate():
+    # no equality: the rates are -eig(Q0) = -2.207, -0.793, so the bound is 2.7853 / 2.207
+    q = np.linalg.eigvalsh(np.array(CONFIGS["solve"]["problem"]["objective"]["Q0"]))[-1]
+    assert cli.validate(_with(CONFIGS["solve"], integrator={"step": 2.785 / q})) == []
+    assert cli.validate(_with(CONFIGS["solve"], integrator={"step": 2.786 / q})) != []
+
+
 def test_a_line_step_within_the_guard_is_accepted_at_every_grid():
     # the default line's guard is its interior wave bound; R0 = 2 is measured stable there
     for M in range(8, 401):
@@ -379,12 +421,12 @@ def test_q0_near_the_float_range_is_symmetrized_without_overflow(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         diags = cli.validate(cfg)
-    assert [d for d in diags if d.startswith("problem.objective.Q0")] == []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)     # the flow overflows
-        code, payload = cli.run(cfg, tmp_path)
-    assert code == payload["exit_code"] == cli.EXIT_DIVERGENCE
-    assert json.loads((tmp_path / "summary.json").read_text())["error"] == payload["error"]
+    # no Q0 diagnostic: the rate -1e308 leaves RK4's region at any step above 2.785e-308
+    assert diags == ["integrator.step: 0.01 is past RK4's stability region with no inequality "
+                     "active (max |R(h lambda)| inf > 1), which holds up to step 2.79e-308, "
+                     "set by problem.objective.Q0 and problem.equalities.A over time_constants"]
+    code, payload = cli.run(cfg, tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
 
 
 def test_rising_storage_trace_exits_4_only_under_strict(tmp_path):
@@ -437,7 +479,9 @@ def test_a_config_file_that_cannot_be_read_is_a_diagnostic(tmp_path, capsys, com
     good.write_text(json.dumps(_tiny_solve_cfg(-1.0)))
     if text is not None:
         bad.write_text(text)
-    argv = [command, "--config", str(bad), "--config", str(good), "--out", str(tmp_path / "out")]
+    argv = [command, "--config", str(bad), "--config", str(good)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_VALIDATION
     out, err = capsys.readouterr()
     expected = f"config: cannot read {bad} ({error}: "
@@ -458,6 +502,19 @@ def test_run_and_validate_need_a_config(capsys, command):
         cli.main([command])
     assert exc.value.code == 2
     assert "the following arguments are required: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--out", "out"], ["--strict"], ["--jobs", "3"],
+                                   ["--strict", "--out", "/proc/nope", "--jobs", "3"]])
+def test_validate_refuses_the_flags_of_a_run(tmp_path, capsys, flags):
+    # validate reads only --config and --seed; it used to accept these and exit 0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_tiny_solve_cfg(-1.0)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--config", str(path), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: unrecognized arguments: {' '.join(flags)}")
 
 
 # (flags, the field of its kind that a run from these flags alone misses)
@@ -1043,7 +1100,7 @@ def test_seed_without_an_svm_config_exits_2(tmp_path, capsys, monkeypatch, argv)
     Path("plant.json").write_text(json.dumps(CONFIGS["plant"]))
     Path("audit.json").write_text(json.dumps(_audit_cfg(tmp_path, [2.0, 1.0])))
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--seed", "3", "--out", "out"])
+        cli.main([*argv, "--seed", "3", *(["--out", "out"] if argv[0] != "validate" else [])])
     assert exc.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
     assert len(errors) == 1 and errors[0].endswith(

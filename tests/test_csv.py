@@ -78,7 +78,7 @@ def test_edge_values_are_written_as_percent_g(tmp_path, shape):
 
 
 @pytest.mark.parametrize("rows, cols", [
-    (1, 1), (1, 5), (5, 1), (1, cli._SMALL), (cli._SMALL, 1),        # the row path and its edge
+    (1, 1), (1, 5), (5, 1), (1, 150), (150, 1),                       # tiny blocks
     (1, cli._CHUNK), (1, cli._CHUNK + 1), (cli._CHUNK + 1, 1),       # one row over the budget
     (cli._CHUNK // 7 + 1, 7), (3 * cli._CHUNK // 405 + 2, 405),       # uneven chunks
 ])

@@ -193,6 +193,8 @@ def test_cfl_limit_at_the_default_line_is_the_wave_bound_bit_for_bit():
     # the boundary-capacitor rows; at the wave bound itself their blocks read 480, 5.55, 214
     ({"K_P": 0.0, "K_I": 100.0}, 8, False, 478.250), ({"C1": 0.01}, 8, False, 6.275),
     ({"C0": 0.01, "K_P": 0.0}, 8, False, 215.823),
+    # the interior rows' own rate G/C: h G/C is 5.03 and 22.5 at the wave bound
+    ({"C": 0.01, "L": 20.0}, 8, False, 13.738), ({"G": 200.0}, 8, False, 8965.509),
 ])
 def test_step_guard_refuses_the_steps_the_dense_spectrum_shows_unstable(params, M, accepted,
                                                                         radius):
@@ -233,6 +235,13 @@ def test_a_capacitor_row_bound_is_stable_a_few_percent_below_the_guard(params, K
     assert row[0] == "C" and limit < _wave_bound(p, 8)
     assert _rk4_spectral_radius(p, 8, limit, *K) == pytest.approx(radius, abs=1e-4)
     assert _rk4_spectral_radius(p, 8, 0.96 * limit, *K) <= 1.0
+
+
+@pytest.mark.parametrize("params", [{"C": 0.01, "L": 20.0}, {"G": 200.0}])
+def test_the_interior_voltage_rows_bound_is_stable_at_the_guard(params):
+    p = LineParams(**params)
+    assert tline._step_guard(p, 8, 1.0, 1.0) == (2.785 * p.C / p.G, "G")
+    assert _rk4_spectral_radius(p, 8, 2.785 * p.C / p.G) == pytest.approx(0.9986, abs=1e-4)
 
 
 def test_guard_message_names_the_end_row_that_sets_it():
