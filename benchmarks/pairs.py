@@ -121,13 +121,10 @@ def _run(cli, cfg, out) -> None:
 
 
 def csv_probe(repeats: int) -> dict:
-    import inspect
-
     import numpy as np
     from passiflow import cli
     from passiflow.tline import LineParams, cfl_limit
 
-    takes_blocks = "blocks" in inspect.signature(cli._write_csv).parameters
     result = {"metrics": {}, "blocks": {}, "same_artifacts": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in CSV_CONFIGS.items():
@@ -141,10 +138,7 @@ def csv_probe(repeats: int) -> dict:
             for k in range(repeats + 1):        # the first warms tables and imports
                 path = out / f"w{k}.csv"
                 start = time.perf_counter()
-                if takes_blocks:
-                    cli._write_csv(path, header, blocks=[(a,)])
-                else:                           # one row list per row, as its callers did
-                    cli._write_csv(path, header, (row.tolist() for row in a))
+                cli._write_csv(path, header, blocks=[(a,)])
                 times.append(time.perf_counter() - start)
                 digest = _sha1(path)
                 path.unlink()

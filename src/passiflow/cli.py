@@ -37,9 +37,11 @@ with a plant's or line's horizon as ``max_time``.  No other block is
 defaulted in the echo.  A ``tline`` run is the boundary-PI loop from rest
 to the load voltage ``target_vc1``, which it needs, so its ``R`` and ``G``
 must be > 0.  A ``solve`` config's ``integrator.step`` must keep RK4 stable
-with no inequality active, where the flow is linear.  The ``solve`` and
-``svm`` kinds grow the RK4 step between events, with ``integrator.step`` as
-its floor.  ``record_every`` and
+with no inequality active and with any one affine row active alone, where
+the flow is linear.  A row is checked even if a run would never activate it;
+a named row (``ball``), whose rates depend on the state, is not.  The
+``solve`` and ``svm`` kinds grow the RK4 step between events, with
+``integrator.step`` as its floor.  ``record_every`` and
 ``convergence_window`` count steps, so a grown run samples more sparsely,
 and ``converged`` reads the final rate alone, so a grown run may reach
 ``max_time`` with ``converged`` true (the golden ``solve`` config ends at
@@ -93,7 +95,6 @@ from .primal_dual import (
     TimeConstants,
     quadratic_oracle,
     solve,
-    storage_switch_audit,
 )
 
 __all__ = ["main", "run", "validate", "load_config", "KINDS", "SCHEMA_VERSION"]
@@ -322,29 +323,39 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
     if d:
         return None
     # With every mu held at 0 the flow is linear whatever the rows, with the
-    # rates [[-Q, -A^T] / tau_x, [A, 0] / tau_lam].  A step that RK4 grows
-    # there, max |R(h lambda)| > 1 + 1e-6 (a margin above the eigenvalues'
-    # roundoff), is refused.  The rates lie in the left half-plane, where
-    # RK4's region is star-shaped about 0 and within |z| < 3, so each
-    # eigenvalue's largest step is found by bisection along its ray.
+    # rates [[-Q, -A^T] / tau_x, [A, 0] / tau_lam]; with affine row i alone
+    # active it is linear too, with the rates bordered by -g_i^T / tau_x and
+    # g_i / tau_mu_i.  A step that RK4 grows in one of these modes, max
+    # |R(h lambda)| > 1 + 1e-6 (a margin above the eigenvalues' roundoff), is
+    # refused.  A named row's rates depend on x, so its modes are not checked.
     icfg = IntegratorConfig(**integ)
     tau = np.concatenate([tc["tau_x"], tc["tau_lam"]])[:, None]
+    N, p = n + len(b), len(h)
     with np.errstate(all="ignore"):
         rates = np.block([[-0.5 * Q0 - 0.5 * Q0.T, -A.T], [A, np.zeros((len(b), len(b)))]]) / tau
         lam = np.linalg.eigvals(rates) if np.isfinite(rates).all() else np.array([np.inf])
         growth = _rk4_gain(icfg.step * lam).max()
         if growth > 1 + 1e-6:
-            size = np.abs(lam)
-            ray = np.where(size > 0, lam / size, -1)    # a zero rate bounds nothing
-            lo, hi = np.zeros(size.shape), np.full(size.shape, 3.0)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                inside = _rk4_gain(mid * ray) <= 1 + 1e-6
-                lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
             d.append(f"integrator.step: {icfg.step:g} is past RK4's stability region with no "
                      f"inequality active (max |R(h lambda)| {growth:.7g} > 1), which holds "
-                     f"up to step {np.min(lo / size):.3g}, set by problem.objective.Q0"
+                     f"up to step {_rk4_limit(lam):.3g}, set by problem.objective.Q0"
                      f"{' and problem.equalities.A' if len(b) else ''} over time_constants")
+            return None
+        modes = np.zeros((p, N + 1, N + 1))
+        modes[:, :N, :N] = rates
+        modes[:, :n, N] = -G / tc["tau_x"]
+        modes[:, N, :n] = G / tc["tau_mu"][:p, None]
+        finite = np.isfinite(modes).all(axis=(1, 2))
+        lam = np.full((p, N + 1), np.inf, complex)
+        lam[finite] = np.linalg.eigvals(modes[finite])
+        growth = _rk4_gain(icfg.step * lam).max(axis=1)
+        if (growth > 1 + 1e-6).any():
+            limit = _rk4_limit(lam)
+            i = int(np.argmin(limit))
+            d.append(f"integrator.step: {icfg.step:g} is past RK4's stability region with only "
+                     f"row {i} of problem.inequalities.affine.G active (max |R(h lambda)| "
+                     f"{growth[i]:.7g} > 1), which holds up to step {limit[i]:.3g} with any "
+                     "one row active")
             return None
     problem = ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b,
                             ineq=AffineInequalities(G, h, named))
@@ -358,6 +369,22 @@ def _rk4_gain(z):
     powers overflow, where ``|R|`` reads nan, reads inf."""
     gain = np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
     return np.where(np.isnan(gain), np.inf, gain)
+
+
+def _rk4_limit(lam):
+    """The largest step at which RK4 keeps every rate of ``lam`` along its
+    last axis, ``|R(h lambda)| <= 1 + 1e-6``.  Rates in the left half-plane,
+    where RK4's region is star-shaped about 0 and within ``|z| < 3``, are
+    bisected along their rays; a zero rate bounds nothing."""
+    size = np.abs(lam)
+    with np.errstate(all="ignore"):
+        ray = np.where(size > 0, lam / size, -1)
+        lo, hi = np.zeros(size.shape), np.full(size.shape, 3.0)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            inside = _rk4_gain(mid * ray) <= 1 + 1e-6
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        return np.min(lo / size, axis=-1)
 
 
 def _read_svm(cfg: dict, integ: dict, d: _Diagnostics):
@@ -548,12 +575,10 @@ def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
 _CHUNK = 2048
 
 
-def _write_csv(path, header, rows=(), blocks=()) -> None:
-    """Write ``header``, then ``rows``, then ``blocks`` as CRLF CSV lines,
-    every number as ``%.17g`` writes it.
+def _write_csv(path, header, blocks) -> None:
+    """Write ``header``, then ``blocks`` as CRLF CSV lines, every number as
+    ``%.17g`` writes it.
 
-    A row's ``str`` cells, like the header's, are written as they are in
-    ASCII (no quoting); the first row's cell types fix the line format.
     Each block is a tuple of float arrays of equal length whose columns are
     written side by side, row by row; it is cut into chunks of as many rows
     as ``_CHUNK`` values allow and each chunk formatted by
@@ -562,18 +587,17 @@ def _write_csv(path, header, rows=(), blocks=()) -> None:
     """
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode("ascii") + b"\r\n")
-        line = None
-        for row in rows:
-            if line is None:
-                strings = any(isinstance(c, str) for c in row)
-                line = b",".join(b"%s" if isinstance(c, str) else b"%.17g" for c in row) + b"\r\n"
-            if strings:
-                row = [c.encode("ascii") if isinstance(c, str) else c for c in row]
-            fh.write(line % tuple(row))
         per_chunk = max(1, _CHUNK // len(header))
         for block in blocks:
             for k in range(0, len(block[0]), per_chunk):
                 fh.write(_csv_floats(np.column_stack([col[k:k + per_chunk] for col in block])))
+
+
+def _write_events(path, events) -> None:
+    """Write ``t,tag``, then one CRLF line per ``(t, tag)`` event."""
+    with open(path, "wb") as fh:
+        fh.write(b"t,tag\r\n" + b"".join(b"%.17g,%s\r\n" % (t, tag.encode("ascii"))
+                                          for t, tag in events))
 
 
 def _write_samples(path, names, times, values) -> None:
@@ -742,21 +766,16 @@ def _csv_tables() -> _CsvTables:
     return tables
 
 
-def _solve_summary(result) -> dict:
-    """A solve's summary, its storage verdict included, and its switch audit."""
-    return {**result.summary(), "switch_audit": storage_switch_audit(result.storage)}
-
-
 def _run_solve(inputs, out: Path) -> dict:
     problem, init, tc, icfg = inputs
     result = solve(problem, init, tc=tc, cfg=icfg, grow_step=True)
     traj, trace = result.trajectory, result.storage
     _write_samples(out / "trajectory.csv", [f"x{k}" for k in range(traj.states.shape[1])],
                    traj.times, traj.states)
-    _write_csv(out / "events.csv", ["t", "tag"], traj.events)
+    _write_events(out / "events.csv", traj.events)
     _write_csv(out / "storage.csv", ["t", "storage", "supply", "margin"],
                blocks=[(trace.times, trace.storage, trace.supply_integral, trace.margin)])
-    return _solve_summary(result)
+    return result.summary()
 
 
 def _run_svm(inputs, out: Path) -> dict:
@@ -778,7 +797,7 @@ def _run_svm(inputs, out: Path) -> dict:
         "representer_residual": report["representer_residual"],
         "margin": report["margin"],
         "dual_balance": report["dual_balance"],
-        **_solve_summary(result),
+        **result.summary(),
     }
 
 

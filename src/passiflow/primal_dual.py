@@ -376,12 +376,14 @@ class SolveResult:
         return len(self.storage.switch_events)
 
     def summary(self) -> dict:
+        """The run's KKT report, counts, storage verdict and switch audit."""
         return {
             "kkt": asdict(self.kkt),
             "iterations": int(self.trajectory.times.size),
             "switch_count": self.switch_count,
             "converged": self.converged,
             **self.storage.report(),
+            "switch_audit": storage_switch_audit(self.storage),
         }
 
 

@@ -158,7 +158,8 @@ def cfl_limit(p: LineParams, M: int) -> float:
       [1/C1, 0]]``;
     - the interior voltage rows' bound ``2.785 C / G``: each decays at its
       own rate ``-G/C`` besides the wave.  The current rows' own rate
-      ``-R/L`` needs no term, as the end term's rate exceeds it.
+      ``-R/L`` needs no term: the end term's rate exceeds it, and is it
+      when ``R0 = R1 = 0``.
 
     A block's term is 2.785 over its largest eigenvalue modulus when both
     eigenvalues are real, else 2.6155 over it: the radius of the largest left
@@ -187,8 +188,9 @@ def _block_limit(trace: float, det: float) -> float:
 def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
     """``(limit, row)``: :func:`cfl_limit` under the PI gains ``K_P, K_I``,
     and the parameter of the rows whose term sets it (``"R0"`` or ``"R1"``
-    for an end row, ``"C0"`` or ``"C1"`` for a capacitor block, ``"G"`` for
-    the interior voltage rows), else None."""
+    for an end row, ``"R"`` for the current rows when both end resistors are
+    0, ``"C0"`` or ``"C1"`` for a capacitor block, ``"G"`` for the interior
+    voltage rows), else None."""
     wave = 0.9 * (1.0 / M) * np.sqrt(p.L * p.C)
     stiff = 1.5 * max(p.R0, p.R1) * M + p.R     # L times the stiffer end row's rate
     end = 2.785 * p.L / stiff if stiff else np.inf
@@ -196,7 +198,8 @@ def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
     # the PI law's K_P adds to the source capacitor
     rate0, rate1 = (1.5 * M * p.R0 + p.R) / p.L, (1.5 * M * p.R1 + p.R) / p.L
     couple, C0 = 1.5 * M / p.L, p.C0 + K_P
-    return min([(wave, None), (end, "R0" if p.R0 >= p.R1 else "R1"),
+    end_row = "R" if max(p.R0, p.R1) == 0 else "R0" if p.R0 >= p.R1 else "R1"
+    return min([(wave, None), (end, end_row),
                 (_block_limit(-rate0 - K_I / C0, (rate0 * K_I + couple) / C0), "C0"),
                 (_block_limit(-rate1, couple / p.C1), "C1"),
                 (2.785 * p.C / p.G if p.G else np.inf, "G")], key=lambda term: term[0])
@@ -206,8 +209,9 @@ def _set_by(row, prefix: str = "") -> str:
     """How a guard message names the rows of :func:`_step_guard`."""
     if row is None:
         return ""
-    if row == "G":
-        return f", set by the interior voltage rows' own rate of {prefix}G"
+    if row in ("G", "R"):
+        rows = "interior voltage" if row == "G" else "current"
+        return f", set by the {rows} rows' own rate of {prefix}{row}"
     return f", set by the {'end' if row[0] == 'R' else 'capacitor'} row of {prefix}{row}"
 
 

@@ -397,8 +397,9 @@ def reference_closed_loop_lyapunov(p, state, targets, adm, K_I) -> float:
 
 
 def reference_write_csv(path, header, rows) -> None:
-    """``passiflow.cli._write_csv`` in text mode, each row formatted as a
-    ``str`` and encoded by the file: the reference of its binary writer."""
+    """``passiflow.cli._write_csv`` and ``_write_events`` in text mode, each
+    row formatted as a ``str`` and encoded by the file: the reference of
+    their binary writers."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         line = None

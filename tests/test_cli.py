@@ -1,5 +1,4 @@
 import concurrent.futures
-import csv
 import dataclasses
 import functools
 import inspect
@@ -279,6 +278,18 @@ def test_a_line_step_past_its_interior_voltage_rows_bound_exits_2(tmp_path, para
     assert not (tmp_path / "out").exists()
 
 
+def test_a_line_step_past_the_current_rows_bound_exits_2(tmp_path):
+    # with R0 = R1 = 0 the end term is the current rows' own rate R/L; the
+    # guard named it the end row of R0
+    cfg = _line_cfg({"R0": 0.0, "R1": 0.0, "R": 200.0}, 8, 0.05)
+    diags = cli.validate(cfg)
+    assert diags == ["integrator.step: violates stability guard 0.0139 at this grid, set by "
+                     "the current rows' own rate of tline.params.R"]
+    code, payload = cli.run(cfg, tmp_path / "out", strict=True)
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, growth, rows", [
     ("solve", "2.12734", "problem.objective.Q0"),
     ("solve_eq", "1.382138", "problem.objective.Q0 and problem.equalities.A"),
@@ -305,6 +316,80 @@ def test_the_solve_step_bound_is_rk4s_real_limit_over_the_stiffest_rate():
     q = np.linalg.eigvalsh(np.array(CONFIGS["solve"]["problem"]["objective"]["Q0"]))[-1]
     assert cli.validate(_with(CONFIGS["solve"], integrator={"step": 2.785 / q})) == []
     assert cli.validate(_with(CONFIGS["solve"], integrator={"step": 2.786 / q})) != []
+
+
+def _solve_with_affine(name, G, **blocks):
+    """The golden ``name`` config, or the one-variable ``_tiny_solve_cfg``, with
+    affine rows ``G`` and top-level ``blocks`` merged in."""
+    cfg = _with(CONFIGS[name] if name in CONFIGS else _tiny_solve_cfg(-1.0), **blocks)
+    cfg["problem"]["inequalities"]["affine"]["G"] = G
+    return cfg
+
+
+# Each raised the clamp's "undershot zero ... missing guard?" ValueError out
+# of cli.run at step 0.01, where the row's mode has the rates -0.5 +- 1e6 i.
+@pytest.mark.parametrize("name, G", [("tiny", [[1e6]]), ("solve", [[1e6, 0.0]])])
+def test_a_solve_step_that_rk4_grows_with_one_affine_row_active_exits_2(tmp_path, name, G):
+    cfg = _solve_with_affine(name, G)
+    diags = cli.validate(cfg)
+    assert len(diags) == 1 and re.fullmatch(
+        r"integrator\.step: 0\.01 is past RK4's stability region with only row 0 of "
+        r"problem\.inequalities\.affine\.G active \(max \|R\(h lambda\)\| 4\.166666e\+14 > 1\), "
+        r"which holds up to step (\S+) with any one row active", diags[0])
+    limit = float(re.search(r"up to step (\S+) ", diags[0])[1])
+    assert cli.validate(_with(cfg, integrator={"step": 0.99 * limit})) == []
+    code, payload = cli.run(cfg, tmp_path / "out", strict=True)
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+def _mode_radius(cfg, active, h):
+    """Largest ``|eig|`` of RK4's step matrix ``I + hJ + ... + (hJ)^4/24`` over the
+    mode of ``cfg`` with the affine rows ``active`` free and every other
+    multiplier at 0.  The flow is affine there, so the Jacobian ``J`` of
+    :func:`primal_dual.interconnected_rhs` over x, lam and those rows is
+    exact column by column."""
+    problem, _, tc, _ = cli._read(_with(cfg, integrator={"step": 1e-9}))[0]
+    flow = primal_dual.prepare_flow(problem, tc)
+    n, m = problem.n, problem.m
+    keep = [*range(n + m), *(n + m + i for i in active)]
+    z0 = np.zeros(n + m + problem.p)
+    z0[keep[n + m:]] = 1.0
+
+    def rate(z):
+        return np.concatenate(primal_dual.interconnected_rhs(flow, z))[keep]
+
+    hJ = h * np.column_stack([rate(z0 + e) - rate(z0) for e in np.eye(z0.size)[keep]])
+    step = np.eye(len(keep))
+    for k in (4, 3, 2, 1):
+        step = np.eye(len(keep)) + hJ @ step / k
+    return np.max(np.abs(np.linalg.eigvals(step)))
+
+
+@pytest.mark.parametrize("name, G, blocks, active", [
+    ("solve", [[1.0, 1.0]], {}, []),
+    ("solve_eq", [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], {}, []),
+    ("tiny", [[1e6]], {}, [0]),
+    ("solve", [[1e6, 0.0]], {}, [0]),
+    ("solve", [[20.0, -5.0]], {"time_constants": {"tau_x": [1.0, 2.0], "tau_mu": [0.5, 1.0]}},
+     [0]),
+])
+def test_the_step_limit_is_where_the_modes_dense_spectrum_leaves_rk4s_region(name, G, blocks,
+                                                                             active):
+    cfg = _solve_with_affine(name, G, **blocks)
+    problem, _, tc, _ = cli._read(_with(cfg, integrator={"step": 1e-9}))[0]
+    # the reader's rates of the mode, rebuilt here from the problem
+    Q = problem.f.hess(np.zeros(problem.n))
+    rows = np.vstack([problem.A, problem.ineq.G[active]])
+    rates = np.block([[-Q, -rows.T], [rows, np.zeros((len(rows), len(rows)))]])
+    rates /= np.concatenate([tc.tau_x, tc.tau_lam, tc.tau_mu[active]])[:, None]
+    limit = cli._rk4_limit(np.linalg.eigvals(rates))
+    assert _mode_radius(cfg, active, 0.999 * limit) <= 1 + 1e-6
+    assert _mode_radius(cfg, active, 1.001 * limit) > 1 + 1e-6
+    diags = cli.validate(_with(cfg, integrator={"step": 1.01 * limit}))
+    mode = "only row 0 of problem.inequalities.affine.G" if active else "no inequality"
+    assert len(diags) == 1 and f"region with {mode} active" in diags[0]
+    assert f"holds up to step {limit:.3g}" in diags[0]
 
 
 def test_a_line_step_within_the_guard_is_accepted_at_every_grid():
@@ -1161,8 +1246,8 @@ def test_svm_summary_reports_its_storage_and_switch_audits(tmp_path):
 
 @pytest.mark.parametrize("kind", ["solve", "svm"])
 def test_failed_switch_audit_exits_4_only_under_strict(tmp_path, monkeypatch, kind):
-    real = cli.storage_switch_audit
-    monkeypatch.setattr(cli, "storage_switch_audit",
+    real = primal_dual.storage_switch_audit
+    monkeypatch.setattr(primal_dual, "storage_switch_audit",
                         lambda trace: {**real(trace), "verdict": "FAIL"})
     code, payload = cli.run(CONFIGS[kind], tmp_path / "strict", strict=True)
     assert code == cli.EXIT_AUDIT and payload["switch_audit"]["verdict"] == "FAIL"
@@ -1181,29 +1266,14 @@ def test_lyapunov_report_is_the_audit_of_lyapunov_csv(tmp_path, kind):
     assert {key: payload[key] for key in ("min_margin", "worst_time")} == audit
 
 
-def test_write_csv_matches_csv_writer(tmp_path):
-    rows = [(0.1, -0.0, 1e-300, "tag"), (np.float64(2.0 / 3.0), np.inf, -7, "m12")]
-    cli._write_csv(tmp_path / "a.csv", ["t", "x", "y", "tag"], iter(rows))
-    with open(tmp_path / "b.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "y", "tag"])
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else f"{float(c):.17g}" for c in row])
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-
-@pytest.mark.parametrize("header, rows", [
-    pytest.param(["t", "tag"], [], id="header-only"),
-    pytest.param(["t", "x0", "x1", "x2"],
-                 [[0.0, -0.0, np.inf, -np.inf], [np.nan, 5e-324, 1.7976931348623157e308, -1e-300],
-                  [0.1, 2.0 / 3.0, -5e-324, -1.7976931348623157e308]], id="extremes"),
-    pytest.param(["x1", "x2", "label"],
-                 np.column_stack([[[0.1, -0.0], [np.nan, 5e-324]], [1.0, -1.0]]), id="float64"),
-    pytest.param(["t", "tag"], [(0.5, "g0"), (1.25, "g12"), (-0.0, "g3")], id="float-str"),
+@pytest.mark.parametrize("events", [
+    pytest.param([], id="header-only"),
+    pytest.param([(0.5, "g0"), (1.25, "g12"), (-0.0, "g3"), (5e-324, "g1"),
+                  (1.7976931348623157e308, "g4"), (np.float64(2.0 / 3.0), "m12")], id="float-str"),
 ])
-def test_write_csv_is_the_text_writers_bytes(tmp_path, header, rows):
-    cli._write_csv(tmp_path / "a.csv", header, iter(rows))
-    reference_write_csv(tmp_path / "b.csv", header, iter(rows))
+def test_write_events_is_the_text_writers_bytes(tmp_path, events):
+    cli._write_events(tmp_path / "a.csv", iter(events))
+    reference_write_csv(tmp_path / "b.csv", ["t", "tag"], iter(events))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 

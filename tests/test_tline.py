@@ -244,10 +244,23 @@ def test_the_interior_voltage_rows_bound_is_stable_at_the_guard(params):
     assert _rk4_spectral_radius(p, 8, 2.785 * p.C / p.G) == pytest.approx(0.9986, abs=1e-4)
 
 
-def test_guard_message_names_the_end_row_that_sets_it():
-    p, M = LineParams(R1=3.0), 16
+@pytest.mark.parametrize("M", [8, 50])
+def test_the_current_rows_bound_is_the_end_term_when_both_end_resistors_are_0(M):
+    # with R0 = R1 = 0 the end term 2.785 L / (1.5 max(R0, R1) M + R) is the
+    # current rows' own rate R/L, so it is R that sets it
+    p = LineParams(R0=0.0, R1=0.0, R=200.0)
+    assert tline._step_guard(p, M, 1.0, 1.0) == (2.785 * p.L / p.R, "R")
+    assert _rk4_spectral_radius(p, M, 2.785 * p.L / p.R) == pytest.approx(0.9996, abs=1e-4)
+
+
+@pytest.mark.parametrize("params, M, set_by", [
+    ({"R1": 3.0}, 16, "the end row of R1"),
+    ({"R0": 0.0, "R1": 0.0, "R": 200.0}, 8, "the current rows' own rate of R"),
+])
+def test_guard_message_names_the_rows_that_set_it(params, M, set_by):
+    p = LineParams(**params)
     zero = LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
-    with pytest.raises(ValueError, match=r"guard \S+ at M=16, set by the end row of R1$"):
+    with pytest.raises(ValueError, match=rf"guard \S+ at M={M}, set by {set_by}$"):
         simulate_open_loop(p, zero, 0.0, IntegratorConfig(step=_wave_bound(p, M), max_time=0.1))
 
 
