@@ -86,7 +86,7 @@ import numpy as np
 
 from . import plants, svm as svm_mod, tline as tline_mod
 from .brayton_moser import StorageTrace, lyapunov_audit
-from .ode import DivergenceError, IntegratorConfig, integrate
+from .ode import DivergenceError, IntegratorConfig, RK4_MARGIN, integrate, rk4_gain, rk4_limit
 from .primal_dual import (
     AffineInequalities,
     ConvexProblem,
@@ -322,69 +322,36 @@ def _read_solve(cfg: dict, integ: dict, d: _Diagnostics):
     d.need((start["mu"] >= 0).all(), "init.mu: must be >= 0")
     if d:
         return None
-    # With every mu held at 0 the flow is linear whatever the rows, with the
-    # rates [[-Q, -A^T] / tau_x, [A, 0] / tau_lam]; with affine row i alone
-    # active it is linear too, with the rates bordered by -g_i^T / tau_x and
-    # g_i / tau_mu_i.  A step that RK4 grows in one of these modes, max
-    # |R(h lambda)| > 1 + 1e-6 (a margin above the eigenvalues' roundoff), is
-    # refused.  A named row's rates depend on x, so its modes are not checked.
+    # With every mu held at 0 (mode 0, bordered by a zero row) the flow is
+    # linear whatever the rows, and so it is with affine row i alone active
+    # (mode i + 1).  A step that RK4 grows in a mode is refused, mode 0 first.
+    # A named row's rates depend on x, so its modes are not checked.
     icfg = IntegratorConfig(**integ)
     tau = np.concatenate([tc["tau_x"], tc["tau_lam"]])[:, None]
     N, p = n + len(b), len(h)
     with np.errstate(all="ignore"):
-        rates = np.block([[-0.5 * Q0 - 0.5 * Q0.T, -A.T], [A, np.zeros((len(b), len(b)))]]) / tau
-        lam = np.linalg.eigvals(rates) if np.isfinite(rates).all() else np.array([np.inf])
-        growth = _rk4_gain(icfg.step * lam).max()
-        if growth > 1 + 1e-6:
-            d.append(f"integrator.step: {icfg.step:g} is past RK4's stability region with no "
-                     f"inequality active (max |R(h lambda)| {growth:.7g} > 1), which holds "
-                     f"up to step {_rk4_limit(lam):.3g}, set by problem.objective.Q0"
-                     f"{' and problem.equalities.A' if len(b) else ''} over time_constants")
-            return None
-        modes = np.zeros((p, N + 1, N + 1))
-        modes[:, :N, :N] = rates
-        modes[:, :n, N] = -G / tc["tau_x"]
-        modes[:, N, :n] = G / tc["tau_mu"][:p, None]
+        modes = np.zeros((p + 1, N + 1, N + 1))
+        modes[:, :N, :N] = np.block([[-0.5 * Q0 - 0.5 * Q0.T, -A.T],
+                                     [A, np.zeros((len(b), len(b)))]]) / tau
+        modes[1:, :n, N] = -G / tc["tau_x"]
+        modes[1:, N, :n] = G / tc["tau_mu"][:p, None]
         finite = np.isfinite(modes).all(axis=(1, 2))
-        lam = np.full((p, N + 1), np.inf, complex)
+        lam = np.full((p + 1, N + 1), np.inf, complex)
         lam[finite] = np.linalg.eigvals(modes[finite])
-        growth = _rk4_gain(icfg.step * lam).max(axis=1)
-        if (growth > 1 + 1e-6).any():
-            limit = _rk4_limit(lam)
-            i = int(np.argmin(limit))
-            d.append(f"integrator.step: {icfg.step:g} is past RK4's stability region with only "
-                     f"row {i} of problem.inequalities.affine.G active (max |R(h lambda)| "
-                     f"{growth[i]:.7g} > 1), which holds up to step {limit[i]:.3g} with any "
-                     "one row active")
-            return None
+        growth = rk4_gain(icfg.step * lam).max(axis=1)
+    if (growth > RK4_MARGIN).any():
+        limit = rk4_limit(lam)
+        k = 0 if growth[0] > RK4_MARGIN else 1 + int(np.argmin(limit[1:]))
+        mode = f"only row {k - 1} of problem.inequalities.affine.G" if k else "no inequality"
+        by = (" with any one row active" if k else ", set by problem.objective.Q0"
+              f"{' and problem.equalities.A' if len(b) else ''} over time_constants")
+        d.append(f"integrator.step: {icfg.step:g} is past RK4's stability region with {mode} "
+                 f"active (max |R(h lambda)| {growth[k]:.7g} > 1), which holds up to step "
+                 f"{limit[k]:.3g}{by}")
+        return None
     problem = ConvexProblem(n=n, f=quadratic_oracle(Q0, c), A=A, b=b,
                             ineq=AffineInequalities(G, h, named))
     return problem, FlowState(**start), TimeConstants(**tc), icfg
-
-
-def _rk4_gain(z):
-    """``|R(z)|``, with ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` the stability
-    polynomial of RK4: a linear mode ``hλ = z`` grows over a step where it
-    exceeds 1 (Hairer & Wanner, *Solving ODEs II*, IV.2).  A ``z`` whose
-    powers overflow, where ``|R|`` reads nan, reads inf."""
-    gain = np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
-    return np.where(np.isnan(gain), np.inf, gain)
-
-
-def _rk4_limit(lam):
-    """The largest step at which RK4 keeps every rate of ``lam`` along its
-    last axis, ``|R(h lambda)| <= 1 + 1e-6``.  Rates in the left half-plane,
-    where RK4's region is star-shaped about 0 and within ``|z| < 3``, are
-    bisected along their rays; a zero rate bounds nothing."""
-    size = np.abs(lam)
-    with np.errstate(all="ignore"):
-        ray = np.where(size > 0, lam / size, -1)
-        lo, hi = np.zeros(size.shape), np.full(size.shape, 3.0)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            inside = _rk4_gain(mid * ray) <= 1 + 1e-6
-            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-        return np.min(lo / size, axis=-1)
 
 
 def _read_svm(cfg: dict, integ: dict, d: _Diagnostics):
@@ -514,16 +481,32 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
     icfg = IntegratorConfig(**integ, max_time=float(horizon))
     K = [float(gains.get(k, 1.0)) for k in ("K_P", "K_I")]
     limit, row = tline_mod._step_guard(p, grid, *K)
-    d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at "
-           f"this grid{tline_mod._set_by(row, 'tline.params.')}")
+    guard = f"stability guard {limit:.3g} at this grid{tline_mod._set_by(row, 'tline.params.')}"
+    d.need(icfg.step <= limit, f"integrator.step: violates {guard}")
     try:
         with np.errstate(over="ignore"):    # an overflow is reported below
-            return p, grid, tline_mod.tline_pi_loop(p, grid, float(vC1_star), *K), icfg
+            loop = tline_mod.tline_pi_loop(p, grid, float(vC1_star), *K)
     except ValueError:              # LineState refuses a non-finite profile
         d.append("tline.target_vc1: equilibrium profile not finite with these tline.params")
+        return None
     except (ArithmeticError, RuntimeError) as exc:
         d.append(f"tline.params: no stability certificate for tau = RC/(LG) ({exc!r})")
-    return None
+        return None
+    if row in ("C0", "C1") and not d:
+        # A block's term leaves out the end currents' coupling to the interior,
+        # so where it sets the guard the loop's spectrum decides.  The loop is
+        # affine, so its linear part is exact column by column.
+        rhs = loop[0]
+        at_rest = rhs(0.0, np.zeros(2 * grid + 2))
+        with np.errstate(all="ignore"):
+            J = np.column_stack([rhs(0.0, e) - at_rest for e in np.eye(2 * grid + 2)])
+            lam = np.linalg.eigvals(J) if np.isfinite(J).all() else np.array([np.inf])
+            growth = rk4_gain(icfg.step * lam).max()
+        if growth > RK4_MARGIN:
+            d.append(f"integrator.step: {icfg.step:g} is within the {guard}, but past RK4's "
+                     f"stability region in the loop's spectrum (max |R(h lambda)| "
+                     f"{growth:.7g} > 1), which holds up to step {rk4_limit(lam):.3g}")
+    return p, grid, loop, icfg
 
 
 def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):

@@ -38,6 +38,8 @@ __all__ = [
     "IntegrationStats",
     "Trajectory",
     "integrate",
+    "rk4_gain",
+    "rk4_limit",
 ]
 
 
@@ -154,6 +156,38 @@ MAX_FACTOR = 5.0
 #: step (64 MiB), so that a tiny step over a long span cannot reserve address
 #: space without bound; a run that fills them doubles its buffer.
 SAMPLE_BUFFER_BYTES = 64 * 2**20
+
+#: RK4's stability region (Hairer & Wanner, *Solving ODEs II*, IV.2) reaches
+#: -2.78529 on the real axis and holds the left half-disc of radius 2.61559,
+#: which the bounds round down; ``RK4_MARGIN`` allows eigenvalue roundoff.
+RK4_MARGIN = 1 + 1e-6
+RK4_REAL_BOUND = 2.785
+RK4_DISC_BOUND = 2.6155
+
+
+def rk4_gain(z):
+    """``|R(z)|``, with ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` the stability
+    polynomial of RK4: a linear mode ``hλ = z`` grows over a step where it
+    exceeds 1.  A ``z`` whose powers overflow, where ``|R|`` reads nan,
+    reads inf."""
+    gain = np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
+    return np.where(np.isnan(gain), np.inf, gain)
+
+
+def rk4_limit(lam):
+    """The largest step at which RK4 keeps every rate of ``lam`` along its
+    last axis, ``|R(h lambda)| <= RK4_MARGIN``.  Rates in the left half-plane,
+    where RK4's region is star-shaped about 0 and within ``|z| < 3``, are
+    bisected along their rays; a zero rate bounds nothing."""
+    size = np.abs(lam)
+    with np.errstate(all="ignore"):
+        ray = np.where(size > 0, lam / size, -1)
+        lo, hi = np.zeros(size.shape), np.full(size.shape, 3.0)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            inside = rk4_gain(mid * ray) <= RK4_MARGIN
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        return np.min(lo / size, axis=-1)
 
 
 def _rk4_step(rhs, t, x, h):

@@ -41,8 +41,11 @@ __all__ = [
 DEFAULT_MEAN_A = (0.0, 0.0)
 DEFAULT_MEAN_B = (0.0, 6.0)
 DEFAULT_COV = ((1.0, 1.5), (1.5, 3.0))
-# The constraint coupling has spectral norm ~115 on the default data scale;
-# step 0.01 keeps RK4 well inside its stability region while events fire.
+# The constraint coupling has spectral norm ~115 on the default data scale,
+# so RK4 keeps every mode up to about step 0.0225 (ode.RK4_DISC_BOUND over
+# 1 + 115).  Step 0.01 is set by the storage audit instead: at seed 0 it
+# passes at steps 0.01-0.015 and fails at 0.02, where the first event batch
+# raises the storage by 0.86.
 # train_svm grows the step between events, with step as the floor and
 # convergence_tol * step = 1e-9 as the local error tolerance.
 DEFAULT_INTEGRATOR = IntegratorConfig(step=1e-2, max_time=400.0, convergence_tol=1e-7,

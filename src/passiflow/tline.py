@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import IntegratorConfig, Trajectory, integrate
+from .ode import RK4_DISC_BOUND, RK4_REAL_BOUND, IntegratorConfig, Trajectory, integrate
 
 __all__ = [
     "LineParams",
@@ -143,36 +143,33 @@ def _dz(values: np.ndarray, dz: float) -> np.ndarray:
 
 
 def cfl_limit(p: LineParams, M: int) -> float:
-    """Largest admissible RK4 step of the line under a constant source
-    current, the least of five terms:
+    """A sufficient RK4 step of the line under a constant source current, the
+    least of five terms, each :data:`~passiflow.ode.RK4_REAL_BOUND` over the
+    largest modulus of real rates, or :data:`~passiflow.ode.RK4_DISC_BOUND`
+    over that of a complex pair:
 
     - the interior wave bound ``0.9 dz sqrt(LC)``;
-    - the end rows' bound ``2.785 L / (1.5 max(R0, R1) M + R)``.
-      Eliminating the end-node voltage gives the first current row the real
-      rate ``-(1.5 R0 M + R) / L`` (the last row the same with ``R1``), and
-      RK4 is stable on the negative real axis only down to about -2.785
-      (Hairer & Wanner, *Solving ODEs II*, IV.2);
+    - the end rows, whose real rate ``-(1.5 R0 M + R) / L`` comes from
+      eliminating the end-node voltage (the last row's the same with ``R1``);
     - the source block, ``(i0, vC0)`` with the rates
       ``[[-(1.5 M R0 + R)/L, 1.5 M/L], [-1/(C0 + K_P), -K_I/(C0 + K_P)]]``;
     - the load block, ``(iM, vC1)`` with ``[[-(1.5 M R1 + R)/L, -1.5 M/L],
       [1/C1, 0]]``;
-    - the interior voltage rows' bound ``2.785 C / G``: each decays at its
-      own rate ``-G/C`` besides the wave.  The current rows' own rate
-      ``-R/L`` needs no term: the end term's rate exceeds it, and is it
-      when ``R0 = R1 = 0``.
+    - the interior voltage rows' own rate ``-G/C``, besides the wave.  The
+      current rows' own rate ``-R/L`` needs no term: the end term's rate
+      exceeds it, and is it when ``R0 = R1 = 0``.
 
-    A block's term is 2.785 over its largest eigenvalue modulus when both
-    eigenvalues are real, else 2.6155 over it: the radius of the largest left
-    half-disc inside RK4's stability region, 2.61559, rounded down.  Here
-    ``K_P = K_I = 0``; the boundary-PI loop's reader takes its own gains.  At
-    the default :class:`LineParams` the wave bound binds at every grid; the
-    end term binds once ``max(R0, R1)`` exceeds about ``2.06 sqrt(L/C)``, and
-    a block's term for a small boundary capacitor or a large ``K_I`` against
-    ``C0 + K_P``.
-    The blocks leave out the end currents' coupling to the interior voltages,
-    so at a block's term itself the dense spectrum can lie just outside RK4's
-    region (largest ``|R(h lambda)|`` up to 1.14 over 145 random lines at
-    grids 8, 16 and 50); each of those lines was stable at 0.96 times its term."""
+    Here ``K_P = K_I = 0``; the boundary-PI loop's reader takes its own
+    gains.  At the default :class:`LineParams` the wave bound binds at every
+    grid; the end term binds once ``max(R0, R1)`` exceeds about ``2.06
+    sqrt(L/C)``, and a block's term for a small boundary capacitor or a large
+    ``K_I`` against ``C0 + K_P``.  The guard is not the largest stable step:
+    over random lines at grids 8-50 it lies below the limit of the loop's
+    dense spectrum by a median 2.2 times (up to 3.2) where the wave bound
+    binds, and up to 2 times where an end row does.  The blocks leave out the
+    end currents' coupling to the interior, so at a block's term that
+    spectrum can lie outside RK4's region; the line's config reader refuses
+    such a step."""
     return _step_guard(p, M)[0]
 
 
@@ -181,8 +178,8 @@ def _block_limit(trace: float, det: float) -> float:
     ``det > 0``, whose eigenvalues lie in the closed left half-plane."""
     disc = trace * trace - 4.0 * det
     if disc >= 0:
-        return 2.785 / (0.5 * (disc ** 0.5 - trace))
-    return 2.6155 / det ** 0.5
+        return RK4_REAL_BOUND / (0.5 * (disc ** 0.5 - trace))
+    return RK4_DISC_BOUND / det ** 0.5
 
 
 def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
@@ -193,7 +190,7 @@ def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
     voltage rows), else None."""
     wave = 0.9 * (1.0 / M) * np.sqrt(p.L * p.C)
     stiff = 1.5 * max(p.R0, p.R1) * M + p.R     # L times the stiffer end row's rate
-    end = 2.785 * p.L / stiff if stiff else np.inf
+    end = RK4_REAL_BOUND * p.L / stiff if stiff else np.inf
     # each end current's own rate, and its rate per volt on its capacitor;
     # the PI law's K_P adds to the source capacitor
     rate0, rate1 = (1.5 * M * p.R0 + p.R) / p.L, (1.5 * M * p.R1 + p.R) / p.L
@@ -202,7 +199,7 @@ def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
     return min([(wave, None), (end, end_row),
                 (_block_limit(-rate0 - K_I / C0, (rate0 * K_I + couple) / C0), "C0"),
                 (_block_limit(-rate1, couple / p.C1), "C1"),
-                (2.785 * p.C / p.G if p.G else np.inf, "G")], key=lambda term: term[0])
+                (RK4_REAL_BOUND * p.C / p.G if p.G else np.inf, "G")], key=lambda term: term[0])
 
 
 def _set_by(row, prefix: str = "") -> str:

@@ -19,6 +19,7 @@ from passiflow import brayton_moser, cli, ode, plants, primal_dual, svm, tline
 from passiflow.brayton_moser import lyapunov_audit
 from passiflow.ode import Trajectory
 from test_artifacts_golden import CONFIGS
+from test_tline import _rk4_spectral_radius
 
 
 @pytest.mark.parametrize("kind", ["solve", "svm"])
@@ -290,6 +291,38 @@ def test_a_line_step_past_the_current_rows_bound_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_line_step_within_a_capacitor_row_bound_that_rk4_grows_exits_2(tmp_path):
+    # C0 0.01 with K_P 0 at grid 8: the source block's term 0.03363 leaves out
+    # the end current's coupling to the interior, and at it the loop's
+    # spectrum reads 1.0111.  The reader accepted it; its strict run to
+    # horizon 5 exited 4, with profile_error 11.2.
+    cfg = _with(_line_cfg({"C0": 0.01}, 8, 0.03363), tline={"gains": {"K_P": 0.0}})
+    assert tline._step_guard(tline.LineParams(C0=0.01), 8, 0.0, 1.0)[1] == "C0"
+    diags = cli.validate(cfg)
+    assert len(diags) == 1 and re.fullmatch(
+        r"integrator\.step: 0\.03363 is within the stability guard 0\.0336 at this grid, set by "
+        r"the capacitor row of tline\.params\.C0, but past RK4's stability region in the "
+        r"loop's spectrum \(max \|R\(h lambda\)\| 1\.011098 > 1\), which holds up to step (\S+)",
+        diags[0])
+    p = tline.LineParams(C0=0.01)
+    assert _rk4_spectral_radius(p, 8, 0.03363, 0.0, 1.0) == pytest.approx(1.0111, abs=1e-4)
+    limit = float(re.search(r"up to step (\S+)$", diags[0])[1])
+    assert _rk4_spectral_radius(p, 8, 0.999 * limit, 0.0, 1.0) <= 1.0
+    assert cli.validate(_with(cfg, integrator={"step": 0.999 * limit})) == []
+    code, payload = cli.run(cfg, tmp_path / "out", strict=True)
+    assert code == cli.EXIT_VALIDATION and payload["validation_errors"] == diags
+    assert not (tmp_path / "out").exists()
+
+
+# at the guard itself the loop's spectrum reads 0.9536 and 0.9996 (tests/test_tline.py)
+@pytest.mark.parametrize("params, gains", [({"C1": 0.01}, {}), ({}, {"K_P": 0.0, "K_I": 100.0})])
+def test_a_line_step_at_a_capacitor_row_bound_that_rk4_keeps_is_accepted(params, gains):
+    K = [gains.get(k, 1.0) for k in ("K_P", "K_I")]
+    limit, row = tline._step_guard(tline.LineParams(**params), 8, *K)
+    assert row[0] == "C"
+    assert cli.validate(_with(_line_cfg(params, 8, limit), tline={"gains": gains})) == []
+
+
 @pytest.mark.parametrize("name, growth, rows", [
     ("solve", "2.12734", "problem.objective.Q0"),
     ("solve_eq", "1.382138", "problem.objective.Q0 and problem.equalities.A"),
@@ -383,7 +416,7 @@ def test_the_step_limit_is_where_the_modes_dense_spectrum_leaves_rk4s_region(nam
     rows = np.vstack([problem.A, problem.ineq.G[active]])
     rates = np.block([[-Q, -rows.T], [rows, np.zeros((len(rows), len(rows)))]])
     rates /= np.concatenate([tc.tau_x, tc.tau_lam, tc.tau_mu[active]])[:, None]
-    limit = cli._rk4_limit(np.linalg.eigvals(rates))
+    limit = ode.rk4_limit(np.linalg.eigvals(rates))
     assert _mode_radius(cfg, active, 0.999 * limit) <= 1 + 1e-6
     assert _mode_radius(cfg, active, 1.001 * limit) > 1 + 1e-6
     diags = cli.validate(_with(cfg, integrator={"step": 1.01 * limit}))

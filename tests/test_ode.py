@@ -677,6 +677,34 @@ class TestIntegrationStats:
         assert traj.stats.clamp_truncations == 1
 
 
+class TestRK4Region:
+    """The points of RK4's stability region that :mod:`passiflow.ode` states."""
+
+    RAYS = np.exp(1j * np.linspace(0.5 * np.pi, 1.5 * np.pi, 20001))
+
+    def test_limit_on_the_real_and_imaginary_axes(self):
+        assert ode.rk4_limit(np.array([-1.0])) == pytest.approx(2.78529, abs=5e-6)
+        assert ode.rk4_limit(np.array([1j, -1j])) == pytest.approx(2 * np.sqrt(2), abs=1e-6)
+
+    def test_least_limit_over_left_half_plane_rays_is_the_half_disc_radius(self):
+        limits = ode.rk4_limit(self.RAYS[:, None])
+        assert limits.min() == pytest.approx(2.61559, abs=5e-6)
+        assert ode.rk4_limit(self.RAYS) == limits.min()
+
+    def test_a_zero_rate_bounds_nothing_and_an_overflowing_z_reads_inf(self):
+        assert ode.rk4_limit(np.array([0.0])) == np.inf
+        assert ode.rk4_limit(np.array([-1.0, 0.0])) == ode.rk4_limit(np.array([-1.0]))
+        with np.errstate(all="ignore"):
+            gain = ode.rk4_gain(np.array([1e200 + 1e200j, -1e300, -1.0]))
+        assert gain[:2].tolist() == [np.inf, np.inf] and gain[2] == pytest.approx(3 / 8)
+
+    def test_the_rounded_down_bounds_lie_inside_the_region(self):
+        assert ode.rk4_gain(-ode.RK4_REAL_BOUND) <= 1
+        assert ode.rk4_gain(ode.RK4_DISC_BOUND * self.RAYS).max() <= 1
+        assert 0 < ode.rk4_limit(np.array([-1.0])) - ode.RK4_REAL_BOUND < 1e-3
+        assert 0 < ode.rk4_limit(self.RAYS) - ode.RK4_DISC_BOUND < 1e-3
+
+
 class TestFiniteDiffGradient:
     def test_constant_gives_zero(self):
         assert np.all(finite_diff_gradient(lambda x: 3.0, np.ones(4)) == 0.0)

@@ -55,3 +55,17 @@ def test_only_the_cli_writes_files(path):
         assert writes, "the scan no longer sees the cli's own writes"
     else:
         assert writes == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(passiflow.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_only_ode_spells_rk4s_stability_bounds(path):
+    # the rounded-down points of RK4's region, ode.RK4_REAL_BOUND and
+    # ode.RK4_DISC_BOUND, as float literals
+    tree = ast.parse(path.read_text())
+    bounds = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+              and type(node.value) is float and node.value in (2.785, 2.6155)]
+    if path.stem == "ode":
+        assert len(bounds) == 2, "the scan no longer sees ode's own bounds"
+    else:
+        assert bounds == []

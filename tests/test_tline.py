@@ -229,7 +229,8 @@ def test_the_largest_step_an_end_row_bound_accepts_is_stable(params, resistor, M
 def test_a_capacitor_row_bound_is_stable_a_few_percent_below_the_guard(params, K, radius):
     # The blocks leave out the end currents' coupling to the interior
     # voltages, so at the guard itself the dense spectrum can lie just past
-    # RK4's region; 0.96 times the guard is inside it (see cfl_limit).
+    # RK4's region (the line reader refuses that step); 0.96 times the guard
+    # is inside it.
     p = LineParams(**params)
     limit, row = tline._step_guard(p, 8, *K)
     assert row[0] == "C" and limit < _wave_bound(p, 8)
