@@ -34,18 +34,18 @@ trajectory/storage CSVs with 17-significant-digit floats and a
 and, for every kind that integrates, the ``integrator`` block the run used:
 the config's keys over the defaults (``svm.DEFAULT_INTEGRATOR`` for svm),
 with a plant's or line's horizon as ``max_time``.  No other block is
-defaulted in the echo.  A ``tline`` run is the boundary-PI loop from rest
-to the load voltage ``target_vc1``, which it needs, so its ``R`` and ``G``
-must be > 0.  A ``solve`` config's ``integrator.step`` must keep RK4 stable
-with no inequality active and with any one affine row active alone, where
-the flow is linear.  A row is checked even if a run would never activate it;
-a named row (``ball``), whose rates depend on the state, is not.  The
-``solve`` and ``svm`` kinds grow the RK4 step between events, with
-``integrator.step`` as its floor.  ``record_every`` and
-``convergence_window`` count steps, so a grown run samples more sparsely,
-and ``converged`` reads the final rate alone, so a grown run may reach
-``max_time`` with ``converged`` true (the golden ``solve`` config ends at
-t = 30.0, where the fixed step stops at 28.10).
+defaulted in the echo.  A ``tline`` run is the boundary-PI loop from rest to
+the load voltage ``target_vc1``, which it needs, so its ``R`` and ``G`` must
+be > 0, and its step at most the loop's ``tline.step_guard``.  A ``solve``
+config's ``integrator.step`` must keep RK4 stable with no inequality active
+and with any one affine row active alone, where the flow is linear.  A row
+is checked even if a run would never activate it; a named row (``ball``),
+whose rates depend on the state, is not.  The ``solve`` and ``svm`` kinds
+grow the RK4 step between events, with ``integrator.step`` as its floor.
+``record_every`` and ``convergence_window`` count steps, so a grown run
+samples more sparsely, and ``converged`` reads the final rate alone, so a
+grown run may reach ``max_time`` with ``converged`` true (the golden
+``solve`` config ends at t = 30.0, where the fixed step stops at 28.10).
 
 Exit codes: 0 ok, 2 validation failure (among them an output directory
 that cannot be made, as under an existing file: with nowhere to put it, no
@@ -480,32 +480,19 @@ def _read_tline(cfg: dict, integ: dict, d: _Diagnostics):
     p = tline_mod.LineParams(**params)
     icfg = IntegratorConfig(**integ, max_time=float(horizon))
     K = [float(gains.get(k, 1.0)) for k in ("K_P", "K_I")]
-    limit, row = tline_mod._step_guard(p, grid, *K)
-    guard = f"stability guard {limit:.3g} at this grid{tline_mod._set_by(row, 'tline.params.')}"
-    d.need(icfg.step <= limit, f"integrator.step: violates {guard}")
+    loop = failure = None
     try:
         with np.errstate(over="ignore"):    # an overflow is reported below
             loop = tline_mod.tline_pi_loop(p, grid, float(vC1_star), *K)
     except ValueError:              # LineState refuses a non-finite profile
-        d.append("tline.target_vc1: equilibrium profile not finite with these tline.params")
-        return None
+        failure = "tline.target_vc1: equilibrium profile not finite with these tline.params"
     except (ArithmeticError, RuntimeError) as exc:
-        d.append(f"tline.params: no stability certificate for tau = RC/(LG) ({exc!r})")
-        return None
-    if row in ("C0", "C1") and not d:
-        # A block's term leaves out the end currents' coupling to the interior,
-        # so where it sets the guard the loop's spectrum decides.  The loop is
-        # affine, so its linear part is exact column by column.
-        rhs = loop[0]
-        at_rest = rhs(0.0, np.zeros(2 * grid + 2))
-        with np.errstate(all="ignore"):
-            J = np.column_stack([rhs(0.0, e) - at_rest for e in np.eye(2 * grid + 2)])
-            lam = np.linalg.eigvals(J) if np.isfinite(J).all() else np.array([np.inf])
-            growth = rk4_gain(icfg.step * lam).max()
-        if growth > RK4_MARGIN:
-            d.append(f"integrator.step: {icfg.step:g} is within the {guard}, but past RK4's "
-                     f"stability region in the loop's spectrum (max |R(h lambda)| "
-                     f"{growth:.7g} > 1), which holds up to step {rk4_limit(lam):.3g}")
+        failure = f"tline.params: no stability certificate for tau = RC/(LG) ({exc!r})"
+    # with no loop to probe, the guard's terms alone decide
+    limit, row = tline_mod.step_guard(p, grid, *K, rhs=loop[0] if loop else None)
+    d.need(icfg.step <= limit, f"integrator.step: violates stability guard {limit:.3g} at this "
+                               f"grid{tline_mod.set_by(row, 'tline.params.')}")
+    d.need(failure is None, failure)
     return p, grid, loop, icfg
 
 
@@ -831,39 +818,38 @@ def _run_plant(inputs, out: Path) -> dict:
     }
 
 
-# Samples per block of the line's post-pass.  At 200 intervals, 16 samples
-# keep a block's temporaries near 0.3 MB; 32 would save about 1 ms per run
-# and double them.
-_BLOCK = 16
+# Chunks of ``_write_csv`` per block of the line's post-pass, so that no
+# chunk but the file's last is cut short.  At 200 intervals a chunk holds 5
+# samples, and a block of 15 keeps its temporaries near 0.3 MB.
+_BLOCK = 3
 
 
-def _blocks(traj):
-    """``(times, states)`` of consecutive samples, ``_BLOCK`` at a time."""
-    for k in range(0, len(traj.times), _BLOCK):
-        yield traj.times[k:k + _BLOCK], traj.states[k:k + _BLOCK]
-
-
-def _spacetime_blocks(p, M, traj):
-    """The columns ``t, i0..iM, v0..vM, vC0, vC1``, unpacked a block of samples at a time."""
-    for times, states in _blocks(traj):
+def _line_blocks(p, M, traj, lyap, V):
+    """The columns ``t, i0..iM, v0..vM, vC0, vC1`` of ``spacetime.csv``,
+    unpacked a block of samples at a time; each block's ``lyap`` values go
+    to the list ``V``."""
+    rows = _BLOCK * max(1, _CHUNK // (2 * M + 5))      # the columns' chunk, as _write_csv cuts it
+    for k in range(0, len(traj.times), rows):
+        times, states = traj.times[k:k + rows], traj.states[k:k + rows]
+        V.append(lyap(times, states))
         yield (times, *tline_mod.unpack(p, states, M))
 
 
 def _run_tline(inputs, out: Path) -> dict:
     p, M, (rhs, lyap, eq, I0_star), icfg = inputs
     traj = integrate(rhs, np.zeros(2 * M + 2), icfg)      # from rest
-    lyap_vals = np.concatenate([lyap(times, states) for times, states in _blocks(traj)])
     final = tline_mod.unpack_state(p, traj.final_state, M)
     header = (["t"] + [f"i{k}" for k in range(M + 1)]
               + [f"v{k}" for k in range(M + 1)] + ["vC0", "vC1"])
-    _write_csv(out / "spacetime.csv", header, blocks=_spacetime_blocks(p, M, traj))
+    V = []
+    _write_csv(out / "spacetime.csv", header, blocks=_line_blocks(p, M, traj, lyap, V))
     return {
         "mode": "boundary_pi",
         "I0_star": float(I0_star),
         "profile_error": float(max(np.max(np.abs(final.i - eq.i)),
                                    np.max(np.abs(final.v - eq.v)))),
         "final_vC1": float(final.vC1),
-        **_lyapunov_report(out, traj.times, lyap_vals),
+        **_lyapunov_report(out, traj.times, np.concatenate(V)),
     }
 
 

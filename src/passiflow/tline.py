@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import RK4_DISC_BOUND, RK4_REAL_BOUND, IntegratorConfig, Trajectory, integrate
+from .ode import RK4_DISC_BOUND, RK4_REAL_BOUND, IntegratorConfig, Trajectory, integrate, rk4_limit
 
 __all__ = [
     "LineParams",
@@ -48,6 +48,8 @@ __all__ = [
     "line_energy",
     "conservation_check",
     "cfl_limit",
+    "step_guard",
+    "set_by",
 ]
 
 
@@ -143,10 +145,11 @@ def _dz(values: np.ndarray, dz: float) -> np.ndarray:
 
 
 def cfl_limit(p: LineParams, M: int) -> float:
-    """A sufficient RK4 step of the line under a constant source current, the
-    least of five terms, each :data:`~passiflow.ode.RK4_REAL_BOUND` over the
-    largest modulus of real rates, or :data:`~passiflow.ode.RK4_DISC_BOUND`
-    over that of a complex pair:
+    """The RK4 step limit of the line under a constant source current,
+    :func:`step_guard` on the open line: the least of five terms, each
+    :data:`~passiflow.ode.RK4_REAL_BOUND` over the largest modulus of real
+    rates, or :data:`~passiflow.ode.RK4_DISC_BOUND` over that of a complex
+    pair:
 
     - the interior wave bound ``0.9 dz sqrt(LC)``;
     - the end rows, whose real rate ``-(1.5 R0 M + R) / L`` comes from
@@ -159,18 +162,18 @@ def cfl_limit(p: LineParams, M: int) -> float:
       current rows' own rate ``-R/L`` needs no term: the end term's rate
       exceeds it, and is it when ``R0 = R1 = 0``.
 
-    Here ``K_P = K_I = 0``; the boundary-PI loop's reader takes its own
-    gains.  At the default :class:`LineParams` the wave bound binds at every
-    grid; the end term binds once ``max(R0, R1)`` exceeds about ``2.06
-    sqrt(L/C)``, and a block's term for a small boundary capacitor or a large
-    ``K_I`` against ``C0 + K_P``.  The guard is not the largest stable step:
-    over random lines at grids 8-50 it lies below the limit of the loop's
-    dense spectrum by a median 2.2 times (up to 3.2) where the wave bound
-    binds, and up to 2 times where an end row does.  The blocks leave out the
-    end currents' coupling to the interior, so at a block's term that
-    spectrum can lie outside RK4's region; the line's config reader refuses
-    such a step."""
-    return _step_guard(p, M)[0]
+    The blocks leave out the end currents' coupling to the interior, so where
+    one is least the line's dense spectrum caps it: one rule for this, for
+    :func:`simulate_open_loop` and for the boundary-PI loop's config reader.
+    At the default :class:`LineParams` the wave bound binds at every grid;
+    the end term once ``max(R0, R1)`` exceeds about ``2.06 sqrt(L/C)``, and a
+    block's for a small boundary capacitor or a large ``K_I`` against ``C0 +
+    K_P``.  The limit is not the largest stable step: over random lines at
+    grids 8-50 it lies below the dense spectrum's by a median 2.2 times (up to
+    3.2) where the wave bound binds, and up to 2 where an end row does.  Nor
+    is the spectrum taken where those bind (60 ms at grid 200): 1 of 1,308 and
+    1 of 1,029 such lines read max |R(h lambda)| 1.106 and 1.010."""
+    return step_guard(p, M, rhs=lambda t, y: tline_rhs(p, y, 0.0, M))[0]
 
 
 def _block_limit(trace: float, det: float) -> float:
@@ -182,12 +185,13 @@ def _block_limit(trace: float, det: float) -> float:
     return RK4_DISC_BOUND / det ** 0.5
 
 
-def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
+def step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0, rhs=None):
     """``(limit, row)``: :func:`cfl_limit` under the PI gains ``K_P, K_I``,
     and the parameter of the rows whose term sets it (``"R0"`` or ``"R1"``
     for an end row, ``"R"`` for the current rows when both end resistors are
     0, ``"C0"`` or ``"C1"`` for a capacitor block, ``"G"`` for the interior
-    voltage rows), else None."""
+    voltage rows), else None.  Where a block's term is least, the spectrum of
+    ``rhs(t, y)``, the line's affine right-hand side, caps it."""
     wave = 0.9 * (1.0 / M) * np.sqrt(p.L * p.C)
     stiff = 1.5 * max(p.R0, p.R1) * M + p.R     # L times the stiffer end row's rate
     end = RK4_REAL_BOUND * p.L / stiff if stiff else np.inf
@@ -196,20 +200,24 @@ def _step_guard(p: LineParams, M: int, K_P: float = 0.0, K_I: float = 0.0):
     rate0, rate1 = (1.5 * M * p.R0 + p.R) / p.L, (1.5 * M * p.R1 + p.R) / p.L
     couple, C0 = 1.5 * M / p.L, p.C0 + K_P
     end_row = "R" if max(p.R0, p.R1) == 0 else "R0" if p.R0 >= p.R1 else "R1"
-    return min([(wave, None), (end, end_row),
-                (_block_limit(-rate0 - K_I / C0, (rate0 * K_I + couple) / C0), "C0"),
-                (_block_limit(-rate1, couple / p.C1), "C1"),
-                (RK4_REAL_BOUND * p.C / p.G if p.G else np.inf, "G")], key=lambda term: term[0])
+    limit, row = min([(wave, None), (end, end_row),
+                      (_block_limit(-rate0 - K_I / C0, (rate0 * K_I + couple) / C0), "C0"),
+                      (_block_limit(-rate1, couple / p.C1), "C1"),
+                      (RK4_REAL_BOUND * p.C / p.G if p.G else np.inf, "G")],
+                     key=lambda term: term[0])
+    if row in ("C0", "C1") and rhs is not None:
+        with np.errstate(all="ignore"):     # affine: the linear part is exact column by column
+            at_rest = rhs(0.0, np.zeros(2 * M + 2))
+            J = np.column_stack([rhs(0.0, e) - at_rest for e in np.eye(2 * M + 2)])
+            limit = min(limit, rk4_limit(np.linalg.eigvals(J)) if np.isfinite(J).all() else 0.0)
+    return limit, row
 
 
-def _set_by(row, prefix: str = "") -> str:
-    """How a guard message names the rows of :func:`_step_guard`."""
-    if row is None:
-        return ""
-    if row in ("G", "R"):
-        rows = "interior voltage" if row == "G" else "current"
-        return f", set by the {rows} rows' own rate of {prefix}{row}"
-    return f", set by the {'end' if row[0] == 'R' else 'capacitor'} row of {prefix}{row}"
+def set_by(row, prefix: str = "") -> str:
+    """How a guard message names the rows of :func:`step_guard`."""
+    rows = {"G": "interior voltage rows' own rate", "R": "current rows' own rate",
+            "C0": "capacitor row", "C1": "capacitor row"}.get(row, "end row")
+    return f", set by the {rows} of {prefix}{row}" if row else ""
 
 
 def tline_rhs(p: LineParams, y: np.ndarray, I0: float, M: int) -> np.ndarray:
@@ -446,15 +454,18 @@ def tline_pi_loop(p: LineParams, M: int, vC1_star: float, K_P: float, K_I: float
 
 def simulate_open_loop(p: LineParams, state0: LineState, I0: float,
                        cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the line under a constant source current."""
+    """Integrate the line under a constant source current; a step past
+    :func:`cfl_limit` raises ``ValueError`` naming the rows that set it."""
     M = state0.M
-    limit, row = _step_guard(p, M)
+
+    def rhs(t, y):
+        return tline_rhs(p, y, I0, M)
+
+    limit, row = step_guard(p, M, rhs=rhs)
     if cfg.step > limit:
-        raise ValueError(
-            f"step {float(cfg.step)!r} violates the stability guard {float(limit)!r} at M={M}"
-            + _set_by(row)
-        )
-    return integrate(lambda t, y: tline_rhs(p, y, I0, M), state0.pack(), cfg)
+        raise ValueError(f"step {float(cfg.step)!r} violates the stability guard "
+                         f"{float(limit)!r} at M={M}{set_by(row)}")
+    return integrate(rhs, state0.pack(), cfg)
 
 
 def line_energy(p: LineParams, y: np.ndarray):

@@ -256,7 +256,8 @@ def test_a_line_step_past_its_end_row_bound_exits_2(tmp_path, params, resistor):
 def test_a_line_step_past_its_capacitor_row_bound_exits_2(tmp_path, params, gains, row):
     cfg = _with(_line_cfg(params, 8, 0.9 / 8), tline={"gains": gains})
     K = [gains.get(k, 1.0) for k in ("K_P", "K_I")]
-    limit = tline._step_guard(tline.LineParams(**params), 8, *K)[0]
+    p = tline.LineParams(**params)
+    limit = tline.step_guard(p, 8, *K, rhs=tline.tline_pi_loop(p, 8, 1.0, *K)[0])[0]
     diags = cli.validate(cfg)
     assert diags == [f"integrator.step: violates stability guard {limit:.3g} at this grid, "
                      f"set by the capacitor row of tline.params.{row}"]
@@ -295,18 +296,16 @@ def test_a_line_step_within_a_capacitor_row_bound_that_rk4_grows_exits_2(tmp_pat
     # C0 0.01 with K_P 0 at grid 8: the source block's term 0.03363 leaves out
     # the end current's coupling to the interior, and at it the loop's
     # spectrum reads 1.0111.  The reader accepted it; its strict run to
-    # horizon 5 exited 4, with profile_error 11.2.
+    # horizon 5 exited 4, with profile_error 11.2.  The guard is capped by
+    # that spectrum's limit.
     cfg = _with(_line_cfg({"C0": 0.01}, 8, 0.03363), tline={"gains": {"K_P": 0.0}})
-    assert tline._step_guard(tline.LineParams(C0=0.01), 8, 0.0, 1.0)[1] == "C0"
+    assert tline.step_guard(tline.LineParams(C0=0.01), 8, 0.0, 1.0)[1] == "C0"
     diags = cli.validate(cfg)
-    assert len(diags) == 1 and re.fullmatch(
-        r"integrator\.step: 0\.03363 is within the stability guard 0\.0336 at this grid, set by "
-        r"the capacitor row of tline\.params\.C0, but past RK4's stability region in the "
-        r"loop's spectrum \(max \|R\(h lambda\)\| 1\.011098 > 1\), which holds up to step (\S+)",
-        diags[0])
+    assert diags == ["integrator.step: violates stability guard 0.0335 at this grid, set by "
+                     "the capacitor row of tline.params.C0"]
     p = tline.LineParams(C0=0.01)
     assert _rk4_spectral_radius(p, 8, 0.03363, 0.0, 1.0) == pytest.approx(1.0111, abs=1e-4)
-    limit = float(re.search(r"up to step (\S+)$", diags[0])[1])
+    limit = tline.step_guard(p, 8, 0.0, 1.0, rhs=tline.tline_pi_loop(p, 8, 1.0, 0.0, 1.0)[0])[0]
     assert _rk4_spectral_radius(p, 8, 0.999 * limit, 0.0, 1.0) <= 1.0
     assert cli.validate(_with(cfg, integrator={"step": 0.999 * limit})) == []
     code, payload = cli.run(cfg, tmp_path / "out", strict=True)
@@ -314,11 +313,83 @@ def test_a_line_step_within_a_capacitor_row_bound_that_rk4_grows_exits_2(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("params, target, step, diags", [
+    ({"R": 1000.0, "G": 1000.0}, 1.0, 1.0,
+     ["integrator.step: violates stability guard 0.00275 at this grid, set by the end row of "
+      "tline.params.R0", "tline.target_vc1: equilibrium profile not finite with these "
+      "tline.params"]),
+    # no loop to probe: the capacitor block's own term 0.0336 decides
+    ({"C0": 0.01, "G": 1e-300}, 1.0, 0.034,
+     ["integrator.step: violates stability guard 0.0336 at this grid, set by the capacitor row "
+      "of tline.params.C0", "tline.params: no stability certificate for tau = RC/(LG) ("]),
+    ({}, 1e308, 0.01, ["tline.target_vc1: equilibrium profile not finite with these tline.params"]),
+])
+def test_a_line_whose_loop_cannot_be_built_still_gets_its_step_checked(params, target, step,
+                                                                       diags):
+    cfg = _with(_line_cfg(params, 8, step), tline={"target_vc1": target, "gains": {"K_P": 0.0}})
+    got = cli.validate(cfg)
+    assert len(got) == len(diags) and all(g.startswith(e) for g, e in zip(got, diags))
+
+
+def _block_bound_lines(seed, n, open_line):
+    """``n`` random lines at grids 8 and 16 whose guard a capacitor block sets,
+    as ``(params, grid, (K_P, K_I))``: log-uniform ``R``, ``G`` in [0.05, 5],
+    ``L``, ``C`` in [0.1, 10], ``R0``, ``R1`` in [0.01, 10], ``C0``, ``C1``
+    in [0.005, 2] and gains in [0.01, 10], or no gains for the open line."""
+    rng = np.random.default_rng(seed)
+    ranges = {"R": (0.05, 5), "G": (0.05, 5), "L": (0.1, 10), "C": (0.1, 10),
+              "R0": (0.01, 10), "R1": (0.01, 10), "C0": (0.005, 2), "C1": (0.005, 2)}
+    lines = []
+    while len(lines) < n:
+        params = {k: float(np.exp(rng.uniform(*np.log(r)))) for k, r in ranges.items()}
+        M = int(rng.choice([8, 16]))
+        K = (0.0, 0.0) if open_line else tuple(np.exp(rng.uniform(*np.log([0.01, 10]), 2)))
+        if tline.step_guard(tline.LineParams(**params), M, *K)[1] in ("C0", "C1"):
+            lines.append((params, M, K))
+    return lines
+
+
+def test_the_line_step_rule_keeps_rk4_stable_on_random_capacitor_row_bound_loops():
+    # Where a block sets the guard, the reader's limit is capped by the loop's
+    # dense spectrum (on 9 of these 40): stable just below it, refused just
+    # above it.
+    capped = 0
+    for params, M, K in _block_bound_lines(0, 40, open_line=False):
+        p = tline.LineParams(**params)
+        term, row = tline.step_guard(p, M, *K)
+        limit = tline.step_guard(p, M, *K, rhs=tline.tline_pi_loop(p, M, 1.0, *K)[0])[0]
+        capped += limit < term
+        assert _rk4_spectral_radius(p, M, 0.999 * limit, *K) <= ode.RK4_MARGIN
+        cfg = _with(_line_cfg(params, M, 0.999 * limit),
+                    tline={"gains": {"K_P": K[0], "K_I": K[1]}})
+        assert cli.validate(cfg) == []
+        assert cli.validate(_with(cfg, integrator={"step": 1.001 * limit})) == [
+            f"integrator.step: violates stability guard {limit:.3g} at this grid, set by the "
+            f"capacitor row of tline.params.{row}"]
+    assert capped == 9
+
+
+def test_the_line_step_rule_keeps_rk4_stable_on_random_capacitor_row_bound_open_lines():
+    # None of these 40 is capped by its spectrum; tests/test_tline.py has one
+    # that is.
+    for params, M, _ in _block_bound_lines(1, 40, open_line=True):
+        p = tline.LineParams(**params)
+        zero = tline.LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
+        limit = tline.cfl_limit(p, M)
+        assert _rk4_spectral_radius(p, M, 0.999 * limit, 0.0, 0.0) <= ode.RK4_MARGIN
+        with pytest.raises(ValueError, match="set by the capacitor row of C"):
+            tline.simulate_open_loop(p, zero, 1.0, ode.IntegratorConfig(step=1.001 * limit,
+                                                                         max_time=1.0))
+        traj = tline.simulate_open_loop(p, zero, 1.0, ode.IntegratorConfig(step=0.999 * limit,
+                                                                             max_time=1.0))
+        assert np.isfinite(traj.final_state).all()
+
+
 # at the guard itself the loop's spectrum reads 0.9536 and 0.9996 (tests/test_tline.py)
 @pytest.mark.parametrize("params, gains", [({"C1": 0.01}, {}), ({}, {"K_P": 0.0, "K_I": 100.0})])
 def test_a_line_step_at_a_capacitor_row_bound_that_rk4_keeps_is_accepted(params, gains):
     K = [gains.get(k, 1.0) for k in ("K_P", "K_I")]
-    limit, row = tline._step_guard(tline.LineParams(**params), 8, *K)
+    limit, row = tline.step_guard(tline.LineParams(**params), 8, *K)
     assert row[0] == "C"
     assert cli.validate(_with(_line_cfg(params, 8, limit), tline={"gains": gains})) == []
 
@@ -1387,22 +1458,48 @@ def test_hvac_power_shaping_divisor_gains_must_be_positive(tmp_path, gain):
 
 
 @pytest.mark.parametrize("M", [8, 200])
-@pytest.mark.parametrize("K", [1, 7, 32, 75])
+@pytest.mark.parametrize("K", [1, 7, 32, 75, 300])
 def test_spacetime_blocks_equal_each_sample_unpacked_alone(M, K):
     # Columns are unpacked a block of samples at a time; each block row must
     # be the row of its sample unpacked alone, bit for bit, over full and
-    # partial blocks.
+    # partial blocks, and each block's functional values are those of its
+    # samples.  A block is _BLOCK whole chunks of _write_csv: 3 x 97 samples
+    # at grid 8, 3 x 5 at grid 200.
     p = tline.LineParams(R0=0.7, R1=1.3)
     rng = np.random.default_rng([M, K])
     traj = Trajectory(np.cumsum(rng.uniform(0.1, 1.0, K)), rng.normal(size=(K, 2 * M + 2)))
-    blocks = list(cli._spacetime_blocks(p, M, traj))
-    assert [len(block[0]) for block in blocks[:-1]] == [cli._BLOCK] * (len(blocks) - 1)
+    V = []
+    blocks = list(cli._line_blocks(p, M, traj, lambda t, y: y[:, 0] + t, V))
+    rows_per_block = {8: 291, 200: 15}[M]
+    assert rows_per_block == cli._BLOCK * (cli._CHUNK // (2 * M + 5))
+    assert [len(block[0]) for block in blocks[:-1]] == [rows_per_block] * (len(blocks) - 1)
+    assert [len(v) for v in V] == [len(block[0]) for block in blocks]
+    assert np.concatenate(V).tolist() == (traj.states[:, 0] + traj.times).tolist()
     rows = np.vstack([np.column_stack(block) for block in blocks]).tolist()
     states = [reference_line_state(p, y, M) for y in traj.states]
     expected = [[t] + s.i.tolist() + s.v.tolist() + [s.vC0, s.vC1]
                 for t, s in zip(traj.times.tolist(), states)]
     assert rows == expected
     assert np.array_equal(np.signbit(rows), np.signbit(expected))
+
+
+def test_a_line_run_formats_spacetime_csv_in_whole_chunks(tmp_path, monkeypatch):
+    # A block of the post-pass is whole chunks of _write_csv (5 samples of 405
+    # columns at grid 200), so only the file's last chunk is short.  Blocks
+    # of 16 samples would format one-row chunks: 27 of a horizon-2 run's 111.
+    shapes = []
+
+    def recording(a):
+        shapes.append(a.shape)
+        return csv_floats(a)
+
+    csv_floats = cli._csv_floats
+    monkeypatch.setattr(cli, "_csv_floats", recording)
+    cfg = _with(_line_cfg({}, 200, tline.cfl_limit(tline.LineParams(), 200)),
+                tline={"horizon": 0.5})
+    assert cli.run(cfg, tmp_path)[0] == 0
+    rows = [n for n, width in shapes if width == 405]
+    assert len(rows) > 10 and set(rows[:-1]) == {5} and rows[-1] <= 5
 
 
 def test_line_run_goes_through_the_traced_names(tmp_path, monkeypatch):
@@ -1438,6 +1535,7 @@ def test_line_run_goes_through_the_traced_names(tmp_path, monkeypatch):
     assert code == 0
     [traj] = trajectories
     assert calls["tline_rhs"] == traj.stats.rhs_evals == 4 * traj.stats.rk4_steps > 0
-    assert calls["closed_loop_lyapunov"] == -(-traj.times.size // cli._BLOCK) > 1
+    rows = cli._BLOCK * (cli._CHUNK // (2 * 16 + 5))     # samples per block at grid 16
+    assert calls["closed_loop_lyapunov"] == -(-traj.times.size // rows) > 1
     for name in ("spacetime.csv", "lyapunov.csv", "summary.json"):
         assert (tmp_path / "counted" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

@@ -69,3 +69,37 @@ def test_only_ode_spells_rk4s_stability_bounds(path):
         assert len(bounds) == 2, "the scan no longer sees ode's own bounds"
     else:
         assert bounds == []
+
+
+def _private_reads(tree: ast.Module) -> list[str]:
+    """The ``_``-prefixed names, dunders aside, that a module reads from other
+    ``passiflow`` modules: ``from .mod import _name``, and ``alias._name``
+    where ``alias`` is bound by ``from . import mod [as alias]``."""
+    aliases, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level
+                                                 or node.module.startswith("passiflow")):
+            for name in node.names:
+                if node.module in (None, "passiflow"):
+                    aliases.add(name.asname or name.name)
+                elif name.name.startswith("_"):
+                    reads.append(f"{node.module}.{name.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(Path(passiflow.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_reads_another_modules_private_names(path):
+    assert _private_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_private_name_scan_sees_both_forms():
+    tree = ast.parse("from . import tline as t\nfrom .ode import _rk4_step\n"
+                     "from passiflow import cli\n"
+                     "t._step_guard\ncli._BLOCK\nt.__name__\nt.cfl_limit")
+    assert sorted(_private_reads(tree)) == ["cli._BLOCK", "ode._rk4_step", "t._step_guard"]

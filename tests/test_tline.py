@@ -203,7 +203,7 @@ def test_step_guard_refuses_the_steps_the_dense_spectrum_shows_unstable(params, 
     h = 0.999 * _wave_bound(p, M)
     rho = _rk4_spectral_radius(p, M, h, *K)
     assert rho == pytest.approx(radius, abs=1e-3)
-    assert (h <= tline._step_guard(p, M, *K)[0]) == accepted
+    assert (h <= tline.step_guard(p, M, *K)[0]) == accepted
     assert rho <= 1.0 or not accepted
 
 
@@ -216,7 +216,7 @@ def test_the_largest_step_an_end_row_bound_accepts_is_stable(params, resistor, M
     # RK4's real stability limit is -2.7853; the guard's 2.785 keeps the end
     # rows' eigenvalue inside it (max |R| 0.99999 at R0 = 100, M = 50).
     p = LineParams(**params)
-    assert tline._step_guard(p, M) == (cfl_limit(p, M), resistor)
+    assert tline.step_guard(p, M) == (cfl_limit(p, M), resistor)
     assert cfl_limit(p, M) < _wave_bound(p, M)
     assert _rk4_spectral_radius(p, M, cfl_limit(p, M)) <= 1.0
 
@@ -232,16 +232,41 @@ def test_a_capacitor_row_bound_is_stable_a_few_percent_below_the_guard(params, K
     # RK4's region (the line reader refuses that step); 0.96 times the guard
     # is inside it.
     p = LineParams(**params)
-    limit, row = tline._step_guard(p, 8, *K)
+    limit, row = tline.step_guard(p, 8, *K)
     assert row[0] == "C" and limit < _wave_bound(p, 8)
     assert _rk4_spectral_radius(p, 8, limit, *K) == pytest.approx(radius, abs=1e-4)
     assert _rk4_spectral_radius(p, 8, 0.96 * limit, *K) <= 1.0
 
 
+def test_an_open_line_step_rk4_grows_at_its_capacitor_row_bound_is_refused():
+    # A random line (grid 16) whose source block sets the guard.  At the
+    # block's term 0.06016 the open line's spectrum reads 1.0213, and a run
+    # from rest under I0 = 1 reads max |y| 10.8 at t = 1.02 and 2,494 at
+    # t = 20; that spectrum caps the limit at 0.05976.
+    p, M = LineParams(R=0.5645, G=1.6104, L=2.2736, C=3.8531, R0=4.3243, R1=0.01535,
+                      C0=0.005585, C1=0.02544), 16
+    zero = LineState(np.zeros(M + 1), np.zeros(M + 1), 0.0, 0.0)
+    term, row = tline.step_guard(p, M)
+    assert row == "C0" and term == pytest.approx(0.06016, abs=1e-5)
+    assert _rk4_spectral_radius(p, M, term, 0.0, 0.0) == pytest.approx(1.0213, abs=1e-4)
+    limit = cfl_limit(p, M)
+    assert limit == pytest.approx(0.05976, abs=1e-5)
+    grown = integrate(lambda t, y: tline_rhs(p, y, 1.0, M), zero.pack(),
+                      IntegratorConfig(step=term, max_time=20.0))
+    assert np.abs(grown.final_state).max() > 2000.0
+    with pytest.raises(ValueError, match=r"guard 0\.05976\d+ at M=16, set by the capacitor row "
+                                         r"of C0$"):
+        simulate_open_loop(p, zero, 1.0, IntegratorConfig(step=term, max_time=20.0))
+    traj = simulate_open_loop(p, zero, 1.0, IntegratorConfig(step=0.999 * limit, max_time=20.0))
+    assert traj.times[-1] == pytest.approx(20.0)
+    # a transient peak of 9.64 before t = 1, and at most 7.84 from t = 10 on
+    assert np.abs(traj.states[traj.times >= 10.0]).max() < 10.0
+
+
 @pytest.mark.parametrize("params", [{"C": 0.01, "L": 20.0}, {"G": 200.0}])
 def test_the_interior_voltage_rows_bound_is_stable_at_the_guard(params):
     p = LineParams(**params)
-    assert tline._step_guard(p, 8, 1.0, 1.0) == (2.785 * p.C / p.G, "G")
+    assert tline.step_guard(p, 8, 1.0, 1.0) == (2.785 * p.C / p.G, "G")
     assert _rk4_spectral_radius(p, 8, 2.785 * p.C / p.G) == pytest.approx(0.9986, abs=1e-4)
 
 
@@ -250,7 +275,7 @@ def test_the_current_rows_bound_is_the_end_term_when_both_end_resistors_are_0(M)
     # with R0 = R1 = 0 the end term 2.785 L / (1.5 max(R0, R1) M + R) is the
     # current rows' own rate R/L, so it is R that sets it
     p = LineParams(R0=0.0, R1=0.0, R=200.0)
-    assert tline._step_guard(p, M, 1.0, 1.0) == (2.785 * p.L / p.R, "R")
+    assert tline.step_guard(p, M, 1.0, 1.0) == (2.785 * p.L / p.R, "R")
     assert _rk4_spectral_radius(p, M, 2.785 * p.L / p.R) == pytest.approx(0.9996, abs=1e-4)
 
 
