@@ -25,8 +25,8 @@ picks what one run measures:
   ``--repeats`` calls on each of the four plant loops of perfbench's
   ``closed_loops``, with the rhs, start and settings ``cli.run`` passes;
 - ``sample_memory``: ``VmHWM`` after one and after two paper-scale svm
-  ``cli.run`` calls, with the rows ``integrate`` held for its samples and the
-  samples it kept.
+  ``cli.run`` calls, with the rows ``integrate`` held for its samples (0
+  where it streamed them to a sink and held none) and the samples it took.
 
 Only perfbench reads ``--seed``; the layer probes run fixed configs.  The
 result is one JSON object on standard output: the options, each side's
@@ -191,7 +191,8 @@ def sample_memory_probe(_repeats: int) -> dict:
 
     def wrapped(*args, **kwargs):
         traj = integrate(*args, **kwargs)
-        buffers.append({"rows": traj.states.base.shape[0], "samples": traj.times.size})
+        rows = 0 if traj.states is None else traj.states.base.shape[0]
+        buffers.append({"rows": rows, "samples": traj.times.size})
         return traj
 
     primal_dual.integrate = wrapped

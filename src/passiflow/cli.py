@@ -28,7 +28,11 @@ takes only configs of its kind, and without ``--config`` it starts from
 is missing, as for a config file that lacks those fields.  This module
 writes and reads every artifact, among them the ``storage.csv`` that a solve
 writes and an ``audit`` reads back; no other module of the package writes a
-file.  Outputs are deterministic for a fixed config and seed:
+file.  The sample CSVs (``trajectory.csv``, ``beta_trajectory.csv``,
+``mu_trajectory.csv``, ``spacetime.csv``) are written as the run integrates,
+and no run holds its samples; each file takes its name only when the run
+ends, so a run that raises or exits 3 leaves none of them, as when they were
+written after the run.  Outputs are deterministic for a fixed config and seed:
 trajectory/storage CSVs with 17-significant-digit floats and a
 ``summary.json`` that echoes the config as given, with ``schema`` filled in
 and, for every kind that integrates, the ``integrator`` block the run used:
@@ -545,22 +549,82 @@ def _read_audit(cfg: dict, integ: dict, d: _Diagnostics):
 _CHUNK = 2048
 
 
-def _write_csv(path, header, blocks) -> None:
-    """Write ``header``, then ``blocks`` as CRLF CSV lines, every number as
-    ``%.17g`` writes it.
+class _CsvWriter:
+    """A CSV file of ``header``, then CRLF lines with every number as
+    ``%.17g`` writes it, written inside a ``with`` block.
 
-    Each block is a tuple of float arrays of equal length whose columns are
-    written side by side, row by row; it is cut into chunks of as many rows
-    as ``_CHUNK`` values allow and each chunk formatted by
-    :func:`_csv_floats`: 0.15-0.25 us a value on a large block on a 2-vCPU
-    x86 host, where one ``bytes %`` a row takes 0.3-0.8 us.
+    :meth:`write` takes a block: a tuple of float arrays of equal length
+    whose columns are written side by side, row by row.  It cuts the block
+    into chunks of as many rows as ``_CHUNK`` values allow and formats each
+    by :func:`_csv_floats`: 0.15-0.25 us a value on a large block on a
+    2-vCPU x86 host, where one ``bytes %`` a row takes 0.3-0.8 us.
+
+    With a state ``width``, the writer is also an ``integrate`` sink: each
+    call ``writer(t, x)`` copies one sample into a buffer of ``chunks``
+    whole chunks of rows, and each full buffer, and the last part-filled
+    one, is written as the block ``columns(times, states)``; by default
+    ``(times, states)``, a row ``t`` and then ``x``.  So a run's samples
+    reach the file as it integrates, and at most one buffer of them is held.
+
+    The lines go to ``<path>.part``, which becomes ``path`` when the ``with``
+    block ends and is removed if it raises: a failed run leaves no file at
+    ``path`` (an earlier one there stays as it was), and none half written.
     """
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode("ascii") + b"\r\n")
-        per_chunk = max(1, _CHUNK // len(header))
+
+    def __init__(self, path, header, width=None, columns=None, chunks=1):
+        self.path = Path(path)
+        self.part = self.path.with_name(self.path.name + ".part")
+        self.header = ",".join(header).encode("ascii") + b"\r\n"
+        self.per_chunk = max(1, _CHUNK // len(header))
+        self.filled = 0
+        if width is not None:
+            self.times = np.empty(chunks * self.per_chunk)
+            self.states = np.empty((len(self.times), width))
+            self.columns = columns or (lambda times, states: (times, states))
+
+    def __enter__(self):
+        self.fh = open(self.part, "wb")
+        self.fh.write(self.header)
+        return self
+
+    def __call__(self, t, x):
+        k = self.filled
+        self.times[k] = t
+        self.states[k] = x
+        self.filled = k + 1
+        if self.filled == len(self.times):
+            self.flush()
+
+    def flush(self):
+        """Write the buffered samples, if any, as one block."""
+        if self.filled:
+            self.write(self.columns(self.times[:self.filled], self.states[:self.filled]))
+            self.filled = 0
+
+    def write(self, block):
+        for k in range(0, len(block[0]), self.per_chunk):
+            self.fh.write(_csv_floats(np.column_stack([col[k:k + self.per_chunk]
+                                                       for col in block])))
+
+    def __exit__(self, exc_type, *_):
+        done = False
+        try:
+            with self.fh:
+                if exc_type is None:
+                    self.flush()
+                    done = True
+        finally:
+            if done:
+                self.part.replace(self.path)
+            else:
+                self.part.unlink()
+
+
+def _write_csv(path, header, blocks) -> None:
+    """Write ``header``, then each of ``blocks`` by :meth:`_CsvWriter.write`."""
+    with _CsvWriter(path, header) as csv:
         for block in blocks:
-            for k in range(0, len(block[0]), per_chunk):
-                fh.write(_csv_floats(np.column_stack([col[k:k + per_chunk] for col in block])))
+            csv.write(block)
 
 
 def _write_events(path, events) -> None:
@@ -568,11 +632,6 @@ def _write_events(path, events) -> None:
     with open(path, "wb") as fh:
         fh.write(b"t,tag\r\n" + b"".join(b"%.17g,%s\r\n" % (t, tag.encode("ascii"))
                                           for t, tag in events))
-
-
-def _write_samples(path, names, times, values) -> None:
-    """Write ``t`` and ``names``: row ``k`` is ``values[k]`` at ``times[k]``."""
-    _write_csv(path, ["t", *names], blocks=[(times, values)])
 
 
 def _csv_floats(a) -> bytes:
@@ -738,10 +797,11 @@ def _csv_tables() -> _CsvTables:
 
 def _run_solve(inputs, out: Path) -> dict:
     problem, init, tc, icfg = inputs
-    result = solve(problem, init, tc=tc, cfg=icfg, grow_step=True)
+    width = problem.n + problem.m + problem.p
+    with _CsvWriter(out / "trajectory.csv", ["t", *(f"x{k}" for k in range(width))],
+                    width) as trajectory:
+        result = solve(problem, init, tc=tc, cfg=icfg, grow_step=True, sink=trajectory)
     traj, trace = result.trajectory, result.storage
-    _write_samples(out / "trajectory.csv", [f"x{k}" for k in range(traj.states.shape[1])],
-                   traj.times, traj.states)
     _write_events(out / "events.csv", traj.events)
     _write_csv(out / "storage.csv", ["t", "storage", "supply", "margin"],
                blocks=[(trace.times, trace.storage, trace.supply_integral, trace.margin)])
@@ -752,12 +812,11 @@ def _run_svm(inputs, out: Path) -> dict:
     data_args, sv_tol, icfg = inputs
     data = svm_mod.generate_gaussian_classes(**data_args)
     _write_csv(out / "dataset.csv", ["x1", "x2", "label"], blocks=[(data.points, data.labels)])
-    result = svm_mod.train_svm(data, cfg=icfg)
-    traj = result.trajectory
-    _write_samples(out / "beta_trajectory.csv", ["beta1", "beta2", "beta0"],
-                   traj.times, traj.states[:, :3])
-    _write_samples(out / "mu_trajectory.csv", [f"mu{i}" for i in range(data.size)],
-                   traj.times, traj.states[:, 3:])
+    with (_CsvWriter(out / "beta_trajectory.csv", ["t", "beta1", "beta2", "beta0"], 3) as beta,
+          _CsvWriter(out / "mu_trajectory.csv", ["t", *(f"mu{i}" for i in range(data.size))],
+                     data.size) as mu):
+        result = svm_mod.train_svm(data, cfg=icfg,
+                                   sink=lambda t, z: (beta(t, z[:3]), mu(t, z[3:])))
     idx, plane, report = svm_mod.support_vectors(data, result.final, tol=sv_tol)
     return {
         "seed": data_args["seed"],
@@ -803,46 +862,45 @@ def _run_plant(inputs, out: Path) -> dict:
             target_state = np.concatenate([T_star, u_star])
         extra = {"T_star": [float(x) for x in T_star], "u_star": [float(x) for x in u_star]}
 
-    traj = integrate(rhs, x0, icfg, floats=True)
-    _write_samples(out / "trajectory.csv", [f"x{k}" for k in range(traj.states.shape[1])],
-                   traj.times, traj.states)
-    V = np.array([lyap(t, z) for t, z in zip(traj.times, traj.states)])
+    V = []
+
+    def columns(times, states):
+        V.extend(lyap(t, z) for t, z in zip(times, states))
+        return times, states
+
+    with _CsvWriter(out / "trajectory.csv", ["t", *(f"x{k}" for k in range(len(x0)))],
+                    len(x0), columns) as trajectory:
+        traj = integrate(rhs, x0, icfg, floats=True, sink=trajectory)
     return {
         "plant": name,
         "controller": controller,
         "final_state": [float(v) for v in traj.final_state],
         "target_error": float(np.max(np.abs(traj.final_state[: target_state.size]
                                             - target_state))),
-        **_lyapunov_report(out, traj.times, V),
+        **_lyapunov_report(out, traj.times, np.array(V)),
         **extra,
     }
 
 
-# Chunks of ``_write_csv`` per block of the line's post-pass, so that no
-# chunk but the file's last is cut short.  At 200 intervals a chunk holds 5
-# samples, and a block of 15 keeps its temporaries near 0.3 MB.
+# Whole chunks of a block of a line run's samples, so that no chunk but the
+# file's last is cut short.  At 200 intervals a chunk holds 5 samples, and
+# a block of 15 keeps its temporaries near 0.3 MB.
 _BLOCK = 3
-
-
-def _line_blocks(p, M, traj, lyap, V):
-    """The columns ``t, i0..iM, v0..vM, vC0, vC1`` of ``spacetime.csv``,
-    unpacked a block of samples at a time; each block's ``lyap`` values go
-    to the list ``V``."""
-    rows = _BLOCK * max(1, _CHUNK // (2 * M + 5))      # the columns' chunk, as _write_csv cuts it
-    for k in range(0, len(traj.times), rows):
-        times, states = traj.times[k:k + rows], traj.states[k:k + rows]
-        V.append(lyap(times, states))
-        yield (times, *tline_mod.unpack(p, states, M))
 
 
 def _run_tline(inputs, out: Path) -> dict:
     p, M, (rhs, lyap, eq, I0_star), icfg = inputs
-    traj = integrate(rhs, np.zeros(2 * M + 2), icfg)      # from rest
-    final = tline_mod.unpack_state(p, traj.final_state, M)
     header = (["t"] + [f"i{k}" for k in range(M + 1)]
               + [f"v{k}" for k in range(M + 1)] + ["vC0", "vC1"])
     V = []
-    _write_csv(out / "spacetime.csv", header, blocks=_line_blocks(p, M, traj, lyap, V))
+
+    def columns(times, states):
+        V.append(lyap(times, states))
+        return (times, *tline_mod.unpack(p, states, M))
+
+    with _CsvWriter(out / "spacetime.csv", header, 2 * M + 2, columns, _BLOCK) as spacetime:
+        traj = integrate(rhs, np.zeros(2 * M + 2), icfg, sink=spacetime)      # from rest
+    final = tline_mod.unpack_state(p, traj.final_state, M)
     return {
         "mode": "boundary_pi",
         "I0_star": float(I0_star),

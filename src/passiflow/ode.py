@@ -118,27 +118,30 @@ class Trajectory:
     ``events`` holds ``(time, tag)`` pairs for localized guard crossings;
     every event time is also a sample, so switched-storage audits can
     evaluate both sides of a switch.  ``stats`` is set by :func:`integrate`.
+    ``final_state`` is the last row of ``states``.  A streamed run (an
+    :func:`integrate` call with a ``sink``) keeps no rows: its ``states`` is
+    ``None``, and ``final_state`` is given as a copy of the last sample.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | None
     events: list[tuple[float, str]] = field(default_factory=list)
     stats: IntegrationStats | None = None
+    final_state: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=float)
-        if self.times.ndim != 1 or self.states.shape[0] != self.times.shape[0]:
-            raise ValueError("states count must equal times count")
+        if self.states is not None:
+            self.states = np.asarray(self.states, dtype=float)
+            if self.times.ndim != 1 or self.states.shape[0] != self.times.shape[0]:
+                raise ValueError("states count must equal times count")
+            if self.times.size:
+                self.final_state = self.states[-1]
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         for t, _ in self.events:
             if not (self.times[0] <= t <= self.times[-1]):
                 raise ValueError(f"event time {t} outside trajectory span")
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 #: Largest negative excursion, relative to ``max(1, |rate|)``, that a
@@ -253,6 +256,7 @@ def integrate(
     smooth_guards: Sequence[int] = (),
     grow_step: bool = False,
     floats: bool = False,
+    sink: Callable[[float, np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate ``xdot = rhs(t, x)`` from 0 to ``max_time``.
 
@@ -318,12 +322,19 @@ def integrate(
         state after the first guard evaluation, each sampled step before its
         convergence check, each event landing before the guards are
         evaluated there, and the final state.  Its return value is ignored.
+    sink : optional
+        Callable ``sink(t, x)`` that takes each sample in place of the sample
+        array: called with the samples ``on_sample`` gets, just before it,
+        and with the same read-only state (on floats, a tuple of floats
+        after the initial state).  Its return value is ignored.
 
     Returns
     -------
     Trajectory
         Samples every ``record_every``-th step plus all event samples and
-        the final state, with the call's :class:`IntegrationStats`.
+        the final state, with the call's :class:`IntegrationStats`.  With a
+        ``sink`` it holds the sample times, the events, the stats and a
+        copy of the final state, and ``states`` is ``None``.
 
     A plain step and an event landing are accepted by one path: the finite
     check, the clamp, the read-only flag and the time and state update.
@@ -332,15 +343,17 @@ def integrate(
     landing, after the clamp) is read-only and stays one array object while
     it is current, so ``rhs`` may cache on its identity; RK4 stage states and
     search probes stay writable.  A step's state is the object the guards
-    saw, and the clamp writes only ``clamp_nonneg`` entries of it.  Each
-    sample is copied once into one array of ``ceil(max_time / step) //
-    record_every + 2`` rows, at most :data:`SAMPLE_BUFFER_BYTES`: a
-    fixed-step run's samples, with a row to spare when ``record_every``
-    divides its steps.  A grown step takes fewer samples; event landings
-    may take more, and a full array is copied into one of twice its rows.
-    Rows never written are never touched, so they cost address space, not
-    memory.  ``Trajectory.states`` is the filled rows, a view of that array,
-    writable and sharing no memory with any accepted state.
+    saw, and the clamp writes only ``clamp_nonneg`` entries of it.  Without
+    a ``sink``, each sample is copied once into one array of
+    ``ceil(max_time / step) // record_every + 2`` rows, at most
+    :data:`SAMPLE_BUFFER_BYTES`: a fixed-step run's samples, with a row to
+    spare when ``record_every`` divides its steps.  A grown step takes fewer
+    samples; event landings may take more, and a full array is copied into
+    one of twice its rows.  Rows never written are never touched, so they
+    cost address space, not memory.  ``Trajectory.states`` is the filled
+    rows, a view of that array, writable and sharing no memory with any
+    accepted state.  A ``sink`` gets each sample instead, and no array is
+    made: a run that streams its samples (to a file, say) holds none of them.
 
     Raises
     ------
@@ -380,22 +393,27 @@ def integrate(
     smooth_idx = np.asarray(smooth_guards, dtype=int)
     tol = config.event_tol
 
-    row_cap = max(1, SAMPLE_BUFFER_BYTES // max(1, x.nbytes))
-    steps = math.ceil(min(t_end / h, row_cap * config.record_every))
     times: list[float] = []
-    states = np.empty((min(row_cap, steps // config.record_every + 2),) + x.shape)
+    states = None
+    if sink is None:
+        row_cap = max(1, SAMPLE_BUFFER_BYTES // max(1, x.nbytes))
+        steps = math.ceil(min(t_end / h, row_cap * config.record_every))
+        states = np.empty((min(row_cap, steps // config.record_every + 2),) + x.shape)
     events: list[tuple[float, str]] = []
     quiet = 0
     step_index = 0
 
     def _record(tv, xv):
         nonlocal states
-        k = len(times)
-        if k == states.shape[0]:
-            grown = np.empty((2 * k,) + states.shape[1:])
-            grown[:k] = states
-            states = grown
-        states[k] = xv
+        if sink is not None:
+            sink(tv, xv)
+        else:
+            k = len(times)
+            if k == states.shape[0]:
+                grown = np.empty((2 * k,) + states.shape[1:])
+                grown[:k] = states
+                states = grown
+            states[k] = xv
         times.append(tv)
         if on_sample is not None:
             on_sample(tv, xv)
@@ -535,5 +553,7 @@ def integrate(
     if times[-1] != t:
         _record(t, x)
     stats.rhs_evals += 4 * stats.rk4_steps
+    if sink is not None:
+        return Trajectory(np.array(times), None, events, stats, np.array(x, dtype=float))
     return Trajectory(np.array(times), states[:len(times)], events, stats)
 

@@ -393,6 +393,7 @@ def solve(
     tc: TimeConstants | None = None,
     cfg: IntegratorConfig | None = None,
     grow_step: bool = False,
+    sink: Callable[[float, np.ndarray], None] | None = None,
 ) -> SolveResult:
     """Integrate the primal-dual flow until the rates settle.
 
@@ -403,6 +404,10 @@ def solve(
     ``grow_step`` is ``integrate``'s: the step grows between events.  It
     stays off by default so that a direct call takes the configured step
     throughout; ``svm.train_svm`` and the CLI's ``solve`` kind turn it on.
+    ``sink`` is ``integrate``'s too: given, each packed sample goes to it,
+    and the trajectory keeps no ``states``.  The switches are classified
+    from what the storage hook keeps of each sample either way, so a
+    streamed solve returns the same result.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -473,39 +478,42 @@ def solve(
     # Storage trace along the samples, computed as integrate records them;
     # supply is identically zero for the unforced interconnection, so PASS
     # means the switched storage never rises.  The last sample is the final
-    # state, so its rate decides convergence.
-    storage = []
+    # state, so its rate decides convergence.  Each sample's clamp mask and
+    # a copy of its x are kept for the switch classification below: p bools
+    # and n floats a sample, where the state has n + m + p floats.
+    storage, masks, xs = [], [], []
     last_rate = None
 
     def on_sample(t, z):
         nonlocal last_rate
         last_rate = rhs(t, z)
         sdot = (last_rate[:n], last_rate[n:n + m], last_rate[n + m:])
-        storage.append(switched_storage(sdot, clamped(z, g_at(z)), tc))
+        mask = clamped(z, g_at(z))
+        storage.append(switched_storage(sdot, mask, tc))
+        masks.append(mask)
+        xs.append(z[:n].copy())
 
     traj = integrate(rhs, init.pack(), cfg, guards=guards, guard_labels=labels,
                      clamp_nonneg=clamp, stop_when_converged=True, on_sample=on_sample,
-                     smooth_guards=range(p), grow_step=grow_step)
+                     smooth_guards=range(p), grow_step=grow_step, sink=sink)
     storage_vals = np.array(storage)
 
     # One switch event per batch of simultaneous guard crossings.  The
     # crossing sample sits razor-edge on the switching surface, so clamp-set
-    # membership before and after is read off the neighboring samples; the
-    # storage jump is the clamped-term difference of the flipped indices,
-    # with the constraint values at the crossing state.
+    # membership before and after is read off the neighboring samples'
+    # masks; the storage jump is the clamped-term difference of the flipped
+    # indices, with the constraint values at the crossing state.
     switch_events: list[SwitchEvent] = []
     batches: dict[float, set] = {}
     for t_e, tag in traj.events:
         batches.setdefault(t_e, set()).add(int(tag[1:]))
     for t_e in sorted(batches):
         k = int(np.searchsorted(traj.times, t_e))
-        before, after = traj.states[k - 1], traj.states[min(k + 1, traj.times.size - 1)]
-        was = clamped(before, prob.g_values(before[:n]))
-        now = clamped(after, prob.g_values(after[:n]))
+        was, now = masks[k - 1], masks[min(k + 1, len(masks) - 1)]
         flips = [i for i in sorted(batches[t_e]) if was[i] != now[i]]
         if not flips:
             continue
-        g = prob.g_values(traj.states[k][:n])
+        g = prob.g_values(xs[k])
         jump = 0.0
         for i in flips:
             term = g[i] ** 2 / (2.0 * tc.tau_mu[i])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -163,9 +164,12 @@ def build_svm_problem(data: Dataset) -> ConvexProblem:
     )
 
 
-def train_svm(data: Dataset, cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> SolveResult:
+def train_svm(data: Dataset, cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
+              sink: Callable[[float, np.ndarray], None] | None = None) -> SolveResult:
     """Run the primal-dual flow from the origin with zero multipliers, at
-    unit time constants.
+    unit time constants.  ``sink`` is :func:`~passiflow.primal_dual.solve`'s:
+    given, each sample ``(beta1, beta2, beta0, mu...)`` goes to it and none
+    is kept.
 
     The step grows between events (``solve(grow_step=True)``): once the
     active set settles, the flow is smooth and a longer step reaches
@@ -177,7 +181,7 @@ def train_svm(data: Dataset, cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> Solv
     """
     prob = build_svm_problem(data)
     init = FlowState(np.zeros(3), mu=np.zeros(data.size))
-    result = solve(prob, init, cfg=cfg, grow_step=True)
+    result = solve(prob, init, cfg=cfg, grow_step=True, sink=sink)
     if not result.converged:
         warnings.warn(
             f"SVM flow stopped unconverged at t = {result.trajectory.times[-1]:g}: final "

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import gc
 import inspect
 import json
 import operator
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1459,34 +1461,49 @@ def test_hvac_power_shaping_divisor_gains_must_be_positive(tmp_path, gain):
 
 @pytest.mark.parametrize("M", [8, 200])
 @pytest.mark.parametrize("K", [1, 7, 32, 75, 300])
-def test_spacetime_blocks_equal_each_sample_unpacked_alone(M, K):
-    # Columns are unpacked a block of samples at a time; each block row must
-    # be the row of its sample unpacked alone, bit for bit, over full and
-    # partial blocks, and each block's functional values are those of its
-    # samples.  A block is _BLOCK whole chunks of _write_csv: 3 x 97 samples
-    # at grid 8, 3 x 5 at grid 200.
+def test_spacetime_blocks_equal_each_sample_unpacked_alone(tmp_path, monkeypatch, M, K):
+    # A line run unpacks its samples a block at a time as integrate streams
+    # them to the writer; each spacetime.csv row must be the row of its
+    # sample unpacked alone, bit for bit, over full and partial blocks, and
+    # each block's functional values are those of its samples.  A block is
+    # _BLOCK whole chunks of the writer: 3 x 97 samples at grid 8, 3 x 5 at
+    # grid 200.
     p = tline.LineParams(R0=0.7, R1=1.3)
     rng = np.random.default_rng([M, K])
-    traj = Trajectory(np.cumsum(rng.uniform(0.1, 1.0, K)), rng.normal(size=(K, 2 * M + 2)))
+    times, states = np.cumsum(rng.uniform(0.1, 1.0, K)), rng.normal(size=(K, 2 * M + 2))
+
+    def streaming(rhs, x0, cfg, sink):
+        for t, y in zip(times, states):
+            sink(t, y)
+        return Trajectory(times, None, final_state=states[-1].copy())
+
     V = []
-    blocks = list(cli._line_blocks(p, M, traj, lambda t, y: y[:, 0] + t, V))
+
+    def lyap(t, y):
+        V.append(y[:, 0] + t)
+        return V[-1]
+
+    rhs, _, eq, I0_star = tline.tline_pi_loop(p, M, 1.0, 1.0, 1.0)
+    monkeypatch.setattr(cli, "integrate", streaming)
+    cli._run_tline((p, M, (rhs, lyap, eq, I0_star), None), tmp_path)
     rows_per_block = {8: 291, 200: 15}[M]
     assert rows_per_block == cli._BLOCK * (cli._CHUNK // (2 * M + 5))
-    assert [len(block[0]) for block in blocks[:-1]] == [rows_per_block] * (len(blocks) - 1)
-    assert [len(v) for v in V] == [len(block[0]) for block in blocks]
-    assert np.concatenate(V).tolist() == (traj.states[:, 0] + traj.times).tolist()
-    rows = np.vstack([np.column_stack(block) for block in blocks]).tolist()
-    states = [reference_line_state(p, y, M) for y in traj.states]
+    full, rest = divmod(K, rows_per_block)
+    assert [len(v) for v in V] == [rows_per_block] * full + [rest] * (rest > 0)
+    assert np.concatenate(V).tolist() == (states[:, 0] + times).tolist()
+    lines = (tmp_path / "spacetime.csv").read_text().splitlines()[1:]
+    rows = [[float(v) for v in line.split(",")] for line in lines]
     expected = [[t] + s.i.tolist() + s.v.tolist() + [s.vC0, s.vC1]
-                for t, s in zip(traj.times.tolist(), states)]
+                for t, s in zip(times.tolist(), (reference_line_state(p, y, M) for y in states))]
     assert rows == expected
     assert np.array_equal(np.signbit(rows), np.signbit(expected))
 
 
 def test_a_line_run_formats_spacetime_csv_in_whole_chunks(tmp_path, monkeypatch):
-    # A block of the post-pass is whole chunks of _write_csv (5 samples of 405
-    # columns at grid 200), so only the file's last chunk is short.  Blocks
-    # of 16 samples would format one-row chunks: 27 of a horizon-2 run's 111.
+    # A block of the streamed samples is whole chunks of the writer (5
+    # samples of 405 columns at grid 200), so only the file's last chunk is
+    # short.  Blocks of 16 samples would format one-row chunks: 27 of a
+    # horizon-2 run's 111.
     shapes = []
 
     def recording(a):
@@ -1539,3 +1556,95 @@ def test_line_run_goes_through_the_traced_names(tmp_path, monkeypatch):
     assert calls["closed_loop_lyapunov"] == -(-traj.times.size // rows) > 1
     for name in ("spacetime.csv", "lyapunov.csv", "summary.json"):
         assert (tmp_path / "counted" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def _traced_peak(monkeypatch, call):
+    """``call()``'s traced peak in bytes outside its ``_csv_floats`` calls,
+    whose temporaries ``_CHUNK`` bounds whatever the run's length."""
+    peaks = []
+    csv_floats = cli._csv_floats
+
+    def untraced(a):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        try:
+            return csv_floats(a)
+        finally:
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(cli, "_csv_floats", untraced)
+    tracemalloc.start()
+    try:
+        result = call()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return max(peaks), result
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
+def test_cli_runs_stream_their_samples_and_hold_no_sample_buffer(tmp_path, monkeypatch):
+    # integrate hands each sample to the CSV writers and keeps none, so what
+    # a CLI run holds does not grow by a row a sample.  The svm run of 100
+    # points per class writes 542 rows of 204 floats (0.88 MB); integrate's
+    # buffer reserved 2,002 of them (3.3 MB), which kept the run's traced
+    # peak near 3.5 MB.  The golden solve's rows are 12 KB, below the run's
+    # fixed costs (its config, its reader, a writer's 512-row chunk), so its
+    # run is held against the library call of the same inputs, which buffers.
+    for cfg in (CONFIGS["svm"], CONFIGS["solve"]):
+        assert cli.run(cfg, tmp_path / "warm")[0] == 0      # imports and tables
+    svm_cfg = {"schema": 1, "kind": "svm", "svm": {"seed": 0, "n_per_class": 100}}
+    peak, (code, _) = _traced_peak(monkeypatch, lambda: cli.run(svm_cfg, tmp_path / "svm"))
+    beta, mu = (_csv_rows(tmp_path / "svm" / name)
+                for name in ("beta_trajectory.csv", "mu_trajectory.csv"))
+    data_args, _, icfg = cli._read(svm_cfg)[0]
+    traj = svm.train_svm(svm.generate_gaussian_classes(**data_args), cfg=icfg).trajectory
+    states = np.column_stack([traj.times, traj.states])
+    assert np.array_equal(np.column_stack([beta, mu[:, 1:]]), states)
+    assert code == 0 and states.shape == (542, 204) and peak < states.nbytes
+
+    problem, init, tc, scfg = cli._read(CONFIGS["solve"])[0]
+    peak, (code, _) = _traced_peak(monkeypatch,
+                                   lambda: cli.run(CONFIGS["solve"], tmp_path / "solve"))
+    library_peak, result = _traced_peak(monkeypatch, lambda: primal_dual.solve(
+        problem, init, tc=tc, cfg=scfg, grow_step=True))
+    traj = result.trajectory
+    assert np.array_equal(_csv_rows(tmp_path / "solve" / "trajectory.csv"),
+                          np.column_stack([traj.times, traj.states]))
+    assert code == 0 and peak < library_peak
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning",
+                            "ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_failed_run_leaves_the_files_it_left_before_streaming(tmp_path, monkeypatch):
+    # A run writes its sample CSV as it integrates, to <name>.part, which
+    # becomes <name> only when the run ends.  A run that raises out of
+    # cli.run (svm dataset seed 4: the clamp's ValueError, unchanged) or
+    # exits 3 (a plant loop that diverges after writing a chunk) leaves what
+    # it left when the CSV was written after the run: no sample CSV, no
+    # .part file and no open file, and an earlier run's CSV as it was.
+    with pytest.raises(ValueError) as direct:
+        svm.train_svm(svm.generate_gaussian_classes(seed=4))
+    assert "missing guard?" in str(direct.value)
+    with pytest.raises(ValueError) as raised:
+        cli.run({"schema": 1, "kind": "svm", "svm": {"seed": 4}}, tmp_path / "svm")
+    assert str(raised.value) == str(direct.value)
+    gc.collect()
+    assert sorted(p.name for p in (tmp_path / "svm").iterdir()) == ["dataset.csv"]
+
+    chunks = []
+    csv_floats = cli._csv_floats
+    monkeypatch.setattr(cli, "_csv_floats", lambda a: chunks.append(a.shape) or csv_floats(a))
+    plant = tmp_path / "plant"
+    plant.mkdir()
+    (plant / "trajectory.csv").write_bytes(b"an earlier run\r\n")
+    code, payload = cli.run(_prlc_cfg(2.0, 1e5), plant)       # RK4 grows its modes
+    assert code == 3 and payload["error"] == "non-finite state at t=1454"
+    assert chunks == [(682, 3)]
+    gc.collect()
+    assert sorted(p.name for p in plant.iterdir()) == ["summary.json", "trajectory.csv"]
+    assert (plant / "trajectory.csv").read_bytes() == b"an earlier run\r\n"

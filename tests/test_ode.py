@@ -578,11 +578,11 @@ class TestIntegrationStats:
         # initial state and each RK4 step's end: by the guards, or at the
         # landing by the sample hook's flow, and the other of the two and the
         # storage mask reuse it.  The switch classification evaluates the
-        # crossing sample and its two neighbours; the KKT report evaluates
-        # one more.
+        # crossing sample, and reads its two neighbours' storage masks; the
+        # KKT report evaluates one more.
         assert len(g_calls) == (3 * stats.rk4_steps + (1 + stats.rk4_steps)
-                                + 3 * result.switch_count + 1)
-        assert len(g_calls) == 1953
+                                + result.switch_count + 1)
+        assert len(g_calls) == 1951
         assert stats.clamp_truncations == 0
 
     def test_counts_on_a_problem_with_an_equality_and_a_ball_row(self, monkeypatch):
@@ -622,9 +622,9 @@ class TestIntegrationStats:
         assert (stats.rk4_steps, stats.bisection_steps, stats.event_batches) == (1180, 31, 4)
         # The flow: three stage states per RK4 step and every sample.
         # g_values: the guards' slot at the initial state and after every
-        # RK4 step, three per switch event, the KKT report.
+        # RK4 step, one per switch event, the KKT report.
         assert calls["rhs"] == 3 * stats.rk4_steps + result.trajectory.times.size == 4686
-        assert calls["g"] == 1 + stats.rk4_steps + 3 * result.switch_count + 1 == 1194
+        assert calls["g"] == 1 + stats.rk4_steps + result.switch_count + 1 == 1186
 
     @pytest.mark.parametrize("grow_step", [False, True])
     def test_call_counts_follow_the_step_counts_on_many_events(self, monkeypatch, grow_step):
