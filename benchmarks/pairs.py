@@ -25,8 +25,7 @@ picks what one run measures:
   ``--repeats`` calls on each of the four plant loops of perfbench's
   ``closed_loops``, with the rhs, start and settings ``cli.run`` passes;
 - ``sample_memory``: ``VmHWM`` after one and after two paper-scale svm
-  ``cli.run`` calls, with the rows ``integrate`` held for its samples (0
-  where it streamed them to a sink and held none) and the samples it took.
+  ``cli.run`` calls, with the samples each ``integrate`` call took.
 
 Only perfbench reads ``--seed``; the layer probes run fixed configs.  The
 result is one JSON object on standard output: the options, each side's
@@ -191,8 +190,7 @@ def sample_memory_probe(_repeats: int) -> dict:
 
     def wrapped(*args, **kwargs):
         traj = integrate(*args, **kwargs)
-        rows = 0 if traj.states is None else traj.states.base.shape[0]
-        buffers.append({"rows": rows, "samples": traj.times.size})
+        buffers.append({"samples": traj.times.size})
         return traj
 
     primal_dual.integrate = wrapped

@@ -100,7 +100,7 @@ class IntegrationStats:
     event-search probes, event batches, and components truncated by the
     clamp.  ``bisection_steps`` counts every probe, midpoint and secant alike.
     Only calls that :func:`integrate` itself makes count; evaluations inside
-    ``on_sample`` (``primal_dual.solve``'s storage) do not.  A run on floats
+    ``sink`` (``primal_dual.solve``'s storage) do not.  A run on floats
     counts as the array path does: four rhs calls per RK4 step, no events.
     """
 
@@ -118,9 +118,10 @@ class Trajectory:
     ``events`` holds ``(time, tag)`` pairs for localized guard crossings;
     every event time is also a sample, so switched-storage audits can
     evaluate both sides of a switch.  ``stats`` is set by :func:`integrate`.
-    ``final_state`` is the last row of ``states``.  A streamed run (an
-    :func:`integrate` call with a ``sink``) keeps no rows: its ``states`` is
-    ``None``, and ``final_state`` is given as a copy of the last sample.
+    ``states`` stacks the sampled accepted states once the run ends, and
+    ``final_state`` is its last row.  A streamed run (an :func:`integrate`
+    call with a ``sink``) keeps no rows: its ``states`` is ``None``, and
+    ``final_state`` is given as a copy of the last sample.
     """
 
     times: np.ndarray
@@ -154,11 +155,6 @@ CLAMP_TOL = 1e-8
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
-
-#: Most bytes of sample rows that :func:`integrate` reserves before its first
-#: step (64 MiB), so that a tiny step over a long span cannot reserve address
-#: space without bound; a run that fills them doubles its buffer.
-SAMPLE_BUFFER_BYTES = 64 * 2**20
 
 #: RK4's stability region (Hairer & Wanner, *Solving ODEs II*, IV.2) reaches
 #: -2.78529 on the real axis and holds the left half-disc of radius 2.61559,
@@ -252,7 +248,6 @@ def integrate(
     guard_labels: Sequence[str] | None = None,
     clamp_nonneg: Sequence[int] | None = None,
     stop_when_converged: bool = False,
-    on_sample: Callable[[float, np.ndarray], None] | None = None,
     smooth_guards: Sequence[int] = (),
     grow_step: bool = False,
     floats: bool = False,
@@ -306,8 +301,8 @@ def integrate(
         operation order: the samples, stats and ``DivergenceError`` equal the
         array path's bit for bit (a NaN's payload and sign aside, which numpy
         does not keep either), without numpy's cost per small array.  A run
-        with ``guards``, ``clamp_nonneg``, ``stop_when_converged`` or
-        ``on_sample`` refuses it.
+        with ``guards``, ``clamp_nonneg`` or ``stop_when_converged`` refuses
+        it.
     smooth_guards : sequence of int
         Indices of guards that are continuous along the RK4 map inside a
         step.  While one of them changes sign over the bracket, the search
@@ -316,17 +311,14 @@ def integrate(
         probes the midpoint when that estimate leaves the bracket or two
         secant probes in a row did not halve it.  Guards that can jump mid
         step must stay unmarked: every guard is bisected by default.
-    on_sample : optional
-        Callable ``on_sample(t, x)``, called once per sample in time order
-        with the sampled accepted state itself (read-only): the initial
-        state after the first guard evaluation, each sampled step before its
-        convergence check, each event landing before the guards are
-        evaluated there, and the final state.  Its return value is ignored.
     sink : optional
-        Callable ``sink(t, x)`` that takes each sample in place of the sample
-        array: called with the samples ``on_sample`` gets, just before it,
-        and with the same read-only state (on floats, a tuple of floats
-        after the initial state).  Its return value is ignored.
+        Callable ``sink(t, x)`` that takes each sample in place of
+        ``Trajectory.states``, called once per sample in time order with the
+        sampled accepted state itself (read-only; on floats, a tuple of
+        floats after the initial state): the initial state after the first
+        guard evaluation, each sampled step before its convergence check,
+        each event landing before the guards are evaluated there, and the
+        final state.  Its return value is ignored.
 
     Returns
     -------
@@ -343,17 +335,12 @@ def integrate(
     landing, after the clamp) is read-only and stays one array object while
     it is current, so ``rhs`` may cache on its identity; RK4 stage states and
     search probes stay writable.  A step's state is the object the guards
-    saw, and the clamp writes only ``clamp_nonneg`` entries of it.  Without
-    a ``sink``, each sample is copied once into one array of
-    ``ceil(max_time / step) // record_every + 2`` rows, at most
-    :data:`SAMPLE_BUFFER_BYTES`: a fixed-step run's samples, with a row to
-    spare when ``record_every`` divides its steps.  A grown step takes fewer
-    samples; event landings may take more, and a full array is copied into
-    one of twice its rows.  Rows never written are never touched, so they
-    cost address space, not memory.  ``Trajectory.states`` is the filled
-    rows, a view of that array, writable and sharing no memory with any
-    accepted state.  A ``sink`` gets each sample instead, and no array is
-    made: a run that streams its samples (to a file, say) holds none of them.
+    saw, and the clamp writes only ``clamp_nonneg`` entries of it, so an
+    accepted state is never written once it is accepted.  Without a
+    ``sink``, the run keeps a list of its sampled accepted states and stacks
+    it once at the end into ``Trajectory.states``, writable and sharing no
+    memory with any accepted state.  A run that streams its samples (to a
+    file, say) holds none of them.
 
     Raises
     ------
@@ -372,9 +359,8 @@ def integrate(
         raise ValueError("initial state must be finite")
     if grow_step and not stop_when_converged:
         raise ValueError("grow_step needs stop_when_converged")
-    if floats and (guards is not None or clamp_nonneg is not None
-                   or stop_when_converged or on_sample is not None):
-        raise ValueError("floats takes no guards, clamp_nonneg, stop_when_converged or on_sample")
+    if floats and (guards is not None or clamp_nonneg is not None or stop_when_converged):
+        raise ValueError("floats takes no guards, clamp_nonneg or stop_when_converged")
     x.flags.writeable = False
     h = config.step
     grow_tol = config.convergence_tol * config.step
@@ -394,29 +380,17 @@ def integrate(
     tol = config.event_tol
 
     times: list[float] = []
-    states = None
-    if sink is None:
-        row_cap = max(1, SAMPLE_BUFFER_BYTES // max(1, x.nbytes))
-        steps = math.ceil(min(t_end / h, row_cap * config.record_every))
-        states = np.empty((min(row_cap, steps // config.record_every + 2),) + x.shape)
+    kept: list = []
     events: list[tuple[float, str]] = []
     quiet = 0
     step_index = 0
 
     def _record(tv, xv):
-        nonlocal states
-        if sink is not None:
-            sink(tv, xv)
+        if sink is None:
+            kept.append(xv)
         else:
-            k = len(times)
-            if k == states.shape[0]:
-                grown = np.empty((2 * k,) + states.shape[1:])
-                grown[:k] = states
-                states = grown
-            states[k] = xv
+            sink(tv, xv)
         times.append(tv)
-        if on_sample is not None:
-            on_sample(tv, xv)
 
     _record(t, x)
     if floats:      # steps to t_stop, so the array loop below takes no step
@@ -555,5 +529,5 @@ def integrate(
     stats.rhs_evals += 4 * stats.rk4_steps
     if sink is not None:
         return Trajectory(np.array(times), None, events, stats, np.array(x, dtype=float))
-    return Trajectory(np.array(times), states[:len(times)], events, stats)
+    return Trajectory(np.array(times), np.array(kept), events, stats)
 

@@ -24,7 +24,7 @@ from a :class:`PreparedFlow` that :func:`prepare_flow` builds once per solve.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -400,14 +400,16 @@ def solve(
     Guards are attached to every multiplier and every constraint value so
     projection switches are localized; the switched storage is evaluated at
     every sample, both sides of each switch included, as ``integrate``
-    records it (its ``on_sample`` hook), and returned as the trace.
-    ``grow_step`` is ``integrate``'s: the step grows between events.  It
-    stays off by default so that a direct call takes the configured step
+    records it (the storage hook is its ``sink``), and returned as the
+    trace.  ``grow_step`` is ``integrate``'s: the step grows between events.
+    It stays off by default so that a direct call takes the configured step
     throughout; ``svm.train_svm`` and the CLI's ``solve`` kind turn it on.
-    ``sink`` is ``integrate``'s too: given, each packed sample goes to it,
-    and the trajectory keeps no ``states``.  The switches are classified
-    from what the storage hook keeps of each sample either way, so a
-    streamed solve returns the same result.
+    ``sink`` is ``integrate``'s too: given, the storage hook hands each
+    packed sample to it first, and the trajectory keeps no ``states``;
+    without one, the hook keeps each sampled accepted state and ``states``
+    stacks them after the run.  The switches are classified from what the
+    storage hook keeps of each sample either way, so a streamed solve
+    returns the same result.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -481,11 +483,15 @@ def solve(
     # state, so its rate decides convergence.  Each sample's clamp mask and
     # a copy of its x are kept for the switch classification below: p bools
     # and n floats a sample, where the state has n + m + p floats.
-    storage, masks, xs = [], [], []
+    storage, masks, xs, kept = [], [], [], []
     last_rate = None
 
-    def on_sample(t, z):
+    def sample(t, z):
         nonlocal last_rate
+        if sink is None:
+            kept.append(z)
+        else:
+            sink(t, z)
         last_rate = rhs(t, z)
         sdot = (last_rate[:n], last_rate[n:n + m], last_rate[n + m:])
         mask = clamped(z, g_at(z))
@@ -494,8 +500,10 @@ def solve(
         xs.append(z[:n].copy())
 
     traj = integrate(rhs, init.pack(), cfg, guards=guards, guard_labels=labels,
-                     clamp_nonneg=clamp, stop_when_converged=True, on_sample=on_sample,
-                     smooth_guards=range(p), grow_step=grow_step, sink=sink)
+                     clamp_nonneg=clamp, stop_when_converged=True,
+                     smooth_guards=range(p), grow_step=grow_step, sink=sample)
+    if sink is None:
+        traj = replace(traj, states=np.array(kept))
     storage_vals = np.array(storage)
 
     # One switch event per batch of simultaneous guard crossings.  The

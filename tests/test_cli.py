@@ -1589,9 +1589,8 @@ def _csv_rows(path):
 def test_cli_runs_stream_their_samples_and_hold_no_sample_buffer(tmp_path, monkeypatch):
     # integrate hands each sample to the CSV writers and keeps none, so what
     # a CLI run holds does not grow by a row a sample.  The svm run of 100
-    # points per class writes 542 rows of 204 floats (0.88 MB); integrate's
-    # buffer reserved 2,002 of them (3.3 MB), which kept the run's traced
-    # peak near 3.5 MB.  The golden solve's rows are 12 KB, below the run's
+    # points per class writes 542 rows of 204 floats (0.88 MB), more than
+    # the run's traced peak.  The golden solve's rows are 12 KB, below the run's
     # fixed costs (its config, its reader, a writer's 512-row chunk), so its
     # run is held against the library call of the same inputs, which buffers.
     for cfg in (CONFIGS["svm"], CONFIGS["solve"]):

@@ -31,10 +31,10 @@ from passiflow.primal_dual import (
                  ValueError, "initial state must be finite", id="integrate-inf"),
     *(pytest.param(lambda kw=kw: integrate(lambda t, x: x, [1.0], IntegratorConfig(),
                                            floats=True, **kw),
-                   ValueError, "floats takes no guards, clamp_nonneg, stop_when_converged "
-                   "or on_sample", id=f"integrate-floats-{next(iter(kw))}")
+                   ValueError, "floats takes no guards, clamp_nonneg or stop_when_converged",
+                   id=f"integrate-floats-{next(iter(kw))}")
       for kw in ({"guards": lambda t, x: x}, {"clamp_nonneg": [0]},
-                 {"stop_when_converged": True}, {"on_sample": lambda t, x: None})),
+                 {"stop_when_converged": True})),
     # bool is an Integral and np.bool_ compares as 0 or 1, but True is not a
     # step of 1.0 or a count of 1
     *(pytest.param(lambda name=name, value=value: IntegratorConfig(**{name: value}),
@@ -446,85 +446,93 @@ class TestStepGrowth:
 
 
 class TestSampleBuffer:
-    """Samples are copied into one array of ``ceil(max_time / step) //
-    record_every + 2`` rows, up to ``ode.SAMPLE_BUFFER_BYTES``, which doubles
-    whenever event landings fill it."""
+    """Without a ``sink``, ``integrate`` keeps each sample as its accepted
+    state and stacks them once the run ends; a ``sink`` gets those states."""
 
-    @pytest.mark.parametrize("step, crossings, max_time, samples, rows, landing_samples", [
-        # > 2048 samples, no growth
-        pytest.param(0.01, (), 21.0, 2101, 2102, (), id="crossings0-21.0"),
+    @pytest.mark.parametrize("step, crossings, max_time, samples, landing_samples", [
+        # > 2048 samples
+        pytest.param(0.01, (), 21.0, 2101, (), id="crossings0-21.0"),
         # the landing is sample 1024
-        pytest.param(0.01, (1023.5,), 15.0, 1502, 1502, (1024,), id="crossings1-15.0"),
+        pytest.param(0.01, (1023.5,), 15.0, 1502, (1024,), id="crossings1-15.0"),
         # landings at samples 1024 and 2048
-        pytest.param(0.01, (1023.5, 2047.0), 25.0, 2502, 2502, (1024, 2048),
-                     id="crossings2-25.0"),
-        # 10 rows: three landings in the last step, the third one sample 10
-        pytest.param(0.125, (7.25, 7.5, 7.75), 1.0, 12, 20, (8, 9, 10),
-                     id="grown-at-a-landing"),
-        # 10 rows: a landing in every step, grown at samples 10 and 20
-        pytest.param(0.125, tuple(0.16 + 0.3 * j for j in range(27)), 1.0, 29, 40,
-                     range(1, 28), id="grown-twice"),
+        pytest.param(0.01, (1023.5, 2047.0), 25.0, 2502, (1024, 2048), id="crossings2-25.0"),
+        # three landings in the last step, the third one sample 10
+        pytest.param(0.125, (7.25, 7.5, 7.75), 1.0, 12, (8, 9, 10), id="crossings3-last-step"),
+        # a landing in every step
+        pytest.param(0.125, tuple(0.16 + 0.3 * j for j in range(27)), 1.0, 29, range(1, 28),
+                     id="crossings27"),
     ])
-    def test_states_are_the_accepted_states_across_growth(self, step, crossings, max_time,
-                                                          samples, rows, landing_samples):
+    def test_states_are_the_accepted_states(self, step, crossings, max_time, samples,
+                                            landing_samples):
         # x0' = 1 reaches c = k step after k plain steps; a crossing half a
         # step after sample 1023 lands as sample 1024, and one 1023.5 steps
         # after that landing as sample 2048.
         cs = [c * step for c in crossings]
-        seen = {}
+        cfg = IntegratorConfig(step=step, max_time=max_time, convergence_tol=1e-12)
 
-        def rhs(t, x):
-            if not x.flags.writeable:
-                seen.setdefault(t, (x, x.copy()))
-            return np.array([1.0, -x[1]])
+        def run(sink=None):
+            seen = {}
+
+            def rhs(t, x):
+                if not x.flags.writeable:
+                    seen.setdefault(t, (x, x.copy()))
+                return np.array([1.0, -x[1]])
+
+            traj = integrate(rhs, [0.0, 1.0], cfg,
+                             guards=(lambda t, x: x[0] - np.array(cs)) if cs else None,
+                             stop_when_converged=True, sink=sink)
+            return traj, seen
 
         hooked = []
-        cfg = IntegratorConfig(step=step, max_time=max_time, convergence_tol=1e-12)
-        traj = integrate(rhs, [0.0, 1.0], cfg,
-                         guards=(lambda t, x: x[0] - np.array(cs)) if cs else None,
-                         stop_when_converged=True,
-                         on_sample=lambda t, x: hooked.append((t, x)))
+        streamed, streamed_seen = run(lambda t, x: hooked.append((t, x)))
+        traj, seen = run()
         assert traj.times.size == samples
-        assert traj.states.base.shape[0] == rows
+        assert traj.times.tolist() == streamed.times.tolist()
         landings = sorted({t for t, _ in traj.events})
         assert len(landings) == len(cs)
         for k, t_e in zip(landing_samples, landings, strict=True):
             assert traj.times[k] == t_e
-        # The hook sees every sample in time order, as the read-only object
-        # that rhs saw at that time.
+        # The sink sees every sample in time order, as the read-only object
+        # that rhs saw at that time; the keeping run's rows are those states.
         assert [t for t, _ in hooked] == traj.times.tolist()
-        for (t, x), row in zip(hooked, traj.states):
-            obj, value = seen[t]
+        for (t, x), row in zip(hooked, traj.states, strict=True):
+            obj, value = streamed_seen[t]
             assert x is obj and not x.flags.writeable
             assert np.array_equal(row, value)
-            assert not np.shares_memory(traj.states, obj)
+            kept, kept_value = seen[t]
+            assert np.array_equal(row, kept_value)
+            assert not np.shares_memory(traj.states, kept)
         assert traj.states.flags.writeable
         traj.states[-1, 0] = 7.0
-        assert hooked[-1][1][0] != 7.0
+        assert seen[traj.times[-1]][0][0] != 7.0
 
     @pytest.mark.parametrize("x0", [[1.0, 2.0], []])
     @pytest.mark.parametrize("floats", [False, True])
-    def test_a_fixed_step_run_reserves_its_sample_count(self, x0, floats):
+    def test_a_fixed_step_run_keeps_its_sample_count(self, x0, floats):
         # 10 steps, sampled at steps 3, 6 and 9, then the final state
         cfg = IntegratorConfig(step=0.1, max_time=1.0, record_every=3)
         rhs = (lambda t, x: tuple(-v for v in x)) if floats else (lambda t, x: -x)
         traj = integrate(rhs, x0, cfg, floats=floats)
         assert traj.times.tolist() == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
         assert traj.states.shape == (5, len(x0))
-        assert traj.states.base.shape == (5, len(x0))
 
-    @pytest.mark.parametrize("step, max_time, cap_bytes, rows", [
-        (1e-9, 1e6, ode.SAMPLE_BUFFER_BYTES, ode.SAMPLE_BUFFER_BYTES // 16),
-        (1e-300, 1e300, ode.SAMPLE_BUFFER_BYTES, ode.SAMPLE_BUFFER_BYTES // 16),  # ratio inf
-        (0.1, 1.0, 8, 8),       # a row past the cap: one row, grown at samples 1, 2 and 4
-    ])
-    def test_the_reservation_is_capped(self, monkeypatch, step, max_time, cap_bytes, rows):
-        monkeypatch.setattr(ode, "SAMPLE_BUFFER_BYTES", cap_bytes)
-        cfg = IntegratorConfig(step=step, max_time=max_time)
-        traj = integrate(lambda t, x: 0.0 * x, [1.0, 2.0], cfg, stop_when_converged=True)
-        assert traj.times.size == 1 + cfg.convergence_window
-        assert traj.states.base.shape == (rows, 2)
-        assert np.array_equal(traj.states, np.tile([1.0, 2.0], (traj.times.size, 1)))
+    def test_a_floats_sink_gets_the_initial_array_then_tuples(self):
+        cfg = IntegratorConfig(step=0.1, max_time=1.0, record_every=3)
+
+        def rhs(t, x):
+            return (-x[0], x[0] - 0.5 * x[1])
+
+        hooked = []
+        streamed = integrate(rhs, [1.0, 2.0], cfg, floats=True,
+                             sink=lambda t, x: hooked.append((t, x)))
+        traj = integrate(rhs, [1.0, 2.0], cfg, floats=True)
+        assert streamed.states is None
+        assert [t for t, _ in hooked] == traj.times.tolist() == streamed.times.tolist()
+        first, *rest = (x for _, x in hooked)
+        assert isinstance(first, np.ndarray) and not first.flags.writeable
+        assert rest and all(type(x) is tuple for x in rest)
+        assert np.array([first, *rest]).tobytes() == traj.states.tobytes()
+        assert np.array_equal(streamed.final_state, traj.final_state)
 
 
 class TestIntegrationStats:

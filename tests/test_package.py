@@ -1,10 +1,12 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import passiflow
+from passiflow import ode
 
 MODULES = ["passiflow", *(f"passiflow.{m}" for m in passiflow.__all__), "passiflow.cli"]
 
@@ -103,3 +105,35 @@ def test_the_private_name_scan_sees_both_forms():
                      "from passiflow import cli\n"
                      "t._step_guard\ncli._BLOCK\nt.__name__\nt.cfl_limit")
     assert sorted(_private_reads(tree)) == ["cli._BLOCK", "ode._rk4_step", "t._step_guard"]
+
+
+INTEGRATE_PARAMS = list(inspect.signature(ode.integrate).parameters)
+
+
+def _integrate_params_passed(tree: ast.Module) -> set[str]:
+    """The parameters of ``ode.integrate`` that calls of ``integrate`` or
+    ``<name>.integrate`` in ``tree`` pass: by keyword, or by position."""
+    passed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "integrate":
+                passed.update(INTEGRATE_PARAMS[:len(node.args)])
+                passed.update(kw.arg for kw in node.keywords)
+    return passed
+
+
+def test_every_parameter_of_integrate_is_passed_in_src():
+    # every run goes through integrate, so an option no call in src/ passes
+    # serves only tests
+    passed = set()
+    for path in Path(passiflow.__file__).parent.glob("*.py"):
+        passed |= _integrate_params_passed(ast.parse(path.read_text()))
+    assert [name for name in INTEGRATE_PARAMS if name not in passed] == []
+
+
+def test_the_integrate_parameter_scan_sees_both_forms():
+    tree = ast.parse("integrate(f, y0, cfg, sink=print)\node.integrate(f, y0, floats=True)\n"
+                     "solve(guards=g)\nintegrate.cache_clear()")
+    assert _integrate_params_passed(tree) == {"rhs", "x0", "config", "sink", "floats"}

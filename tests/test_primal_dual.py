@@ -14,6 +14,7 @@ from oracles import (
     reference_switch_events,
     sigma_at,
 )
+from test_artifacts_golden import CONFIGS
 
 from passiflow import cli, ode, primal_dual, svm
 from passiflow.brayton_moser import StorageTrace
@@ -711,6 +712,42 @@ class TestStorageDuringIntegration:
         res = self.check(prob, init, TimeConstants.ones(prob.n, prob.m, prob.p),
                          svm.DEFAULT_INTEGRATOR)
         assert res.storage.switch_events
+
+
+class TestStreamedSolve:
+    """A ``solve`` whose samples go to a ``sink`` returns the result of the
+    same solve that keeps them, and the sink gets the kept rows bit for bit."""
+
+    @staticmethod
+    def check(run):
+        rows = []
+        streamed = run(lambda t, z: rows.append((t, z)))
+        kept = run(None)
+        s, k = streamed.trajectory, kept.trajectory
+        assert s.states is None
+        assert np.array([t for t, _ in rows]).tobytes() == s.times.tobytes() == k.times.tobytes()
+        assert np.array([z for _, z in rows]).tobytes() == k.states.tobytes()
+        assert s.events == k.events
+        assert s.final_state.tobytes() == k.final_state.tobytes()
+        assert streamed.storage.storage.tobytes() == kept.storage.storage.tobytes()
+        assert streamed.storage.switch_events == kept.storage.switch_events
+        assert streamed.kkt == kept.kkt
+        assert streamed.converged == kept.converged
+        for name in ("x", "lam", "mu"):
+            assert getattr(streamed.final, name).tobytes() == getattr(kept.final, name).tobytes()
+        return kept
+
+    @pytest.mark.parametrize("grow_step", [False, True])
+    def test_the_golden_solve_eq_config(self, grow_step):
+        prob, init, tc, cfg = cli._read(CONFIGS["solve_eq"])[0]
+        kept = self.check(lambda sink: solve(prob, init, tc=tc, cfg=cfg, grow_step=grow_step,
+                                             sink=sink))
+        assert kept.converged and kept.storage.switch_events
+
+    def test_a_small_svm(self):
+        data = svm.generate_gaussian_classes(seed=0, n_per_class=20)
+        kept = self.check(lambda sink: svm.train_svm(data, sink=sink))
+        assert kept.converged and kept.storage.switch_events
 
 
 class TestStepStartRateReuse:

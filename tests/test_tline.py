@@ -100,6 +100,26 @@ def test_certificate_search_is_feasible_for_every_tau(R, G, L, C):
     assert rec.is_feasible(), rec.feasibility_residuals()
 
 
+def test_the_quadratic_root_binds_the_certificate_only_below_tau_0_393():
+    # admissible_params_search halves the lesser of the quadratic's positive
+    # root and the linear bound tau (1 - zeta^2), zeta^2 = 2 tau / (1 + tau)^2
+    def bounds(tau):
+        root = 0.5 * (np.sqrt(1.0 + tau * tau) - (1.0 - tau))
+        return root, tau * (1.0 - 2.0 * tau / (1.0 + tau) ** 2)
+
+    lo, hi = 0.1, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        root, linear = bounds(mid)
+        lo, hi = (mid, hi) if root < linear else (lo, mid)
+    assert round(lo, 5) == 0.39332
+    for tau in (1e-3, 0.2, 0.39, 0.3933, 0.3934, 0.4, 1.0, 10.0):
+        root, linear = bounds(tau)
+        assert (root < linear) == (tau < 0.39332)
+        rec = admissible_params_search(LineParams(R=tau))
+        assert rec.lambda_prime == pytest.approx(0.5 * min(root, linear), rel=1e-12)
+
+
 @pytest.mark.parametrize("M", [16, 50])
 @pytest.mark.parametrize("K_P, K_I", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
 def test_closed_loop_functional_nonincreasing_from_the_zero_state(M, K_P, K_I):
@@ -177,6 +197,22 @@ def test_cfl_limit_at_the_default_line_is_the_wave_bound_bit_for_bit():
     p = LineParams()
     for M in range(8, 401):
         assert cfl_limit(p, M) == _wave_bound(p, M)
+
+
+@pytest.mark.parametrize("M, switch", [(8, 1.98), (50, 2.05), (200, 2.06), (1000, 2.062)])
+def test_the_end_term_binds_once_r0_exceeds_about_2_06_sqrt_l_over_c(M, switch):
+    # cfl_limit's docstring: at the default line the wave bound binds until
+    # max(R0, R1) exceeds about 2.06 sqrt(L/C) (here 1), then the end row's.
+    # The switch, bisected, tends to 2.785 / 1.35 = 2.063 as the grid grows.
+    def row(R0):
+        return tline.step_guard(LineParams(R0=R0), M)[1]
+
+    lo, hi = 1.0, 3.0
+    assert (row(lo), row(hi)) == (None, "R0")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if row(mid) is None else (lo, mid)
+    assert round(hi, len(str(switch)) - 2) == switch
 
 
 # (params, grid, whether 0.999 x the wave bound is accepted, max |R(h lambda)| there),
